@@ -12,11 +12,9 @@ the preset to keep the two in sync.
 
 import sys
 
-from scipy.optimize import brentq
-
 from phasemirror.config import DEFAULT_CONFIG, QD1_PRESET, RunConfig
 from phasemirror.emission import visibility_intensity
-from phasemirror.modesolver import mode_weights, solve_te0
+from phasemirror.modesolver import bisect_root, mode_weights, solve_te0
 
 R_T = 0.6
 NU_I_TARGET = 0.48
@@ -38,7 +36,7 @@ def main() -> int:
         return (wy - wx) / (wy + wx) - f_target
 
     # imbalance falls from 1 at the center through 0 near the crossing
-    y0_star = brentq(imbalance, 0.0, 0.75 * half, xtol=1e-12)
+    y0_star = bisect_root(imbalance, 0.0, 0.75 * half)
     wx, wy = mode_weights(profile, y0_star)
     rho_sq = wx / wy
 

@@ -358,6 +358,7 @@ _DISPATCH = {
 _INPUT_ERRORS = (
     ConfigError,
     inference.MalformedRow,
+    synthlab.MalformedCSV,
     synthlab.OutOfCalibration,
     FileNotFoundError,
     NotADirectoryError,

@@ -204,6 +204,11 @@ QD1_PRESET["emitter"] = {
 QD1_PRESET["r_T_mag"] = 0.6
 
 
+# Built once: jsonschema.validate would re-check SCHEMA against its
+# metaschema on every call (tests/test_config.py checks it once).
+_VALIDATOR = jsonschema.validators.validator_for(SCHEMA)(SCHEMA)
+
+
 class ConfigError(ValueError):
     """Configuration failed schema validation or is self-inconsistent."""
 
@@ -216,10 +221,9 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
-        try:
-            jsonschema.validate(data, SCHEMA)
-        except jsonschema.ValidationError as exc:
-            raise ConfigError(f"invalid config: {exc.message}") from None
+        error = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(data))
+        if error is not None:
+            raise ConfigError(f"invalid config: {error.message}")
         return cls(raw=copy.deepcopy(data))
 
     @classmethod

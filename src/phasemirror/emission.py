@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.constants import epsilon_0, hbar
 
 from .modesolver import ModeProfile, mode_weights
 
@@ -72,7 +71,6 @@ class EmitterScene:
     gamma_y0: float = 1.0
     gamma_b: float = 0.1
     gamma_nrad: float = 0.1
-    dipole_moment: float | None = None
 
     def __post_init__(self) -> None:
         if self.L < 0:
@@ -243,18 +241,6 @@ def visibility_rate_centered(beta_y0: float, r_T_mag: float) -> float:
     if not 0.0 <= beta_y0 <= 1.0:
         raise ValueError(f"beta_y0 must lie in [0, 1], got {beta_y0}")
     return 0.5 * beta_y0 * r_T_mag
-
-
-def ldos_to_rate(ldos: float, dipole_moment: float, omega: float) -> float:
-    """Spontaneous emission rate from a relative local density of states.
-
-    gamma_0 = pi omega |d|^2 rho / (3 hbar eps_0).  Only ratios of
-    this quantity are observable downstream; absolute prefactors
-    carry SI constants for completeness.
-    """
-    if ldos < 0 or omega <= 0:
-        raise ValueError("LDOS must be non-negative and omega positive")
-    return math.pi * omega * dipole_moment**2 * ldos / (3.0 * hbar * epsilon_0)
 
 
 def _extremal_phases(theta: float) -> tuple[float, float]:

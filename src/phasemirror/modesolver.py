@@ -29,10 +29,11 @@ Lengths are nm, wavenumbers rad/nm.
 from __future__ import annotations
 
 import csv
+import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 
 class ModeSolverError(Exception):
@@ -93,8 +94,7 @@ class ModeProfile:
     n_eff : effective index of the guided mode
     k : propagation constant (rad/nm)
     group_index : n_eff - lambda * d n_eff / d lambda at fixed material
-        indices; carried for the group-velocity prefactor of
-        absolute-rate conversions
+        indices
     norm_N : normalization integral of eps_r |E|^2 over the window
         (per unit thickness)
     core_half_width : half the wire width (nm), the physical range for
@@ -111,6 +111,34 @@ class ModeProfile:
     core_half_width: float
 
 
+def bisect_root(f: Callable[[float], float], lo: float, hi: float) -> float:
+    """Root of f on [lo, hi] by bisection down to adjacent floats.
+
+    f(lo) and f(hi) must differ in sign (ValueError otherwise).  Returns
+    an exact zero if one is hit, else whichever of the two final
+    neighbouring floats, between which f changes sign, has the smaller
+    |f| (the upper one on a tie).
+    """
+    f_lo, f_hi = f(lo), f(hi)
+    if f_lo == 0.0:
+        return lo
+    if f_hi == 0.0:
+        return hi
+    if (f_lo < 0.0) == (f_hi < 0.0):
+        raise ValueError("f does not change sign on the bracket")
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return lo if abs(f_lo) < abs(f_hi) else hi
+        f_mid = f(mid)
+        if f_mid == 0.0:
+            return mid
+        if (f_mid < 0.0) == (f_lo < 0.0):
+            lo, f_lo = mid, f_mid
+        else:
+            hi, f_hi = mid, f_mid
+
+
 def _solve_even_slab(V: float, R: float) -> float:
     """Root u of u*tan(u) = R*sqrt(V^2 - u^2) on (0, min(V, pi/2)).
 
@@ -121,18 +149,16 @@ def _solve_even_slab(V: float, R: float) -> float:
         raise NoBoundMode("slab V-number is not positive")
 
     def g(u: float) -> float:
-        return u * np.tan(u) - R * np.sqrt(max(V * V - u * u, 0.0))
+        return u * math.tan(u) - R * math.sqrt(max(V * V - u * u, 0.0))
 
     lo = 1e-12
-    hi = min(V, np.pi / 2.0) - 1e-12
+    hi = min(V, math.pi / 2.0) - 1e-12
     if hi <= lo:
         raise NoBoundMode("slab V-number too small to bracket a mode")
     try:
-        return brentq(g, lo, hi, xtol=1e-15, rtol=8.9e-16, maxiter=200)
+        return bisect_root(g, lo, hi)
     except ValueError as exc:  # no sign change on the bracket
         raise NoBoundMode("no guided slab solution in bracket") from exc
-    except RuntimeError as exc:  # iteration limit
-        raise GridTooCoarse("slab eigenvalue did not converge to 1e-9") from exc
 
 
 @dataclass(frozen=True)

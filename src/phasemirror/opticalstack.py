@@ -9,7 +9,9 @@ waveguide power transmittivity over the emitter-mirror-emitter path,
 |r_M| the mirror modal reflectivity magnitude, and phi the one-way
 tunable phase.  The photonic-crystal mirror itself is modeled at normal
 incidence with 2x2 characteristic matrices, one period being
-[unetched/2, hole, unetched/2] so the default stack is symmetric.
+[unetched/2, hole, unetched/2] so the default stack is symmetric; the
+N-period mirror is the period matrix raised to the N-th power (Abeles;
+Yeh, Optical Waves in Layered Media, 1988), for all wavelengths at once.
 """
 
 from __future__ import annotations
@@ -50,11 +52,6 @@ class MirrorChain:
         return self.magnitude * np.exp(2j * self.phi)
 
 
-def lumped_reflectivity(chain: MirrorChain) -> complex:
-    """Complex lumped reflection r_T = |r_T| exp(i 2 phi)."""
-    return chain.reflectivity()
-
-
 @dataclass(frozen=True)
 class PhotonicCrystalSpec:
     """Periodically etched waveguide section acting as the mirror.
@@ -93,33 +90,65 @@ class PhotonicCrystalSpec:
         return (hole * self.n_hole + (self.pitch_nm - hole) * self.n_unetched) / self.pitch_nm
 
 
-def segment_layout(spec: PhotonicCrystalSpec) -> tuple[np.ndarray, np.ndarray]:
-    """(indices, lengths) of the stack, one period = [u/2, hole, u/2]."""
+def _period_layout(spec: PhotonicCrystalSpec) -> tuple[np.ndarray, np.ndarray]:
+    """(indices, lengths) of one period [u/2, hole, u/2]."""
     hole_len = 2.0 * spec.hole_radius_nm
     u_half = (spec.pitch_nm - hole_len) / 2.0
-    indices, lengths = [], []
-    for _ in range(spec.n_holes):
-        indices += [spec.n_unetched, spec.n_hole, spec.n_unetched]
-        lengths += [u_half, hole_len, u_half]
-    return np.asarray(indices, dtype=float), np.asarray(lengths, dtype=float)
-
-
-def layer_matrix(n: float, d_nm: float, wavelength_nm: float) -> np.ndarray:
-    """Characteristic matrix of one homogeneous layer (normal incidence)."""
-    delta = 2.0 * np.pi / wavelength_nm * n * d_nm
-    return np.array(
-        [
-            [np.cos(delta), 1j * np.sin(delta) / n],
-            [1j * n * np.sin(delta), np.cos(delta)],
-        ]
+    return (
+        np.array([spec.n_unetched, spec.n_hole, spec.n_unetched], dtype=float),
+        np.array([u_half, hole_len, u_half], dtype=float),
     )
 
 
-def stack_matrix(indices: np.ndarray, lengths: np.ndarray, wavelength_nm: float) -> np.ndarray:
+def segment_layout(spec: PhotonicCrystalSpec) -> tuple[np.ndarray, np.ndarray]:
+    """(indices, lengths) of the stack, one period = [u/2, hole, u/2]."""
+    indices, lengths = _period_layout(spec)
+    return np.tile(indices, spec.n_holes), np.tile(lengths, spec.n_holes)
+
+
+def layer_matrix(n: float, d_nm: float, wavelength_nm: float | np.ndarray) -> np.ndarray:
+    """Characteristic matrix of one homogeneous layer (normal incidence).
+
+    A scalar wavelength gives one 2x2 matrix, an array of wavelengths a
+    stack of them, shape (..., 2, 2).
+    """
+    delta = 2.0 * np.pi / np.asarray(wavelength_nm, dtype=float) * n * d_nm
+    c, s = np.cos(delta), np.sin(delta)
+    return np.stack(
+        [np.stack([c, 1j * s / n], axis=-1), np.stack([1j * n * s, c], axis=-1)],
+        axis=-2,
+    )
+
+
+def stack_matrix(
+    indices: np.ndarray, lengths: np.ndarray, wavelength_nm: float | np.ndarray
+) -> np.ndarray:
     M = np.eye(2, dtype=complex)
     for n, d in zip(indices, lengths):
         M = M @ layer_matrix(float(n), float(d), wavelength_nm)
     return M
+
+
+def _matrix_power(M: np.ndarray, power: int) -> np.ndarray:
+    """M**power for a stack of 2x2 matrices, by repeated squaring."""
+    result = np.broadcast_to(np.eye(2, dtype=complex), M.shape)
+    while power:
+        if power & 1:
+            result = result @ M
+        power >>= 1
+        if power:
+            M = M @ M
+    return result
+
+
+def _coefficients(M: np.ndarray, n_in: float, n_out: float) -> tuple[np.ndarray, np.ndarray]:
+    """Amplitude (r, t) from the characteristic matrix (or a stack of them)."""
+    m11, m12 = M[..., 0, 0], M[..., 0, 1]
+    m21, m22 = M[..., 1, 0], M[..., 1, 1]
+    denom = (m11 + m12 * n_out) * n_in + (m21 + m22 * n_out)
+    r = ((m11 + m12 * n_out) * n_in - (m21 + m22 * n_out)) / denom
+    t = 2.0 * n_in / denom
+    return r, t
 
 
 def stack_coefficients(
@@ -133,35 +162,33 @@ def stack_coefficients(
 
     Power conservation reads |r|^2 + (n_out/n_in) |t|^2 = 1.
     """
-    M = stack_matrix(indices, lengths, wavelength_nm)
-    m11, m12 = M[0, 0], M[0, 1]
-    m21, m22 = M[1, 0], M[1, 1]
-    denom = (m11 + m12 * n_out) * n_in + (m21 + m22 * n_out)
-    r = ((m11 + m12 * n_out) * n_in - (m21 + m22 * n_out)) / denom
-    t = 2.0 * n_in / denom
+    r, t = _coefficients(stack_matrix(indices, lengths, wavelength_nm), n_in, n_out)
     return complex(r), complex(t)
+
+
+def _crystal_reflectivity(spec: PhotonicCrystalSpec, wavelengths_nm: np.ndarray) -> np.ndarray:
+    """r_M at each wavelength: the period matrices raised to n_holes (Abeles)."""
+    indices, lengths = _period_layout(spec)
+    period = stack_matrix(indices, lengths, wavelengths_nm)
+    n = spec.termination_index
+    r, _ = _coefficients(_matrix_power(period, spec.n_holes), n, n)
+    return r
 
 
 def tmm_reflectivity(spec: PhotonicCrystalSpec, wavelength_nm: float) -> complex:
     """Complex modal reflection r_M of the etched mirror section."""
     if wavelength_nm <= 0:
         raise ValueError("wavelength must be positive")
-    indices, lengths = segment_layout(spec)
-    r, _ = stack_coefficients(
-        indices, lengths, spec.termination_index, spec.termination_index, wavelength_nm
-    )
-    return r
+    return complex(_crystal_reflectivity(spec, np.array([wavelength_nm], dtype=float))[0])
 
 
 def reflectivity_sweep(
     spec: PhotonicCrystalSpec, wavelengths_nm: np.ndarray
 ) -> list[tuple[float, complex, float]]:
     """[(lambda, r, |r|^2)] over a wavelength grid."""
-    rows = []
-    for lam in np.asarray(wavelengths_nm, dtype=float):
-        r = complex(tmm_reflectivity(spec, float(lam)))
-        rows.append((float(lam), r, float(abs(r) ** 2)))
-    return rows
+    lams = np.asarray(wavelengths_nm, dtype=float)
+    r_M = _crystal_reflectivity(spec, lams).tolist()
+    return [(lam, r, float(abs(r) ** 2)) for lam, r in zip(lams.tolist(), r_M)]
 
 
 def waveguide_transmission(loss_db_per_mm: float, length_nm: float) -> float:

@@ -19,7 +19,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc
 
 from . import emission
 from .emission import DipoleOrientation, EmitterScene
@@ -27,6 +26,10 @@ from .emission import DipoleOrientation, EmitterScene
 
 class OutOfCalibration(ValueError):
     """Requested voltage outside the calibrated range."""
+
+
+class MalformedCSV(ValueError):
+    """A sweep or histogram CSV does not parse: header, row or bin layout."""
 
 
 class CalibrationModel(enum.Enum):
@@ -164,7 +167,8 @@ def _exp_bin_integrals(gamma: float, edges: np.ndarray) -> np.ndarray:
 def _exgauss_density(t: np.ndarray, gamma: float, sigma: float) -> np.ndarray:
     # exponential decay starting at t=0 convolved with a zero-mean Gaussian
     arg = (sigma**2 * gamma - t) / (math.sqrt(2.0) * sigma)
-    return 0.5 * np.exp(sigma**2 * gamma**2 / 2.0 - gamma * t) * erfc(arg)
+    erfc = np.fromiter(map(math.erfc, arg.tolist()), float, len(arg))
+    return 0.5 * np.exp(sigma**2 * gamma**2 / 2.0 - gamma * t) * erfc
 
 
 def expected_bin_counts(
@@ -368,16 +372,16 @@ def read_sweep_csv(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != ["voltage", "phi_rad", "intensity_counts"]:
-            raise ValueError(f"{path} line 1: expected sweep header, got {header}")
+            raise MalformedCSV(f"{path} line 1: expected sweep header, got {header}")
         for lineno, row in enumerate(reader, start=2):
             if len(row) != 3:
-                raise ValueError(f"{path} line {lineno}: expected 3 columns")
+                raise MalformedCSV(f"{path} line {lineno}: expected 3 columns")
             try:
                 volts.append(float(row[0]))
                 phis.append(float(row[1]))
                 counts.append(float(row[2]))
             except ValueError as exc:
-                raise ValueError(f"{path} line {lineno}: {exc}") from None
+                raise MalformedCSV(f"{path} line {lineno}: {exc}") from None
     return np.array(volts), np.array(phis), np.array(counts)
 
 
@@ -388,22 +392,25 @@ def read_histogram_csv(path: str) -> DecayHistogram:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != ["t_ns", "counts"]:
-            raise ValueError(f"{path} line 1: expected histogram header, got {header}")
+            raise MalformedCSV(f"{path} line 1: expected histogram header, got {header}")
         for lineno, row in enumerate(reader, start=2):
             if len(row) != 2:
-                raise ValueError(f"{path} line {lineno}: expected 2 columns")
+                raise MalformedCSV(f"{path} line {lineno}: expected 2 columns")
             try:
                 times.append(float(row[0]))
                 counts.append(float(row[1]))
             except ValueError as exc:
-                raise ValueError(f"{path} line {lineno}: {exc}") from None
+                raise MalformedCSV(f"{path} line {lineno}: {exc}") from None
     if len(times) < 2:
-        raise ValueError(f"{path}: need at least two bins")
+        raise MalformedCSV(f"{path}: need at least two bins")
     mids = np.array(times)
     widths = np.diff(mids)
     if np.any(np.abs(widths - widths[0]) > 1e-9 * widths[0]):
-        raise ValueError(f"{path}: bins must be uniform")
+        raise MalformedCSV(f"{path}: bins must be uniform")
     w = float(widths[0])
     edges = np.concatenate([mids - w / 2.0, [mids[-1] + w / 2.0]])
     arr = np.array(counts)
-    return DecayHistogram(bin_edges=edges, counts=arr, total_counts=float(arr.sum()))
+    try:
+        return DecayHistogram(bin_edges=edges, counts=arr, total_counts=float(arr.sum()))
+    except ValueError as exc:  # negative counts, decreasing times
+        raise MalformedCSV(f"{path}: {exc}") from None

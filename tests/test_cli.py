@@ -4,10 +4,13 @@ import hashlib
 import json
 import os
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import phasemirror
 from phasemirror.cli import main
 from phasemirror.config import DEFAULT_CONFIG, builtin_table1_path
 from phasemirror.synthlab import (
@@ -192,6 +195,22 @@ class TestAnalyzeCommand:
         rc = main(["analyze", "--in", mode_dir, "--out", str(tmp_path / "x")])
         assert rc == 2
 
+    @pytest.mark.parametrize(
+        "name, text",
+        [
+            ("sweep.csv", "bogus,phi_rad,intensity_counts\n0.0,0.0,100\n"),
+            ("sweep.csv", "voltage,phi_rad,intensity_counts\n0.0,0.0\n"),
+            ("hist_003.csv", "t_ns,counts\n0.025,10\n0.075\n"),
+        ],
+    )
+    def test_malformed_input_csv_is_input_error(self, tmp_path, sim_dir, name, text):
+        broken = str(tmp_path / "broken")
+        shutil.copytree(sim_dir, broken)
+        with open(os.path.join(broken, name), "w", encoding="utf-8") as fh:
+            fh.write(text)
+        rc = main(["analyze", "--in", broken, "--out", str(tmp_path / "x")])
+        assert rc == 2
+
     def test_degenerate_histogram_is_numerical_failure(self, tmp_path, sim_dir):
         broken = str(tmp_path / "broken")
         shutil.copytree(sim_dir, broken)
@@ -241,3 +260,13 @@ class TestConfigErrors:
             ["mode", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path / "x")]
         )
         assert rc == 2
+
+
+def test_cli_import_leaves_scipy_out():
+    src = os.path.dirname(os.path.dirname(phasemirror.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, phasemirror.cli; print('scipy' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.strip() == "False"

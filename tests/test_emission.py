@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from scipy.constants import epsilon_0, hbar
 
 from phasemirror.emission import (
     DegenerateRates,
@@ -17,7 +16,6 @@ from phasemirror.emission import (
     figure1c_curves,
     figure1d_curves,
     intensity,
-    ldos_to_rate,
     offset_scaled_rates,
     rate_modulation,
     rate_modulation_green,
@@ -248,23 +246,6 @@ class TestVisibilities:
         nu_avg = visibility_rate(beta_x, beta_y, g_x, g_y, r, AVG)
         nu_y = visibility_rate(beta_x, beta_y, g_x, g_y, r, Y)
         assert nu_avg <= nu_y + 1e-12
-
-
-class TestLdosToRate:
-    def test_linearity(self):
-        base = ldos_to_rate(1.0, 2.0, 3.0e15)
-        assert ldos_to_rate(2.0, 2.0, 3.0e15) == pytest.approx(2 * base)
-
-    def test_prefactor(self):
-        omega, d = 2.03e15, 1.0e-29
-        expect = math.pi * omega * d**2 / (3 * hbar * epsilon_0)
-        assert ldos_to_rate(1.0, d, omega) == pytest.approx(expect)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ldos_to_rate(-1.0, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            ldos_to_rate(1.0, 1.0, 0.0)
 
 
 class TestScene:

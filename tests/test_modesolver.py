@@ -1,4 +1,5 @@
 import csv
+import math
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ from phasemirror.modesolver import (
     NoBoundMode,
     OutOfRange,
     WaveguideGeometry,
+    _solve_even_slab,
+    bisect_root,
     helmholtz_residual,
     mode_weights,
     solve_te0,
@@ -126,6 +129,36 @@ def test_weights_out_of_range(default_profile):
 def test_no_bound_mode_for_narrow_wire():
     with pytest.raises(NoBoundMode):
         solve_te0(WaveguideGeometry(width_nm=50.0))
+
+
+@given(
+    V=st.floats(min_value=0.01, max_value=50.0),
+    R=st.floats(min_value=1.0, max_value=20.0),
+)
+def test_slab_root_sits_on_the_sign_change(V, R):
+    def g(u):
+        return u * math.tan(u) - R * math.sqrt(max(V * V - u * u, 0.0))
+
+    u = _solve_even_slab(V, R)
+    assert 0.0 < u < min(V, math.pi / 2.0)
+    g_u = g(u)
+    neighbours = (math.nextafter(u, -math.inf), math.nextafter(u, math.inf))
+    assert g_u == 0.0 or any((g_u < 0.0) != (g(x) < 0.0) for x in neighbours)
+
+
+@pytest.mark.parametrize("V", [-1.0, 0.0, 1e-12, 1e-8])
+def test_slab_without_a_bracketed_root(V):
+    # V <= 0, a bracket that collapses, and a bracket with no sign change
+    with pytest.raises(NoBoundMode):
+        _solve_even_slab(V, 1.0)
+
+
+def test_bisect_root_reaches_adjacent_floats():
+    root = bisect_root(lambda x: x * x - 2.0, 0.0, 2.0)
+    assert abs(root - math.sqrt(2.0)) <= math.ulp(math.sqrt(2.0))
+    assert bisect_root(lambda x: x - 1.0, 1.0, 3.0) == 1.0
+    with pytest.raises(ValueError):
+        bisect_root(lambda x: x * x + 1.0, -1.0, 1.0)
 
 
 def test_grid_too_coarse():

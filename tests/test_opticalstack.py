@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from phasemirror.opticalstack import (
     MirrorChain,
     PhotonicCrystalSpec,
-    lumped_reflectivity,
     reflectivity_sweep,
     segment_layout,
     stack_coefficients,
@@ -23,16 +22,16 @@ class TestMirrorChain:
     def test_default_chain_magnitude(self):
         chain = MirrorChain(t_phi_sq=0.55, t_wg_sq=0.9, r_M_mag=1.0, phi=0.0)
         assert chain.magnitude == pytest.approx(0.495)
-        assert lumped_reflectivity(chain) == pytest.approx(0.495 + 0j)
+        assert chain.reflectivity() == pytest.approx(0.495 + 0j)
 
     def test_lossless_quarter_phase(self):
         chain = MirrorChain(t_phi_sq=1.0, t_wg_sq=1.0, r_M_mag=1.0, phi=np.pi / 4)
-        assert lumped_reflectivity(chain) == pytest.approx(np.exp(1j * np.pi / 2))
+        assert chain.reflectivity() == pytest.approx(np.exp(1j * np.pi / 2))
 
     def test_no_mirror(self):
         for phi in (0.0, 1.0, 2.5):
             chain = MirrorChain(r_M_mag=0.0, phi=phi)
-            assert lumped_reflectivity(chain) == 0
+            assert chain.reflectivity() == 0
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -48,7 +47,7 @@ class TestMirrorChain:
     )
     def test_magnitude_invariant_under_phase(self, t_phi, t_wg, r_m, phi):
         chain = MirrorChain(t_phi_sq=t_phi, t_wg_sq=t_wg, r_M_mag=r_m, phi=phi)
-        r = lumped_reflectivity(chain)
+        r = chain.reflectivity()
         assert abs(r) == pytest.approx(chain.magnitude, abs=1e-12)
         assert 0.0 <= chain.magnitude <= 1.0
         if chain.magnitude > 1e-12:
@@ -178,6 +177,24 @@ def test_sweep_csv(tmp_path):
         assert float(row[1]) == r.real
         assert float(row[2]) == r.imag
         assert float(row[3]) == rp
+
+
+@pytest.mark.parametrize("n_holes", [0, 1, 4, 12, 48])
+def test_sweep_matches_layer_by_layer_product(n_holes):
+    # the sweep raises one period matrix to n_holes for all wavelengths at
+    # once; the per-layer product of stack_coefficients is the reference
+    spec = PhotonicCrystalSpec(n_holes=n_holes)
+    indices, lengths = segment_layout(spec)
+    n = spec.termination_index
+    lams = np.linspace(850.0, 1050.0, 41)
+    rows = reflectivity_sweep(spec, lams)
+    tol = 1e3 * np.finfo(float).eps
+    for lam, (lam_row, r, rp) in zip(lams, rows):
+        want, _ = stack_coefficients(indices, lengths, n, n, lam)
+        assert lam_row == lam
+        assert abs(r - want) <= tol
+        assert abs(tmm_reflectivity(spec, lam) - want) <= tol
+        assert rp == abs(r) ** 2
 
 
 def test_sweep_deterministic(tmp_path):

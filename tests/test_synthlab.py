@@ -10,8 +10,10 @@ from phasemirror.synthlab import (
     CalibrationModel,
     DecayHistogram,
     ExcitonModel,
+    MalformedCSV,
     OutOfCalibration,
     PhaseCalibration,
+    _exgauss_density,
     default_bin_edges,
     expected_bin_counts,
     expected_histogram,
@@ -143,6 +145,24 @@ class TestHistogram:
         assert blurred.counts.max() < sharp.counts.max()
         assert blurred.counts.sum() == pytest.approx(1e5, rel=1e-9)
 
+    def test_exgauss_tends_to_exponential_as_sigma_vanishes(self):
+        # for t >> sigma the blurred density is e^{sigma^2 gamma^2 / 2} e^{-gamma t}
+        gamma = 1.3
+        t = np.linspace(0.5, 20.0, 40)
+        errors = []
+        for sigma in (1e-1, 1e-2, 1e-3):
+            rel = _exgauss_density(t, gamma, sigma) / np.exp(-gamma * t) - 1.0
+            assert np.max(np.abs(rel)) <= sigma**2 * gamma**2
+            errors.append(np.max(np.abs(rel)))
+        assert errors[0] > errors[1] > errors[2]
+
+    @pytest.mark.parametrize("sigma", [0.05, 0.2, 0.5])
+    def test_exgauss_sums_to_one_over_a_long_window(self, sigma):
+        gamma = 0.8
+        t, dt = np.linspace(-12.0 * sigma, 60.0 / gamma, 200_001, retstep=True)
+        total = gamma * np.sum(_exgauss_density(t, gamma, sigma)) * dt
+        assert total == pytest.approx(1.0, abs=1e-6)
+
     def test_poisson_statistics_pooled(self):
         # variance/mean over repeated draws stays near 1 for busy bins
         model = ExcitonModel(gamma_f=1.0, gamma_s=0.1)
@@ -270,6 +290,19 @@ class TestCsv:
         path.write_text("t_ns,counts\n0.5,10\n1.5,9\n3.5,8\n")
         with pytest.raises(ValueError, match="uniform"):
             read_histogram_csv(str(path))
+
+    def test_parse_errors_are_malformed_csv(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        for text, reader in [
+            ("bogus,phi_rad,intensity_counts\n1.0,0.05,3\n", read_sweep_csv),
+            ("voltage,phi_rad,intensity_counts\n1.0,0.05\n", read_sweep_csv),
+            ("t_ns,counts\n0.5,10\n1.5\n", read_histogram_csv),
+            ("t_ns,counts\n0.5,10\n1.5,-1\n", read_histogram_csv),
+            ("t_ns,counts\n1.5,10\n0.5,9\n", read_histogram_csv),
+        ]:
+            path.write_text(text)
+            with pytest.raises(MalformedCSV, match="bad.csv"):
+                reader(str(path))
 
 
 @given(
