@@ -54,7 +54,10 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--seed", type=int, help="override the config seed")
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--threads", type=int, default=1, help="worker threads")
+        p.add_argument(
+            "--threads", type=int, default=1,
+            help="accepted for compatibility; has no effect",
+        )
 
     for name, desc in [
         ("mode", "solve the guided mode and export visibility curves"),
@@ -212,7 +215,6 @@ def cmd_simulate(args: argparse.Namespace, cfg: RunConfig, out: str) -> int:
         hist_counts=cfg.hist_counts,
         bin_edges=cfg.bin_edges(),
         irf_sigma=cfg.irf_sigma,
-        threads=max(args.threads, 1),
     )
     sweep_csv = os.path.join(out, "sweep.csv")
     synthlab.write_sweep_csv(records, sweep_csv)
@@ -251,10 +253,22 @@ def cmd_simulate(args: argparse.Namespace, cfg: RunConfig, out: str) -> int:
 
 def _analyze_sweep_dir(args: argparse.Namespace, out: str) -> int:
     manifest_path = os.path.join(args.in_dir, "manifest.json")
-    with open(manifest_path, encoding="utf-8") as fh:
-        manifest = json.load(fh)
-    if manifest.get("command") != "simulate" or "config" not in manifest:
+    try:
+        with open(manifest_path, encoding="utf-8") as fh:
+            manifest = json.load(fh)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{manifest_path}: not valid JSON: {exc}") from None
+    if (
+        not isinstance(manifest, dict)
+        or manifest.get("command") != "simulate"
+        or "config" not in manifest
+    ):
         raise ConfigError(f"{manifest_path}: not a simulate manifest")
+    hist_names = manifest.get("histograms")
+    if not (
+        isinstance(hist_names, list) and all(isinstance(n, str) for n in hist_names)
+    ):
+        raise ConfigError(f"{manifest_path}: 'histograms' must be a list of file names")
     cfg = RunConfig.from_dict(manifest["config"])
     if args.seed is not None or args.config or args.preset:
         raise ConfigError("analyze --in takes its config from the manifest")
@@ -264,7 +278,7 @@ def _analyze_sweep_dir(args: argparse.Namespace, out: str) -> int:
     )
     histograms = [
         synthlab.read_histogram_csv(os.path.join(args.in_dir, name))
-        for name in manifest["histograms"]
+        for name in hist_names
     ]
     profile = _solve(cfg)
     result = inference.analyze_sweep(
@@ -273,7 +287,6 @@ def _analyze_sweep_dir(args: argparse.Namespace, out: str) -> int:
         counts,
         histograms,
         profile=profile,
-        threads=max(args.threads, 1),
     )
 
     report_path = os.path.join(out, "report.json")

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -87,11 +86,6 @@ def _exp_bin_integral(gamma: float, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.exp(-gamma * a) * (-np.expm1(-gamma * (b - a))) / gamma
 
 
-def _exp_bin_integral_deriv(gamma: float, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    E = _exp_bin_integral(gamma, a, b)
-    return ((b * np.exp(-gamma * b) - a * np.exp(-gamma * a)) - E) / gamma
-
-
 def biexp_model(x: np.ndarray, edges: np.ndarray, fit_background: bool) -> tuple[np.ndarray, np.ndarray]:
     """Expected bin counts and Jacobian for log-parameters.
 
@@ -102,10 +96,15 @@ def biexp_model(x: np.ndarray, edges: np.ndarray, fit_background: bool) -> tuple
     """
     af, gf, as_, gs = np.exp(x[:4])
     a, b = edges[:-1], edges[1:]
-    Ef, dEf = _exp_bin_integral(gf, a, b), _exp_bin_integral_deriv(gf, a, b)
-    Es, dEs = _exp_bin_integral(gs, a, b), _exp_bin_integral_deriv(gs, a, b)
-    mu = af * Ef + as_ * Es
-    cols = [af * Ef, af * gf * dEf, as_ * Es, as_ * gs * dEs]
+    width = b - a
+    cols = []
+    for amp, gamma in ((af, gf), (as_, gs)):
+        # one exponential per edge serves the integral and its gamma-derivative
+        e = np.exp(-gamma * edges)
+        E = e[:-1] * (-np.expm1(-gamma * width)) / gamma
+        dE = ((b * e[1:] - a * e[:-1]) - E) / gamma
+        cols += [amp * E, amp * gamma * dE]
+    mu = cols[0] + cols[2]
     if fit_background:
         bg = math.exp(x[4])
         mu = mu + bg
@@ -176,8 +175,11 @@ def _guess_from_model(
 
 def _minimize_poisson(
     x0: np.ndarray, edges: np.ndarray, counts: np.ndarray, fit_background: bool
-) -> tuple[np.ndarray, float, int, bool]:
-    """Levenberg-damped Gauss-Newton on the Poisson deviance surface."""
+) -> tuple[np.ndarray, np.ndarray, int, bool]:
+    """Levenberg-damped Gauss-Newton on the Poisson deviance surface.
+
+    Returns (x, mu, n_iter, converged) with mu the model at x.
+    """
     x = x0.copy()
     mu, J = biexp_model(x, edges, fit_background)
     nll = poisson_nll(mu, counts)
@@ -218,7 +220,7 @@ def _minimize_poisson(
         if float(np.max(np.abs(step))) < 1e-13:
             converged = True
             break
-    return x, nll, n_iter, converged
+    return x, mu, n_iter, converged
 
 
 def _observed_information(
@@ -267,8 +269,7 @@ def fit_biexponential(
         x0 = _guess_from_model(init, edges_w, counts_w, fit_background)
     else:
         x0 = _initial_guess(edges_w, counts_w, fit_background)
-    x, nll, n_iter, converged = _minimize_poisson(x0, edges_w, counts_w, fit_background)
-    mu, _ = biexp_model(x, edges_w, fit_background)
+    x, mu, n_iter, converged = _minimize_poisson(x0, edges_w, counts_w, fit_background)
     gf, gs = float(np.exp(x[1])), float(np.exp(x[3]))
     # identifiability outranks convergence: a degenerate rate pair is
     # the usual reason the damped iteration stalls
@@ -632,7 +633,10 @@ def estimate_parameters(
     the rate model the rate-weighted two-dipole average with both
     dipole rates scaled by the local mode weights (beta_y0 is the
     center value).  A grid scan is used deliberately: the surface is
-    multimodal near the weight-crossing offset.
+    multimodal near the weight-crossing offset.  The intensity
+    constraint does not involve beta_y0, so it is checked on the
+    (r_T, y0) plane first and the rate constraint is evaluated only on
+    the cells where it holds, on the same grid and in the same order.
     """
     for name, val in (("nu_I", nu_I), ("nu_gamma", nu_gamma)):
         if not 0.0 <= val <= 1.0:
@@ -645,32 +649,43 @@ def estimate_parameters(
     y0s = np.linspace(0.0, half, y0_points)
     wx, wy = _weights_on_grid(profile, y0s)
     wy0 = float(np.interp(0.0, profile.grid, profile.e_y)) ** 2
-
-    rr = np.linspace(0.0, 1.0, r_points)[:, None, None]
-    bb = np.linspace(0.0, 1.0, beta_points)[None, None, :]
-    f_mode = (np.abs(wy - wx) / (wy + wx))[None, :, None]
-    nu_i_pred = 2.0 * rr / (1.0 + rr**2) * f_mode
-    num = bb * np.abs(wy - wx)[None, :, None]
-    den = bb * (wy + wx)[None, :, None] + 2.0 * wy0 * (1.0 - bb)
-    nu_g_pred = rr * num / den
-
-    mask = (np.abs(nu_i_pred - nu_I) <= n_sigma * sigma_I) & (
-        np.abs(nu_g_pred - nu_gamma) <= n_sigma * sigma_gamma
+    rs = np.linspace(0.0, 1.0, r_points)
+    betas = np.linspace(0.0, 1.0, beta_points)
+    empty = EmptyFeasibleSet(
+        f"no (r_T, beta_y0, y0) reproduces nu_I={nu_I} and nu_gamma={nu_gamma} "
+        f"within {n_sigma} sigma"
     )
-    idx = np.argwhere(mask)
-    if len(idx) == 0:
-        raise EmptyFeasibleSet(
-            f"no (r_T, beta_y0, y0) reproduces nu_I={nu_I} and nu_gamma={nu_gamma} "
-            f"within {n_sigma} sigma"
-        )
-    r_vals = np.linspace(0.0, 1.0, r_points)[idx[:, 0]]
-    y_vals = y0s[idx[:, 1]]
-    b_vals = np.linspace(0.0, 1.0, beta_points)[idx[:, 2]]
-    stride = max(1, math.ceil(len(idx) / max_stored))
+
+    # stage 1: the intensity constraint on the (r_T, y0) plane
+    f_mode = np.abs(wy - wx) / (wy + wx)
+    nu_i_pred = 2.0 * rs[:, None] / (1.0 + rs[:, None] ** 2) * f_mode
+    ri, yi = np.nonzero(np.abs(nu_i_pred - nu_I) <= n_sigma * sigma_I)
+    if len(ri) == 0:
+        raise empty
+    # stage 2: the rate constraint on the passing (r_T, y0) cells x beta_y0
+    num = betas * np.abs(wy - wx)[:, None]
+    den = betas * (wy + wx)[:, None] + 2.0 * wy0 * (1.0 - betas)
+    block = num[yi]
+    block *= rs[ri, None]
+    block /= den[yi]
+    block -= nu_gamma
+    np.abs(block, out=block)
+    mask = block <= n_sigma * sigma_gamma
+    del block
+    n_feasible = int(np.count_nonzero(mask))
+    if n_feasible == 0:
+        raise empty
+    # flat indices of the (cell, beta) mask run in the C order of the
+    # full (r_T, y0, beta_y0) grid, because the cells do
+    stride = max(1, math.ceil(n_feasible / max_stored))
+    kept = np.flatnonzero(mask)[::stride]
+    cell, bi = np.divmod(kept, beta_points)
     triples = tuple(
-        (float(r), float(b), float(y))
-        for r, b, y in zip(r_vals[::stride], b_vals[::stride], y_vals[::stride])
+        zip(rs[ri[cell]].tolist(), betas[bi].tolist(), y0s[yi[cell]].tolist())
     )
+    cells = mask.any(axis=1)
+    r_vals, y_vals = rs[ri[cells]], y0s[yi[cells]]
+    b_vals = betas[mask.any(axis=0)]
     return VisibilityEstimate(
         nu_I=nu_I,
         nu_I_sigma=sigma_I,
@@ -683,7 +698,7 @@ def estimate_parameters(
         beta_y0_range=(float(b_vals.min()), float(b_vals.max())),
         y0_range=(float(y_vals.min()), float(y_vals.max())),
         feasible_set=triples,
-        n_feasible=int(len(idx)),
+        n_feasible=n_feasible,
     )
 
 
@@ -699,7 +714,6 @@ def analyze_sweep(
     profile: ModeProfile | None = None,
     sigma_floor_I: float = 0.03,
     sigma_floor_gamma: float = 0.05,
-    threads: int = 1,
 ) -> dict:
     """Full inverse chain on one sweep: fits, visibilities, estimate.
 
@@ -712,14 +726,7 @@ def analyze_sweep(
     counts = np.asarray(intensity_counts, dtype=float)
     intensity_fit = fit_sinusoid(phases, counts, np.sqrt(np.maximum(counts, 1.0)))
 
-    def _fit(hist: DecayHistogram) -> FitResult:
-        return fit_biexponential(hist)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rate_fits = list(pool.map(_fit, histograms))
-    else:
-        rate_fits = [_fit(h) for h in histograms]
+    rate_fits = [fit_biexponential(h) for h in histograms]
 
     gamma_rad = np.array([f.derived["gamma_rad"] for f in rate_fits])
     gamma_sig = np.array([max(f.derived["gamma_rad_sigma"], 1e-9) for f in rate_fits])

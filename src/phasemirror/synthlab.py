@@ -6,8 +6,8 @@ histograms drawn from a bright/dark bi-exponential model whose fast
 rate follows the phase-dependent radiative rate.
 
 Randomness uses counter-based Philox streams keyed by (seed, point
-index), so sweep points can be generated in any order or in parallel
-while producing bit-identical results.
+index), so sweep points can be generated in any order while producing
+bit-identical results.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from __future__ import annotations
 import csv
 import enum
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -264,7 +263,6 @@ def generate_sweep(
     hist_counts: float = 100_000.0,
     bin_edges: np.ndarray | None = None,
     irf_sigma: float | None = None,
-    threads: int = 1,
 ) -> list[SweepRecord]:
     """Simulate a full voltage sweep of intensity and lifetime data.
 
@@ -275,25 +273,19 @@ def generate_sweep(
     bright-line radiative rate is recoverable as gamma_f - gamma_s).
     counts_scale=inf switches to noiseless expectation values for both
     intensity and histograms. Each point draws from its own
-    counter-based stream keyed by (seed, index), so the output does
-    not depend on threads.
+    counter-based stream keyed by (seed, index), so a point does not
+    depend on which others are generated.
     """
     if exciton is None:
         exciton = ExcitonModel(gamma_f=1.0, gamma_s=scene.gamma_nrad)
     noiseless = math.isinf(counts_scale)
-
-    def one(args: tuple[int, float]) -> SweepRecord:
-        index, v = args
-        return _generate_point(
-            scene, weights, r_T_mag, cal, index, v, counts_scale,
+    return [
+        _generate_point(
+            scene, weights, r_T_mag, cal, index, float(v), counts_scale,
             seed, exciton, hist_counts, bin_edges, irf_sigma, noiseless,
         )
-
-    jobs = [(index, float(v)) for index, v in enumerate(voltages)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(one, jobs))
-    return [one(job) for job in jobs]
+        for index, v in enumerate(voltages)
+    ]
 
 
 def _generate_point(
@@ -311,7 +303,7 @@ def _generate_point(
     irf_sigma: float | None,
     noiseless: bool,
 ) -> SweepRecord:
-    """Single sweep point; pure given (seed, index), safe to run in parallel."""
+    """Single sweep point; pure given (seed, index)."""
     phi = phase_of_voltage(cal, voltage)
     expected = emission.intensity(
         scene, weights, r_T_mag, phi, DipoleOrientation.AVERAGED_BOTH
@@ -346,23 +338,23 @@ def _generate_point(
 
 def write_sweep_csv(records: list[SweepRecord], path: str) -> None:
     """Write sweep points as voltage,phi_rad,intensity_counts."""
+    lines = ["voltage,phi_rad,intensity_counts\n"]
+    lines += [
+        f"{float(rec.voltage)!r},{float(rec.phi)!r},{float(rec.intensity_counts)!r}\n"
+        for rec in records
+    ]
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["voltage", "phi_rad", "intensity_counts"])
-        for rec in records:
-            writer.writerow(
-                [repr(float(rec.voltage)), repr(float(rec.phi)),
-                 repr(float(rec.intensity_counts))]
-            )
+        fh.write("".join(lines))
 
 
 def write_histogram_csv(hist: DecayHistogram, path: str) -> None:
     """Write one histogram as t_ns,counts with t at bin midpoints."""
+    times = hist.midpoints.tolist()
+    counts = np.asarray(hist.counts, dtype=float).tolist()
+    lines = ["t_ns,counts\n"]
+    lines += [f"{t!r},{c!r}\n" for t, c in zip(times, counts)]
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["t_ns", "counts"])
-        for t, c in zip(hist.midpoints, np.asarray(hist.counts, dtype=float)):
-            writer.writerow([repr(float(t)), repr(float(c))])
+        fh.write("".join(lines))
 
 
 def read_sweep_csv(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

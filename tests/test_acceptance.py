@@ -162,7 +162,6 @@ def test_06_qd1_round_trip():
         [r.intensity_counts for r in records],
         [r.histogram for r in records],
         profile=profile,
-        threads=1,
     )
     elapsed = time.perf_counter() - t0
     ok = (

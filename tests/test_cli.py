@@ -211,6 +211,34 @@ class TestAnalyzeCommand:
         rc = main(["analyze", "--in", broken, "--out", str(tmp_path / "x")])
         assert rc == 2
 
+    @pytest.mark.parametrize("raw", [b"{not json", b"\xff\xfe{}", b"[1, 2]"])
+    def test_manifest_that_is_not_json_is_input_error(
+        self, tmp_path, sim_dir, capsys, raw
+    ):
+        broken = str(tmp_path / "broken")
+        shutil.copytree(sim_dir, broken)
+        with open(os.path.join(broken, "manifest.json"), "wb") as fh:
+            fh.write(raw)
+        rc = main(["analyze", "--in", broken, "--out", str(tmp_path / "x")])
+        assert rc == 2
+        assert "manifest.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("histograms", [None, "hist_000.csv", [0, 1]])
+    def test_manifest_without_histogram_list_is_input_error(
+        self, tmp_path, sim_dir, histograms
+    ):
+        broken = str(tmp_path / "broken")
+        shutil.copytree(sim_dir, broken)
+        man = read_manifest(broken)
+        if histograms is None:
+            del man["histograms"]
+        else:
+            man["histograms"] = histograms
+        with open(os.path.join(broken, "manifest.json"), "w", encoding="utf-8") as fh:
+            json.dump(man, fh)
+        rc = main(["analyze", "--in", broken, "--out", str(tmp_path / "x")])
+        assert rc == 2
+
     def test_degenerate_histogram_is_numerical_failure(self, tmp_path, sim_dir):
         broken = str(tmp_path / "broken")
         shutil.copytree(sim_dir, broken)

@@ -1,8 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from phasemirror.inference import (
@@ -12,6 +13,7 @@ from phasemirror.inference import (
     InsufficientPhaseSpan,
     MalformedRow,
     NonIdentifiable,
+    VisibilityEstimate,
     analyze_sweep,
     biexp_model,
     estimate_parameters,
@@ -113,6 +115,52 @@ class TestPoissonGradient:
                 gn[j] = (poisson_nll(mup, counts) - poisson_nll(mum, counts)) / (2 * h)
             rel = np.abs(gn - ga) / np.maximum(np.abs(ga), 1.0)
             assert float(rel.max()) < 1e-6
+
+
+def _oracle_bin_integral(gamma, a, b):
+    return np.exp(-gamma * a) * (-np.expm1(-gamma * (b - a))) / gamma
+
+
+def _oracle_bin_integral_deriv(gamma, a, b):
+    E = _oracle_bin_integral(gamma, a, b)
+    return ((b * np.exp(-gamma * b) - a * np.exp(-gamma * a)) - E) / gamma
+
+
+def _oracle_biexp_model(x, edges, fit_background):
+    """Reference bi-exponential model: one exp call per bin end and term."""
+    af, gf, as_, gs = np.exp(x[:4])
+    a, b = edges[:-1], edges[1:]
+    Ef, dEf = _oracle_bin_integral(gf, a, b), _oracle_bin_integral_deriv(gf, a, b)
+    Es, dEs = _oracle_bin_integral(gs, a, b), _oracle_bin_integral_deriv(gs, a, b)
+    mu = af * Ef + as_ * Es
+    cols = [af * Ef, af * gf * dEf, as_ * Es, as_ * gs * dEs]
+    if fit_background:
+        bg = math.exp(x[4])
+        mu = mu + bg
+        cols.append(np.full_like(mu, bg))
+    J = np.stack(cols, axis=1)
+    return np.maximum(mu, 1e-300), J
+
+
+class TestBiexpModelOracle:
+    @given(
+        x=st.tuples(
+            st.floats(0.0, 12.0),
+            st.floats(-4.0, 3.0),
+            st.floats(-2.0, 10.0),
+            st.floats(-6.0, 1.0),
+            st.floats(-8.0, 4.0),
+        ),
+        start=st.integers(0, 300),
+        fit_background=st.booleans(),
+    )
+    def test_bit_identical_to_reference_formula(self, x, start, fit_background):
+        x = np.array(x if fit_background else x[:4])
+        edges = EDGES[start:]
+        mu, J = biexp_model(x, edges, fit_background)
+        mu_ref, J_ref = _oracle_biexp_model(x, edges, fit_background)
+        assert mu.tobytes() == mu_ref.tobytes()
+        assert J.tobytes() == J_ref.tobytes()
 
 
 class TestBiexponentialFit:
@@ -427,6 +475,116 @@ class TestEstimateParameters:
             assert key in d
 
 
+def _oracle_estimate(nu_I, nu_gamma, profile, sigma_I, sigma_gamma, max_stored,
+                     n_sigma=2.0, r_points=101, y0_points=201, beta_points=101):
+    """Reference feasible-set scan over the dense (r_T, y0, beta_y0) grid."""
+    half = profile.core_half_width
+    y0s = np.linspace(0.0, half, y0_points)
+    wx = np.interp(y0s, profile.grid, profile.e_x) ** 2
+    wy = np.interp(y0s, profile.grid, profile.e_y) ** 2
+    wy0 = float(np.interp(0.0, profile.grid, profile.e_y)) ** 2
+
+    rr = np.linspace(0.0, 1.0, r_points)[:, None, None]
+    bb = np.linspace(0.0, 1.0, beta_points)[None, None, :]
+    f_mode = (np.abs(wy - wx) / (wy + wx))[None, :, None]
+    nu_i_pred = 2.0 * rr / (1.0 + rr**2) * f_mode
+    num = bb * np.abs(wy - wx)[None, :, None]
+    den = bb * (wy + wx)[None, :, None] + 2.0 * wy0 * (1.0 - bb)
+    nu_g_pred = rr * num / den
+
+    mask = (np.abs(nu_i_pred - nu_I) <= n_sigma * sigma_I) & (
+        np.abs(nu_g_pred - nu_gamma) <= n_sigma * sigma_gamma
+    )
+    idx = np.argwhere(mask)
+    if len(idx) == 0:
+        raise EmptyFeasibleSet(
+            f"no (r_T, beta_y0, y0) reproduces nu_I={nu_I} and nu_gamma={nu_gamma} "
+            f"within {n_sigma} sigma"
+        )
+    r_vals = np.linspace(0.0, 1.0, r_points)[idx[:, 0]]
+    y_vals = y0s[idx[:, 1]]
+    b_vals = np.linspace(0.0, 1.0, beta_points)[idx[:, 2]]
+    stride = max(1, math.ceil(len(idx) / max_stored))
+    triples = tuple(
+        (float(r), float(b), float(y))
+        for r, b, y in zip(r_vals[::stride], b_vals[::stride], y_vals[::stride])
+    )
+    return VisibilityEstimate(
+        nu_I=nu_I,
+        nu_I_sigma=sigma_I,
+        nu_gamma=nu_gamma,
+        nu_gamma_sigma=sigma_gamma,
+        theta_offset=math.nan,
+        r_T_lower_bound=r_lower_bound(max(nu_I - n_sigma * sigma_I, 0.0)),
+        r_T_lower_bound_point=r_lower_bound(nu_I),
+        r_T_range=(float(r_vals.min()), float(r_vals.max())),
+        beta_y0_range=(float(b_vals.min()), float(b_vals.max())),
+        y0_range=(float(y_vals.min()), float(y_vals.max())),
+        feasible_set=triples,
+        n_feasible=int(len(idx)),
+    )
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs).to_dict()
+    except EmptyFeasibleSet as exc:
+        return ("empty", str(exc))
+
+
+def _traced_peak(fn, *args, **kwargs):
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestEstimateParametersOracle:
+    """The two-stage scan reproduces the dense 3-D grid scan exactly."""
+
+    @settings(max_examples=40)
+    @given(
+        nu_I=st.floats(0.0, 1.0),
+        nu_gamma=st.floats(0.0, 1.0),
+        sigma_I=st.floats(1e-3, 0.3),
+        sigma_gamma=st.floats(1e-3, 0.3),
+        which=st.sampled_from(["default", "qd1"]),
+        max_stored=st.sampled_from([2000, 100, 7]),
+    )
+    @example(0.48, 0.27, 0.03, 0.05, "default", 2000)
+    @example(0.05, 0.9, 0.01, 0.01, "default", 2000)  # empty after the rate stage
+    @example(0.5, 0.5, 0.3, 0.3, "qd1", 7)
+    def test_matches_dense_scan(
+        self, default_profile, qd1_profile,
+        nu_I, nu_gamma, sigma_I, sigma_gamma, which, max_stored,
+    ):
+        profile = default_profile if which == "default" else qd1_profile
+        args = (nu_I, nu_gamma, profile, sigma_I, sigma_gamma)
+        got = _outcome(estimate_parameters, *args, max_stored=max_stored)
+        want = _outcome(_oracle_estimate, *args, max_stored=max_stored)
+        assert got == want
+
+    @pytest.mark.parametrize("nu_I", [0.3, 0.8, 1.0])
+    def test_matches_dense_scan_on_coarse_grids(self, default_profile, nu_I):
+        # coarse grids leave gaps in nu_I, so the intensity stage alone can
+        # empty the set; odd sizes check the index bookkeeping
+        grid = dict(r_points=3, y0_points=4, beta_points=5, max_stored=2000)
+        args = (nu_I, 0.2, default_profile, 1e-3, 0.3)
+        got = _outcome(estimate_parameters, *args, **grid)
+        assert got == _outcome(_oracle_estimate, *args, **grid)
+
+    def test_peak_memory_stays_small(self, default_profile):
+        peak = _traced_peak(estimate_parameters, 0.48, 0.27, default_profile)
+        assert peak < 16e6
+        everything = _traced_peak(
+            estimate_parameters, 0.48, 0.27, default_profile,
+            sigma_I=0.2, sigma_gamma=0.2,
+        )
+        assert everything < 64e6
+
+
 class TestAnalyzeSweep:
     def test_recovers_generator_truth(self, qd1_analysis):
         out = qd1_analysis
@@ -443,19 +601,6 @@ class TestAnalyzeSweep:
         for key in ("intensity_fit", "rate_fit", "theta_offset", "notes"):
             assert key in out
         assert out["gamma_max"] > out["gamma_min"]
-
-    def test_thread_count_does_not_change_results(self, qd1_cfg, qd1_profile, qd1_sweep):
-        import json
-
-        args = (
-            list(qd1_cfg.voltages()),
-            [r.phi for r in qd1_sweep],
-            [r.intensity_counts for r in qd1_sweep],
-            [r.histogram for r in qd1_sweep],
-        )
-        r1 = analyze_sweep(*args, profile=qd1_profile, threads=1)
-        r3 = analyze_sweep(*args, profile=qd1_profile, threads=3)
-        assert json.dumps(r1, sort_keys=True) == json.dumps(r3, sort_keys=True)
 
     def test_estimator_is_consistent_across_seeds(self, qd1_cfg, qd1_profile):
         """The ensemble mean of the rate visibility sits on the truth."""

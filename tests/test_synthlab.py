@@ -190,12 +190,12 @@ class TestHistogram:
 
 
 class TestSweep:
-    def run(self, counts_scale=40_000.0, seed=11, threads=1, voltages=None):
+    def run(self, counts_scale=40_000.0, seed=11, voltages=None):
         if voltages is None:
             voltages = np.linspace(0.0, 8.0, 12)
         return generate_sweep(
             SCENE, WEIGHTS, 0.6, QUAD, voltages, counts_scale, seed,
-            hist_counts=20_000.0, threads=threads,
+            hist_counts=20_000.0,
         )
 
     def test_structure(self):
@@ -227,13 +227,6 @@ class TestSweep:
         assert any(
             ra.intensity_counts != rc.intensity_counts for ra, rc in zip(a, c)
         )
-
-    def test_threads_do_not_change_output(self):
-        a = self.run(threads=1)
-        b = self.run(threads=4)
-        for ra, rb in zip(a, b):
-            assert ra.intensity_counts == rb.intensity_counts
-            assert np.array_equal(ra.histogram.counts, rb.histogram.counts)
 
     def test_zero_reflectivity_flat_sweep(self):
         records = generate_sweep(
