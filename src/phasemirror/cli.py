@@ -287,6 +287,7 @@ def _analyze_sweep_dir(args: argparse.Namespace, out: str) -> int:
         counts,
         histograms,
         profile=profile,
+        exciton=cfg.exciton(),
     )
 
     report_path = os.path.join(out, "report.json")
@@ -382,7 +383,6 @@ _NUMERICAL_ERRORS = (
     inference.NotConverged,
     inference.NonIdentifiable,
     inference.EmptyFeasibleSet,
-    inference.BranchAmbiguity,
     inference.InsufficientFringes,
     inference.InsufficientPhaseSpan,
     np.linalg.LinAlgError,

@@ -3,9 +3,10 @@
 Four stages mirror the measurement chain in reverse: Poisson-MLE
 bi-exponential lifetime fits (damped Gauss-Newton on the analytic
 gradient), weighted sinusoid fits for fringe visibilities, phase-map
-reconstruction from a reference fringe by branch-tracked arccos
-inversion, and joint estimation of (|r_T|, beta_y0, y0) from the
-visibility pair, including the centered-emitter lower bound on |r_T|.
+reconstruction from a reference fringe by a variable-projection fit
+of a monotone quadratic phase, and joint estimation of (|r_T|,
+beta_y0, y0) from the visibility pair, including the centered-emitter
+lower bound on |r_T|.
 """
 
 from __future__ import annotations
@@ -39,10 +40,6 @@ class InsufficientPhaseSpan(ValueError):
 
 class InsufficientFringes(ValueError):
     """Reference sweep covers less than one full intensity fringe."""
-
-
-class BranchAmbiguity(RuntimeError):
-    """A fringe turning point cannot be placed on a monotone branch."""
 
 
 class EmptyFeasibleSet(RuntimeError):
@@ -403,69 +400,23 @@ def fit_sinusoid(
 # phase-map reconstruction
 
 
-def _unfold_branches(c: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """Monotone unfolding of arccos(c) across its reflection branches.
-
-    Walks the folded angle u = arccos(c) in [0, pi] sample by sample,
-    reflecting onto the next branch whenever the walk would back up by
-    more than back_tol; samples clamped while a turning point was
-    still unconfirmed are re-placed once the fold is located, so
-    turning points are resolved to within a sample.  Returns the
-    unfolded angle and the fold indices.
-    """
-    u = np.arccos(c)
-    back_tol = 0.1
-    two_pi = 2.0 * math.pi
-    k, s = 0, +1
-    alpha = np.empty_like(u)
-    alpha[0] = u[0]
-    folds: list[int] = []
-    run: list[int] = []  # clamped samples awaiting branch confirmation
-    for j in range(1, len(u)):
-        cand = two_pi * k + u[j] if s > 0 else two_pi * (k + 1) - u[j]
-        if cand < alpha[j - 1] - back_tol:
-            if s > 0:
-                s = -1
-            else:
-                s, k = +1, k + 1
-            cand = two_pi * k + u[j] if s > 0 else two_pi * (k + 1) - u[j]
-            if cand < alpha[j - 1] - back_tol:
-                raise BranchAmbiguity(
-                    f"sample {j} cannot be placed monotonically on either branch"
-                )
-            if folds and j - folds[-1] <= 2:
-                raise BranchAmbiguity(
-                    f"turning points at samples {folds[-1]} and {j} cannot "
-                    "be localized within 2 samples"
-                )
-            folds.append(j)
-            for i in run:
-                ref = two_pi * k + u[i] if s > 0 else two_pi * (k + 1) - u[i]
-                alpha[i] = max(ref, alpha[i - 1])
-            run = []
-        alpha[j] = max(cand, alpha[j - 1])
-        # anything that fails to advance the walk (including the sample
-        # mirror-symmetric about a turn) is provisional until confirmed
-        if cand <= alpha[j - 1] + 1e-12:
-            run.append(j)
-        else:
-            run = []
-    return alpha, folds
-
-
 def reconstruct_phase_map(
     voltages: np.ndarray, intensities: np.ndarray
 ) -> PhaseCalibration:
     """Recover phi(V) from a reference line's intensity fringe.
 
-    Normalizes the fringe to cos(2 phi + theta), applies arccos, and
-    unfolds the branch structure by walking the samples monotonically.
-    The envelope is then sharpened once by fitting a parabola through
-    each interior extremum, and the walk is repeated with samples near
-    a turn re-placed on the side the parabola vertex puts them.  The output
-    is gauged to phi = 0 at the first sample, with the global sign and
-    offset left undetermined (documented in gauge_note).  A sweep must
-    cover at least one full fringe.
+    Fits I = A + C cos 2phi + S sin 2phi with phi = P ((1 - kappa) x +
+    kappa x^2), x = (V - V_0) / (V_end - V_0), P > 0 and kappa in
+    [-1, 1]: exactly the monotone maps of degree <= 2 with phi(V_0) = 0,
+    which include linear and electrostatic (V^2) actuation.  By
+    variable projection (Golub & Pereyra 1973) (A, C, S) are solved
+    linearly for every (P, kappa); a grid over (P, kappa), bounded by
+    the number of mean crossings, picks the start and damped
+    Gauss-Newton on the projected residual refines it, with Poisson
+    weights 1/max(I, 1).  The output is gauged to phi = 0 at the first
+    sample, with the global sign and offset left undetermined
+    (documented in gauge_note).  A sweep must cover at least one full
+    fringe.
     """
     v = np.asarray(voltages, dtype=float)
     inten = np.asarray(intensities, dtype=float)
@@ -477,67 +428,77 @@ def reconstruct_phase_map(
     amp = 0.5 * (inten.max() - inten.min())
     if amp <= 1e-12 * max(abs(mid), 1.0):
         raise InsufficientFringes("no fringe modulation detected")
-    alpha, folds = _unfold_branches(np.clip((inten - mid) / amp, -1.0, 1.0))
-    # the walk alone cannot resolve samples close to a turning point:
-    # the sample extrema understate the true envelope, so those samples
-    # saturate |c| = 1 and collapse onto the turning value.  A parabola
-    # through the three samples around each located fold recovers both
-    # the true envelope (vertex height) and the turning-point voltage
-    # (vertex position); the former fixes the normalization, the latter
-    # settles which side of the turn each nearby sample lies on.
-    peak, valley = float(inten.max()), float(inten.min())
-    turn_volts: list[float] = []
-    for j in folds:
-        lo = max(j - 3, 0)
-        hi = min(j + 2, len(inten))
-        i_ext = lo + int(np.argmax(np.abs(inten[lo:hi] - mid)))
-        if i_ext == 0 or i_ext == len(inten) - 1:
-            continue
-        v0 = v[i_ext]
-        pa, pb, pc = np.polyfit(
-            v[i_ext - 1 : i_ext + 2] - v0, inten[i_ext - 1 : i_ext + 2], 2
-        )
-        if pa == 0.0:
-            continue
-        vertex = float(pc - pb**2 / (4.0 * pa))
-        if inten[i_ext] > mid and pa < 0:
-            peak = max(peak, vertex)
-            turn_volts.append(v0 - float(pb) / (2.0 * float(pa)))
-        elif inten[i_ext] < mid and pa > 0:
-            valley = min(valley, vertex)
-            turn_volts.append(v0 - float(pb) / (2.0 * float(pa)))
-    c2 = np.clip((inten - 0.5 * (peak + valley)) / (0.5 * (peak - valley)), -1.0, 1.0)
-    try:
-        alpha2, folds2 = _unfold_branches(c2)
-        u2 = np.arccos(c2)
-        for j in folds2:
-            if not turn_volts:
-                break
-            T = math.pi * math.floor(alpha2[j] / math.pi - 1e-9)
-            v_star = min(turn_volts, key=lambda t: abs(t - v[j]))
-            near = np.abs(alpha2 - T) <= 0.1
-            # distance to the turn: u at even-pi turns, pi - u at odd
-            if round(T / math.pi) % 2:
-                d = math.pi - u2[near]
-            else:
-                d = u2[near]
-            alpha2[near] = np.where(v[near] < v_star, T - d, T + d)
-        alpha, folds = alpha2, folds2
-    except BranchAmbiguity:
-        pass
+    x = (v - v[0]) / (v[-1] - v[0])
+    sw = 1.0 / np.sqrt(np.maximum(inten, 1.0))
+    y = sw * inten
 
-    span = float(alpha[-1] - alpha[0])
-    if span < 0.95 * 2.0 * math.pi:
-        raise InsufficientFringes(
-            f"sweep spans {span / (2.0 * math.pi):.2f} fringes; need at least one"
+    def basis(two_phi: np.ndarray) -> np.ndarray:
+        return np.stack(
+            np.broadcast_arrays(sw, sw * np.cos(two_phi), sw * np.sin(two_phi)),
+            axis=-1,
         )
+
+    # start: 2 phi advances by about pi between mean crossings, and grid
+    # steps that move 2 phi by at most pi/4 keep a node in the basin
+    crossings = int(np.count_nonzero(np.diff(np.signbit(inten - inten.mean()))))
+    p_max = 0.5 * math.pi * (crossings + 2)
+    ps = np.arange(1, math.ceil(8.0 * p_max / math.pi) + 1) * (math.pi / 8.0)
+    start = (-math.inf, 0.0, 0.0)
+    for kappa in np.linspace(-1.0, 1.0, 2 * math.ceil(2.0 * p_max / math.pi) + 1):
+        X = basis(2.0 * ps[:, None] * ((1.0 - kappa) * x + kappa * x**2))
+        Xt = np.swapaxes(X, -1, -2)
+        b = (Xt @ y)[..., None]
+        # y.y minus the residual sum of squares of each linear solve
+        explained = np.sum(b * np.linalg.solve(Xt @ X, b), axis=(-2, -1))
+        i = int(np.argmax(explained))
+        start = max(start, (float(explained[i]), float(ps[i]), float(kappa)))
+
+    def project(P: float, kappa: float):
+        shape = (1.0 - kappa) * x + kappa * x**2
+        two_phi = 2.0 * P * shape
+        Q, R = np.linalg.qr(basis(two_phi))
+        qy = Q.T @ y
+        resid = y - Q @ qy
+        return float(resid @ resid), resid, Q, np.linalg.solve(R, qy), shape, two_phi
+
+    _, P, kappa = start
+    fit = project(P, kappa)
+    lam = 1e-3
+    for _ in range(100):
+        rss, resid, Q, coef, shape, two_phi = fit
+        dmodel = 2.0 * sw * (coef[2] * np.cos(two_phi) - coef[1] * np.sin(two_phi))
+        J = dmodel[:, None] * np.stack([shape, P * (x**2 - x)], axis=1)
+        J -= Q @ (Q.T @ J)
+        JtJ, Jtr = J.T @ J, J.T @ resid
+        step = None
+        while lam < 1e14:
+            damped = JtJ + lam * np.diag(np.diag(JtJ))
+            delta = np.linalg.lstsq(damped, Jtr, rcond=None)[0]
+            if abs(kappa) == 1.0 and abs(kappa + delta[1]) > 1.0:
+                # pinned on a bound of kappa: step in P alone
+                delta = np.array([Jtr[0] / damped[0, 0], 0.0])
+            P_try = max(P + float(delta[0]), 0.5 * P)
+            kappa_try = min(max(kappa + float(delta[1]), -1.0), 1.0)
+            trial = project(P_try, kappa_try)
+            if trial[0] <= rss:
+                step = abs(P_try - P) + abs(kappa_try - kappa)
+                P, kappa, fit = P_try, kappa_try, trial
+                lam = max(lam / 3.0, 1e-12)
+                break
+            lam *= 10.0
+        if step is None or step <= 1e-14 * (1.0 + P):
+            break
+
+    if P < 0.95 * math.pi:
+        raise InsufficientFringes(
+            f"sweep spans {P / math.pi:.2f} fringes; need at least one"
+        )
+    rss, shape = fit[0], fit[4]
     note = (
         "gauge: phi(first sample) = 0; global sign and offset unresolved; "
-        f"{len(folds)} interior turning point(s) located"
+        f"chi2/dof = {rss / max(len(v) - 5, 1):.3g}"
     )
-    phi = (alpha - alpha[0]) / 2.0
-    phi = np.maximum.accumulate(phi)
-    table = tuple((float(vi), float(pi_)) for vi, pi_ in zip(v, phi))
+    table = tuple(zip(v.tolist(), (P * shape).tolist()))
     return PhaseCalibration(
         model=CalibrationModel.TABLE,
         table=table,
@@ -714,19 +675,25 @@ def analyze_sweep(
     profile: ModeProfile | None = None,
     sigma_floor_I: float = 0.03,
     sigma_floor_gamma: float = 0.05,
+    exciton: ExcitonModel | None = None,
 ) -> dict:
     """Full inverse chain on one sweep: fits, visibilities, estimate.
 
     Fits the intensity fringe, fits every histogram for its radiative
     rate, fits the rate fringe, and (when a mode profile is supplied)
     scans the feasible parameter set using the fitted visibilities
-    with desk-scale floors on the uncertainties.
+    with desk-scale floors on the uncertainties.  exciton is the decay
+    model the histograms were recorded under; when it carries a flat
+    background, every lifetime fit includes that floor and starts
+    from this model.
     """
     phases = np.asarray(phases, dtype=float)
     counts = np.asarray(intensity_counts, dtype=float)
     intensity_fit = fit_sinusoid(phases, counts, np.sqrt(np.maximum(counts, 1.0)))
 
-    rate_fits = [fit_biexponential(h) for h in histograms]
+    # without a floor the fits keep their data-driven start
+    init = exciton if exciton is not None and exciton.background > 0 else None
+    rate_fits = [fit_biexponential(h, init) for h in histograms]
 
     gamma_rad = np.array([f.derived["gamma_rad"] for f in rate_fits])
     gamma_sig = np.array([max(f.derived["gamma_rad_sigma"], 1e-9) for f in rate_fits])

@@ -93,10 +93,6 @@ class ModeProfile:
         (i*e_x(y), e_y(y), 0) with max |e_y| = 1
     n_eff : effective index of the guided mode
     k : propagation constant (rad/nm)
-    group_index : n_eff - lambda * d n_eff / d lambda at fixed material
-        indices
-    norm_N : normalization integral of eps_r |E|^2 over the window
-        (per unit thickness)
     core_half_width : half the wire width (nm), the physical range for
         emitter offsets
     """
@@ -106,8 +102,6 @@ class ModeProfile:
     e_y: np.ndarray
     n_eff: float
     k: float
-    group_index: float
-    norm_N: float
     core_half_width: float
 
 
@@ -171,8 +165,8 @@ class _WidthSolution:
     u: float  # h_t * width/2
 
 
-def _solve_width(geom: WaveguideGeometry, wavelength_nm: float) -> _WidthSolution:
-    k0 = 2.0 * np.pi / wavelength_nm
+def _solve_width(geom: WaveguideGeometry) -> _WidthSolution:
+    k0 = 2.0 * np.pi / geom.wavelength_nm
     half_t = geom.thickness_nm / 2.0
     V_t = k0 * half_t * np.sqrt(geom.core_index**2 - geom.clad_index**2)
     u_t = _solve_even_slab(V_t, 1.0)
@@ -216,7 +210,7 @@ def solve_te0(geom: WaveguideGeometry, n_points: int = DEFAULT_GRID_POINTS) -> M
     """
     if n_points < 64:
         raise ValueError("n_points must be at least 64")
-    sol = _solve_width(geom, geom.wavelength_nm)
+    sol = _solve_width(geom)
 
     half_w = geom.width_nm / 2.0
     y_max = half_w + WINDOW_MARGIN_NM
@@ -234,24 +228,12 @@ def solve_te0(geom: WaveguideGeometry, n_points: int = DEFAULT_GRID_POINTS) -> M
     scale = np.max(np.abs(e_y))
     e_y = e_y / scale
     e_x = e_x / scale
-    norm_N = float(np.trapezoid(n_sq * (e_x**2 + e_y**2), y))
-
-    # group index from the dispersion of the two-step solve at fixed
-    # material indices
-    dlam = 0.5
-    n_hi = _solve_width(geom, geom.wavelength_nm + dlam).n_eff
-    n_lo = _solve_width(geom, geom.wavelength_nm - dlam).n_eff
-    dn_dlam = (n_hi - n_lo) / (2.0 * dlam)
-    group_index = sol.n_eff - geom.wavelength_nm * dn_dlam
-
     return ModeProfile(
         grid=y,
         e_x=e_x,
         e_y=e_y,
         n_eff=sol.n_eff,
         k=sol.beta,
-        group_index=float(group_index),
-        norm_N=norm_N,
         core_half_width=half_w,
     )
 
@@ -287,7 +269,7 @@ def helmholtz_residual(profile: ModeProfile, geom: WaveguideGeometry) -> float:
     beta = profile.k
 
     inside = np.abs(y) <= half_w
-    n_slab = _solve_width(geom, geom.wavelength_nm).n_slab
+    n_slab = _solve_width(geom).n_slab
     n_sq = np.where(inside, n_slab**2, geom.clad_index**2)
     H = n_sq * profile.e_y
 

@@ -12,7 +12,7 @@ import pytest
 
 import phasemirror
 from phasemirror.cli import main
-from phasemirror.config import DEFAULT_CONFIG, builtin_table1_path
+from phasemirror.config import DEFAULT_CONFIG, QD1_PRESET, builtin_table1_path
 from phasemirror.synthlab import (
     ExcitonModel,
     generate_decay_histogram,
@@ -155,6 +155,24 @@ class TestAnalyzeCommand:
         assert man["command"] == "analyze"
         assert man["source"] == "sweep"
         assert os.path.exists(os.path.join(analysis_dir, "rates.csv"))
+
+    def test_declared_background_is_fitted(self, tmp_path):
+        # the qd1 emitter toggles with nu_gamma = 0.2495; an unfitted
+        # 10-count floor biases it low by about 3 sigma
+        data = copy.deepcopy(QD1_PRESET)
+        data["sweep"]["background"] = 10.0
+        data["seed"] = 0
+        cfg_path = tmp_path / "bg.json"
+        cfg_path.write_text(json.dumps(data))
+        sim, fit = str(tmp_path / "sim"), str(tmp_path / "fit")
+        assert main(["simulate", "--config", str(cfg_path), "--out", sim]) == 0
+        assert main(["analyze", "--in", sim, "--out", fit]) == 0
+        with open(os.path.join(fit, "report.json"), encoding="utf-8") as fh:
+            rep = json.load(fh)
+        assert rep["nu_gamma"] == pytest.approx(0.2495, abs=0.006)
+        # each fitted floor carries sigma ~ 2.3 counts, their mean ~ 0.7
+        floors = [f["params"]["background"] for f in rep["rate_fits"]]
+        assert np.mean(floors) == pytest.approx(10.0, abs=2.0)
 
     def test_requires_exactly_one_source(self, tmp_path, sim_dir):
         both = main(

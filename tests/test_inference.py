@@ -7,7 +7,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from phasemirror.inference import (
-    BranchAmbiguity,
     EmptyFeasibleSet,
     InsufficientFringes,
     InsufficientPhaseSpan,
@@ -293,9 +292,9 @@ class TestPhaseMapReconstruction:
         cal = reconstruct_phase_map(v, inten)
         rec = recovered_phases(cal, v)
         err = (rec - rec[0]) - (phi - phi[0])
-        assert float(np.max(np.abs(err))) < 0.02
-        assert "3 interior turning point(s)" in cal.gauge_note
+        assert float(np.max(np.abs(err))) <= 1e-6
         assert "sign and offset unresolved" in cal.gauge_note
+        assert "chi2/dof" in cal.gauge_note
 
     def test_linear_map_recovered(self):
         v = np.linspace(0.0, 5.0, 64)
@@ -304,8 +303,16 @@ class TestPhaseMapReconstruction:
         cal = reconstruct_phase_map(v, inten)
         rec = recovered_phases(cal, v)
         err = (rec - rec[0]) - (phi - phi[0])
-        assert float(np.max(np.abs(err))) < 0.02
-        assert "2 interior turning point(s)" in cal.gauge_note
+        assert float(np.max(np.abs(err))) <= 1e-6
+
+    @pytest.mark.parametrize("theta", [0.3, 2.35, 4.0, 5.5])
+    def test_fringe_offset_is_immaterial(self, theta):
+        # the fringe may start on a rising or falling edge, or at a turn
+        v = np.linspace(0.0, 10.0, 201)
+        phi = 0.05 * v**2
+        inten = 1.0 + 0.5 * np.cos(2.0 * phi + theta)
+        rec = recovered_phases(reconstruct_phase_map(v, inten), v)
+        assert float(np.max(np.abs(rec - phi))) <= 1e-6
 
     def test_output_is_monotone_from_zero(self):
         v, _, inten = quad_fringe()
@@ -314,14 +321,31 @@ class TestPhaseMapReconstruction:
         assert rec[0] == 0.0
         assert np.all(np.diff(rec) >= 0.0)
 
-    def test_noisy_reference_fails_loudly(self):
-        # at desk-scale counts the turn locations are not resolvable
+    def test_noisy_reference_recovered(self):
+        # desk-scale counts: shot noise on a 2000-count fringe
         v, phi, _ = quad_fringe()
         rng = np.random.default_rng(9)
         lam = 2000.0 * (1.0 + 0.8 * np.cos(2.0 * phi + 0.3)) / 2.0 + 50.0
         noisy = rng.poisson(lam).astype(float)
-        with pytest.raises(BranchAmbiguity):
-            reconstruct_phase_map(v, noisy)
+        rec = recovered_phases(reconstruct_phase_map(v, noisy), v)
+        assert float(np.max(np.abs(rec - phi))) <= 0.03
+
+    @pytest.mark.parametrize("n_points", [12, 48, 192])
+    def test_simulated_qd1_sweeps_recovered(self, qd1_cfg, qd1_profile, n_points):
+        scene = qd1_cfg.scene(qd1_profile.k)
+        weights = mode_weights(qd1_profile, scene.y0)
+        voltages = list(np.linspace(0.0, 8.0, n_points))
+        for seed in range(10):
+            # the intensity stream does not depend on the histogram binning
+            records = generate_sweep(
+                scene, weights, qd1_cfg.r_T_magnitude(), qd1_cfg.calibration(),
+                voltages, 4e4, seed, exciton=qd1_cfg.exciton(),
+                hist_counts=1000.0, bin_edges=np.linspace(0.0, 25.0, 21),
+            )
+            phi = np.array([r.phi for r in records])
+            counts = np.array([r.intensity_counts for r in records])
+            rec = recovered_phases(reconstruct_phase_map(voltages, counts), voltages)
+            assert float(np.max(np.abs(rec - (phi - phi[0])))) <= 0.05, seed
 
     def test_too_few_samples_rejected(self):
         v, _, inten = quad_fringe()

@@ -26,7 +26,6 @@ DEFAULT_GEOM = WaveguideGeometry()
 def test_default_mode_basic_properties(default_profile):
     p = default_profile
     assert 1.0 < p.n_eff < 3.48
-    assert p.norm_N > 0
     assert p.k == pytest.approx(2 * np.pi / 930.0 * p.n_eff)
     # center symmetry forces a vanishing longitudinal component
     i0 = np.argmin(np.abs(p.grid))
@@ -77,8 +76,6 @@ def test_scale_invariance(default_profile):
         e_y=7.3 * p.e_y,
         n_eff=p.n_eff,
         k=p.k,
-        group_index=p.group_index,
-        norm_N=7.3**2 * p.norm_N,
         core_half_width=p.core_half_width,
     )
     for y0 in (0.0, 35.0, 75.0, 140.0):
@@ -199,6 +196,5 @@ def test_solved_modes_are_physical(width, thickness, wavelength):
     except NoBoundMode:
         return
     assert geom.clad_index < p.n_eff < geom.core_index
-    assert p.norm_N > 0
     i0 = np.argmin(np.abs(p.grid))
     assert abs(p.e_x[i0]) < 1e-9
