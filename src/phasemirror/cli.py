@@ -27,6 +27,7 @@ from .config import (
     QD1_PRESET,
     ConfigError,
     RunConfig,
+    file_sha256,
     write_manifest,
 )
 from .emission import DipoleOrientation
@@ -251,6 +252,29 @@ def cmd_simulate(args: argparse.Namespace, cfg: RunConfig, out: str) -> int:
     return 0
 
 
+def _verify_inputs(
+    in_dir: str, manifest_path: str, manifest: dict, cfg: RunConfig, needed: list[str]
+) -> None:
+    """Check the manifest's config hash and the SHA-256 of every file it lists."""
+    if manifest.get("config_hash") != cfg.hash:
+        raise ConfigError(f"{manifest_path}: config_hash does not match its config")
+    files = manifest.get("files")
+    if not isinstance(files, dict):
+        raise ConfigError(f"{manifest_path}: 'files' must map file names to SHA-256s")
+    for name in needed:
+        if name not in files:
+            raise ConfigError(f"{manifest_path}: {name} is not in its 'files' map")
+    for name, digest in files.items():
+        path = os.path.join(in_dir, name)
+        try:
+            matches = file_sha256(path) == digest
+        except (OSError, ValueError) as exc:  # ValueError: a NUL in the name
+            reason = getattr(exc, "strerror", None) or exc
+            raise ConfigError(f"{path!r}: cannot be read: {reason}") from None
+        if not matches:
+            raise ConfigError(f"{path}: SHA-256 does not match the manifest")
+
+
 def _analyze_sweep_dir(args: argparse.Namespace, out: str) -> int:
     manifest_path = os.path.join(args.in_dir, "manifest.json")
     try:
@@ -272,6 +296,7 @@ def _analyze_sweep_dir(args: argparse.Namespace, out: str) -> int:
     cfg = RunConfig.from_dict(manifest["config"])
     if args.seed is not None or args.config or args.preset:
         raise ConfigError("analyze --in takes its config from the manifest")
+    _verify_inputs(args.in_dir, manifest_path, manifest, cfg, ["sweep.csv", *hist_names])
 
     voltages, phases, counts = synthlab.read_sweep_csv(
         os.path.join(args.in_dir, "sweep.csv")

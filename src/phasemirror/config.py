@@ -3,6 +3,14 @@
 The schema rejects unknown keys so typos fail loudly, and the SHA-256
 hash of the canonical serialization is recorded in every output
 manifest, tying artifacts to the exact inputs that produced them.
+
+`SCHEMA` is a JSON Schema (draft 2020-12) checked by a small interpreter
+of exactly the keywords it uses: `type` (a name or a list of names, with
+JSON's `number` and `integer`, so booleans are neither and 2.0 is an
+integer), `enum`, `required`, `properties`, `additionalProperties: false`,
+`minimum`, `maximum`, `exclusiveMinimum`, `items`, `minItems` and
+`maxItems`.  It reports the error, with the text, that
+`jsonschema.validate` would raise.
 """
 
 from __future__ import annotations
@@ -10,10 +18,11 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import numbers
+import operator
 from dataclasses import dataclass
 from importlib import resources
 
-import jsonschema
 import numpy as np
 
 from .emission import EmitterScene
@@ -204,9 +213,113 @@ QD1_PRESET["emitter"] = {
 QD1_PRESET["r_T_mag"] = 0.6
 
 
-# Built once: jsonschema.validate would re-check SCHEMA against its
-# metaschema on every call (tests/test_config.py checks it once).
-_VALIDATOR = jsonschema.validators.validator_for(SCHEMA)(SCHEMA)
+def _is_number(v) -> bool:
+    return isinstance(v, numbers.Number) and not isinstance(v, bool)
+
+
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "boolean": lambda v: isinstance(v, bool),
+    "null": lambda v: v is None,
+    "number": _is_number,
+    "integer": lambda v: _is_number(v)
+    and (isinstance(v, int) or isinstance(v, float) and v.is_integer()),
+}
+
+
+# Each keyword takes (its value, the instance, the enclosing schema) and
+# yields an error message, or a (key, subschema, item) to descend into.
+def _type(types, v, schema):
+    types = [types] if isinstance(types, str) else types
+    if not any(_TYPES[t](v) for t in types):
+        yield f"{v!r} is not of type {', '.join(map(repr, types))}"
+
+
+def _enum(values, v, schema):
+    if not any(e == v and isinstance(e, bool) == isinstance(v, bool) for e in values):
+        yield f"{v!r} is not one of {values!r}"
+
+
+def _required(names, v, schema):
+    if isinstance(v, dict):
+        yield from (f"{name!r} is a required property" for name in names if name not in v)
+
+
+def _properties(props, v, schema):
+    if isinstance(v, dict):
+        yield from ((name, sub, v[name]) for name, sub in props.items() if name in v)
+
+
+def _no_additional_properties(allowed, v, schema):
+    if isinstance(v, dict) and not allowed:
+        extras = sorted((k for k in v if k not in schema.get("properties", {})), key=str)
+        if extras:
+            verb = "was" if len(extras) == 1 else "were"
+            names = ", ".join(map(repr, extras))
+            yield f"Additional properties are not allowed ({names} {verb} unexpected)"
+
+
+def _bound(fails, text):
+    def keyword(bound, v, schema):
+        if _is_number(v) and fails(v, bound):
+            yield f"{v!r} is {text} {bound!r}"
+
+    return keyword
+
+
+def _items(sub, v, schema):
+    if isinstance(v, list):
+        yield from ((i, sub, item) for i, item in enumerate(v))
+
+
+def _min_items(n, v, schema):
+    if isinstance(v, list) and len(v) < n:
+        yield f"{v!r} {'should be non-empty' if n == 1 else 'is too short'}"
+
+
+def _max_items(n, v, schema):
+    if isinstance(v, list) and len(v) > n:
+        yield f"{v!r} {'is expected to be empty' if n == 0 else 'is too long'}"
+
+
+_KEYWORDS = {
+    "type": _type,
+    "enum": _enum,
+    "required": _required,
+    "properties": _properties,
+    "additionalProperties": _no_additional_properties,
+    "minimum": _bound(operator.lt, "less than the minimum of"),
+    "maximum": _bound(operator.gt, "greater than the maximum of"),
+    "exclusiveMinimum": _bound(operator.le, "less than or equal to the minimum of"),
+    "items": _items,
+    "minItems": _min_items,
+    "maxItems": _max_items,
+}
+
+
+def _errors(schema: dict, instance, path: tuple = ()):
+    """Yield (path, message) of every violation, in jsonschema's order."""
+    for keyword, value in schema.items():
+        for found in _KEYWORDS[keyword](value, instance, schema):
+            if isinstance(found, str):
+                yield path, found
+            else:
+                key, sub, item = found
+                yield from _errors(sub, item, path + (key,))
+
+
+def _best_error(data, schema: dict = SCHEMA) -> str | None:
+    """The message `jsonschema.exceptions.best_match` picks, or None if valid.
+
+    best_match takes the first error of greatest relevance: the shortest
+    path, then the greatest path.  Its other terms (weak keywords, type
+    match) never decide here, since every error at one path comes from
+    one subschema.
+    """
+    best = max(_errors(schema, data), key=lambda e: (-len(e[0]), e[0]), default=None)
+    return None if best is None else best[1]
 
 
 class ConfigError(ValueError):
@@ -221,9 +334,9 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
-        error = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(data))
-        if error is not None:
-            raise ConfigError(f"invalid config: {error.message}")
+        message = _best_error(data)
+        if message is not None:
+            raise ConfigError(f"invalid config: {message}")
         return cls(raw=copy.deepcopy(data))
 
     @classmethod

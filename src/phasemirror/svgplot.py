@@ -8,7 +8,6 @@ a fixed precision and elements are emitted in a fixed order.
 from __future__ import annotations
 
 import math
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -20,6 +19,11 @@ _MARGIN_L = 72
 _MARGIN_R = 20
 _MARGIN_T = 36
 _MARGIN_B = 52
+
+
+def escape(text: str) -> str:
+    """Escape XML character data: `&` first, then `<` and `>`."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:

@@ -30,6 +30,18 @@ def read_manifest(out_dir):
         return json.load(fh)
 
 
+def write_manifest_json(out_dir, man):
+    with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
+        json.dump(man, fh, sort_keys=True, indent=2)
+
+
+def rehash(out_dir, name):
+    """Record the current SHA-256 of one file in the manifest."""
+    man = read_manifest(out_dir)
+    man["files"][name] = sha256(os.path.join(out_dir, name))
+    write_manifest_json(out_dir, man)
+
+
 def sweep_counts(out_dir):
     with open(os.path.join(out_dir, "sweep.csv"), newline="") as fh:
         rows = list(csv.reader(fh))
@@ -221,13 +233,57 @@ class TestAnalyzeCommand:
             ("hist_003.csv", "t_ns,counts\n0.025,10\n0.075\n"),
         ],
     )
-    def test_malformed_input_csv_is_input_error(self, tmp_path, sim_dir, name, text):
+    def test_malformed_input_csv_is_input_error(
+        self, tmp_path, sim_dir, capsys, name, text
+    ):
+        # the manifest hash is rewritten, so the CSV reader is what rejects it
         broken = str(tmp_path / "broken")
         shutil.copytree(sim_dir, broken)
         with open(os.path.join(broken, name), "w", encoding="utf-8") as fh:
             fh.write(text)
+        rehash(broken, name)
         rc = main(["analyze", "--in", broken, "--out", str(tmp_path / "x")])
         assert rc == 2
+        assert "SHA-256" not in capsys.readouterr().err
+
+    def test_tampered_input_is_input_error(self, tmp_path, sim_dir, capsys):
+        broken = str(tmp_path / "broken")
+        shutil.copytree(sim_dir, broken)
+        with open(os.path.join(broken, "hist_003.csv"), "w", encoding="utf-8") as fh:
+            fh.write("t_ns,counts\n0.025,10\n")
+        rc = main(["analyze", "--in", broken, "--out", str(tmp_path / "x")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "hist_003.csv" in err and "SHA-256 does not match" in err
+
+    @pytest.mark.parametrize(
+        "damage", ["missing", "unlisted", "nul", "config_hash", "config"]
+    )
+    def test_manifest_that_does_not_vouch_for_inputs_is_input_error(
+        self, tmp_path, sim_dir, capsys, damage
+    ):
+        broken = str(tmp_path / "broken")
+        shutil.copytree(sim_dir, broken)
+        man = read_manifest(broken)
+        if damage == "missing":
+            os.remove(os.path.join(broken, "hist_005.csv"))
+            named = "hist_005.csv"
+        elif damage == "unlisted":
+            del man["files"]["hist_005.csv"]
+            named = "hist_005.csv"
+        elif damage == "nul":
+            man["files"]["hist\x00.csv"] = "0" * 64
+            named = "hist\\x00.csv"
+        elif damage == "config_hash":
+            man["config_hash"] = "0" * 64
+            named = "config_hash"
+        else:
+            man["config"]["sweep"]["background"] = 1.0
+            named = "config_hash"
+        write_manifest_json(broken, man)
+        rc = main(["analyze", "--in", broken, "--out", str(tmp_path / "x")])
+        assert rc == 2
+        assert named in capsys.readouterr().err
 
     @pytest.mark.parametrize("raw", [b"{not json", b"\xff\xfe{}", b"[1, 2]"])
     def test_manifest_that_is_not_json_is_input_error(
@@ -271,6 +327,7 @@ class TestAnalyzeCommand:
             seed=3,
         )
         write_histogram_csv(bad, os.path.join(broken, "hist_003.csv"))
+        rehash(broken, "hist_003.csv")
         rc = main(["analyze", "--in", broken, "--out", str(tmp_path / "x")])
         assert rc == 3
 
@@ -316,3 +373,50 @@ def test_cli_import_leaves_scipy_out():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert proc.stdout.strip() == "False"
+
+
+def test_cli_import_leaves_jsonschema_and_xml_out():
+    src = os.path.dirname(os.path.dirname(phasemirror.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    heavy = ["jsonschema", "xml.sax", "urllib.request", "http.client", "email"]
+    code = f"import sys, phasemirror.cli; print([m for m in {heavy!r} if m in sys.modules])"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.strip() == "[]"
+
+
+def test_commands_run_without_jsonschema(tmp_path, capsys):
+    """Outputs and error text do not depend on jsonschema being importable."""
+    src = os.path.dirname(os.path.dirname(phasemirror.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = (
+        "import sys; sys.modules['jsonschema'] = None\n"
+        "from phasemirror.cli import main; sys.exit(main(sys.argv[1:]))"
+    )
+    bad = copy.deepcopy(DEFAULT_CONFIG)
+    bad["mirror"]["t_phi_sq"] = 1.5
+    (tmp_path / "bad.json").write_text(json.dumps(bad))
+    runs = [
+        (["mode", "--preset", "qd1"], "mode", 0),
+        (["simulate", "--preset", "qd1", "--seed", "7"], "sim", 0),
+        (["analyze", "--in", "<out>/sim"], "fit", 0),
+        (["mode", "--config", str(tmp_path / "bad.json")], "bad", 2),
+    ]
+    for args, name, rc in runs:
+        sub, ref = str(tmp_path / "sub"), str(tmp_path / "ref")
+        proc = subprocess.run(
+            [sys.executable, "-c", code, *[a.replace("<out>", sub) for a in args],
+             "--out", os.path.join(sub, name)],
+            env=env, capture_output=True, text=True,
+        )
+        capsys.readouterr()
+        assert main([*[a.replace("<out>", ref) for a in args], "--out", os.path.join(ref, name)]) == rc
+        assert proc.returncode == rc, proc.stderr
+        if rc:
+            assert proc.stderr == capsys.readouterr().err
+            continue
+        with open(os.path.join(sub, name, "manifest.json"), "rb") as fh:
+            got = fh.read()
+        with open(os.path.join(ref, name, "manifest.json"), "rb") as fh:
+            assert got == fh.read()

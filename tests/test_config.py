@@ -2,8 +2,18 @@ import copy
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from phasemirror.config import DEFAULT_CONFIG, SCHEMA, ConfigError, RunConfig
+from phasemirror.config import (
+    _KEYWORDS,
+    _best_error,
+    DEFAULT_CONFIG,
+    QD1_PRESET,
+    SCHEMA,
+    ConfigError,
+    RunConfig,
+)
 
 
 def test_schema_passes_its_metaschema():
@@ -55,3 +65,177 @@ def test_error_text_matches_jsonschema_validate(mutate):
         RunConfig.from_dict(data)
     assert str(got.value) == f"invalid config: {want.value.message}"
 
+
+
+def _ordering_cases():
+    """Documents whose errors test best_match's choice among several."""
+    def doc(**sections):
+        data = copy.deepcopy(DEFAULT_CONFIG)
+        for section, values in sections.items():
+            data[section].update(values)
+        return data
+
+    yield doc(calibration={"table": [[1.0, "a"], [2.0, "b"]]})
+    yield doc(calibration={"table": [[1.0, 2.0], [3.0]], "v_range": [0.0, "x"]})
+    yield doc(geometry={"width_nm": -1.0}, mirror={"t_phi_sq": 2.0})
+    yield doc(geometry={"zz": 1, "aa": 2, "grid_points": 2.0})
+    yield doc(sweep={"n_bins": 8.0, "n_points": 0.5})
+    data = doc(mirror={"extra": 1})
+    del data["mirror"]["pitch_nm"]
+    yield data
+    data = doc()
+    data["seed"], data["r_T_mag"] = True, 1
+    yield data
+
+
+@pytest.mark.parametrize("data", list(_ordering_cases()))
+def test_error_text_matches_jsonschema_on_several_errors(data):
+    with pytest.raises(jsonschema.ValidationError) as want:
+        jsonschema.validate(data, SCHEMA)
+    with pytest.raises(ConfigError) as got:
+        RunConfig.from_dict(data)
+    assert str(got.value) == f"invalid config: {want.value.message}"
+
+
+@pytest.mark.parametrize(
+    "schema, bad, good",
+    [
+        ({"minItems": 1}, [], [0]),
+        ({"maxItems": 0}, [1], []),
+        ({"type": "integer"}, True, 2.0),
+        ({"type": ["integer", "string"]}, 2.5, "a"),
+        ({"enum": [1, "a"]}, True, 1.0),
+        ({"enum": [True]}, 1, True),
+        ({"exclusiveMinimum": 1.5}, 1.5, "a"),
+        ({"maximum": 1}, float("inf"), False),
+        ({"items": {"type": "null"}, "maxItems": 1}, [None, 0], [None]),
+    ],
+)
+def test_keyword_messages_outside_schema_match_jsonschema(schema, bad, good):
+    """Branches SCHEMA does not reach today, checked on small schemas."""
+    with pytest.raises(jsonschema.ValidationError) as want:
+        jsonschema.validate(bad, schema)
+    assert _best_error(bad, schema) == want.value.message
+    jsonschema.validate(good, schema)
+    assert _best_error(good, schema) is None
+
+
+# jsonschema.validate(data, SCHEMA) without its per-call metaschema check
+# (28 ms, checked once above): best_match over one validator's errors.
+_ORACLE = jsonschema.validators.validator_for(SCHEMA)(SCHEMA)
+
+
+def _oracle_message(data):
+    error = jsonschema.exceptions.best_match(_ORACLE.iter_errors(data))
+    return None if error is None else error.message
+
+
+def _subschemas(schema):
+    yield schema
+    for sub in schema.get("properties", {}).values():
+        yield from _subschemas(sub)
+    if "items" in schema:
+        yield from _subschemas(schema["items"])
+
+
+def test_schema_uses_only_interpreted_keywords():
+    for sub in _subschemas(SCHEMA):
+        assert set(sub) <= set(_KEYWORDS), sorted(set(sub) - set(_KEYWORDS))
+        assert sub.get("additionalProperties", False) is False
+        assert not any(isinstance(e, (list, dict)) for e in sub.get("enum", []))
+
+
+def _bounded_leaves():
+    """(path, keyword, bound) for every bound in SCHEMA."""
+    for name, sub in SCHEMA["properties"].items():
+        leaves = sub.get("properties", {"": sub})
+        for key, leaf in leaves.items():
+            path = (name, key) if key else (name,)
+            for keyword in ("minimum", "maximum", "exclusiveMinimum"):
+                if keyword in leaf:
+                    yield path, keyword, leaf[keyword]
+
+
+_BOUNDED = list(_bounded_leaves())
+# calibration leaves are swapped often: their errors lose to those of any
+# later section, and they alone reach enum, items, minItems and maxItems
+_ARRAY_LEAVES = [("calibration", "v_range"), ("calibration", "table")]
+_CALIBRATION_LEAVES = _ARRAY_LEAVES + [("calibration", "model")]
+
+_NUMBERS = st.one_of(st.integers(-10, 10**6), st.floats())
+_ARRAYS = st.lists(
+    st.one_of(st.lists(st.one_of(_NUMBERS, st.text(max_size=2)), max_size=3),
+              _NUMBERS, st.text(max_size=2)),
+    max_size=3,
+)
+# st.one_of draws its first strategies most often: containers first
+_VALUES = st.one_of(
+    _ARRAYS,
+    st.dictionaries(st.text(max_size=3), _NUMBERS, max_size=2),
+    st.none(),
+    st.integers(-1000, 1000).map(float),
+    st.integers(-(2**40), 2**40),
+    st.booleans(),
+    st.text(max_size=4),
+    st.floats(),
+)
+
+
+def _paths(node, path=()):
+    yield path
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _paths(value, path + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _paths(value, path + (i,))
+
+
+def _node(data, path):
+    for key in path:
+        data = data[key]
+    return data
+
+
+def _mutate(draw, data):
+    # Hypothesis draws the first entries of a list most often: deep paths
+    # come first so that errors below a missing section stay common
+    kind = draw(st.sampled_from(["swap", "bound", "add", "drop"]))
+    if kind == "bound":
+        path, keyword, bound = draw(st.sampled_from(_BOUNDED))
+        if path[:-1] and not isinstance(data.get(path[0]), dict):
+            return  # an earlier mutation removed the section
+        parent = _node(data, path[:-1])
+        delta = draw(st.one_of(st.just(0), st.integers(1, 100), st.floats(1e-12, 1e3)))
+        parent[path[-1]] = bound + delta if keyword == "maximum" else bound - delta
+        return
+    paths = sorted(_paths(data), key=len, reverse=True)  # the root () is last
+    if kind == "add":
+        objects = [_node(data, p) for p in paths]
+        parent = draw(st.sampled_from([o for o in objects if isinstance(o, dict)]))
+        key = draw(st.one_of(st.sampled_from(["typo_nm", "seed", "width_nm"]),
+                             st.text(max_size=4)))
+        parent[key] = draw(_VALUES)
+        return
+    rare = [p for p in _CALIBRATION_LEAVES if p in paths]
+    path = draw(st.sampled_from(draw(st.sampled_from([rare or paths[:-1], paths[:-1]]))))
+    parent = _node(data, path[:-1])
+    if kind == "drop" and isinstance(parent, dict):
+        del parent[path[-1]]
+    elif kind == "swap":
+        parent[path[-1]] = draw(_ARRAYS if path in _ARRAY_LEAVES else _VALUES)
+
+
+@settings(max_examples=500)
+@given(st.data())
+def test_error_text_matches_jsonschema_on_random_mutations(data):
+    doc = copy.deepcopy(data.draw(st.sampled_from([DEFAULT_CONFIG, QD1_PRESET])))
+    for _ in range(data.draw(st.sampled_from([1, 1, 2, 3, 4]))):
+        _mutate(data.draw, doc)
+    want = _oracle_message(doc)
+    if want is None:
+        assert RunConfig.from_dict(doc).raw == doc
+        return
+    with pytest.raises(ConfigError) as got:
+        RunConfig.from_dict(doc)
+    assert str(got.value) == f"invalid config: {want}"
