@@ -9,14 +9,13 @@ next to the simulation truth.
 Usage: python3 scripts/run_qd1_experiment.py [outdir]
 """
 
-import json
 import os
 import sys
 
 import numpy as np
 
 from phasemirror import modesolver, synthlab
-from phasemirror.config import QD1_PRESET, RunConfig
+from phasemirror.config import QD1_PRESET, RunConfig, write_json
 from phasemirror.inference import analyze_sweep
 
 
@@ -38,7 +37,6 @@ def main() -> int:
         cfg.voltages(),
         cfg.counts_scale,
         cfg.seed,
-        exciton=cfg.exciton(),
         hist_counts=cfg.hist_counts,
         bin_edges=cfg.bin_edges(),
         irf_sigma=cfg.irf_sigma,
@@ -68,9 +66,7 @@ def main() -> int:
               "(centered-emitter inversion)")
 
     report_path = os.path.join(outdir, "report.json")
-    with open(report_path, "w", encoding="utf-8") as fh:
-        json.dump(result, fh, sort_keys=True, indent=2, default=float)
-        fh.write("\n")
+    write_json(report_path, result)
     print(f"\nreport written to {report_path}")
     return 0
 

@@ -13,6 +13,7 @@ collected intensity.  This package covers the full workflow:
 - ``synthlab``: seeded synthetic sweeps (photon counts, decay histograms),
 - ``inference``: Poisson lifetime fits, fringe fits, phase-map
   reconstruction, and feasible-parameter estimation,
+- ``csvio``: the one CSV table format, written and read in one place,
 - ``cli``: config-driven command line tying it together.
 
 Units throughout: rates in 1/ns, lengths in nm, phases in rad.

@@ -7,15 +7,18 @@ Subcommands
     analyze   fit a simulated sweep, or report on a tabulated results CSV
 
 Every command writes its outputs plus a manifest.json (config hash,
-seed, per-file SHA-256) into --out.  Exit codes: 0 success, 2 config or
-input error, 3 numerical failure.
+seed, per-file SHA-256) into --out.  Tables go through `csvio` and JSON
+through `config.write_json`; a command records each file's name as it
+writes the file, and the manifest lists exactly those names.  The
+config is loaded and validated once, after any --seed override;
+`analyze --in` takes it from the simulate manifest instead.  Exit
+codes: 0 success, 2 config or input error, 3 numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import copy
-import json
 import os
 import sys
 
@@ -28,17 +31,12 @@ from .config import (
     ConfigError,
     RunConfig,
     file_sha256,
+    read_json,
+    write_json,
     write_manifest,
 )
+from .csvio import MalformedCSV, write_csv
 from .emission import DipoleOrientation
-
-
-def _json_default(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj).__name__}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -84,7 +82,7 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
     if args.preset:
         data = copy.deepcopy(QD1_PRESET)
     elif args.config:
-        data = RunConfig.from_file(args.config).raw
+        data = read_json(args.config)
     else:
         data = copy.deepcopy(DEFAULT_CONFIG)
     if args.seed is not None:
@@ -96,111 +94,112 @@ def _solve(cfg: RunConfig) -> modesolver.ModeProfile:
     return modesolver.solve_te0(cfg.geometry(), n_points=cfg.grid_points)
 
 
-def cmd_mode(args: argparse.Namespace, cfg: RunConfig, out: str) -> int:
+class _Outputs:
+    """The --out directory and the names of the files written into it.
+
+    A command asks for each file's path just before it writes the file,
+    so the manifest lists exactly the files the command wrote.
+    """
+
+    def __init__(self, out: str) -> None:
+        self.out = out
+        self.files: dict[str, str] = {}
+
+    def path(self, name: str) -> str:
+        """Path of a file about to be written; records its name."""
+        self.files[name] = path = os.path.join(self.out, name)
+        return path
+
+    def manifest(self, command: str, cfg: RunConfig, **extra) -> None:
+        """Write manifest.json over every file recorded so far."""
+        write_manifest(
+            os.path.join(self.out, "manifest.json"),
+            command,
+            self.files,
+            cfg.hash,
+            cfg.seed,
+            extra,
+        )
+
+
+def cmd_mode(args: argparse.Namespace, cfg: RunConfig, outs: _Outputs) -> None:
     profile = _solve(cfg)
     scene = cfg.scene(profile.k)
     r = cfg.r_T_magnitude()
     weights = modesolver.mode_weights(profile, scene.y0)
 
-    profile_csv = os.path.join(out, "mode_profile.csv")
-    modesolver.write_profile_csv(profile, profile_csv)
-
-    fig1c = emission.figure1c_curves(scene, weights, r, DipoleOrientation.Y)
-    fig1c_csv = os.path.join(out, "fig1c.csv")
-    emission.write_phase_curve_csv(fig1c, fig1c_csv)
-
-    fig1d = emission.figure1d_curves(profile, scene, r)
-    fig1d_csv = os.path.join(out, "fig1d.csv")
-    emission.write_offset_curve_csv(fig1d, fig1d_csv)
-
     y = profile.grid
+    write_csv(
+        outs.path("mode_profile.csv"),
+        ("y_nm", "e_x", "e_y"),
+        y,
+        profile.e_x,
+        profile.e_y,
+    )
+    fig1c = emission.figure1c_curves(scene, weights, r, DipoleOrientation.Y)
+    phis, gammas, intensities = map(np.array, zip(*fig1c))
+    write_csv(
+        outs.path("fig1c.csv"),
+        ("phi_rad", "gamma_total", "intensity_rel"),
+        phis,
+        gammas,
+        intensities,
+    )
+    fig1d = emission.figure1d_curves(profile, scene, r)
+    offsets, nu_i, nu_g = map(np.array, zip(*fig1d))
+    write_csv(outs.path("fig1d.csv"), ("y0_nm", "nu_I", "nu_gamma"), offsets, nu_i, nu_g)
+
     svgplot.write_line_plot(
-        os.path.join(out, "mode_profile.svg"),
+        outs.path("mode_profile.svg"),
         [("e_y", y, profile.e_y), ("e_x", y, profile.e_x)],
         f"TE0 profile, n_eff = {profile.n_eff:.6f}",
         "y (nm)",
         "field (norm.)",
     )
-    phis = np.array([row[0] for row in fig1c])
     svgplot.write_line_plot(
-        os.path.join(out, "fig1c.svg"),
-        [
-            ("decay rate (1/ns)", phis, np.array([row[1] for row in fig1c])),
-            ("rel. intensity", phis, np.array([row[2] for row in fig1c])),
-        ],
+        outs.path("fig1c.svg"),
+        [("decay rate (1/ns)", phis, gammas), ("rel. intensity", phis, intensities)],
         f"phase response at |r_T| = {r:g}",
         "phi (rad)",
         "modulated quantity",
     )
-    offs = np.array([row[0] for row in fig1d])
     svgplot.write_line_plot(
-        os.path.join(out, "fig1d.svg"),
-        [
-            ("nu_I", offs, np.array([row[1] for row in fig1d])),
-            ("nu_gamma", offs, np.array([row[2] for row in fig1d])),
-        ],
+        outs.path("fig1d.svg"),
+        [("nu_I", offsets, nu_i), ("nu_gamma", offsets, nu_g)],
         f"visibility vs lateral offset at |r_T| = {r:g}",
         "y0 (nm)",
         "visibility",
     )
-
-    write_manifest(
-        os.path.join(out, "manifest.json"),
-        "mode",
-        {
-            "mode_profile.csv": profile_csv,
-            "fig1c.csv": fig1c_csv,
-            "fig1d.csv": fig1d_csv,
-            "mode_profile.svg": os.path.join(out, "mode_profile.svg"),
-            "fig1c.svg": os.path.join(out, "fig1c.svg"),
-            "fig1d.svg": os.path.join(out, "fig1d.svg"),
-        },
-        cfg.hash,
-        cfg.seed,
-        extra={
-            "n_eff": profile.n_eff,
-            "k_rad_per_nm": profile.k,
-            "r_T_mag": r,
-        },
+    outs.manifest(
+        "mode", cfg, n_eff=profile.n_eff, k_rad_per_nm=profile.k, r_T_mag=r
     )
-    return 0
 
 
-def cmd_mirror(args: argparse.Namespace, cfg: RunConfig, out: str) -> int:
+def cmd_mirror(args: argparse.Namespace, cfg: RunConfig, outs: _Outputs) -> None:
     spec = cfg.crystal()
     m = cfg.raw["mirror"]
     lambdas = np.linspace(m["lambda_min_nm"], m["lambda_max_nm"], m["sweep_points"])
     rows = opticalstack.reflectivity_sweep(spec, lambdas)
-    sweep_csv = os.path.join(out, "mirror_sweep.csv")
-    opticalstack.write_sweep_csv(rows, sweep_csv)
+    lams, r, power = map(np.array, zip(*rows))
+    write_csv(
+        outs.path("mirror_sweep.csv"),
+        ("lambda_nm", "r_re", "r_im", "R_power"),
+        lams,
+        r.real,
+        r.imag,
+        power,
+    )
     svgplot.write_line_plot(
-        os.path.join(out, "mirror_sweep.svg"),
-        [
-            (
-                "|r|^2",
-                np.array([row[0] for row in rows]),
-                np.array([row[2] for row in rows]),
-            )
-        ],
+        outs.path("mirror_sweep.svg"),
+        [("|r|^2", lams, power)],
         f"mirror reflectivity, {spec.n_holes} holes, pitch {spec.pitch_nm:g} nm",
         "wavelength (nm)",
         "power reflectivity",
     )
-    write_manifest(
-        os.path.join(out, "manifest.json"),
-        "mirror",
-        {
-            "mirror_sweep.csv": sweep_csv,
-            "mirror_sweep.svg": os.path.join(out, "mirror_sweep.svg"),
-        },
-        cfg.hash,
-        cfg.seed,
-        extra={"bragg_wavelength_nm": spec.bragg_wavelength_nm},
-    )
-    return 0
+    outs.manifest("mirror", cfg, bragg_wavelength_nm=spec.bragg_wavelength_nm)
 
 
-def cmd_simulate(args: argparse.Namespace, cfg: RunConfig, out: str) -> int:
+def cmd_simulate(args: argparse.Namespace, cfg: RunConfig, outs: _Outputs) -> None:
     profile = _solve(cfg)
     scene = cfg.scene(profile.k)
     weights = modesolver.mode_weights(profile, scene.y0)
@@ -212,23 +211,18 @@ def cmd_simulate(args: argparse.Namespace, cfg: RunConfig, out: str) -> int:
         cfg.voltages(),
         cfg.counts_scale,
         cfg.seed,
-        exciton=cfg.exciton(),
+        amp_ratio=cfg.raw["sweep"]["amp_ratio"],
+        background=cfg.raw["sweep"]["background"],
         hist_counts=cfg.hist_counts,
         bin_edges=cfg.bin_edges(),
         irf_sigma=cfg.irf_sigma,
     )
-    sweep_csv = os.path.join(out, "sweep.csv")
-    synthlab.write_sweep_csv(records, sweep_csv)
-    files = {"sweep.csv": sweep_csv}
-    hist_names = []
-    for rec in records:
-        name = f"hist_{rec.index:03d}.csv"
-        path = os.path.join(out, name)
-        synthlab.write_histogram_csv(rec.histogram, path)
-        files[name] = path
-        hist_names.append(name)
+    synthlab.write_sweep_csv(records, outs.path("sweep.csv"))
+    hist_names = [f"hist_{rec.index:03d}.csv" for rec in records]
+    for rec, name in zip(records, hist_names):
+        synthlab.write_histogram_csv(rec.histogram, outs.path(name))
     svgplot.write_line_plot(
-        os.path.join(out, "sweep.svg"),
+        outs.path("sweep.svg"),
         [
             (
                 "intensity (counts)",
@@ -240,16 +234,7 @@ def cmd_simulate(args: argparse.Namespace, cfg: RunConfig, out: str) -> int:
         "voltage (V)",
         "collected intensity",
     )
-    files["sweep.svg"] = os.path.join(out, "sweep.svg")
-    write_manifest(
-        os.path.join(out, "manifest.json"),
-        "simulate",
-        files,
-        cfg.hash,
-        cfg.seed,
-        extra={"config": cfg.raw, "histograms": hist_names},
-    )
-    return 0
+    outs.manifest("simulate", cfg, config=cfg.raw, histograms=hist_names)
 
 
 def _verify_inputs(
@@ -275,13 +260,11 @@ def _verify_inputs(
             raise ConfigError(f"{path}: SHA-256 does not match the manifest")
 
 
-def _analyze_sweep_dir(args: argparse.Namespace, out: str) -> int:
+def _analyze_sweep_dir(args: argparse.Namespace, outs: _Outputs) -> None:
+    if args.seed is not None or args.config or args.preset:
+        raise ConfigError("analyze --in takes its config from the manifest")
     manifest_path = os.path.join(args.in_dir, "manifest.json")
-    try:
-        with open(manifest_path, encoding="utf-8") as fh:
-            manifest = json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"{manifest_path}: not valid JSON: {exc}") from None
+    manifest = read_json(manifest_path)
     if (
         not isinstance(manifest, dict)
         or manifest.get("command") != "simulate"
@@ -294,8 +277,6 @@ def _analyze_sweep_dir(args: argparse.Namespace, out: str) -> int:
     ):
         raise ConfigError(f"{manifest_path}: 'histograms' must be a list of file names")
     cfg = RunConfig.from_dict(manifest["config"])
-    if args.seed is not None or args.config or args.preset:
-        raise ConfigError("analyze --in takes its config from the manifest")
     _verify_inputs(args.in_dir, manifest_path, manifest, cfg, ["sweep.csv", *hist_names])
 
     voltages, phases, counts = synthlab.read_sweep_csv(
@@ -312,79 +293,51 @@ def _analyze_sweep_dir(args: argparse.Namespace, out: str) -> int:
         counts,
         histograms,
         profile=profile,
-        exciton=cfg.exciton(),
+        fit_background=cfg.raw["sweep"]["background"] > 0,
     )
-
-    report_path = os.path.join(out, "report.json")
-    with open(report_path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(result, fh, sort_keys=True, indent=2, default=_json_default)
-        fh.write("\n")
-
-    rates_csv = os.path.join(out, "rates.csv")
+    write_json(outs.path("report.json"), result)
     gamma = [f["derived"]["gamma_rad"] for f in result["rate_fits"]]
     sigma = [f["derived"]["gamma_rad_sigma"] for f in result["rate_fits"]]
-    with open(rates_csv, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("phi_rad,gamma_rad,gamma_rad_sigma\n")
-        for p, g, s in zip(phases, gamma, sigma):
-            fh.write(f"{float(p)!r},{float(g)!r},{float(s)!r}\n")
+    write_csv(
+        outs.path("rates.csv"),
+        ("phi_rad", "gamma_rad", "gamma_rad_sigma"),
+        phases,
+        gamma,
+        sigma,
+    )
 
     order = np.argsort(phases)
     svgplot.write_line_plot(
-        os.path.join(out, "rates.svg"),
+        outs.path("rates.svg"),
         [("gamma_rad (1/ns)", phases[order], np.asarray(gamma)[order])],
         f"fitted radiative rate, nu_gamma = {result['nu_gamma']:.3f}",
         "phi (rad)",
         "rate (1/ns)",
     )
     svgplot.write_line_plot(
-        os.path.join(out, "intensity.svg"),
+        outs.path("intensity.svg"),
         [("counts", phases[order], np.asarray(counts)[order])],
         f"intensity fringe, nu_I = {result['nu_I']:.3f}",
         "phi (rad)",
         "counts",
     )
-
-    write_manifest(
-        os.path.join(out, "manifest.json"),
-        "analyze",
-        {
-            "report.json": report_path,
-            "rates.csv": rates_csv,
-            "rates.svg": os.path.join(out, "rates.svg"),
-            "intensity.svg": os.path.join(out, "intensity.svg"),
-        },
-        cfg.hash,
-        cfg.seed,
-        extra={"source": "sweep"},
-    )
-    return 0
+    outs.manifest("analyze", cfg, source="sweep")
 
 
-def _analyze_table(args: argparse.Namespace, cfg: RunConfig, out: str) -> int:
+def _analyze_table(args: argparse.Namespace, cfg: RunConfig, outs: _Outputs) -> None:
     rows = inference.read_table1_csv(args.table1)
-    profile = _solve(cfg)
-    report = inference.table1_report(rows, profile=profile)
-    report_path = os.path.join(out, "report.json")
-    with open(report_path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(report, fh, sort_keys=True, indent=2, default=_json_default)
-        fh.write("\n")
-    write_manifest(
-        os.path.join(out, "manifest.json"),
-        "analyze",
-        {"report.json": report_path},
-        cfg.hash,
-        cfg.seed,
-        extra={"source": "table1"},
-    )
-    return 0
+    report = inference.table1_report(rows, profile=_solve(cfg))
+    write_json(outs.path("report.json"), report)
+    outs.manifest("analyze", cfg, source="table1")
 
 
-def cmd_analyze(args: argparse.Namespace, cfg: RunConfig, out: str) -> int:
+def cmd_analyze(args: argparse.Namespace, cfg: RunConfig | None, outs: _Outputs) -> None:
     if bool(args.in_dir) == bool(args.table1):
         raise ConfigError("analyze needs exactly one of --in or --table1")
     if args.table1:
-        return _analyze_table(args, cfg, out)
-    return _analyze_sweep_dir(args, out)
+        _analyze_table(args, cfg, outs)
+    else:
+        _analyze_sweep_dir(args, outs)
 
 
 _DISPATCH = {
@@ -397,7 +350,7 @@ _DISPATCH = {
 _INPUT_ERRORS = (
     ConfigError,
     inference.MalformedRow,
-    synthlab.MalformedCSV,
+    MalformedCSV,
     synthlab.OutOfCalibration,
     FileNotFoundError,
     NotADirectoryError,
@@ -419,16 +372,18 @@ _NUMERICAL_ERRORS = (
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = _load_config(args)
-        out = args.out
-        os.makedirs(out, exist_ok=True)
-        return _DISPATCH[args.command](args, cfg, out)
+        # analyze --in takes its config from the simulate manifest
+        sweep_dir = args.command == "analyze" and args.in_dir
+        cfg = None if sweep_dir else _load_config(args)
+        os.makedirs(args.out, exist_ok=True)
+        _DISPATCH[args.command](args, cfg, _Outputs(args.out))
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except _NUMERICAL_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    return 0
 
 
 if __name__ == "__main__":

@@ -10,7 +10,13 @@ JSON's `number` and `integer`, so booleans are neither and 2.0 is an
 integer), `enum`, `required`, `properties`, `additionalProperties: false`,
 `minimum`, `maximum`, `exclusiveMinimum`, `items`, `minItems` and
 `maxItems`.  It reports the error, with the text, that
-`jsonschema.validate` would raise.
+`jsonschema.validate` would raise.  A document the schema accepts must
+also describe a buildable device: `RunConfig.from_dict` builds its
+geometry, crystal, mirror chain and calibration, and a contradiction
+among the values is a ConfigError too.
+
+The package's JSON goes through `read_json` and `write_json` (sorted
+keys, two-space indent, final LF): configs, manifests and reports.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ import numpy as np
 from .emission import EmitterScene
 from .modesolver import WaveguideGeometry
 from .opticalstack import MirrorChain, PhotonicCrystalSpec, waveguide_transmission
-from .synthlab import CalibrationModel, ExcitonModel, PhaseCalibration, default_bin_edges
+from .synthlab import CalibrationModel, PhaseCalibration, default_bin_edges
 
 _NUM = {"type": "number"}
 _POS = {"type": "number", "exclusiveMinimum": 0}
@@ -328,25 +334,64 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated configuration document plus typed object builders."""
+    """Validated configuration document plus the typed objects it describes.
+
+    from_dict builds the geometry, crystal, mirror chain and calibration
+    once; values that contradict each other (a cladding index above the
+    core index, holes wider than the pitch) fail there as a ConfigError.
+    """
 
     raw: dict
+    _geometry: WaveguideGeometry
+    _crystal: PhotonicCrystalSpec
+    _chain: MirrorChain
+    _calibration: PhaseCalibration
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
         message = _best_error(data)
         if message is not None:
             raise ConfigError(f"invalid config: {message}")
-        return cls(raw=copy.deepcopy(data))
-
-    @classmethod
-    def from_file(cls, path: str) -> "RunConfig":
-        with open(path, encoding="utf-8") as fh:
-            try:
-                data = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"{path}: not valid JSON ({exc})") from None
-        return cls.from_dict(data)
+        raw = copy.deepcopy(data)
+        g, m, c = raw["geometry"], raw["mirror"], raw["calibration"]
+        table = None
+        if c["table"] is not None:
+            table = tuple((float(v), float(p)) for v, p in c["table"])
+        v_range = tuple(c["v_range"]) if c["v_range"] is not None else None
+        try:
+            one_way = waveguide_transmission(
+                m["loss_db_per_mm"], m["qd_mirror_distance_um"] * 1000.0
+            )
+            return cls(
+                raw,
+                WaveguideGeometry(
+                    width_nm=g["width_nm"],
+                    thickness_nm=g["thickness_nm"],
+                    core_index=g["core_index"],
+                    clad_index=g["clad_index"],
+                    wavelength_nm=g["wavelength_nm"],
+                ),
+                PhotonicCrystalSpec(
+                    n_holes=m["n_holes"],
+                    pitch_nm=m["pitch_nm"],
+                    hole_radius_nm=m["hole_radius_nm"],
+                    n_unetched=m["n_unetched"],
+                    n_hole=m["n_hole"],
+                    termination_index=m["termination_index"],
+                ),
+                MirrorChain(
+                    t_phi_sq=m["t_phi_sq"], t_wg_sq=one_way**2, r_M_mag=m["r_M_mag"]
+                ),
+                PhaseCalibration(
+                    model=CalibrationModel(c["model"]),
+                    table=table,
+                    quad_coeff=c["quad_coeff"],
+                    quad_offset=c["quad_offset"],
+                    v_range=v_range,
+                ),
+            )
+        except ValueError as exc:
+            raise ConfigError(f"inconsistent config: {exc}") from None
 
     @property
     def hash(self) -> str:
@@ -357,41 +402,17 @@ class RunConfig:
         return int(self.raw["seed"])
 
     def geometry(self) -> WaveguideGeometry:
-        g = self.raw["geometry"]
-        return WaveguideGeometry(
-            width_nm=g["width_nm"],
-            thickness_nm=g["thickness_nm"],
-            core_index=g["core_index"],
-            clad_index=g["clad_index"],
-            wavelength_nm=g["wavelength_nm"],
-        )
+        return self._geometry
 
     @property
     def grid_points(self) -> int:
         return int(self.raw["geometry"]["grid_points"])
 
     def crystal(self) -> PhotonicCrystalSpec:
-        m = self.raw["mirror"]
-        return PhotonicCrystalSpec(
-            n_holes=m["n_holes"],
-            pitch_nm=m["pitch_nm"],
-            hole_radius_nm=m["hole_radius_nm"],
-            n_unetched=m["n_unetched"],
-            n_hole=m["n_hole"],
-            termination_index=m["termination_index"],
-        )
+        return self._crystal
 
-    def chain(self, phi: float = 0.0) -> MirrorChain:
-        m = self.raw["mirror"]
-        one_way = waveguide_transmission(
-            m["loss_db_per_mm"], m["qd_mirror_distance_um"] * 1000.0
-        )
-        return MirrorChain(
-            t_phi_sq=m["t_phi_sq"],
-            t_wg_sq=one_way**2,
-            r_M_mag=m["r_M_mag"],
-            phi=phi,
-        )
+    def chain(self) -> MirrorChain:
+        return self._chain
 
     def r_T_magnitude(self) -> float:
         override = self.raw.get("r_T_mag")
@@ -412,34 +433,11 @@ class RunConfig:
         )
 
     def calibration(self) -> PhaseCalibration:
-        c = self.raw["calibration"]
-        table = None
-        if c["table"] is not None:
-            table = tuple((float(v), float(p)) for v, p in c["table"])
-        v_range = tuple(c["v_range"]) if c["v_range"] is not None else None
-        try:
-            return PhaseCalibration(
-                model=CalibrationModel(c["model"]),
-                table=table,
-                quad_coeff=c["quad_coeff"],
-                quad_offset=c["quad_offset"],
-                v_range=v_range,
-            )
-        except ValueError as exc:
-            raise ConfigError(f"invalid calibration: {exc}") from None
+        return self._calibration
 
     def voltages(self) -> np.ndarray:
         s = self.raw["sweep"]
         return np.linspace(s["v_start"], s["v_stop"], s["n_points"])
-
-    def exciton(self) -> ExcitonModel:
-        s = self.raw["sweep"]
-        return ExcitonModel(
-            gamma_f=1.0 + self.raw["emitter"]["gamma_nrad"],
-            gamma_s=self.raw["emitter"]["gamma_nrad"],
-            amp_ratio=s["amp_ratio"],
-            background=s["background"],
-        )
 
     def bin_edges(self) -> np.ndarray:
         s = self.raw["sweep"]
@@ -472,6 +470,30 @@ def file_sha256(path: str) -> str:
     return h.hexdigest()
 
 
+def _json_default(obj):
+    if isinstance(obj, (np.floating, np.integer)):
+        return obj.item()
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    raise TypeError(f"not JSON serializable: {type(obj).__name__}")
+
+
+def write_json(path: str, doc) -> None:
+    """Write doc as sorted, 2-space-indented JSON ending in LF."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(doc, fh, sort_keys=True, indent=2, default=_json_default)
+        fh.write("\n")
+
+
+def read_json(path: str):
+    """Parse a JSON file; one that is not UTF-8 JSON is a ConfigError."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"{path}: not valid JSON: {exc}") from None
+
+
 def write_manifest(
     path: str,
     command: str,
@@ -489,9 +511,7 @@ def write_manifest(
     }
     if extra:
         doc.update(extra)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(path, doc)
 
 
 def builtin_table1_path() -> str:

@@ -20,7 +20,6 @@ Units are fixed: rates in 1/ns, lengths in nm, phases in rad.
 
 from __future__ import annotations
 
-import csv
 import enum
 import math
 from dataclasses import dataclass
@@ -321,21 +320,3 @@ def figure1d_curves(
         )
         rows.append((float(y0), float(nu_i), float(nu_g)))
     return rows
-
-
-def write_phase_curve_csv(rows: list[tuple[float, float, float]], path: str) -> None:
-    """Write a phase sweep as phi_rad,gamma_total,intensity_rel."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["phi_rad", "gamma_total", "intensity_rel"])
-        for phi, gamma, inten in rows:
-            writer.writerow([repr(float(phi)), repr(float(gamma)), repr(float(inten))])
-
-
-def write_offset_curve_csv(rows: list[tuple[float, float, float]], path: str) -> None:
-    """Write an offset sweep as y0_nm,nu_I,nu_gamma."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["y0_nm", "nu_I", "nu_gamma"])
-        for y0, nu_i, nu_g in rows:
-            writer.writerow([repr(float(y0)), repr(float(nu_i)), repr(float(nu_g))])

@@ -18,12 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .modesolver import ModeProfile
-from .synthlab import (
-    CalibrationModel,
-    DecayHistogram,
-    ExcitonModel,
-    PhaseCalibration,
-)
+from .synthlab import CalibrationModel, DecayHistogram, PhaseCalibration
 
 
 class NonIdentifiable(RuntimeError):
@@ -76,11 +71,6 @@ class FitResult:
 
 # ---------------------------------------------------------------------------
 # bi-exponential Poisson MLE
-
-
-def _exp_bin_integral(gamma: float, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # integral of e^{-gamma t} over [a, b]; stable for small gamma*(b-a)
-    return np.exp(-gamma * a) * (-np.expm1(-gamma * (b - a))) / gamma
 
 
 def biexp_model(x: np.ndarray, edges: np.ndarray, fit_background: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -146,27 +136,8 @@ def _initial_guess(
     af0 = max(math.exp(float(icept_f)) / width, as0 * 1e-3, 1e-6)
     x0 = [math.log(af0), math.log(gf0), math.log(as0), math.log(gs0)]
     if fit_background:
-        bg0 = max(float(np.mean(counts[-10:])) * 0.1, 1e-4)
+        bg0 = max(float(np.mean(counts[-10:])) * 0.5, 1e-4)
         x0.append(math.log(bg0))
-    return np.array(x0)
-
-
-def _guess_from_model(
-    init: ExcitonModel, edges: np.ndarray, counts: np.ndarray, fit_background: bool
-) -> np.ndarray:
-    a, b = edges[:-1], edges[1:]
-    shape = _exp_bin_integral(max(init.gamma_f, 1e-6), a, b).sum()
-    shape += init.amp_ratio * _exp_bin_integral(max(init.gamma_s, 1e-6), a, b).sum()
-    total = float(counts.sum()) - init.background * len(counts)
-    af0 = max(total / shape, 1e-6)
-    x0 = [
-        math.log(af0),
-        math.log(max(init.gamma_f, 1e-6)),
-        math.log(max(init.amp_ratio * af0, af0 * 1e-6)),
-        math.log(max(init.gamma_s, 1e-6)),
-    ]
-    if fit_background:
-        x0.append(math.log(max(init.background, 1e-4)))
     return np.array(x0)
 
 
@@ -244,14 +215,12 @@ def _deviance(mu: np.ndarray, counts: np.ndarray) -> float:
     return float(2.0 * np.sum(term - (c - mu)))
 
 
-def fit_biexponential(
-    hist: DecayHistogram, init: ExcitonModel | None = None
-) -> FitResult:
+def fit_biexponential(hist: DecayHistogram, fit_background: bool = False) -> FitResult:
     """Poisson maximum-likelihood fit of a bi-exponential decay.
 
-    Fits (A_f, gamma_f, A_s, gamma_s) and, when init carries a nonzero
-    background, a flat floor; the window starts at the histogram peak
-    so the rising edge is never modeled.  Returns derived
+    Fits (A_f, gamma_f, A_s, gamma_s) and, with fit_background, a flat
+    floor, starting from slope fits to the data; the window starts at
+    the histogram peak so the rising edge is never modeled.  Returns derived
     gamma_rad = gamma_f - gamma_s and gamma_nrad ~= gamma_s with
     propagated uncertainties.
     """
@@ -261,11 +230,7 @@ def fit_biexponential(
     edges_w, counts_w = edges[i0:], counts[i0:]
     if len(counts_w) < 8:
         raise ValueError("too few bins after the peak to fit")
-    fit_background = init is not None and init.background > 0
-    if init is not None:
-        x0 = _guess_from_model(init, edges_w, counts_w, fit_background)
-    else:
-        x0 = _initial_guess(edges_w, counts_w, fit_background)
+    x0 = _initial_guess(edges_w, counts_w, fit_background)
     x, mu, n_iter, converged = _minimize_poisson(x0, edges_w, counts_w, fit_background)
     gf, gs = float(np.exp(x[1])), float(np.exp(x[3]))
     # identifiability outranks convergence: a degenerate rate pair is
@@ -675,25 +640,21 @@ def analyze_sweep(
     profile: ModeProfile | None = None,
     sigma_floor_I: float = 0.03,
     sigma_floor_gamma: float = 0.05,
-    exciton: ExcitonModel | None = None,
+    fit_background: bool = False,
 ) -> dict:
     """Full inverse chain on one sweep: fits, visibilities, estimate.
 
     Fits the intensity fringe, fits every histogram for its radiative
     rate, fits the rate fringe, and (when a mode profile is supplied)
     scans the feasible parameter set using the fitted visibilities
-    with desk-scale floors on the uncertainties.  exciton is the decay
-    model the histograms were recorded under; when it carries a flat
-    background, every lifetime fit includes that floor and starts
-    from this model.
+    with desk-scale floors on the uncertainties.  fit_background adds a
+    flat floor to every lifetime fit, for histograms recorded with one.
     """
     phases = np.asarray(phases, dtype=float)
     counts = np.asarray(intensity_counts, dtype=float)
     intensity_fit = fit_sinusoid(phases, counts, np.sqrt(np.maximum(counts, 1.0)))
 
-    # without a floor the fits keep their data-driven start
-    init = exciton if exciton is not None and exciton.background > 0 else None
-    rate_fits = [fit_biexponential(h, init) for h in histograms]
+    rate_fits = [fit_biexponential(h, fit_background) for h in histograms]
 
     gamma_rad = np.array([f.derived["gamma_rad"] for f in rate_fits])
     gamma_sig = np.array([max(f.derived["gamma_rad_sigma"], 1e-9) for f in rate_fits])

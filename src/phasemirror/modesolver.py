@@ -28,7 +28,6 @@ Lengths are nm, wavenumbers rad/nm.
 
 from __future__ import annotations
 
-import csv
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -286,12 +285,3 @@ def helmholtz_residual(profile: ModeProfile, geom: WaveguideGeometry) -> float:
     r = H[idx - 1] + H[idx + 1] - 2.0 * c[idx] * H[idx]
     eig_term = (beta * h) ** 2 * H[idx]
     return float(np.linalg.norm(r) / np.linalg.norm(eig_term))
-
-
-def write_profile_csv(profile: ModeProfile, path: str) -> None:
-    """Write the transverse profile as y_nm,e_x,e_y."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["y_nm", "e_x", "e_y"])
-        for yy, ex, ey in zip(profile.grid, profile.e_x, profile.e_y):
-            writer.writerow([repr(float(yy)), repr(float(ex)), repr(float(ey))])

@@ -16,7 +16,6 @@ Yeh, Optical Waves in Layered Media, 1988), for all wavelengths at once.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -197,15 +196,3 @@ def waveguide_transmission(loss_db_per_mm: float, length_nm: float) -> float:
         raise ValueError("loss and length must be non-negative")
     loss_db = loss_db_per_mm * length_nm * 1e-6
     return 10.0 ** (-loss_db / 10.0)
-
-
-def write_sweep_csv(rows: list[tuple[float, complex, float]], path: str) -> None:
-    """Write a reflectivity sweep as lambda_nm,r_re,r_im,R_power."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["lambda_nm", "r_re", "r_im", "R_power"])
-        for lam, r, rp in rows:
-            writer.writerow(
-                [repr(float(lam)), repr(float(r.real)), repr(float(r.imag)),
-                 repr(float(rp))]
-            )

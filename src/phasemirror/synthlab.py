@@ -12,7 +12,6 @@ bit-identical results.
 
 from __future__ import annotations
 
-import csv
 import enum
 import math
 from dataclasses import dataclass
@@ -20,15 +19,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import emission
+from .csvio import MalformedCSV, read_csv, write_csv
 from .emission import DipoleOrientation, EmitterScene
 
 
 class OutOfCalibration(ValueError):
     """Requested voltage outside the calibrated range."""
-
-
-class MalformedCSV(ValueError):
-    """A sweep or histogram CSV does not parse: header, row or bin layout."""
 
 
 class CalibrationModel(enum.Enum):
@@ -259,7 +255,8 @@ def generate_sweep(
     voltages: list[float],
     counts_scale: float,
     seed: int,
-    exciton: ExcitonModel | None = None,
+    amp_ratio: float = 0.05,
+    background: float = 0.0,
     hist_counts: float = 100_000.0,
     bin_edges: np.ndarray | None = None,
     irf_sigma: float | None = None,
@@ -269,20 +266,20 @@ def generate_sweep(
     Per point: the calibration gives phi, the collected intensity is
     Poisson-sampled at counts_scale times the relative intensity, and
     the histogram's fast rate is the phase-dependent radiative rate
-    plus the slow rate (gamma_f = Gamma_rad(phi) + gamma_s, so the
-    bright-line radiative rate is recoverable as gamma_f - gamma_s).
-    counts_scale=inf switches to noiseless expectation values for both
-    intensity and histograms. Each point draws from its own
+    plus the slow rate gamma_s = scene.gamma_nrad (gamma_f =
+    Gamma_rad(phi) + gamma_s, so the bright-line radiative rate is
+    recoverable as gamma_f - gamma_s); amp_ratio is A_s/A_f and
+    background a flat counts-per-bin floor.  counts_scale=inf switches
+    to noiseless expectation values for both intensity and histograms.
+    Each point draws from its own
     counter-based stream keyed by (seed, index), so a point does not
     depend on which others are generated.
     """
-    if exciton is None:
-        exciton = ExcitonModel(gamma_f=1.0, gamma_s=scene.gamma_nrad)
     noiseless = math.isinf(counts_scale)
     return [
         _generate_point(
             scene, weights, r_T_mag, cal, index, float(v), counts_scale,
-            seed, exciton, hist_counts, bin_edges, irf_sigma, noiseless,
+            seed, amp_ratio, background, hist_counts, bin_edges, irf_sigma, noiseless,
         )
         for index, v in enumerate(voltages)
     ]
@@ -297,7 +294,8 @@ def _generate_point(
     voltage: float,
     counts_scale: float,
     seed: int,
-    exciton: ExcitonModel,
+    amp_ratio: float,
+    background: float,
     hist_counts: float,
     bin_edges: np.ndarray | None,
     irf_sigma: float | None,
@@ -312,10 +310,10 @@ def _generate_point(
         scene, r_T_mag, phi, DipoleOrientation.AVERAGED_BOTH
     )
     point_model = ExcitonModel(
-        gamma_f=gamma_rad + exciton.gamma_s,
-        gamma_s=exciton.gamma_s,
-        amp_ratio=exciton.amp_ratio,
-        background=exciton.background,
+        gamma_f=gamma_rad + scene.gamma_nrad,
+        gamma_s=scene.gamma_nrad,
+        amp_ratio=amp_ratio,
+        background=background,
     )
     ss_intensity, ss_hist = np.random.SeedSequence([seed, index]).spawn(2)
     if noiseless:
@@ -336,73 +334,44 @@ def _generate_point(
     )
 
 
+SWEEP_HEADER = ("voltage", "phi_rad", "intensity_counts")
+HISTOGRAM_HEADER = ("t_ns", "counts")
+
+
 def write_sweep_csv(records: list[SweepRecord], path: str) -> None:
     """Write sweep points as voltage,phi_rad,intensity_counts."""
-    lines = ["voltage,phi_rad,intensity_counts\n"]
-    lines += [
-        f"{float(rec.voltage)!r},{float(rec.phi)!r},{float(rec.intensity_counts)!r}\n"
-        for rec in records
-    ]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("".join(lines))
+    write_csv(
+        path,
+        SWEEP_HEADER,
+        [rec.voltage for rec in records],
+        [rec.phi for rec in records],
+        [rec.intensity_counts for rec in records],
+    )
 
 
 def write_histogram_csv(hist: DecayHistogram, path: str) -> None:
     """Write one histogram as t_ns,counts with t at bin midpoints."""
-    times = hist.midpoints.tolist()
-    counts = np.asarray(hist.counts, dtype=float).tolist()
-    lines = ["t_ns,counts\n"]
-    lines += [f"{t!r},{c!r}\n" for t, c in zip(times, counts)]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("".join(lines))
+    write_csv(path, HISTOGRAM_HEADER, hist.midpoints, hist.counts)
 
 
 def read_sweep_csv(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Read (voltages, phases, intensity counts) from a sweep CSV."""
-    volts, phis, counts = [], [], []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["voltage", "phi_rad", "intensity_counts"]:
-            raise MalformedCSV(f"{path} line 1: expected sweep header, got {header}")
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != 3:
-                raise MalformedCSV(f"{path} line {lineno}: expected 3 columns")
-            try:
-                volts.append(float(row[0]))
-                phis.append(float(row[1]))
-                counts.append(float(row[2]))
-            except ValueError as exc:
-                raise MalformedCSV(f"{path} line {lineno}: {exc}") from None
-    return np.array(volts), np.array(phis), np.array(counts)
+    return tuple(read_csv(path, SWEEP_HEADER))
 
 
 def read_histogram_csv(path: str) -> DecayHistogram:
     """Read a midpoint-sampled histogram CSV back into a DecayHistogram."""
-    times, counts = [], []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["t_ns", "counts"]:
-            raise MalformedCSV(f"{path} line 1: expected histogram header, got {header}")
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != 2:
-                raise MalformedCSV(f"{path} line {lineno}: expected 2 columns")
-            try:
-                times.append(float(row[0]))
-                counts.append(float(row[1]))
-            except ValueError as exc:
-                raise MalformedCSV(f"{path} line {lineno}: {exc}") from None
-    if len(times) < 2:
+    mids, counts = read_csv(path, HISTOGRAM_HEADER)
+    if len(mids) < 2:
         raise MalformedCSV(f"{path}: need at least two bins")
-    mids = np.array(times)
     widths = np.diff(mids)
     if np.any(np.abs(widths - widths[0]) > 1e-9 * widths[0]):
         raise MalformedCSV(f"{path}: bins must be uniform")
     w = float(widths[0])
     edges = np.concatenate([mids - w / 2.0, [mids[-1] + w / 2.0]])
-    arr = np.array(counts)
     try:
-        return DecayHistogram(bin_edges=edges, counts=arr, total_counts=float(arr.sum()))
+        return DecayHistogram(
+            bin_edges=edges, counts=counts, total_counts=float(counts.sum())
+        )
     except ValueError as exc:  # negative counts, decreasing times
         raise MalformedCSV(f"{path}: {exc}") from None

@@ -151,7 +151,6 @@ def test_06_qd1_round_trip():
         list(cfg.voltages()),
         cfg.counts_scale,
         seed=cfg.seed,
-        exciton=cfg.exciton(),
         hist_counts=cfg.hist_counts,
         bin_edges=cfg.bin_edges(),
         irf_sigma=cfg.irf_sigma,

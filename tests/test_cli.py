@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import phasemirror
+from phasemirror import config
 from phasemirror.cli import main
 from phasemirror.config import DEFAULT_CONFIG, QD1_PRESET, builtin_table1_path
 from phasemirror.synthlab import (
@@ -87,6 +88,24 @@ class TestManifests:
         for name in man["histograms"]:
             assert name in man["files"]
             assert sha256(os.path.join(sim_dir, name)) == man["files"][name]
+
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["mode"],
+            ["mirror"],
+            ["simulate"],
+            ["analyze", "--in", "<sim>"],
+            ["analyze", "--table1", builtin_table1_path()],
+        ],
+        ids=["mode", "mirror", "simulate", "analyze-in", "analyze-table1"],
+    )
+    def test_manifest_lists_exactly_the_files_written(self, tmp_path, sim_dir, args):
+        out = str(tmp_path / "out")
+        assert main([a.replace("<sim>", sim_dir) for a in args] + ["--out", out]) == 0
+        written = set(os.listdir(out)) - {"manifest.json"}
+        assert set(read_manifest(out)["files"]) == written
 
 
 class TestModeCommand:
@@ -363,6 +382,57 @@ class TestConfigErrors:
             ["mode", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path / "x")]
         )
         assert rc == 2
+
+    @pytest.mark.parametrize("raw", [b"{not json", b"\xff\xfe{}"])
+    def test_config_that_is_not_json_is_input_error(self, tmp_path, capsys, raw):
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_bytes(raw)
+        rc = main(["mode", "--config", str(cfg_path), "--out", str(tmp_path / "x")])
+        assert rc == 2
+        assert "not valid JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["mode", "mirror", "simulate"])
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [("geometry", "clad_index", 3.6), ("mirror", "hole_radius_nm", 140.0)],
+    )
+    def test_inconsistent_config_is_input_error(
+        self, tmp_path, capsys, command, section, key, value
+    ):
+        # the schema accepts each value; together with the rest they
+        # describe no device (cladding above the core index, holes wider
+        # than the 265 nm pitch)
+        data = copy.deepcopy(DEFAULT_CONFIG)
+        data[section][key] = value
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_text(json.dumps(data))
+        out = tmp_path / "x"
+        assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert "inconsistent config" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_each_command_validates_its_config_once(
+        self, tmp_path, sim_dir, monkeypatch
+    ):
+        calls = []
+        validate = config._best_error
+
+        def counted(data):
+            calls.append(1)
+            return validate(data)
+
+        monkeypatch.setattr(config, "_best_error", counted)
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_text(json.dumps(DEFAULT_CONFIG))
+        runs = [
+            ["mode", "--config", str(cfg_path), "--seed", "3"],
+            ["analyze", "--in", sim_dir],
+            ["analyze", "--table1", builtin_table1_path()],
+        ]
+        for i, args in enumerate(runs):
+            calls.clear()
+            assert main([*args, "--out", str(tmp_path / str(i))]) == 0
+            assert len(calls) == 1, args
 
 
 def test_cli_import_leaves_scipy_out():

@@ -1,4 +1,5 @@
 import copy
+from dataclasses import fields
 
 import jsonschema
 import pytest
@@ -14,6 +15,9 @@ from phasemirror.config import (
     ConfigError,
     RunConfig,
 )
+from phasemirror.modesolver import WaveguideGeometry
+from phasemirror.opticalstack import PhotonicCrystalSpec
+from phasemirror.synthlab import CalibrationModel, PhaseCalibration
 
 
 def test_schema_passes_its_metaschema():
@@ -226,6 +230,27 @@ def _mutate(draw, data):
         parent[path[-1]] = draw(_ARRAYS if path in _ARRAY_LEAVES else _VALUES)
 
 
+def _device_error(doc):
+    """The ValueError text of building a schema-valid doc's device, or None.
+
+    The mirror chain is left out: the schema bounds each of its values.
+    """
+    g, m, c = doc["geometry"], doc["mirror"], doc["calibration"]
+    try:
+        WaveguideGeometry(*(g[f.name] for f in fields(WaveguideGeometry)))
+        PhotonicCrystalSpec(*(m[f.name] for f in fields(PhotonicCrystalSpec)))
+        PhaseCalibration(
+            CalibrationModel(c["model"]),
+            None if c["table"] is None else tuple(map(tuple, c["table"])),
+            c["quad_coeff"],
+            c["quad_offset"],
+            None if c["v_range"] is None else tuple(c["v_range"]),
+        )
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
 @settings(max_examples=500)
 @given(st.data())
 def test_error_text_matches_jsonschema_on_random_mutations(data):
@@ -234,8 +259,14 @@ def test_error_text_matches_jsonschema_on_random_mutations(data):
         _mutate(data.draw, doc)
     want = _oracle_message(doc)
     if want is None:
-        assert RunConfig.from_dict(doc).raw == doc
-        return
+        # the schema accepts doc; its values must also describe a device
+        reason = _device_error(doc)
+        if reason is None:
+            assert RunConfig.from_dict(doc).raw == doc
+            return
+        want = f"inconsistent config: {reason}"
+    else:
+        want = f"invalid config: {want}"
     with pytest.raises(ConfigError) as got:
         RunConfig.from_dict(doc)
-    assert str(got.value) == f"invalid config: {want}"
+    assert str(got.value) == want

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from phasemirror.cli import main
 from phasemirror.emission import (
     DegenerateRates,
     DipoleOrientation,
@@ -24,9 +25,8 @@ from phasemirror.emission import (
     visibility_intensity_mixed,
     visibility_rate,
     visibility_rate_centered,
-    write_offset_curve_csv,
-    write_phase_curve_csv,
 )
+from phasemirror.modesolver import mode_weights
 
 X, Y, AVG = (
     DipoleOrientation.X,
@@ -319,18 +319,24 @@ class TestFigureCurves:
         )
         assert gx / gy == pytest.approx(wx / wy, rel=1e-12)
 
-    def test_csv_exports(self, tmp_path):
-        scene = make_scene()
-        rows = figure1c_curves(scene, (0.0, 1.0), 0.5, Y, n_phi=11)
-        path = tmp_path / "phase.csv"
-        write_phase_curve_csv(rows, str(path))
-        with open(path, newline="") as fh:
-            parsed = list(csv.reader(fh))
-        assert parsed[0] == ["phi_rad", "gamma_total", "intensity_rel"]
-        assert float(parsed[1][1]) == rows[0][1]
-
-        path2 = tmp_path / "offset.csv"
-        write_offset_curve_csv([(0.0, 0.8, 0.2)], str(path2))
-        with open(path2, newline="") as fh:
-            parsed2 = list(csv.reader(fh))
-        assert parsed2[0] == ["y0_nm", "nu_I", "nu_gamma"]
+    def test_csv_exports(self, default_cfg, default_profile, tmp_path):
+        # `mode` exports both curve families, every float exactly
+        scene = default_cfg.scene(default_profile.k)
+        r = default_cfg.r_T_magnitude()
+        weights = mode_weights(default_profile, scene.y0)
+        want = {
+            "fig1c.csv": (
+                ["phi_rad", "gamma_total", "intensity_rel"],
+                figure1c_curves(scene, weights, r, Y),
+            ),
+            "fig1d.csv": (
+                ["y0_nm", "nu_I", "nu_gamma"],
+                figure1d_curves(default_profile, scene, r),
+            ),
+        }
+        assert main(["mode", "--out", str(tmp_path)]) == 0
+        for name, (header, rows) in want.items():
+            with open(tmp_path / name, newline="") as fh:
+                parsed = list(csv.reader(fh))
+            assert parsed[0] == header
+            assert [tuple(map(float, row)) for row in parsed[1:]] == rows

@@ -69,7 +69,6 @@ def qd1_sweep(qd1_cfg, qd1_profile):
         list(cfg.voltages()),
         cfg.counts_scale,
         seed=cfg.seed,
-        exciton=cfg.exciton(),
         hist_counts=cfg.hist_counts,
         bin_edges=cfg.bin_edges(),
         irf_sigma=cfg.irf_sigma,
@@ -196,14 +195,14 @@ class TestBiexponentialFit:
     def test_background_noiseless_exact(self):
         model = ExcitonModel(gamma_f=1.1, gamma_s=0.1, amp_ratio=0.05, background=2.0)
         hist = expected_histogram(model, 2e5, bin_edges=EDGES)
-        res = fit_biexponential(hist, init=model)
+        res = fit_biexponential(hist, fit_background=True)
         assert res.params["gamma_f"] == pytest.approx(1.1, rel=1e-6)
         assert res.params["background"] == pytest.approx(2.0, abs=1e-6)
 
     def test_background_noisy_covered_by_errors(self):
         model = ExcitonModel(gamma_f=1.1, gamma_s=0.1, amp_ratio=0.05, background=2.0)
         hist = generate_decay_histogram(model, 2e5, bin_edges=EDGES, seed=11)
-        res = fit_biexponential(hist, init=model)
+        res = fit_biexponential(hist, fit_background=True)
         assert "background" in res.params
         bg, sbg = res.params["background"], res.uncertainties["background"]
         assert abs(bg - 2.0) < 2.0 * sbg
@@ -339,7 +338,7 @@ class TestPhaseMapReconstruction:
             # the intensity stream does not depend on the histogram binning
             records = generate_sweep(
                 scene, weights, qd1_cfg.r_T_magnitude(), qd1_cfg.calibration(),
-                voltages, 4e4, seed, exciton=qd1_cfg.exciton(),
+                voltages, 4e4, seed,
                 hist_counts=1000.0, bin_edges=np.linspace(0.0, 25.0, 21),
             )
             phi = np.array([r.phi for r in records])
@@ -642,7 +641,6 @@ class TestAnalyzeSweep:
                 volts,
                 cfg.counts_scale,
                 seed=seed,
-                exciton=cfg.exciton(),
                 hist_counts=cfg.hist_counts,
                 bin_edges=cfg.bin_edges(),
                 irf_sigma=cfg.irf_sigma,

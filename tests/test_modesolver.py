@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from phasemirror.cli import main
 from phasemirror.modesolver import (
     GridTooCoarse,
     ModeProfile,
@@ -17,7 +18,6 @@ from phasemirror.modesolver import (
     helmholtz_residual,
     mode_weights,
     solve_te0,
-    write_profile_csv,
 )
 
 DEFAULT_GEOM = WaveguideGeometry()
@@ -170,15 +170,15 @@ def test_n_points_precondition():
 
 
 def test_profile_csv_round_trip(default_profile, tmp_path):
-    path = tmp_path / "profile.csv"
-    write_profile_csv(default_profile, str(path))
-    with open(path, newline="") as fh:
+    # `mode` exports the profile it solves, every float exactly
+    assert main(["mode", "--out", str(tmp_path)]) == 0
+    with open(tmp_path / "mode_profile.csv", newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["y_nm", "e_x", "e_y"]
     assert len(rows) - 1 == len(default_profile.grid)
-    y = np.array([float(r[0]) for r in rows[1:]])
-    ey = np.array([float(r[2]) for r in rows[1:]])
+    y, ex, ey = (np.array([float(r[i]) for r in rows[1:]]) for i in range(3))
     assert np.array_equal(y, default_profile.grid)
+    assert np.array_equal(ex, default_profile.e_x)
     assert np.array_equal(ey, default_profile.e_y)
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from phasemirror.cli import main
 from phasemirror.opticalstack import (
     MirrorChain,
     PhotonicCrystalSpec,
@@ -14,7 +15,6 @@ from phasemirror.opticalstack import (
     stack_matrix,
     tmm_reflectivity,
     waveguide_transmission,
-    write_sweep_csv,
 )
 
 
@@ -163,15 +163,16 @@ class TestWaveguideTransmission:
             waveguide_transmission(1.0, -100.0)
 
 
-def test_sweep_csv(tmp_path):
-    spec = PhotonicCrystalSpec()
-    rows = reflectivity_sweep(spec, np.linspace(900, 1000, 11))
-    path = tmp_path / "sweep.csv"
-    write_sweep_csv(rows, str(path))
-    with open(path, newline="") as fh:
+def test_sweep_csv(default_cfg, tmp_path):
+    # `mirror` exports the sweep it computes, every float exactly
+    m = default_cfg.raw["mirror"]
+    lams = np.linspace(m["lambda_min_nm"], m["lambda_max_nm"], m["sweep_points"])
+    rows = reflectivity_sweep(default_cfg.crystal(), lams)
+    assert main(["mirror", "--out", str(tmp_path)]) == 0
+    with open(tmp_path / "mirror_sweep.csv", newline="") as fh:
         parsed = list(csv.reader(fh))
     assert parsed[0] == ["lambda_nm", "r_re", "r_im", "R_power"]
-    assert len(parsed) == 12
+    assert len(parsed) == len(rows) + 1
     for (lam, r, rp), row in zip(rows, parsed[1:]):
         assert float(row[0]) == lam
         assert float(row[1]) == r.real
@@ -198,9 +199,8 @@ def test_sweep_matches_layer_by_layer_product(n_holes):
 
 
 def test_sweep_deterministic(tmp_path):
-    spec = PhotonicCrystalSpec()
-    lams = np.linspace(850, 1050, 21)
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    write_sweep_csv(reflectivity_sweep(spec, lams), str(a))
-    write_sweep_csv(reflectivity_sweep(spec, lams), str(b))
-    assert a.read_bytes() == b.read_bytes()
+    a, b = tmp_path / "a", tmp_path / "b"
+    for out in (a, b):
+        assert main(["mirror", "--out", str(out)]) == 0
+    name = "mirror_sweep.csv"
+    assert (a / name).read_bytes() == (b / name).read_bytes()
