@@ -218,7 +218,7 @@ def cmd_simulate(args: argparse.Namespace, cfg: RunConfig, outs: _Outputs) -> No
         irf_sigma=cfg.irf_sigma,
     )
     synthlab.write_sweep_csv(records, outs.path("sweep.csv"))
-    hist_names = [f"hist_{rec.index:03d}.csv" for rec in records]
+    hist_names = [f"hist_{i:03d}.csv" for i in range(len(records))]
     for rec, name in zip(records, hist_names):
         synthlab.write_histogram_csv(rec.histogram, outs.path(name))
     svgplot.write_line_plot(

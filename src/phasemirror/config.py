@@ -32,7 +32,7 @@ from importlib import resources
 import numpy as np
 
 from .emission import EmitterScene
-from .modesolver import WaveguideGeometry
+from .modesolver import WINDOW_MARGIN_NM, WaveguideGeometry
 from .opticalstack import MirrorChain, PhotonicCrystalSpec, waveguide_transmission
 from .synthlab import CalibrationModel, PhaseCalibration, default_bin_edges
 
@@ -338,7 +338,9 @@ class RunConfig:
 
     from_dict builds the geometry, crystal, mirror chain and calibration
     once; values that contradict each other (a cladding index above the
-    core index, holes wider than the pitch) fail there as a ConfigError.
+    core index, holes wider than the pitch, an emitter outside the solved
+    window, a background that fills the whole histogram budget) fail
+    there as a ConfigError.
     """
 
     raw: dict
@@ -359,6 +361,17 @@ class RunConfig:
             table = tuple((float(v), float(p)) for v, p in c["table"])
         v_range = tuple(c["v_range"]) if c["v_range"] is not None else None
         try:
+            window = g["width_nm"] / 2.0 + WINDOW_MARGIN_NM
+            if abs(raw["emitter"]["y0_nm"]) > window:
+                raise ValueError(
+                    f"y0 = {raw['emitter']['y0_nm']} nm lies outside the solved "
+                    f"window (+-{window:.1f} nm)"
+                )
+            s = raw["sweep"]
+            if s["hist_counts"] - s["background"] * s["n_bins"] <= 0:
+                raise ValueError(
+                    "hist_counts must exceed the background budget background * n_bins"
+                )
             one_way = waveguide_transmission(
                 m["loss_db_per_mm"], m["qd_mirror_distance_um"] * 1000.0
             )
@@ -486,10 +499,17 @@ def write_json(path: str, doc) -> None:
 
 
 def read_json(path: str):
-    """Parse a JSON file; one that is not UTF-8 JSON is a ConfigError."""
+    """Parse a JSON file; one that is not UTF-8 JSON is a ConfigError.
+
+    JSON has no NaN or Infinity, so those literals are rejected too.
+    """
+
+    def no_constant(name: str):
+        raise ConfigError(f"{path}: not valid JSON: {name} is not a JSON value")
+
     with open(path, encoding="utf-8") as fh:
         try:
-            return json.load(fh)
+            return json.load(fh, parse_constant=no_constant)
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ConfigError(f"{path}: not valid JSON: {exc}") from None
 

@@ -195,12 +195,13 @@ def visibility_intensity_mixed(r_T_mag: float, weights: tuple[float, float]) -> 
     """Two-dipole intensity visibility reduced by the mode-weight factor.
 
     Multiplies 2r/(1+r^2) by |wy - wx| / (wy + wx) where (wx, wy) are
-    the squared mode amplitudes at the emitter offset.
+    the squared mode amplitudes at the emitter offset, two floats or two
+    arrays over offsets.
     """
     wx, wy = weights
-    if wx < 0 or wy < 0:
+    if np.any(wx < 0) or np.any(wy < 0):
         raise ValueError("mode weights must be non-negative")
-    if wx == 0.0 and wy == 0.0:
+    if np.any((wx == 0.0) & (wy == 0.0)):
         raise ZeroField("both mode weights vanish at the emitter position")
     return visibility_intensity(r_T_mag) * abs(wy - wx) / (wy + wx)
 
@@ -218,17 +219,20 @@ def visibility_rate(
     Single dipole: beta_0 * r.  Averaged orientation: the
     rate-weighted beta difference
     |beta_x0 Gamma_x0 - beta_y0 Gamma_y0| / (Gamma_x0 + Gamma_y0) * r,
-    which reduces to |beta_x0 - beta_y0| r / 2 for equal rates.
+    which reduces to |beta_x0 - beta_y0| r / 2 for equal rates.  The
+    betas and rates may be arrays over offsets.
     """
     _check_reflectivity(r_T_mag)
     for name, val in (("beta_x0", beta_x0), ("beta_y0", beta_y0)):
-        if not 0.0 <= val <= 1.0:
-            raise ValueError(f"{name} must lie in [0, 1], got {val}")
+        val = np.asarray(val)
+        bad = ~((0.0 <= val) & (val <= 1.0))
+        if np.any(bad):
+            raise ValueError(f"{name} must lie in [0, 1], got {val[bad].flat[0]}")
     if dip is DipoleOrientation.X:
         return beta_x0 * r_T_mag
     if dip is DipoleOrientation.Y:
         return beta_y0 * r_T_mag
-    if Gamma_x0 + Gamma_y0 <= 0.0:
+    if np.any(Gamma_x0 + Gamma_y0 <= 0.0):
         raise DegenerateRates("rate-weighted average needs Gamma_x0 + Gamma_y0 > 0")
     num = abs(beta_x0 * Gamma_x0 - beta_y0 * Gamma_y0)
     return num / (Gamma_x0 + Gamma_y0) * r_T_mag
@@ -276,9 +280,9 @@ def figure1c_curves(
 
 
 def offset_scaled_rates(
-    profile: ModeProfile, scene: EmitterScene, y0: float
-) -> tuple[float, float]:
-    """(gamma_x0, gamma_y0) at a lateral offset.
+    profile: ModeProfile, scene: EmitterScene, y0: float | np.ndarray
+) -> tuple:
+    """(gamma_x0, gamma_y0) at a lateral offset, or arrays over offsets.
 
     Both dipole rates follow the local mode weights with a single
     proportionality constant anchored so the y-dipole rate at the
@@ -308,15 +312,12 @@ def figure1d_curves(
     """
     _check_reflectivity(r_T_mag)
     half = profile.core_half_width
-    rows = []
-    for y0 in np.linspace(-half, half, n_offsets):
-        weights = mode_weights(profile, float(y0))
-        nu_i = visibility_intensity_mixed(r_T_mag, weights)
-        gx, gy = offset_scaled_rates(profile, scene, float(y0))
-        beta_x = gx / (gx + scene.gamma_b)
-        beta_y = gy / (gy + scene.gamma_b)
-        nu_g = visibility_rate(
-            beta_x, beta_y, 1.0, 1.0, r_T_mag, DipoleOrientation.AVERAGED_BOTH
-        )
-        rows.append((float(y0), float(nu_i), float(nu_g)))
-    return rows
+    y0 = np.linspace(-half, half, n_offsets)
+    nu_i = visibility_intensity_mixed(r_T_mag, mode_weights(profile, y0))
+    gx, gy = offset_scaled_rates(profile, scene, y0)
+    beta_x = gx / (gx + scene.gamma_b)
+    beta_y = gy / (gy + scene.gamma_b)
+    nu_g = visibility_rate(
+        beta_x, beta_y, 1.0, 1.0, r_T_mag, DipoleOrientation.AVERAGED_BOTH
+    )
+    return list(zip(y0.tolist(), nu_i.tolist(), nu_g.tolist()))

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .modesolver import ModeProfile
+from .modesolver import ModeProfile, mode_weights
 from .synthlab import CalibrationModel, DecayHistogram, PhaseCalibration
 
 
@@ -532,12 +532,6 @@ def r_lower_bound(nu_I: float) -> float:
     return nu_I / (1.0 + math.sqrt(max(1.0 - nu_I**2, 0.0)))
 
 
-def _weights_on_grid(profile: ModeProfile, y0s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    ex = np.interp(y0s, profile.grid, profile.e_x)
-    ey = np.interp(y0s, profile.grid, profile.e_y)
-    return ex**2, ey**2
-
-
 def estimate_parameters(
     nu_I: float,
     nu_gamma: float,
@@ -573,8 +567,8 @@ def estimate_parameters(
 
     half = profile.core_half_width
     y0s = np.linspace(0.0, half, y0_points)
-    wx, wy = _weights_on_grid(profile, y0s)
-    wy0 = float(np.interp(0.0, profile.grid, profile.e_y)) ** 2
+    wx, wy = mode_weights(profile, y0s)
+    wy0 = mode_weights(profile, 0.0)[1]
     rs = np.linspace(0.0, 1.0, r_points)
     betas = np.linspace(0.0, 1.0, beta_points)
     empty = EmptyFeasibleSet(

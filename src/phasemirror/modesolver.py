@@ -237,15 +237,23 @@ def solve_te0(geom: WaveguideGeometry, n_points: int = DEFAULT_GRID_POINTS) -> M
     )
 
 
-def mode_weights(profile: ModeProfile, y0_nm: float) -> tuple[float, float]:
-    """(wx, wy) = (|e_x(y0)|^2, |e_y(y0)|^2), linearly interpolated."""
-    if abs(y0_nm) > profile.grid[-1]:
+def mode_weights(profile: ModeProfile, y0_nm: float | np.ndarray) -> tuple:
+    """(wx, wy) = (|e_x(y0)|^2, |e_y(y0)|^2), linearly interpolated.
+
+    y0_nm is one offset, giving two floats, or an array of offsets,
+    giving two arrays of its shape.
+    """
+    y0 = np.asarray(y0_nm, dtype=float)
+    outside = np.abs(y0) > profile.grid[-1]
+    if np.any(outside):
         raise OutOfRange(
-            f"y0 = {y0_nm} nm lies outside the solved window "
+            f"y0 = {y0[outside].flat[0]} nm lies outside the solved window "
             f"(+-{profile.grid[-1]:.1f} nm)"
         )
-    ex = float(np.interp(y0_nm, profile.grid, profile.e_x))
-    ey = float(np.interp(y0_nm, profile.grid, profile.e_y))
+    ex = np.interp(y0, profile.grid, profile.e_x)
+    ey = np.interp(y0, profile.grid, profile.e_y)
+    if y0.ndim == 0:
+        return float(ex * ex), float(ey * ey)
     return ex * ex, ey * ey
 
 

@@ -109,16 +109,15 @@ class ExcitonModel:
 class DecayHistogram:
     """Binned time-resolved counts over a fixed acquisition window.
 
-    counts are integers after Poisson sampling but may be floats for
-    noiseless expectation curves; total_counts always equals the
-    realized sum.
+    A histogram is its bin edges and its counts, nothing else: counts
+    are integers after Poisson sampling but may be floats for noiseless
+    expectation curves, and total_counts is computed from them.  The
+    IRF width and the seed that produced a histogram belong to the run
+    configuration, not to the histogram.
     """
 
     bin_edges: np.ndarray
     counts: np.ndarray
-    total_counts: float
-    irf_sigma: float | None = None
-    seed: int | None = None
 
     def __post_init__(self) -> None:
         edges = np.asarray(self.bin_edges, dtype=float)
@@ -129,8 +128,10 @@ class DecayHistogram:
             raise ValueError("bin edges must be strictly increasing")
         if np.any(counts < 0):
             raise ValueError("counts must be non-negative")
-        if not math.isclose(float(counts.sum()), float(self.total_counts), rel_tol=1e-12, abs_tol=1e-9):
-            raise ValueError("total_counts must equal sum(counts)")
+
+    @property
+    def total_counts(self) -> float:
+        return float(np.sum(self.counts))
 
     @property
     def midpoints(self) -> np.ndarray:
@@ -211,15 +212,7 @@ def generate_decay_histogram(
     if total_counts <= 0:
         raise ValueError("total_counts must be positive")
     edges, mu = expected_bin_counts(model, total_counts, bin_edges, irf_sigma)
-    counts = _rng(seed).poisson(mu)
-    seed_out = seed if isinstance(seed, int) else None
-    return DecayHistogram(
-        bin_edges=edges,
-        counts=counts,
-        total_counts=float(counts.sum()),
-        irf_sigma=irf_sigma,
-        seed=seed_out,
-    )
+    return DecayHistogram(edges, _rng(seed).poisson(mu))
 
 
 def expected_histogram(
@@ -229,17 +222,13 @@ def expected_histogram(
     irf_sigma: float | None = None,
 ) -> DecayHistogram:
     """Noiseless expectation curve packaged as a histogram (float counts)."""
-    edges, mu = expected_bin_counts(model, total_counts, bin_edges, irf_sigma)
-    return DecayHistogram(
-        bin_edges=edges, counts=mu, total_counts=float(mu.sum()), irf_sigma=irf_sigma
-    )
+    return DecayHistogram(*expected_bin_counts(model, total_counts, bin_edges, irf_sigma))
 
 
 @dataclass(frozen=True)
 class SweepRecord:
     """One voltage point: phase, sampled intensity, decay histogram."""
 
-    index: int
     voltage: float
     phi: float
     expected_intensity: float
@@ -271,67 +260,39 @@ def generate_sweep(
     recoverable as gamma_f - gamma_s); amp_ratio is A_s/A_f and
     background a flat counts-per-bin floor.  counts_scale=inf switches
     to noiseless expectation values for both intensity and histograms.
-    Each point draws from its own
-    counter-based stream keyed by (seed, index), so a point does not
-    depend on which others are generated.
+    Point i draws from its own counter-based streams,
+    SeedSequence([seed, i]).spawn(2) for the intensity and the
+    histogram, so a point does not depend on which others are
+    generated.  The records come back in the order of the voltages.
     """
     noiseless = math.isinf(counts_scale)
-    return [
-        _generate_point(
-            scene, weights, r_T_mag, cal, index, float(v), counts_scale,
-            seed, amp_ratio, background, hist_counts, bin_edges, irf_sigma, noiseless,
+    records = []
+    for index, v in enumerate(voltages):
+        voltage = float(v)
+        phi = phase_of_voltage(cal, voltage)
+        expected = emission.intensity(
+            scene, weights, r_T_mag, phi, DipoleOrientation.AVERAGED_BOTH
         )
-        for index, v in enumerate(voltages)
-    ]
-
-
-def _generate_point(
-    scene: EmitterScene,
-    weights: tuple[float, float],
-    r_T_mag: float,
-    cal: PhaseCalibration,
-    index: int,
-    voltage: float,
-    counts_scale: float,
-    seed: int,
-    amp_ratio: float,
-    background: float,
-    hist_counts: float,
-    bin_edges: np.ndarray | None,
-    irf_sigma: float | None,
-    noiseless: bool,
-) -> SweepRecord:
-    """Single sweep point; pure given (seed, index)."""
-    phi = phase_of_voltage(cal, voltage)
-    expected = emission.intensity(
-        scene, weights, r_T_mag, phi, DipoleOrientation.AVERAGED_BOTH
-    )
-    gamma_rad = emission.decay_rate(
-        scene, r_T_mag, phi, DipoleOrientation.AVERAGED_BOTH
-    )
-    point_model = ExcitonModel(
-        gamma_f=gamma_rad + scene.gamma_nrad,
-        gamma_s=scene.gamma_nrad,
-        amp_ratio=amp_ratio,
-        background=background,
-    )
-    ss_intensity, ss_hist = np.random.SeedSequence([seed, index]).spawn(2)
-    if noiseless:
-        intensity_counts = expected
-        hist = expected_histogram(point_model, hist_counts, bin_edges, irf_sigma)
-    else:
-        intensity_counts = float(_rng(ss_intensity).poisson(counts_scale * expected))
-        hist = generate_decay_histogram(
-            point_model, hist_counts, bin_edges, irf_sigma, seed=ss_hist
+        gamma_rad = emission.decay_rate(
+            scene, r_T_mag, phi, DipoleOrientation.AVERAGED_BOTH
         )
-    return SweepRecord(
-        index=index,
-        voltage=voltage,
-        phi=phi,
-        expected_intensity=expected,
-        intensity_counts=intensity_counts,
-        histogram=hist,
-    )
+        model = ExcitonModel(
+            gamma_f=gamma_rad + scene.gamma_nrad,
+            gamma_s=scene.gamma_nrad,
+            amp_ratio=amp_ratio,
+            background=background,
+        )
+        ss_intensity, ss_hist = np.random.SeedSequence([seed, index]).spawn(2)
+        if noiseless:
+            intensity_counts = expected
+            hist = expected_histogram(model, hist_counts, bin_edges, irf_sigma)
+        else:
+            intensity_counts = float(_rng(ss_intensity).poisson(counts_scale * expected))
+            hist = generate_decay_histogram(
+                model, hist_counts, bin_edges, irf_sigma, seed=ss_hist
+            )
+        records.append(SweepRecord(voltage, phi, expected, intensity_counts, hist))
+    return records
 
 
 SWEEP_HEADER = ("voltage", "phi_rad", "intensity_counts")
@@ -370,8 +331,6 @@ def read_histogram_csv(path: str) -> DecayHistogram:
     w = float(widths[0])
     edges = np.concatenate([mids - w / 2.0, [mids[-1] + w / 2.0]])
     try:
-        return DecayHistogram(
-            bin_edges=edges, counts=counts, total_counts=float(counts.sum())
-        )
+        return DecayHistogram(edges, counts)
     except ValueError as exc:  # negative counts, decreasing times
         raise MalformedCSV(f"{path}: {exc}") from None

@@ -393,15 +393,42 @@ class TestConfigErrors:
 
     @pytest.mark.parametrize("command", ["mode", "mirror", "simulate"])
     @pytest.mark.parametrize(
+        "section, key, literal",
+        [("geometry", "clad_index", "NaN"), ("mirror", "lambda_max_nm", "Infinity")],
+    )
+    def test_non_finite_json_is_input_error(
+        self, tmp_path, capsys, command, section, key, literal
+    ):
+        # json.load parses these literals, but JSON has neither
+        data = copy.deepcopy(DEFAULT_CONFIG)
+        data[section][key] = 1.0
+        text = json.dumps(data).replace(f'"{key}": 1.0', f'"{key}": {literal}')
+        assert literal in text
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_text(text)
+        out = tmp_path / "x"
+        assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert "not valid JSON" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["mode", "mirror", "simulate"])
+    @pytest.mark.parametrize(
         "section, key, value",
-        [("geometry", "clad_index", 3.6), ("mirror", "hole_radius_nm", 140.0)],
+        [
+            ("geometry", "clad_index", 3.6),
+            ("mirror", "hole_radius_nm", 140.0),
+            ("emitter", "y0_nm", 500.0),
+            ("sweep", "background", 200.0),
+        ],
     )
     def test_inconsistent_config_is_input_error(
         self, tmp_path, capsys, command, section, key, value
     ):
         # the schema accepts each value; together with the rest they
-        # describe no device (cladding above the core index, holes wider
-        # than the 265 nm pitch)
+        # describe no device or no run (cladding above the core index,
+        # holes wider than the 265 nm pitch, an emitter beyond the
+        # +-450 nm solved window, a floor of 200 counts in each of 500
+        # bins that leaves none of the 1e5 histogram counts for the decay)
         data = copy.deepcopy(DEFAULT_CONFIG)
         data[section][key] = value
         cfg_path = tmp_path / "c.json"

@@ -15,7 +15,7 @@ from phasemirror.config import (
     ConfigError,
     RunConfig,
 )
-from phasemirror.modesolver import WaveguideGeometry
+from phasemirror.modesolver import WINDOW_MARGIN_NM, WaveguideGeometry
 from phasemirror.opticalstack import PhotonicCrystalSpec
 from phasemirror.synthlab import CalibrationModel, PhaseCalibration
 
@@ -233,9 +233,17 @@ def _mutate(draw, data):
 def _device_error(doc):
     """The ValueError text of building a schema-valid doc's device, or None.
 
-    The mirror chain is left out: the schema bounds each of its values.
+    The emitter must lie in the solved window and the background must
+    leave the histograms some signal; these are checked first.  The
+    mirror chain is left out: the schema bounds each of its values.
     """
     g, m, c = doc["geometry"], doc["mirror"], doc["calibration"]
+    y0, window = doc["emitter"]["y0_nm"], g["width_nm"] / 2.0 + WINDOW_MARGIN_NM
+    if abs(y0) > window:
+        return f"y0 = {y0} nm lies outside the solved window (+-{window:.1f} nm)"
+    s = doc["sweep"]
+    if s["hist_counts"] - s["background"] * s["n_bins"] <= 0:
+        return "hist_counts must exceed the background budget background * n_bins"
     try:
         WaveguideGeometry(*(g[f.name] for f in fields(WaveguideGeometry)))
         PhotonicCrystalSpec(*(m[f.name] for f in fields(PhotonicCrystalSpec)))

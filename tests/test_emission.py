@@ -298,6 +298,21 @@ class TestFigureCurves:
         assert np.max(np.abs(nu_i - nu_i[::-1])) < 1e-10
         assert np.max(np.abs(nu_g - nu_g[::-1])) < 1e-10
 
+    @pytest.mark.parametrize("r", [0.0, 0.6, 1.0])
+    def test_offset_curves_equal_the_per_offset_loop(self, default_profile, r):
+        # figure1d_curves evaluates all offsets at once; the same scalar
+        # calls, one offset at a time, must give every float exactly
+        scene = make_scene(gamma_b=0.2)
+        half = default_profile.core_half_width
+        want = []
+        for y0 in np.linspace(-half, half, 201).tolist():
+            nu_i = visibility_intensity_mixed(r, mode_weights(default_profile, y0))
+            gx, gy = offset_scaled_rates(default_profile, scene, y0)
+            beta_x = gx / (gx + scene.gamma_b)
+            beta_y = gy / (gy + scene.gamma_b)
+            want.append((y0, nu_i, visibility_rate(beta_x, beta_y, 1.0, 1.0, r, AVG)))
+        assert figure1d_curves(default_profile, scene, r) == want
+
     def test_offset_nu_i_monotone_to_crossing(self, default_profile):
         scene = make_scene()
         rows = figure1d_curves(default_profile, scene, 0.5, n_offsets=401)

@@ -118,9 +118,21 @@ def test_weights_mirror_symmetric(default_profile):
         )
 
 
+def test_weights_on_an_array_equal_each_offset(default_profile):
+    edge = default_profile.grid[-1]
+    ys = np.linspace(-edge, edge, 301)
+    wx, wy = mode_weights(default_profile, ys)
+    each = [mode_weights(default_profile, float(y)) for y in ys]
+    assert wx.tolist() == [w[0] for w in each]
+    assert wy.tolist() == [w[1] for w in each]
+    assert all(type(w) is float for w in each[0])
+
+
 def test_weights_out_of_range(default_profile):
     with pytest.raises(OutOfRange):
         mode_weights(default_profile, default_profile.grid[-1] + 1.0)
+    with pytest.raises(OutOfRange):
+        mode_weights(default_profile, np.array([0.0, -default_profile.grid[-1] - 1.0]))
 
 
 def test_no_bound_mode_for_narrow_wire():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -103,17 +104,15 @@ class TestHistogram:
         assert len(hist.bin_edges) == len(hist.counts) + 1
 
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="non-negative"):
             DecayHistogram(
-                bin_edges=np.array([0.0, 1.0]),
-                counts=np.array([5.0]),
-                total_counts=6.0,
+                bin_edges=np.array([0.0, 1.0, 2.0]),
+                counts=np.array([5.0, -1.0]),
             )
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="increasing"):
             DecayHistogram(
                 bin_edges=np.array([0.0, 1.0, 0.5]),
                 counts=np.array([5.0, 5.0]),
-                total_counts=10.0,
             )
 
     def test_expected_curve_matches_analytic(self):
@@ -200,7 +199,7 @@ class TestSweep:
 
     def test_structure(self):
         records = self.run()
-        assert [r.index for r in records] == list(range(12))
+        assert len(records) == 12
         for rec in records:
             assert rec.phi == pytest.approx(0.05 * rec.voltage**2)
             expected = intensity(
@@ -258,12 +257,19 @@ class TestCsv:
         assert np.array_equal(counts, [r.intensity_counts for r in records])
 
     def test_histogram_round_trip(self, tmp_path):
-        hist = generate_decay_histogram(ExcitonModel(1.0, 0.1), 5000, seed=3)
+        hist = generate_decay_histogram(
+            ExcitonModel(1.0, 0.1), 5000, irf_sigma=0.1, seed=3
+        )
         path = tmp_path / "hist.csv"
         write_histogram_csv(hist, str(path))
         back = read_histogram_csv(str(path))
-        assert np.allclose(back.bin_edges, hist.bin_edges)
-        assert np.array_equal(back.counts, hist.counts)
+        # the CSV carries every field of the histogram
+        for f in dataclasses.fields(DecayHistogram):
+            want, got = getattr(hist, f.name), getattr(back, f.name)
+            if f.name == "bin_edges":
+                np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+            else:
+                assert np.array_equal(got, want), f.name
         assert back.total_counts == hist.total_counts
 
     def test_sweep_parse_errors_carry_line_numbers(self, tmp_path):
