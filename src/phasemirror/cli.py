@@ -282,10 +282,8 @@ def _analyze_sweep_dir(args: argparse.Namespace, outs: _Outputs) -> None:
     voltages, phases, counts = synthlab.read_sweep_csv(
         os.path.join(args.in_dir, "sweep.csv")
     )
-    histograms = [
-        synthlab.read_histogram_csv(os.path.join(args.in_dir, name))
-        for name in hist_names
-    ]
+    hist_paths = [os.path.join(args.in_dir, name) for name in hist_names]
+    histograms = [synthlab.read_histogram_csv(path) for path in hist_paths]
     profile = _solve(cfg)
     result = inference.analyze_sweep(
         voltages,
@@ -294,6 +292,7 @@ def _analyze_sweep_dir(args: argparse.Namespace, outs: _Outputs) -> None:
         histograms,
         profile=profile,
         fit_background=cfg.raw["sweep"]["background"] > 0,
+        histogram_names=hist_paths,
     )
     write_json(outs.path("report.json"), result)
     gamma = [f["derived"]["gamma_rad"] for f in result["rate_fits"]]
@@ -360,6 +359,7 @@ _NUMERICAL_ERRORS = (
     modesolver.ModeSolverError,
     inference.NotConverged,
     inference.NonIdentifiable,
+    inference.TooFewBins,
     inference.EmptyFeasibleSet,
     inference.InsufficientFringes,
     inference.InsufficientPhaseSpan,

@@ -315,8 +315,12 @@ def figure1d_curves(
     y0 = np.linspace(-half, half, n_offsets)
     nu_i = visibility_intensity_mixed(r_T_mag, mode_weights(profile, y0))
     gx, gy = offset_scaled_rates(profile, scene, y0)
-    beta_x = gx / (gx + scene.gamma_b)
-    beta_y = gy / (gy + scene.gamma_b)
+    # beta is 0 where the rate is 0, as in EmitterScene.beta_x0; with
+    # gamma_b = 0 the quotient would be 0/0 at the centre, where e_x vanishes
+    beta_x, beta_y = (
+        np.divide(g, g + scene.gamma_b, out=np.zeros_like(g), where=g != 0.0)
+        for g in (gx, gy)
+    )
     nu_g = visibility_rate(
         beta_x, beta_y, 1.0, 1.0, r_T_mag, DipoleOrientation.AVERAGED_BOTH
     )

@@ -2,11 +2,11 @@
 
 Four stages mirror the measurement chain in reverse: Poisson-MLE
 bi-exponential lifetime fits (damped Gauss-Newton on the analytic
-gradient), weighted sinusoid fits for fringe visibilities, phase-map
-reconstruction from a reference fringe by a variable-projection fit
-of a monotone quadratic phase, and joint estimation of (|r_T|,
-beta_y0, y0) from the visibility pair, including the centered-emitter
-lower bound on |r_T|.
+gradient, uncertainties from the exact observed information), weighted
+sinusoid fits for fringe visibilities, phase-map reconstruction from a
+reference fringe by a variable-projection fit of a monotone quadratic
+phase, and joint estimation of (|r_T|, beta_y0, y0) from the visibility
+pair, including the centered-emitter lower bound on |r_T|.
 """
 
 from __future__ import annotations
@@ -39,6 +39,10 @@ class InsufficientFringes(ValueError):
 
 class EmptyFeasibleSet(RuntimeError):
     """No (r_T, beta_y0, y0) triple reproduces both visibilities."""
+
+
+class TooFewBins(ValueError):
+    """A decay histogram has fewer than 8 bins from its peak to its end."""
 
 
 class MalformedRow(ValueError):
@@ -79,30 +83,31 @@ def biexp_model(x: np.ndarray, edges: np.ndarray, fit_background: bool) -> tuple
     x holds (ln A_f, ln gamma_f, ln A_s, ln gamma_s[, ln bg]); the
     model per bin is A_f Ef + A_s Es + bg with E the exact exponential
     bin integral, so a histogram built from the same family is
-    representable exactly.
+    representable exactly.  The Jacobian is one (m, p) buffer filled
+    column by column.
     """
     af, gf, as_, gs = np.exp(x[:4])
     a, b = edges[:-1], edges[1:]
     width = b - a
-    cols = []
-    for amp, gamma in ((af, gf), (as_, gs)):
+    J = np.empty((len(a), len(x)))
+    for col, amp, gamma in ((0, af, gf), (2, as_, gs)):
         # one exponential per edge serves the integral and its gamma-derivative
         e = np.exp(-gamma * edges)
         E = e[:-1] * (-np.expm1(-gamma * width)) / gamma
         dE = ((b * e[1:] - a * e[:-1]) - E) / gamma
-        cols += [amp * E, amp * gamma * dE]
-    mu = cols[0] + cols[2]
+        np.multiply(amp, E, out=J[:, col])
+        np.multiply(amp * gamma, dE, out=J[:, col + 1])
+    mu = J[:, 0] + J[:, 2]
     if fit_background:
         bg = math.exp(x[4])
-        mu = mu + bg
-        cols.append(np.full_like(mu, bg))
-    J = np.stack(cols, axis=1)
-    return np.maximum(mu, 1e-300), J
+        J[:, 4] = bg
+        mu += bg
+    return np.maximum(mu, 1e-300, out=mu), J
 
 
 def poisson_nll(mu: np.ndarray, counts: np.ndarray) -> float:
     """Negative Poisson log-likelihood up to the data-only term."""
-    return float(np.sum(mu - counts * np.log(mu)))
+    return float((mu - counts * np.log(mu)).sum())
 
 
 def poisson_nll_gradient(
@@ -117,6 +122,14 @@ def _fisher(J: np.ndarray, mu: np.ndarray) -> np.ndarray:
     return (J / mu[:, None]).T @ J
 
 
+def _line_fit(t: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+    """Least-squares slope and intercept of y against t, in closed form."""
+    t_mean, y_mean = float(t.sum()) / len(t), float(y.sum()) / len(y)
+    dt = t - t_mean
+    slope = float(dt @ (y - y_mean)) / float(dt @ dt)
+    return slope, y_mean - slope * t_mean
+
+
 def _initial_guess(
     edges: np.ndarray, counts: np.ndarray, fit_background: bool
 ) -> np.ndarray:
@@ -126,14 +139,14 @@ def _initial_guess(
     n = len(counts)
     y = np.log(np.maximum(counts, 0.5))
     tail = slice(max(int(0.6 * n), 2), n)
-    slope_s, icept_s = np.polyfit(mids[tail], y[tail], 1)
-    gs0 = max(-float(slope_s), 1e-3)
-    as0 = max(math.exp(float(icept_s)) / width, 1e-6)
+    slope_s, icept_s = _line_fit(mids[tail], y[tail])
+    gs0 = max(-slope_s, 1e-3)
+    as0 = max(math.exp(icept_s) / width, 1e-6)
     head = slice(0, max(5, int(0.15 * n)))
     corrected = np.maximum(counts[head] - as0 * width * np.exp(-gs0 * mids[head]), 0.25)
-    slope_f, icept_f = np.polyfit(mids[head], np.log(corrected), 1)
-    gf0 = max(-float(slope_f), 1.6 * gs0, 1e-3)
-    af0 = max(math.exp(float(icept_f)) / width, as0 * 1e-3, 1e-6)
+    slope_f, icept_f = _line_fit(mids[head], np.log(corrected))
+    gf0 = max(-slope_f, 1.6 * gs0, 1e-3)
+    af0 = max(math.exp(icept_f) / width, as0 * 1e-3, 1e-6)
     x0 = [math.log(af0), math.log(gf0), math.log(as0), math.log(gs0)]
     if fit_background:
         bg0 = max(float(np.mean(counts[-10:])) * 0.5, 1e-4)
@@ -143,10 +156,11 @@ def _initial_guess(
 
 def _minimize_poisson(
     x0: np.ndarray, edges: np.ndarray, counts: np.ndarray, fit_background: bool
-) -> tuple[np.ndarray, np.ndarray, int, bool]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, bool]:
     """Levenberg-damped Gauss-Newton on the Poisson deviance surface.
 
-    Returns (x, mu, n_iter, converged) with mu the model at x.
+    Returns (x, mu, J, n_iter, converged) with mu and J the model and
+    its Jacobian at x.
     """
     x = x0.copy()
     mu, J = biexp_model(x, edges, fit_background)
@@ -156,55 +170,75 @@ def _minimize_poisson(
     n_iter = 0
     for n_iter in range(1, 201):
         g = J.T @ (1.0 - counts / mu)
-        if not np.all(np.isfinite(g)):
+        g_max = float(np.abs(g).max())
+        if not math.isfinite(g_max):
             raise NotConverged("model diverged to non-finite values")
-        if float(np.max(np.abs(g))) < 1e-10 * (1.0 + abs(nll)):
+        if g_max < 1e-10 * (1.0 + abs(nll)):
             converged = True
             break
         F = _fisher(J, mu)
-        step = None
+        # only lam changes between damping retries
+        scale = np.diag(np.maximum(F.diagonal(), 1e-12))
+        neg_g = -g
+        step_max = None
         for _ in range(60):
-            damped = F + lam * np.diag(np.maximum(np.diag(F), 1e-12))
             try:
-                delta = np.linalg.solve(damped, -g)
+                delta = np.linalg.solve(F + lam * scale, neg_g)
             except np.linalg.LinAlgError:
                 lam *= 10.0
                 continue
             x_try = x + delta
             mu_try, J_try = biexp_model(x_try, edges, fit_background)
             nll_try = poisson_nll(mu_try, counts)
+            delta_max = float(np.abs(delta).max())
             # tiny steps are trusted outright: so close to the optimum
             # the NLL itself can no longer resolve the improvement
-            if nll_try <= nll or float(np.max(np.abs(delta))) < 1e-6:
+            if nll_try <= nll or delta_max < 1e-6:
                 x, mu, J, nll = x_try, mu_try, J_try, nll_try
                 lam = max(lam / 3.0, 1e-12)
-                step = delta
+                step_max = delta_max
                 break
             lam *= 10.0
             if lam > 1e14:
                 break
-        if step is None:
+        if step_max is None:
             break
-        if float(np.max(np.abs(step))) < 1e-13:
+        if step_max < 1e-13:
             converged = True
             break
-    return x, mu, n_iter, converged
+    return x, mu, J, n_iter, converged
 
 
 def _observed_information(
-    x: np.ndarray, edges: np.ndarray, counts: np.ndarray, fit_background: bool
+    x: np.ndarray, mu: np.ndarray, J: np.ndarray, edges: np.ndarray, counts: np.ndarray
 ) -> np.ndarray:
-    """Hessian of the NLL by central differences of the analytic gradient."""
-    p = len(x)
-    H = np.zeros((p, p))
-    h = 1e-6
-    for j in range(p):
-        xp, xm = x.copy(), x.copy()
-        xp[j] += h
-        xm[j] -= h
-        gp = poisson_nll_gradient(xp, edges, counts, fit_background)
-        gm = poisson_nll_gradient(xm, edges, counts, fit_background)
-        H[:, j] = (gp - gm) / (2.0 * h)
+    """Exact Hessian of the NLL in log-parameters at x.
+
+    mu and J are the model and its Jacobian at x, as biexp_model gives
+    them, so the model is not evaluated again.  The Hessian is
+    J^T diag(c / mu^2) J + sum_i (1 - c_i / mu_i) d2mu_i.  Of the second
+    derivatives of a term A E(gamma), d2/dlnA2 = A E and
+    d2/dlnA dlngamma = A gamma E' are its own Jacobian columns, as is the
+    floor's d2/dlnbg2 = bg, so their sums are gradient entries.  Only
+    d2/dlngamma2 = A gamma (E' + gamma E'') needs more: with
+    gamma E'' = -(b^2 e_b - a^2 e_a) - 2 E' it is
+    -A gamma (b^2 e_b - a^2 e_a) - A gamma E'.
+    """
+    resid = 1.0 - counts / mu
+    g = J.T @ resid
+    H = (J * (counts / mu**2)[:, None]).T @ J
+    values = np.exp(x)
+    a, b = edges[:-1], edges[1:]
+    for k in (0, 2):
+        amp, gamma = values[k], values[k + 1]
+        e = np.exp(-gamma * edges)
+        curv = float(resid @ (b * b * e[1:] - a * a * e[:-1]))
+        H[k, k] += g[k]
+        H[k, k + 1] += g[k + 1]
+        H[k + 1, k] += g[k + 1]
+        H[k + 1, k + 1] -= amp * gamma * curv + g[k + 1]
+    if len(x) == 5:
+        H[4, 4] += g[4]
     return 0.5 * (H + H.T)
 
 
@@ -229,9 +263,9 @@ def fit_biexponential(hist: DecayHistogram, fit_background: bool = False) -> Fit
     i0 = int(np.argmax(counts))
     edges_w, counts_w = edges[i0:], counts[i0:]
     if len(counts_w) < 8:
-        raise ValueError("too few bins after the peak to fit")
+        raise TooFewBins("too few bins after the peak to fit")
     x0 = _initial_guess(edges_w, counts_w, fit_background)
-    x, mu, n_iter, converged = _minimize_poisson(x0, edges_w, counts_w, fit_background)
+    x, mu, J, n_iter, converged = _minimize_poisson(x0, edges_w, counts_w, fit_background)
     gf, gs = float(np.exp(x[1])), float(np.exp(x[3]))
     # identifiability outranks convergence: a degenerate rate pair is
     # the usual reason the damped iteration stalls
@@ -241,7 +275,7 @@ def fit_biexponential(hist: DecayHistogram, fit_background: bool = False) -> Fit
         )
     if not converged:
         raise NotConverged("no convergence within 200 iterations")
-    H = _observed_information(x, edges_w, counts_w, fit_background)
+    H = _observed_information(x, mu, J, edges_w, counts_w)
     flags: list[str] = []
     try:
         cov = np.linalg.inv(H)
@@ -635,6 +669,7 @@ def analyze_sweep(
     sigma_floor_I: float = 0.03,
     sigma_floor_gamma: float = 0.05,
     fit_background: bool = False,
+    histogram_names: list[str] | None = None,
 ) -> dict:
     """Full inverse chain on one sweep: fits, visibilities, estimate.
 
@@ -643,12 +678,20 @@ def analyze_sweep(
     scans the feasible parameter set using the fitted visibilities
     with desk-scale floors on the uncertainties.  fit_background adds a
     flat floor to every lifetime fit, for histograms recorded with one.
+    A failing lifetime fit re-raises its error prefixed with the
+    histogram's name from histogram_names, or else its position.
     """
     phases = np.asarray(phases, dtype=float)
     counts = np.asarray(intensity_counts, dtype=float)
     intensity_fit = fit_sinusoid(phases, counts, np.sqrt(np.maximum(counts, 1.0)))
 
-    rate_fits = [fit_biexponential(h, fit_background) for h in histograms]
+    rate_fits = []
+    for i, hist in enumerate(histograms):
+        try:
+            rate_fits.append(fit_biexponential(hist, fit_background))
+        except (TooFewBins, NonIdentifiable, NotConverged) as exc:
+            name = histogram_names[i] if histogram_names else f"histogram {i}"
+            raise type(exc)(f"{name}: {exc}") from exc
 
     gamma_rad = np.array([f.derived["gamma_rad"] for f in rate_fits])
     gamma_sig = np.array([max(f.derived["gamma_rad_sigma"], 1e-9) for f in rate_fits])

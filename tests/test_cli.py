@@ -15,6 +15,7 @@ from phasemirror import config
 from phasemirror.cli import main
 from phasemirror.config import DEFAULT_CONFIG, QD1_PRESET, builtin_table1_path
 from phasemirror.synthlab import (
+    DecayHistogram,
     ExcitonModel,
     generate_decay_histogram,
     write_histogram_csv,
@@ -127,6 +128,22 @@ class TestModeCommand:
         out = str(tmp_path / "qd1")
         assert main(["mode", "--preset", "qd1", "--out", out]) == 0
         assert read_manifest(out)["r_T_mag"] == pytest.approx(0.6)
+
+    def test_zero_background_rate_gives_finite_curves(self, tmp_path):
+        # with gamma_b = 0, beta_x = gamma_x / (gamma_x + gamma_b) is 0/0
+        # at the centre, where e_x vanishes; beta is 0 there
+        data = copy.deepcopy(DEFAULT_CONFIG)
+        data["emitter"]["gamma_b"] = 0.0
+        cfg_path = tmp_path / "gb0.json"
+        cfg_path.write_text(json.dumps(data))
+        out = str(tmp_path / "mode")
+        assert main(["mode", "--config", str(cfg_path), "--out", out]) == 0
+        with open(os.path.join(out, "fig1d.csv"), newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["y0_nm", "nu_I", "nu_gamma"]
+        values = np.array(rows[1:], dtype=float)
+        assert values.shape == (201, 3)
+        assert np.all(np.isfinite(values))
 
 
 class TestMirrorCommand:
@@ -332,7 +349,7 @@ class TestAnalyzeCommand:
         rc = main(["analyze", "--in", broken, "--out", str(tmp_path / "x")])
         assert rc == 2
 
-    def test_degenerate_histogram_is_numerical_failure(self, tmp_path, sim_dir):
+    def test_degenerate_histogram_is_numerical_failure(self, tmp_path, sim_dir, capsys):
         broken = str(tmp_path / "broken")
         shutil.copytree(sim_dir, broken)
         bad = generate_decay_histogram(
@@ -349,6 +366,23 @@ class TestAnalyzeCommand:
         rehash(broken, "hist_003.csv")
         rc = main(["analyze", "--in", broken, "--out", str(tmp_path / "x")])
         assert rc == 3
+        err = capsys.readouterr().err
+        assert "hist_003.csv" in err and "degenerate" in err
+
+    def test_histogram_peaking_at_its_end_is_numerical_failure(
+        self, tmp_path, sim_dir, capsys
+    ):
+        broken = str(tmp_path / "broken")
+        shutil.copytree(sim_dir, broken)
+        n_bins = DEFAULT_CONFIG["sweep"]["n_bins"]
+        edges = np.linspace(0.0, DEFAULT_CONFIG["sweep"]["t_max_ns"], n_bins + 1)
+        rising = DecayHistogram(edges, np.arange(n_bins))
+        write_histogram_csv(rising, os.path.join(broken, "hist_005.csv"))
+        rehash(broken, "hist_005.csv")
+        rc = main(["analyze", "--in", broken, "--out", str(tmp_path / "x")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "hist_005.csv" in err and "too few bins after the peak" in err
 
     def test_table_report(self, tmp_path):
         out = str(tmp_path / "tab")

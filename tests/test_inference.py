@@ -1,3 +1,4 @@
+import copy
 import math
 import tracemalloc
 
@@ -13,6 +14,8 @@ from phasemirror.inference import (
     MalformedRow,
     NonIdentifiable,
     VisibilityEstimate,
+    _initial_guess,
+    _observed_information,
     analyze_sweep,
     biexp_model,
     estimate_parameters,
@@ -25,7 +28,7 @@ from phasemirror.inference import (
     reconstruct_phase_map,
     table1_report,
 )
-from phasemirror.config import builtin_table1_path
+from phasemirror.config import RunConfig, builtin_table1_path
 from phasemirror.modesolver import mode_weights, solve_te0
 from phasemirror.synthlab import (
     ExcitonModel,
@@ -37,6 +40,7 @@ from phasemirror.synthlab import (
 
 EDGES = np.linspace(0.0, 25.0, 501)
 PLAIN = ExcitonModel(gamma_f=1.1, gamma_s=0.1, amp_ratio=0.05)
+FLOOR = ExcitonModel(gamma_f=1.1, gamma_s=0.1, amp_ratio=0.05, background=2.0)
 
 
 def quad_fringe():
@@ -159,6 +163,174 @@ class TestBiexpModelOracle:
         mu_ref, J_ref = _oracle_biexp_model(x, edges, fit_background)
         assert mu.tobytes() == mu_ref.tobytes()
         assert J.tobytes() == J_ref.tobytes()
+
+
+def _oracle_observed_information(x, edges, counts, fit_background):
+    """Reference Hessian of the NLL: central differences of the analytic gradient."""
+    p = len(x)
+    H = np.zeros((p, p))
+    h = 1e-6
+    for j in range(p):
+        xp, xm = x.copy(), x.copy()
+        xp[j] += h
+        xm[j] -= h
+        gp = poisson_nll_gradient(xp, edges, counts, fit_background)
+        gm = poisson_nll_gradient(xm, edges, counts, fit_background)
+        H[:, j] = (gp - gm) / (2.0 * h)
+    return 0.5 * (H + H.T)
+
+
+class TestObservedInformationOracle:
+    @given(
+        x=st.tuples(
+            st.floats(0.0, 12.0),
+            st.floats(-4.0, 3.0),
+            st.floats(-2.0, 10.0),
+            st.floats(-6.0, 1.0),
+            st.floats(-8.0, 4.0),
+        ),
+        start=st.integers(0, 300),
+        fit_background=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_central_differences(self, x, start, fit_background, seed):
+        x = np.array(x if fit_background else x[:4])
+        edges = EDGES[start:]
+        # counts drawn away from x, so the curvature of mu itself counts
+        rng = np.random.default_rng(seed)
+        mu_data, _ = biexp_model(x + rng.uniform(-0.3, 0.3, len(x)), edges, fit_background)
+        counts = rng.poisson(mu_data).astype(float)
+        mu, J = biexp_model(x, edges, fit_background)
+        H = _observed_information(x, mu, J, edges, counts)
+        H_ref = _oracle_observed_information(x, edges, counts, fit_background)
+        assert np.max(np.abs(H - H_ref)) <= 1e-6 * np.max(np.abs(H_ref))
+
+
+def _oracle_initial_guess(edges, counts, fit_background):
+    """Reference start: the same slope fits by np.polyfit (an SVD lstsq each)."""
+    mids = 0.5 * (edges[:-1] + edges[1:])
+    width = float(np.mean(np.diff(edges)))
+    n = len(counts)
+    y = np.log(np.maximum(counts, 0.5))
+    tail = slice(max(int(0.6 * n), 2), n)
+    slope_s, icept_s = np.polyfit(mids[tail], y[tail], 1)
+    gs0 = max(-float(slope_s), 1e-3)
+    as0 = max(math.exp(float(icept_s)) / width, 1e-6)
+    head = slice(0, max(5, int(0.15 * n)))
+    corrected = np.maximum(counts[head] - as0 * width * np.exp(-gs0 * mids[head]), 0.25)
+    slope_f, icept_f = np.polyfit(mids[head], np.log(corrected), 1)
+    gf0 = max(-float(slope_f), 1.6 * gs0, 1e-3)
+    af0 = max(math.exp(float(icept_f)) / width, as0 * 1e-3, 1e-6)
+    x0 = [math.log(af0), math.log(gf0), math.log(as0), math.log(gs0)]
+    if fit_background:
+        bg0 = max(float(np.mean(counts[-10:])) * 0.5, 1e-4)
+        x0.append(math.log(bg0))
+    return np.array(x0)
+
+
+class TestInitialGuessOracle:
+    @given(
+        gamma_f=st.floats(0.3, 5.0),
+        slow_fraction=st.floats(0.02, 0.5),
+        amp_ratio=st.floats(0.0, 0.3),
+        background=st.floats(0.0, 5.0),
+        total=st.floats(1e4, 1e6),
+        start=st.integers(0, 300),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_polyfit(
+        self, gamma_f, slow_fraction, amp_ratio, background, total, start, seed
+    ):
+        model = ExcitonModel(gamma_f, gamma_f * slow_fraction, amp_ratio, background)
+        hist = generate_decay_histogram(model, total, bin_edges=EDGES, seed=seed)
+        edges, counts = hist.bin_edges[start:], hist.counts[start:].astype(float)
+        for fit_background in (False, True):
+            x0 = _initial_guess(edges, counts, fit_background)
+            x0_ref = _oracle_initial_guess(edges, counts, fit_background)
+            scale = max(np.max(np.abs(x0_ref)), 1.0)
+            assert np.max(np.abs(x0 - x0_ref)) <= 1e-12 * scale
+
+
+# n_iter, parameters and sigmas (as repr) that the np.polyfit start and the
+# central-difference information gave on these histograms; the closed-form
+# start moves the path by rounding only, the exact information the sigmas
+# by its own finite-difference error
+FROZEN_FITS = {
+    "plain": (
+        dict(model=PLAIN, total_counts=1e5, irf_sigma=None, seed=7),
+        False,
+        5,
+        {"A_f": "72974.40174597772", "gamma_f": "1.0916782570066892",
+         "A_s": "3546.2929967560926", "gamma_s": "0.09805036631579592"},
+        {"A_f": "449.95213125755816", "gamma_f": "0.0070424822382841356",
+         "A_s": "60.75999439557626", "gamma_s": "0.0013313095765452347"},
+    ),
+    "irf": (
+        dict(model=PLAIN, total_counts=1e5, irf_sigma=0.2, seed=7),
+        False,
+        5,
+        {"A_f": "79081.97371637363", "gamma_f": "1.0938854908018993",
+         "A_s": "3760.201953550365", "gamma_s": "0.09834980697520321"},
+        {"A_f": "761.379020664428", "gamma_f": "0.008774742099269862",
+         "A_s": "64.70804340158642", "gamma_s": "0.0013241226716005658"},
+    ),
+    "floor": (
+        dict(model=FLOOR, total_counts=2e5, irf_sigma=None, seed=11),
+        True,
+        6,
+        {"A_f": "147058.10541720013", "gamma_f": "1.1191935392422403",
+         "A_s": "7499.090768447871", "gamma_s": "0.10409280615134439",
+         "background": "3.713193606007505"},
+        {"A_f": "649.1789200007795", "gamma_f": "0.005981840882783965",
+         "A_s": "118.50702122532836", "gamma_s": "0.003476098729483742",
+         "background": "2.711126386758128"},
+    ),
+}
+
+
+class TestFitParity:
+    @pytest.mark.parametrize("kind", sorted(FROZEN_FITS))
+    def test_matches_frozen_fit(self, kind):
+        spec, fit_background, n_iter, params, sigmas = FROZEN_FITS[kind]
+        hist = generate_decay_histogram(bin_edges=EDGES, **spec)
+        res = fit_biexponential(hist, fit_background)
+        assert res.n_iter == n_iter
+        assert res.flags == []
+        assert res.params == pytest.approx(
+            {k: float(v) for k, v in params.items()}, rel=1e-12, abs=0.0
+        )
+        assert res.uncertainties == pytest.approx(
+            {k: float(v) for k, v in sigmas.items()}, rel=1e-6, abs=0.0
+        )
+
+    def test_vanishing_floor_stays_flagged(self, qd1_cfg):
+        # QD1 with a 1-count floor, seed 0: in fits 1 and 7 the floor's
+        # likelihood peaks at 0, which ln(bg) reaches only as a limit
+        data = copy.deepcopy(qd1_cfg.raw)
+        data["sweep"]["background"] = 1.0
+        data["seed"] = 0
+        cfg = RunConfig.from_dict(data)
+        profile = solve_te0(cfg.geometry(), n_points=cfg.grid_points)
+        scene = cfg.scene(profile.k)
+        sweep = generate_sweep(
+            scene,
+            mode_weights(profile, scene.y0),
+            cfg.r_T_magnitude(),
+            cfg.calibration(),
+            cfg.voltages(),
+            cfg.counts_scale,
+            cfg.seed,
+            amp_ratio=cfg.raw["sweep"]["amp_ratio"],
+            background=1.0,
+            hist_counts=cfg.hist_counts,
+            bin_edges=cfg.bin_edges(),
+        )
+        for i, n_iter in ((1, 9), (7, 8)):
+            res = fit_biexponential(sweep[i].histogram, fit_background=True)
+            assert res.n_iter == n_iter
+            assert res.params["background"] == 0.0
+            assert res.uncertainties["background"] == math.inf
+            assert res.flags == ["singular_information"]
 
 
 class TestBiexponentialFit:
