@@ -12,6 +12,7 @@ pair, including the centered-emitter lower bound on |r_T|.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass, field
 
@@ -745,7 +746,14 @@ QD1_SWEEP_CROSSCHECK = {"qd": 1, "lambda_nm": 923.25, "nu_I": 0.48, "nu_I_sigma"
 def read_table1_csv(path: str) -> list[dict]:
     """Parse per-emitter results (qd,lambda_nm,gamma_max,gamma_min,nu_gamma,nu_I)."""
     rows = []
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise MalformedRow(f"{path} line {lineno}: {exc}") from None
+    with io.StringIO(text, newline="") as fh:
         reader = csv.DictReader(fh)
         header = reader.fieldnames or []
         missing = [c for c in _TABLE1_REQUIRED if c not in header]

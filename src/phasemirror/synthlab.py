@@ -163,7 +163,11 @@ def _exp_bin_integrals(gamma: float, edges: np.ndarray) -> np.ndarray:
 def _exgauss_density(t: np.ndarray, gamma: float, sigma: float) -> np.ndarray:
     # exponential decay starting at t=0 convolved with a zero-mean Gaussian
     arg = (sigma**2 * gamma - t) / (math.sqrt(2.0) * sigma)
-    erfc = np.fromiter(map(math.erfc, arg.tolist()), float, len(arg))
+    # math.erfc(x) is exactly 2.0 for x <= -6: 2 - erfc(-6) ~ 2e-17 is below
+    # half an ulp of 2, so only the other bins (a nan too) need the call
+    erfc = np.full_like(arg, 2.0)
+    call = ~(arg <= -6.0)
+    erfc[call] = np.fromiter(map(math.erfc, arg[call].tolist()), float)
     return 0.5 * np.exp(sigma**2 * gamma**2 / 2.0 - gamma * t) * erfc
 
 

@@ -282,6 +282,26 @@ class TestAnalyzeCommand:
         assert rc == 2
         assert "SHA-256" not in capsys.readouterr().err
 
+    def test_non_utf8_input_csv_is_input_error(self, tmp_path, sim_dir, capsys):
+        broken = str(tmp_path / "broken")
+        shutil.copytree(sim_dir, broken)
+        with open(os.path.join(broken, "hist_003.csv"), "wb") as fh:
+            fh.write(b"t_ns,counts\n0.025,10\n0.075,\xff\n")
+        rehash(broken, "hist_003.csv")
+        rc = main(["analyze", "--in", broken, "--out", str(tmp_path / "x")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "hist_003.csv line 3" in err and "can't decode byte 0xff" in err
+
+    def test_non_utf8_table_is_input_error(self, tmp_path, capsys):
+        table = tmp_path / "table1.csv"
+        with open(builtin_table1_path(), "rb") as fh:
+            table.write_bytes(fh.read().replace(b"\n", b"\n\xff", 1))
+        rc = main(["analyze", "--table1", str(table), "--out", str(tmp_path / "x")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"{table} line 2" in err and "can't decode byte 0xff" in err
+
     def test_tampered_input_is_input_error(self, tmp_path, sim_dir, capsys):
         broken = str(tmp_path / "broken")
         shutil.copytree(sim_dir, broken)

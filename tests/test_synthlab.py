@@ -162,6 +162,20 @@ class TestHistogram:
         total = gamma * np.sum(_exgauss_density(t, gamma, sigma)) * dt
         assert total == pytest.approx(1.0, abs=1e-6)
 
+    def test_erfc_is_exactly_two_from_minus_six_down(self):
+        # _exgauss_density skips math.erfc where it returns exactly 2.0
+        x = np.linspace(-6.0, -60.0, 200_001).tolist() + [-1e3, -1e300, -math.inf]
+        assert all(math.erfc(v) == 2.0 for v in x)
+
+    def test_exgauss_equals_its_per_bin_erfc_form(self):
+        t = 0.5 * (default_bin_edges()[:-1] + default_bin_edges()[1:])
+        for gamma in np.linspace(0.05, 5.0, 40):
+            for sigma in (0.01, 0.05, 0.2, 0.5, 2.0):
+                arg = (sigma**2 * gamma - t) / (math.sqrt(2.0) * sigma)
+                erfc = np.array([math.erfc(a) for a in arg])
+                want = 0.5 * np.exp(sigma**2 * gamma**2 / 2.0 - gamma * t) * erfc
+                assert _exgauss_density(t, gamma, sigma).tobytes() == want.tobytes()
+
     def test_poisson_statistics_pooled(self):
         # variance/mean over repeated draws stays near 1 for busy bins
         model = ExcitonModel(gamma_f=1.0, gamma_s=0.1)
