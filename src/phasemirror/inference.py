@@ -580,18 +580,21 @@ def estimate_parameters(
     theta_offset: float = math.nan,
     max_stored: int = 2000,
 ) -> VisibilityEstimate:
-    """Grid-scan the forward visibility model against a measured pair.
+    """Bound (r_T, beta_y0, y0) on a grid by a measured visibility pair.
 
-    Keeps every (r_T, beta_y0, y0) whose predicted intensity and rate
+    Keeps every grid point whose predicted intensity and rate
     visibilities both fall within n_sigma of the measurement; the
     intensity model is the mode-weight-reduced fringe visibility and
     the rate model the rate-weighted two-dipole average with both
     dipole rates scaled by the local mode weights (beta_y0 is the
-    center value).  A grid scan is used deliberately: the surface is
-    multimodal near the weight-crossing offset.  The intensity
-    constraint does not involve beta_y0, so it is checked on the
-    (r_T, y0) plane first and the rate constraint is evaluated only on
-    the cells where it holds, on the same grid and in the same order.
+    center value).  The set is bounded on a grid rather than by a local
+    fit because the surface is multimodal near the weight-crossing
+    offset.  The intensity constraint does not involve beta_y0, so it
+    is checked on the (r_T, y0) plane first.  At a fixed (r_T, y0) the
+    predicted rate visibility never falls as beta_y0 rises, so the
+    betas that pass form one run per cell, and two bisections find its
+    ends; the grid points kept are those a scan of the full grid would
+    keep, in the same order.
     """
     for name, val in (("nu_I", nu_I), ("nu_gamma", nu_gamma)):
         if not 0.0 <= val <= 1.0:
@@ -617,30 +620,46 @@ def estimate_parameters(
     ri, yi = np.nonzero(np.abs(nu_i_pred - nu_I) <= n_sigma * sigma_I)
     if len(ri) == 0:
         raise empty
-    # stage 2: the rate constraint on the passing (r_T, y0) cells x beta_y0
-    num = betas * np.abs(wy - wx)[:, None]
-    den = betas * (wy + wx)[:, None] + 2.0 * wy0 * (1.0 - betas)
-    block = num[yi]
-    block *= rs[ri, None]
-    block /= den[yi]
-    block -= nu_gamma
-    np.abs(block, out=block)
-    mask = block <= n_sigma * sigma_gamma
-    del block
-    n_feasible = int(np.count_nonzero(mask))
+    # stage 2: the rate constraint, one run of betas per passing cell.
+    # Along beta the numerator grows by a factor (b + 1)/b per step while
+    # rounding moves the denominator by ulps, so the deviation
+    # (num * r)/den - nu_gamma never falls, and |deviation| <= tol holds
+    # exactly on the betas [start, stop): the first start betas lie below
+    # -tol (at or below the float under it), the first stop at or below tol
+    num = (betas * np.abs(wy - wx)[:, None]).ravel()
+    den = (betas * (wy + wx)[:, None] + 2.0 * wy0 * (1.0 - betas)).ravel()
+    last, r_cell = yi * beta_points - 1, rs[ri]
+    tol = n_sigma * sigma_gamma
+    bound = np.array([[math.nextafter(-tol, -math.inf)], [tol]])
+    # binary lifting: both prefixes of every cell at once, each grown by
+    # the halving powers of two that keep its betas within the bound; a
+    # prefix grown past the last beta, which passes, stands for all betas
+    edge = np.zeros((2, len(ri)), dtype=np.intp)
+    step = (1 << int(beta_points).bit_length()) >> 1  # 0 for no betas
+    while step:
+        grow = edge + step
+        at = last + np.minimum(grow, beta_points)
+        dev = np.take(num, at) * r_cell / np.take(den, at) - nu_gamma
+        edge = np.where(dev <= bound, grow, edge)
+        step >>= 1
+    start, stop = np.minimum(edge, beta_points)
+    length = stop - start
+    ends = np.cumsum(length)
+    n_feasible = int(ends[-1])
     if n_feasible == 0:
         raise empty
-    # flat indices of the (cell, beta) mask run in the C order of the
-    # full (r_T, y0, beta_y0) grid, because the cells do
+    # the runs laid end to end, cell by cell, are the C order of the full
+    # (r_T, y0, beta_y0) grid, because the cells are
     stride = max(1, math.ceil(n_feasible / max_stored))
-    kept = np.flatnonzero(mask)[::stride]
-    cell, bi = np.divmod(kept, beta_points)
+    kept = np.arange(0, n_feasible, stride)
+    cell = np.searchsorted(ends, kept, side="right")
+    bi = start[cell] + kept - (ends[cell] - length[cell])
     triples = tuple(
         zip(rs[ri[cell]].tolist(), betas[bi].tolist(), y0s[yi[cell]].tolist())
     )
-    cells = mask.any(axis=1)
+    cells = length > 0
     r_vals, y_vals = rs[ri[cells]], y0s[yi[cells]]
-    b_vals = betas[mask.any(axis=0)]
+    b_lo, b_hi = start[cells].min(), stop[cells].max() - 1
     return VisibilityEstimate(
         nu_I=nu_I,
         nu_I_sigma=sigma_I,
@@ -650,7 +669,7 @@ def estimate_parameters(
         r_T_lower_bound=r_lower_bound(max(nu_I - n_sigma * sigma_I, 0.0)),
         r_T_lower_bound_point=r_lower_bound(nu_I),
         r_T_range=(float(r_vals.min()), float(r_vals.max())),
-        beta_y0_range=(float(b_vals.min()), float(b_vals.max())),
+        beta_y0_range=(float(betas[b_lo]), float(betas[b_hi])),
         y0_range=(float(y_vals.min()), float(y_vals.max())),
         feasible_set=triples,
         n_feasible=n_feasible,
@@ -744,7 +763,12 @@ QD1_SWEEP_CROSSCHECK = {"qd": 1, "lambda_nm": 923.25, "nu_I": 0.48, "nu_I_sigma"
 
 
 def read_table1_csv(path: str) -> list[dict]:
-    """Parse per-emitter results (qd,lambda_nm,gamma_max,gamma_min,nu_gamma,nu_I)."""
+    """Parse per-emitter results (qd,lambda_nm,gamma_max,gamma_min,nu_gamma,nu_I).
+
+    Every cell must be finite, the visibilities must lie in [0, 1] and
+    the optional *_err columns must be positive; a row that breaks this
+    raises MalformedRow naming the file and line.
+    """
     rows = []
     with open(path, "rb") as fh:
         data = fh.read()
@@ -774,6 +798,18 @@ def read_table1_csv(path: str) -> list[dict]:
                     raise MalformedRow(
                         f"{path} line {lineno}: cannot parse {col}={cell!r}"
                     ) from None
+                if not math.isfinite(row[col]):
+                    raise MalformedRow(f"{path} line {lineno}: {col}={cell!r} is not finite")
+            for col in ("nu_I", "nu_gamma"):
+                if not 0.0 <= row[col] <= 1.0:
+                    raise MalformedRow(
+                        f"{path} line {lineno}: {col}={row[col]} must lie in [0, 1]"
+                    )
+            for col in _TABLE1_OPTIONAL:
+                if col in row and not row[col] > 0.0:
+                    raise MalformedRow(
+                        f"{path} line {lineno}: {col}={row[col]} must be positive"
+                    )
             rows.append(row)
     if not rows:
         raise MalformedRow(f"{path}: no data rows")

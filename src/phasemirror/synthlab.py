@@ -319,14 +319,27 @@ def write_histogram_csv(hist: DecayHistogram, path: str) -> None:
     write_csv(path, HISTOGRAM_HEADER, hist.midpoints, hist.counts)
 
 
+def _read_finite(path: str, header: tuple[str, ...]) -> list[np.ndarray]:
+    # nan passes every comparison the readers make, so a non-finite cell
+    # is rejected here, naming the first line that holds one
+    columns = read_csv(path, header)
+    bad = ~np.isfinite(np.column_stack(columns))
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
+        raise MalformedCSV(
+            f"{path} line {i + 2}: {header[j]} is {columns[j][i]}, not a finite number"
+        )
+    return columns
+
+
 def read_sweep_csv(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Read (voltages, phases, intensity counts) from a sweep CSV."""
-    return tuple(read_csv(path, SWEEP_HEADER))
+    return tuple(_read_finite(path, SWEEP_HEADER))
 
 
 def read_histogram_csv(path: str) -> DecayHistogram:
     """Read a midpoint-sampled histogram CSV back into a DecayHistogram."""
-    mids, counts = read_csv(path, HISTOGRAM_HEADER)
+    mids, counts = _read_finite(path, HISTOGRAM_HEADER)
     if len(mids) < 2:
         raise MalformedCSV(f"{path}: need at least two bins")
     widths = np.diff(mids)

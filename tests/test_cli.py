@@ -282,6 +282,35 @@ class TestAnalyzeCommand:
         assert rc == 2
         assert "SHA-256" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "name, lineno, col, token",
+        [
+            ("hist_003.csv", 5, 1, "nan"),
+            ("hist_003.csv", 9, 0, "nan"),
+            ("hist_003.csv", 7, 1, "inf"),
+            ("sweep.csv", 4, 2, "nan"),
+            ("sweep.csv", 6, 0, "-inf"),
+        ],
+    )
+    def test_non_finite_input_cell_is_input_error(
+        self, tmp_path, sim_dir, capsys, name, lineno, col, token
+    ):
+        broken = str(tmp_path / "broken")
+        shutil.copytree(sim_dir, broken)
+        path = os.path.join(broken, name)
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().split("\n")
+        cells = lines[lineno - 1].split(",")
+        cells[col] = token
+        lines[lineno - 1] = ",".join(cells)
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines))
+        rehash(broken, name)
+        rc = main(["analyze", "--in", broken, "--out", str(tmp_path / "x")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"{name} line {lineno}" in err and "not a finite number" in err
+
     def test_non_utf8_input_csv_is_input_error(self, tmp_path, sim_dir, capsys):
         broken = str(tmp_path / "broken")
         shutil.copytree(sim_dir, broken)
@@ -301,6 +330,31 @@ class TestAnalyzeCommand:
         assert rc == 2
         err = capsys.readouterr().err
         assert f"{table} line 2" in err and "can't decode byte 0xff" in err
+
+    @pytest.mark.parametrize(
+        "col, value, why",
+        [
+            ("nu_I", "1.2", "must lie in [0, 1]"),
+            ("nu_I", "nan", "not finite"),
+            ("nu_gamma", "-0.1", "must lie in [0, 1]"),
+            ("nu_gamma_err", "0", "must be positive"),
+        ],
+    )
+    def test_out_of_range_table_cell_is_input_error(
+        self, tmp_path, capsys, col, value, why
+    ):
+        with open(builtin_table1_path(), encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        rows[2][col] = value
+        table = tmp_path / "table1.csv"
+        with open(table, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0]), lineterminator="\n")
+            writer.writeheader()
+            writer.writerows(rows)
+        rc = main(["analyze", "--table1", str(table), "--out", str(tmp_path / "x")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"{table} line 4: {col}=" in err and why in err
 
     def test_tampered_input_is_input_error(self, tmp_path, sim_dir, capsys):
         broken = str(tmp_path / "broken")

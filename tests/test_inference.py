@@ -654,6 +654,24 @@ class TestEstimateParameters:
         assert est.n_feasible == 43628
         assert len(est.feasible_set) <= 100
 
+    @pytest.mark.parametrize("which", ["default", "qd1"])
+    def test_rate_deviation_never_falls_along_beta(
+        self, default_profile, qd1_profile, which
+    ):
+        # the interval search rests on this: in every (r_T, y0) cell of the
+        # default grid the rate deviation, rounded as the estimator rounds
+        # it, is nondecreasing in beta_y0, so the passing betas form one run
+        profile = default_profile if which == "default" else qd1_profile
+        wx, wy = mode_weights(profile, np.linspace(0.0, profile.core_half_width, 201))
+        wy0 = mode_weights(profile, 0.0)[1]
+        betas = np.linspace(0.0, 1.0, 101)
+        num = betas * np.abs(wy - wx)[:, None]
+        den = betas * (wy + wx)[:, None] + 2.0 * wy0 * (1.0 - betas)
+        for r in np.linspace(0.0, 1.0, 101):
+            for nu_gamma in (0.0, 0.27, 1.0):
+                dev = (num * r) / den - nu_gamma
+                assert (np.diff(dev, axis=1) >= 0.0).all()
+
     def test_to_dict_round_trip_keys(self, default_profile):
         d = estimate_parameters(0.48, 0.27, default_profile).to_dict()
         for key in (
@@ -751,6 +769,12 @@ class TestEstimateParametersOracle:
     @example(0.48, 0.27, 0.03, 0.05, "default", 2000)
     @example(0.05, 0.9, 0.01, 0.01, "default", 2000)  # empty after the rate stage
     @example(0.5, 0.5, 0.3, 0.3, "qd1", 7)
+    # one grid point lies exactly tol above nu_gamma, one exactly tol below:
+    # both bounds are inclusive
+    @example(0.48, 0.07896226415094343, 0.03, 0.0625, "default", 2000)
+    @example(0.48, 0.32896226415094343, 0.03, 0.0625, "default", 2000)
+    @example(0.01, 0.05, 0.03, 0.05, "default", 2000)  # r_T = 0 cells pass
+    @example(0.5, 0.5, 0.5, 0.5, "default", 2000)  # every cell passes
     def test_matches_dense_scan(
         self, default_profile, qd1_profile,
         nu_I, nu_gamma, sigma_I, sigma_gamma, which, max_stored,
@@ -764,20 +788,23 @@ class TestEstimateParametersOracle:
     @pytest.mark.parametrize("nu_I", [0.3, 0.8, 1.0])
     def test_matches_dense_scan_on_coarse_grids(self, default_profile, nu_I):
         # coarse grids leave gaps in nu_I, so the intensity stage alone can
-        # empty the set; odd sizes check the index bookkeeping
-        grid = dict(r_points=3, y0_points=4, beta_points=5, max_stored=2000)
+        # empty the set; odd sizes check the index bookkeeping, and one to
+        # three betas the shortest searches
         args = (nu_I, 0.2, default_profile, 1e-3, 0.3)
-        got = _outcome(estimate_parameters, *args, **grid)
-        assert got == _outcome(_oracle_estimate, *args, **grid)
+        for beta_points in (1, 2, 3, 5):
+            grid = dict(r_points=3, y0_points=4, beta_points=beta_points, max_stored=2000)
+            got = _outcome(estimate_parameters, *args, **grid)
+            assert got == _outcome(_oracle_estimate, *args, **grid)
 
     def test_peak_memory_stays_small(self, default_profile):
+        # the search holds O(cells) arrays, never cells x betas
         peak = _traced_peak(estimate_parameters, 0.48, 0.27, default_profile)
-        assert peak < 16e6
+        assert peak < 4e6
         everything = _traced_peak(
             estimate_parameters, 0.48, 0.27, default_profile,
             sigma_I=0.2, sigma_gamma=0.2,
         )
-        assert everything < 64e6
+        assert everything < 4e6
 
 
 class TestAnalyzeSweep:
