@@ -1,56 +1,40 @@
 #!/usr/bin/env python3
-"""Full synthetic experiment on the QD-1 preset, via the library API.
+"""Full synthetic experiment on the QD-1 preset, through the CLI.
 
-Generates a 12-point voltage sweep with photon-counting noise, runs
-the complete inverse chain (fringe fit, per-point lifetime fits, rate
-fringe fit, feasible-parameter scan), and prints the recovered numbers
-next to the simulation truth.
+Runs `phasemirror simulate --preset qd1` into <outdir>/sim (a 12-point
+voltage sweep with photon-counting noise), then `phasemirror analyze
+--in` on it into <outdir>/fit (fringe fit, per-point lifetime fits,
+rate fringe fit, feasible-parameter scan), and prints the recovered
+numbers from report.json next to the simulation truth.  Exits with the
+CLI's code if either command fails.
 
 Usage: python3 scripts/run_qd1_experiment.py [outdir]
 """
 
+import json
 import os
 import sys
 
-import numpy as np
-
-from phasemirror import modesolver, synthlab
-from phasemirror.config import QD1_PRESET, RunConfig, write_json
-from phasemirror.inference import analyze_sweep
+from phasemirror.cli import main as cli_main
 
 
 def main() -> int:
     outdir = sys.argv[1] if len(sys.argv) > 1 else "qd1_run"
-    os.makedirs(outdir, exist_ok=True)
+    sim, fit = os.path.join(outdir, "sim"), os.path.join(outdir, "fit")
+    for argv in (
+        ["simulate", "--preset", "qd1", "--out", sim],
+        ["analyze", "--in", sim, "--out", fit],
+    ):
+        rc = cli_main(argv)
+        if rc:
+            return rc
 
-    cfg = RunConfig.from_dict(QD1_PRESET)
-    profile = modesolver.solve_te0(cfg.geometry(), n_points=cfg.grid_points)
-    scene = cfg.scene(profile.k)
-    weights = modesolver.mode_weights(profile, scene.y0)
-    r_true = cfg.r_T_magnitude()
-
-    records = synthlab.generate_sweep(
-        scene,
-        weights,
-        r_true,
-        cfg.calibration(),
-        cfg.voltages(),
-        cfg.counts_scale,
-        cfg.seed,
-        hist_counts=cfg.hist_counts,
-        bin_edges=cfg.bin_edges(),
-        irf_sigma=cfg.irf_sigma,
-    )
-
-    result = analyze_sweep(
-        np.array([rec.voltage for rec in records]),
-        np.array([rec.phi for rec in records]),
-        np.array([rec.intensity_counts for rec in records]),
-        [rec.histogram for rec in records],
-        profile=profile,
-    )
-
-    print(f"emitter offset   : {scene.y0:.2f} nm, |r_T| = {r_true}")
+    with open(os.path.join(sim, "manifest.json"), encoding="utf-8") as fh:
+        cfg = json.load(fh)["config"]
+    report_path = os.path.join(fit, "report.json")
+    with open(report_path, encoding="utf-8") as fh:
+        result = json.load(fh)
+    print(f"emitter offset   : {cfg['emitter']['y0_nm']:.2f} nm, |r_T| = {cfg['r_T_mag']}")
     print(f"nu_I   recovered : {result['nu_I']:.4f}   (truth 0.48)")
     print(f"nu_g   recovered : {result['nu_gamma']:.4f}   (truth 0.25)")
     print(f"gamma_max        : {result['gamma_max']:.4f} 1/ns (truth 1.05)")
@@ -64,9 +48,6 @@ def main() -> int:
         print(f"feasible |y0|    : [{lo:.1f}, {hi:.1f}] nm")
         print(f"|r_T| lower bound: {est['r_T_lower_bound_point']:.4f} "
               "(centered-emitter inversion)")
-
-    report_path = os.path.join(outdir, "report.json")
-    write_json(report_path, result)
     print(f"\nreport written to {report_path}")
     return 0
 

@@ -3,7 +3,7 @@
 Subcommands
     mode      solve the guided mode, export profile + visibility curves
     mirror    sweep the photonic-crystal mirror reflectivity
-    simulate  generate a synthetic voltage sweep (intensity + histograms)
+    simulate  generate a synthetic voltage sweep: sweep.csv + histograms.csv
     analyze   fit a simulated sweep, or report on a tabulated results CSV
 
 Every command writes its outputs plus a manifest.json (config hash,
@@ -218,9 +218,8 @@ def cmd_simulate(args: argparse.Namespace, cfg: RunConfig, outs: _Outputs) -> No
         irf_sigma=cfg.irf_sigma,
     )
     synthlab.write_sweep_csv(records, outs.path("sweep.csv"))
-    hist_names = [f"hist_{i:03d}.csv" for i in range(len(records))]
-    for rec, name in zip(records, hist_names):
-        synthlab.write_histogram_csv(rec.histogram, outs.path(name))
+    histograms = [rec.histogram for rec in records]
+    synthlab.write_histogram_csv(histograms, outs.path("histograms.csv"))
     svgplot.write_line_plot(
         outs.path("sweep.svg"),
         [
@@ -234,19 +233,17 @@ def cmd_simulate(args: argparse.Namespace, cfg: RunConfig, outs: _Outputs) -> No
         "voltage (V)",
         "collected intensity",
     )
-    outs.manifest("simulate", cfg, config=cfg.raw, histograms=hist_names)
+    outs.manifest("simulate", cfg, config=cfg.raw)
 
 
-def _verify_inputs(
-    in_dir: str, manifest_path: str, manifest: dict, cfg: RunConfig, needed: list[str]
-) -> None:
+def _verify_inputs(in_dir: str, manifest_path: str, manifest: dict, cfg: RunConfig) -> None:
     """Check the manifest's config hash and the SHA-256 of every file it lists."""
     if manifest.get("config_hash") != cfg.hash:
         raise ConfigError(f"{manifest_path}: config_hash does not match its config")
     files = manifest.get("files")
     if not isinstance(files, dict):
         raise ConfigError(f"{manifest_path}: 'files' must map file names to SHA-256s")
-    for name in needed:
+    for name in ("sweep.csv", "histograms.csv"):
         if name not in files:
             raise ConfigError(f"{manifest_path}: {name} is not in its 'files' map")
     for name, digest in files.items():
@@ -271,19 +268,17 @@ def _analyze_sweep_dir(args: argparse.Namespace, outs: _Outputs) -> None:
         or "config" not in manifest
     ):
         raise ConfigError(f"{manifest_path}: not a simulate manifest")
-    hist_names = manifest.get("histograms")
-    if not (
-        isinstance(hist_names, list) and all(isinstance(n, str) for n in hist_names)
-    ):
-        raise ConfigError(f"{manifest_path}: 'histograms' must be a list of file names")
     cfg = RunConfig.from_dict(manifest["config"])
-    _verify_inputs(args.in_dir, manifest_path, manifest, cfg, ["sweep.csv", *hist_names])
+    _verify_inputs(args.in_dir, manifest_path, manifest, cfg)
 
-    voltages, phases, counts = synthlab.read_sweep_csv(
-        os.path.join(args.in_dir, "sweep.csv")
-    )
-    hist_paths = [os.path.join(args.in_dir, name) for name in hist_names]
-    histograms = [synthlab.read_histogram_csv(path) for path in hist_paths]
+    voltages, phases, counts = synthlab.read_sweep_csv(os.path.join(args.in_dir, "sweep.csv"))
+    hist_path = os.path.join(args.in_dir, "histograms.csv")
+    histograms = synthlab.read_histogram_csv(hist_path)
+    if len(histograms) != len(voltages):
+        raise MalformedCSV(
+            f"{hist_path}: {len(histograms)} histograms for {len(voltages)} sweep rows"
+        )
+    names = synthlab.histogram_header(len(histograms))[1:]
     profile = _solve(cfg)
     result = inference.analyze_sweep(
         voltages,
@@ -292,7 +287,7 @@ def _analyze_sweep_dir(args: argparse.Namespace, outs: _Outputs) -> None:
         histograms,
         profile=profile,
         fit_background=cfg.raw["sweep"]["background"] > 0,
-        histogram_names=hist_paths,
+        histogram_names=[f"{hist_path} {name}" for name in names],
     )
     write_json(outs.path("report.json"), result)
     gamma = [f["derived"]["gamma_rad"] for f in result["rate_fits"]]
@@ -363,6 +358,7 @@ _NUMERICAL_ERRORS = (
     inference.EmptyFeasibleSet,
     inference.InsufficientFringes,
     inference.InsufficientPhaseSpan,
+    inference.NonFiniteRate,
     np.linalg.LinAlgError,
     ValueError,
     ArithmeticError,

@@ -46,6 +46,10 @@ class TooFewBins(ValueError):
     """A decay histogram has fewer than 8 bins from its peak to its end."""
 
 
+class NonFiniteRate(RuntimeError):
+    """A lifetime fit left its radiative rate or that rate's sigma non-finite."""
+
+
 class MalformedRow(ValueError):
     """A tabulated-results CSV row failed to parse."""
 
@@ -698,8 +702,9 @@ def analyze_sweep(
     scans the feasible parameter set using the fitted visibilities
     with desk-scale floors on the uncertainties.  fit_background adds a
     flat floor to every lifetime fit, for histograms recorded with one.
-    A failing lifetime fit re-raises its error prefixed with the
-    histogram's name from histogram_names, or else its position.
+    A failing lifetime fit, or one whose rate or rate sigma is not finite
+    (NonFiniteRate), raises an error prefixed with the histogram's name
+    from histogram_names, or else its position.
     """
     phases = np.asarray(phases, dtype=float)
     counts = np.asarray(intensity_counts, dtype=float)
@@ -707,11 +712,16 @@ def analyze_sweep(
 
     rate_fits = []
     for i, hist in enumerate(histograms):
+        name = histogram_names[i] if histogram_names else f"histogram {i}"
         try:
-            rate_fits.append(fit_biexponential(hist, fit_background))
+            fit = fit_biexponential(hist, fit_background)
         except (TooFewBins, NonIdentifiable, NotConverged) as exc:
-            name = histogram_names[i] if histogram_names else f"histogram {i}"
             raise type(exc)(f"{name}: {exc}") from exc
+        rate, sigma = fit.derived["gamma_rad"], fit.derived["gamma_rad_sigma"]
+        if not (math.isfinite(rate) and math.isfinite(sigma)):
+            # max(nan, 1e-9) below is nan, and so would be nu_gamma
+            raise NonFiniteRate(f"{name}: gamma_rad = {rate} +/- {sigma}")
+        rate_fits.append(fit)
 
     gamma_rad = np.array([f.derived["gamma_rad"] for f in rate_fits])
     gamma_sig = np.array([max(f.derived["gamma_rad_sigma"], 1e-9) for f in rate_fits])
@@ -765,9 +775,10 @@ QD1_SWEEP_CROSSCHECK = {"qd": 1, "lambda_nm": 923.25, "nu_I": 0.48, "nu_I_sigma"
 def read_table1_csv(path: str) -> list[dict]:
     """Parse per-emitter results (qd,lambda_nm,gamma_max,gamma_min,nu_gamma,nu_I).
 
-    Every cell must be finite, the visibilities must lie in [0, 1] and
-    the optional *_err columns must be positive; a row that breaks this
-    raises MalformedRow naming the file and line.
+    Every cell must be finite, the visibilities must lie in [0, 1],
+    gamma_max >= gamma_min > 0 and the optional *_err columns must be
+    positive; a row that breaks this raises MalformedRow naming the file
+    and line.
     """
     rows = []
     with open(path, "rb") as fh:
@@ -805,11 +816,15 @@ def read_table1_csv(path: str) -> list[dict]:
                     raise MalformedRow(
                         f"{path} line {lineno}: {col}={row[col]} must lie in [0, 1]"
                     )
-            for col in _TABLE1_OPTIONAL:
+            for col in ["gamma_min", *_TABLE1_OPTIONAL]:
                 if col in row and not row[col] > 0.0:
                     raise MalformedRow(
                         f"{path} line {lineno}: {col}={row[col]} must be positive"
                     )
+            if not row["gamma_max"] >= row["gamma_min"]:
+                raise MalformedRow(
+                    f"{path} line {lineno}: gamma_max={row['gamma_max']} is below gamma_min"
+                )
             rows.append(row)
     if not rows:
         raise MalformedRow(f"{path}: no data rows")
@@ -834,7 +849,7 @@ def table1_report(
     notes = []
     for row in rows:
         gmax, gmin = row["gamma_max"], row["gamma_min"]
-        if gmax + gmin <= 0 or gmax < gmin:
+        if not gmax >= gmin > 0:
             raise MalformedRow(f"qd {row['qd']}: need gamma_max >= gamma_min > 0")
         contrast = (gmax - gmin) / (gmax + gmin)
         err_g = row.get("nu_gamma_err", sigma_gamma_default)

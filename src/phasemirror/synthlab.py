@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import emission
-from .csvio import MalformedCSV, read_csv, write_csv
+from .csvio import MalformedCSV, read_csv, read_header, write_csv
 from .emission import DipoleOrientation, EmitterScene
 
 
@@ -300,7 +300,11 @@ def generate_sweep(
 
 
 SWEEP_HEADER = ("voltage", "phi_rad", "intensity_counts")
-HISTOGRAM_HEADER = ("t_ns", "counts")
+
+
+def histogram_header(n_histograms: int) -> tuple[str, ...]:
+    """t_ns, then one counts_000, counts_001, ... column per histogram."""
+    return ("t_ns", *(f"counts_{j:03d}" for j in range(n_histograms)))
 
 
 def write_sweep_csv(records: list[SweepRecord], path: str) -> None:
@@ -314,9 +318,17 @@ def write_sweep_csv(records: list[SweepRecord], path: str) -> None:
     )
 
 
-def write_histogram_csv(hist: DecayHistogram, path: str) -> None:
-    """Write one histogram as t_ns,counts with t at bin midpoints."""
-    write_csv(path, HISTOGRAM_HEADER, hist.midpoints, hist.counts)
+def write_histogram_csv(histograms: list[DecayHistogram], path: str) -> None:
+    """Write a sweep's histograms as one table, t_ns once, then in sweep order.
+
+    A histogram binned otherwise than the first raises ValueError.
+    """
+    edges = histograms[0].bin_edges
+    for j, hist in enumerate(histograms):
+        if not np.array_equal(hist.bin_edges, edges):
+            raise ValueError(f"histogram {j} has other bin edges than histogram 0")
+    header = histogram_header(len(histograms))
+    write_csv(path, header, histograms[0].midpoints, *(h.counts for h in histograms))
 
 
 def _read_finite(path: str, header: tuple[str, ...]) -> list[np.ndarray]:
@@ -337,17 +349,30 @@ def read_sweep_csv(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return tuple(_read_finite(path, SWEEP_HEADER))
 
 
-def read_histogram_csv(path: str) -> DecayHistogram:
-    """Read a midpoint-sampled histogram CSV back into a DecayHistogram."""
-    mids, counts = _read_finite(path, HISTOGRAM_HEADER)
+def read_histogram_csv(path: str) -> list[DecayHistogram]:
+    """Read a histogram table back into its DecayHistograms, in sweep order.
+
+    The header must be t_ns, counts_000, counts_001, ... with no column
+    missing or out of order; the bin edges are rebuilt once from the
+    midpoints and shared by every histogram.
+    """
+    got = read_header(path)
+    header = histogram_header(len(got) - 1)
+    for j, (name, want) in enumerate(zip(got, header)):
+        if name != want:
+            raise MalformedCSV(f"{path} line 1: column {j + 1} is {name!r}, not {want!r}")
+    mids, *counts = _read_finite(path, header)
     if len(mids) < 2:
         raise MalformedCSV(f"{path}: need at least two bins")
     widths = np.diff(mids)
-    if np.any(np.abs(widths - widths[0]) > 1e-9 * widths[0]):
-        raise MalformedCSV(f"{path}: bins must be uniform")
+    if not widths[0] > 0 or np.any(np.abs(widths - widths[0]) > 1e-9 * widths[0]):
+        raise MalformedCSV(f"{path}: bins must be uniform and increasing")
     w = float(widths[0])
     edges = np.concatenate([mids - w / 2.0, [mids[-1] + w / 2.0]])
-    try:
-        return DecayHistogram(edges, counts)
-    except ValueError as exc:  # negative counts, decreasing times
-        raise MalformedCSV(f"{path}: {exc}") from None
+    histograms = []
+    for name, column in zip(header[1:], counts):
+        try:
+            histograms.append(DecayHistogram(edges, column))
+        except ValueError as exc:  # negative counts
+            raise MalformedCSV(f"{path} {name}: {exc}") from None
+    return histograms

@@ -14,12 +14,8 @@ import phasemirror
 from phasemirror import config
 from phasemirror.cli import main
 from phasemirror.config import DEFAULT_CONFIG, QD1_PRESET, builtin_table1_path
-from phasemirror.synthlab import (
-    DecayHistogram,
-    ExcitonModel,
-    generate_decay_histogram,
-    write_histogram_csv,
-)
+from phasemirror.csvio import read_csv, write_csv
+from phasemirror.synthlab import ExcitonModel, generate_decay_histogram, histogram_header
 
 
 def sha256(path):
@@ -42,6 +38,16 @@ def rehash(out_dir, name):
     man = read_manifest(out_dir)
     man["files"][name] = sha256(os.path.join(out_dir, name))
     write_manifest_json(out_dir, man)
+
+
+def replace_histogram(out_dir, j, counts):
+    """Put new counts into column counts_j of histograms.csv and rehash it."""
+    path = os.path.join(out_dir, "histograms.csv")
+    header = histogram_header(DEFAULT_CONFIG["sweep"]["n_points"])
+    columns = read_csv(path, header)
+    columns[j + 1] = counts
+    write_csv(path, header, *columns)
+    rehash(out_dir, "histograms.csv")
 
 
 def sweep_counts(out_dir):
@@ -83,12 +89,17 @@ class TestManifests:
             assert sha256(os.path.join(mode_dir, name)) == digest
 
     def test_simulate_manifest_lists_all_histograms(self, sim_dir):
+        # one table holds every histogram, a counts_j column per sweep row
         man = read_manifest(sim_dir)
         assert man["command"] == "simulate"
-        assert len(man["histograms"]) == DEFAULT_CONFIG["sweep"]["n_points"]
-        for name in man["histograms"]:
-            assert name in man["files"]
-            assert sha256(os.path.join(sim_dir, name)) == man["files"][name]
+        assert "histograms" not in man
+        assert set(man["files"]) == {"sweep.csv", "histograms.csv", "sweep.svg"}
+        path = os.path.join(sim_dir, "histograms.csv")
+        assert sha256(path) == man["files"]["histograms.csv"]
+        with open(path, newline="") as fh:
+            header = next(csv.reader(fh))
+        n = DEFAULT_CONFIG["sweep"]["n_points"]
+        assert header == ["t_ns"] + [f"counts_{j:03d}" for j in range(n)]
 
 
     @pytest.mark.parametrize(
@@ -266,7 +277,7 @@ class TestAnalyzeCommand:
         [
             ("sweep.csv", "bogus,phi_rad,intensity_counts\n0.0,0.0,100\n"),
             ("sweep.csv", "voltage,phi_rad,intensity_counts\n0.0,0.0\n"),
-            ("hist_003.csv", "t_ns,counts\n0.025,10\n0.075\n"),
+            ("histograms.csv", "t_ns,counts_000\n0.025,10\n0.075\n"),
         ],
     )
     def test_malformed_input_csv_is_input_error(
@@ -285,9 +296,9 @@ class TestAnalyzeCommand:
     @pytest.mark.parametrize(
         "name, lineno, col, token",
         [
-            ("hist_003.csv", 5, 1, "nan"),
-            ("hist_003.csv", 9, 0, "nan"),
-            ("hist_003.csv", 7, 1, "inf"),
+            ("histograms.csv", 5, 4, "nan"),
+            ("histograms.csv", 9, 0, "nan"),
+            ("histograms.csv", 7, 4, "inf"),
             ("sweep.csv", 4, 2, "nan"),
             ("sweep.csv", 6, 0, "-inf"),
         ],
@@ -310,17 +321,22 @@ class TestAnalyzeCommand:
         assert rc == 2
         err = capsys.readouterr().err
         assert f"{name} line {lineno}" in err and "not a finite number" in err
+        assert f"{lines[0].split(',')[col]} is {token}," in err
 
     def test_non_utf8_input_csv_is_input_error(self, tmp_path, sim_dir, capsys):
         broken = str(tmp_path / "broken")
         shutil.copytree(sim_dir, broken)
-        with open(os.path.join(broken, "hist_003.csv"), "wb") as fh:
-            fh.write(b"t_ns,counts\n0.025,10\n0.075,\xff\n")
-        rehash(broken, "hist_003.csv")
+        path = os.path.join(broken, "histograms.csv")
+        with open(path, "rb") as fh:
+            lines = fh.read().split(b"\n")
+        lines[2] += b"\xff"
+        with open(path, "wb") as fh:
+            fh.write(b"\n".join(lines))
+        rehash(broken, "histograms.csv")
         rc = main(["analyze", "--in", broken, "--out", str(tmp_path / "x")])
         assert rc == 2
         err = capsys.readouterr().err
-        assert "hist_003.csv line 3" in err and "can't decode byte 0xff" in err
+        assert "histograms.csv line 3" in err and "can't decode byte 0xff" in err
 
     def test_non_utf8_table_is_input_error(self, tmp_path, capsys):
         table = tmp_path / "table1.csv"
@@ -338,6 +354,8 @@ class TestAnalyzeCommand:
             ("nu_I", "nan", "not finite"),
             ("nu_gamma", "-0.1", "must lie in [0, 1]"),
             ("nu_gamma_err", "0", "must be positive"),
+            ("gamma_min", "-0.1", "must be positive"),
+            ("gamma_max", "0.5", "is below gamma_min"),
         ],
     )
     def test_out_of_range_table_cell_is_input_error(
@@ -359,12 +377,12 @@ class TestAnalyzeCommand:
     def test_tampered_input_is_input_error(self, tmp_path, sim_dir, capsys):
         broken = str(tmp_path / "broken")
         shutil.copytree(sim_dir, broken)
-        with open(os.path.join(broken, "hist_003.csv"), "w", encoding="utf-8") as fh:
-            fh.write("t_ns,counts\n0.025,10\n")
+        with open(os.path.join(broken, "histograms.csv"), "w", encoding="utf-8") as fh:
+            fh.write("t_ns,counts_000\n0.025,10\n")
         rc = main(["analyze", "--in", broken, "--out", str(tmp_path / "x")])
         assert rc == 2
         err = capsys.readouterr().err
-        assert "hist_003.csv" in err and "SHA-256 does not match" in err
+        assert "histograms.csv" in err and "SHA-256 does not match" in err
 
     @pytest.mark.parametrize(
         "damage", ["missing", "unlisted", "nul", "config_hash", "config"]
@@ -376,11 +394,11 @@ class TestAnalyzeCommand:
         shutil.copytree(sim_dir, broken)
         man = read_manifest(broken)
         if damage == "missing":
-            os.remove(os.path.join(broken, "hist_005.csv"))
-            named = "hist_005.csv"
+            os.remove(os.path.join(broken, "histograms.csv"))
+            named = "histograms.csv"
         elif damage == "unlisted":
-            del man["files"]["hist_005.csv"]
-            named = "hist_005.csv"
+            del man["files"]["histograms.csv"]
+            named = "histograms.csv"
         elif damage == "nul":
             man["files"]["hist\x00.csv"] = "0" * 64
             named = "hist\\x00.csv"
@@ -407,21 +425,40 @@ class TestAnalyzeCommand:
         assert rc == 2
         assert "manifest.json" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("histograms", [None, "hist_000.csv", [0, 1]])
-    def test_manifest_without_histogram_list_is_input_error(
-        self, tmp_path, sim_dir, histograms
+    def test_per_file_histogram_layout_is_input_error(self, tmp_path, sim_dir, capsys):
+        # the earlier layout: hist_000.csv, hist_001.csv, ... each holding
+        # t_ns,counts, listed under the manifest's 'histograms' key
+        old = str(tmp_path / "old")
+        shutil.copytree(sim_dir, old)
+        path = os.path.join(old, "histograms.csv")
+        t_ns, *counts = read_csv(path, histogram_header(DEFAULT_CONFIG["sweep"]["n_points"]))
+        os.remove(path)
+        names = [f"hist_{j:03d}.csv" for j in range(len(counts))]
+        for name, column in zip(names, counts):
+            write_csv(os.path.join(old, name), ("t_ns", "counts"), t_ns, column)
+        man = read_manifest(old)
+        del man["files"]["histograms.csv"]
+        man["files"].update({name: sha256(os.path.join(old, name)) for name in names})
+        man["histograms"] = names
+        write_manifest_json(old, man)
+        rc = main(["analyze", "--in", old, "--out", str(tmp_path / "x")])
+        assert rc == 2
+        assert "histograms.csv is not in its 'files' map" in capsys.readouterr().err
+
+    def test_histogram_count_other_than_sweep_rows_is_input_error(
+        self, tmp_path, sim_dir, capsys
     ):
         broken = str(tmp_path / "broken")
         shutil.copytree(sim_dir, broken)
-        man = read_manifest(broken)
-        if histograms is None:
-            del man["histograms"]
-        else:
-            man["histograms"] = histograms
-        with open(os.path.join(broken, "manifest.json"), "w", encoding="utf-8") as fh:
-            json.dump(man, fh)
+        n = DEFAULT_CONFIG["sweep"]["n_points"]
+        path = os.path.join(broken, "histograms.csv")
+        columns = read_csv(path, histogram_header(n))
+        write_csv(path, histogram_header(n - 1), *columns[:-1])
+        rehash(broken, "histograms.csv")
         rc = main(["analyze", "--in", broken, "--out", str(tmp_path / "x")])
         assert rc == 2
+        err = capsys.readouterr().err
+        assert f"histograms.csv: {n - 1} histograms for {n} sweep rows" in err
 
     def test_degenerate_histogram_is_numerical_failure(self, tmp_path, sim_dir, capsys):
         broken = str(tmp_path / "broken")
@@ -436,27 +473,44 @@ class TestAnalyzeCommand:
             ),
             seed=3,
         )
-        write_histogram_csv(bad, os.path.join(broken, "hist_003.csv"))
-        rehash(broken, "hist_003.csv")
+        replace_histogram(broken, 3, bad.counts)
         rc = main(["analyze", "--in", broken, "--out", str(tmp_path / "x")])
         assert rc == 3
         err = capsys.readouterr().err
-        assert "hist_003.csv" in err and "degenerate" in err
+        assert "histograms.csv counts_003: " in err and "degenerate" in err
 
     def test_histogram_peaking_at_its_end_is_numerical_failure(
         self, tmp_path, sim_dir, capsys
     ):
         broken = str(tmp_path / "broken")
         shutil.copytree(sim_dir, broken)
-        n_bins = DEFAULT_CONFIG["sweep"]["n_bins"]
-        edges = np.linspace(0.0, DEFAULT_CONFIG["sweep"]["t_max_ns"], n_bins + 1)
-        rising = DecayHistogram(edges, np.arange(n_bins))
-        write_histogram_csv(rising, os.path.join(broken, "hist_005.csv"))
-        rehash(broken, "hist_005.csv")
+        replace_histogram(broken, 5, np.arange(DEFAULT_CONFIG["sweep"]["n_bins"]))
         rc = main(["analyze", "--in", broken, "--out", str(tmp_path / "x")])
         assert rc == 3
         err = capsys.readouterr().err
-        assert "hist_005.csv" in err and "too few bins after the peak" in err
+        assert "histograms.csv counts_005: " in err
+        assert "too few bins after the peak" in err
+
+    @pytest.mark.parametrize("n_points, seed, rc", [(12, 0, 0), (48, 23, 3)])
+    def test_non_finite_rate_sigma_is_numerical_failure(
+        self, tmp_path, capsys, n_points, seed, rc
+    ):
+        # with a 1-count floor, seed 0 leaves fits 1 and 7 singular with
+        # finite rate sigmas; at 48 points, seed 23 leaves counts_019's
+        # rate sigma nan, which must not reach the rate fringe fit
+        data = copy.deepcopy(QD1_PRESET)
+        data["sweep"]["n_points"] = n_points
+        data["sweep"]["background"] = 1.0
+        cfg_path = tmp_path / "floor.json"
+        cfg_path.write_text(json.dumps(data))
+        sim, fit = str(tmp_path / "sim"), str(tmp_path / "fit")
+        args = ["--config", str(cfg_path), "--seed", str(seed), "--out", sim]
+        assert main(["simulate", *args]) == 0
+        assert main(["analyze", "--in", sim, "--out", fit]) == rc
+        if rc:
+            err = capsys.readouterr().err
+            assert "histograms.csv counts_019: gamma_rad = " in err
+            assert err.rstrip().endswith("+/- nan")
 
     def test_table_report(self, tmp_path):
         out = str(tmp_path / "tab")

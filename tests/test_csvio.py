@@ -1,6 +1,7 @@
 import copy
 import csv
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from phasemirror.cli import main
 from phasemirror.config import QD1_PRESET
 from phasemirror.csvio import MalformedCSV, read_csv, write_csv
-from phasemirror.synthlab import HISTOGRAM_HEADER, read_histogram_csv
+from phasemirror.synthlab import histogram_header, read_histogram_csv
 
 SPECIAL = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -2.2250738585072e-308, 1e308]
 
@@ -193,11 +194,38 @@ def test_simulated_histograms_match_the_reference_format(tmp_path, irf_sigma_ns)
     cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
     out = tmp_path / "sim"
     assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 0
-    paths = sorted(out.glob("hist_*.csv"))
-    assert len(paths) == 24
-    for path in paths:
-        mids, counts = reference_read(str(path), HISTOGRAM_HEADER)
-        want = reference_bytes(tmp_path / "want.csv", HISTOGRAM_HEADER, zip(mids, counts))
-        assert path.read_bytes() == want
-        assert_same_arrays(read_csv(str(path), HISTOGRAM_HEADER), [mids, counts])
-        assert read_histogram_csv(str(path)).counts.tobytes() == counts.tobytes()
+    assert sorted(p.name for p in out.iterdir()) == [
+        "histograms.csv", "manifest.json", "sweep.csv", "sweep.svg"
+    ]
+    path = out / "histograms.csv"
+    header = histogram_header(24)
+    columns = reference_read(str(path), header)
+    want = reference_bytes(tmp_path / "want.csv", header, zip(*columns))
+    assert path.read_bytes() == want
+    assert_same_arrays(read_csv(str(path), header), columns)
+    histograms = read_histogram_csv(str(path))
+    assert [h.counts.tobytes() for h in histograms] == [c.tobytes() for c in columns[1:]]
+
+
+def test_a_sweep_table_is_written_and_read_a_row_at_a_time(tmp_path):
+    # a 192-point sweep's histogram table, 500 rows by 193 columns: its
+    # float64 values take 0.77 MB, its text 0.52 MB, and its cells held
+    # as strings all at once well over 4 MB
+    rng = np.random.default_rng(0)
+    edges = np.linspace(0.0, 25.0, 501)
+    t_ns = 0.5 * (edges[:-1] + edges[1:])
+    columns = [t_ns, *(rng.poisson(400.0 * np.exp(-t_ns / (1.0 + j % 7))) for j in range(192))]
+    header = ["t_ns", *(f"counts_{j:03d}" for j in range(192))]
+    path = str(tmp_path / "histograms.csv")
+    tracemalloc.start()
+    try:
+        write_csv(path, header, *columns)
+        wrote = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        back = read_csv(path, header)
+        read = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert_same_arrays(back, [np.asarray(c, dtype=float) for c in columns])
+    assert wrote < 2e6
+    assert read < 4e6

@@ -961,6 +961,13 @@ class TestTable1:
         with pytest.raises(MalformedRow):
             table1_report(rows, crosscheck=None)
 
+    def test_non_positive_gamma_min_rejected(self):
+        # gamma_max + gamma_min > 0 and gamma_max >= gamma_min still hold
+        row = {"qd": 9, "lambda_nm": 920.0, "gamma_max": 1.0, "gamma_min": -0.1,
+               "nu_gamma": 0.1, "nu_I": 0.3}
+        with pytest.raises(MalformedRow, match="need gamma_max >= gamma_min > 0"):
+            table1_report([row], crosscheck=None)
+
     def test_feasibility_with_profile(self, default_profile):
         rows = read_table1_csv(builtin_table1_path())
         rep = table1_report(rows, profile=default_profile)

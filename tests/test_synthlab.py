@@ -1,9 +1,10 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from phasemirror.emission import DipoleOrientation, EmitterScene, intensity
@@ -271,20 +272,30 @@ class TestCsv:
         assert np.array_equal(counts, [r.intensity_counts for r in records])
 
     def test_histogram_round_trip(self, tmp_path):
-        hist = generate_decay_histogram(
-            ExcitonModel(1.0, 0.1), 5000, irf_sigma=0.1, seed=3
-        )
-        path = tmp_path / "hist.csv"
-        write_histogram_csv(hist, str(path))
-        back = read_histogram_csv(str(path))
-        # the CSV carries every field of the histogram
-        for f in dataclasses.fields(DecayHistogram):
-            want, got = getattr(hist, f.name), getattr(back, f.name)
-            if f.name == "bin_edges":
-                np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
-            else:
-                assert np.array_equal(got, want), f.name
-        assert back.total_counts == hist.total_counts
+        hists = [
+            generate_decay_histogram(ExcitonModel(1.0, 0.1), 5000, irf_sigma=0.1, seed=s)
+            for s in (3, 4)
+        ]
+        path = tmp_path / "histograms.csv"
+        write_histogram_csv(hists, str(path))
+        backs = read_histogram_csv(str(path))
+        assert len(backs) == len(hists)
+        # the table carries every field of each histogram
+        for hist, back in zip(hists, backs):
+            for f in dataclasses.fields(DecayHistogram):
+                want, got = getattr(hist, f.name), getattr(back, f.name)
+                if f.name == "bin_edges":
+                    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+                else:
+                    assert np.array_equal(got, want), f.name
+            assert back.total_counts == hist.total_counts
+
+    def test_histograms_binned_otherwise_are_not_written(self, tmp_path):
+        path = str(tmp_path / "histograms.csv")
+        a = DecayHistogram(default_bin_edges(25.0, 4), np.ones(4))
+        b = DecayHistogram(default_bin_edges(20.0, 4), np.ones(4))
+        with pytest.raises(ValueError, match="histogram 2 has other bin edges"):
+            write_histogram_csv([a, a, b], path)
 
     def test_sweep_parse_errors_carry_line_numbers(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -297,11 +308,41 @@ class TestCsv:
 
     def test_histogram_parse_errors(self, tmp_path):
         path = tmp_path / "bad.csv"
-        path.write_text("t_ns,counts\n0.5,10\n1.5\n")
+        path.write_text("t_ns,counts_000\n0.5,10\n1.5\n")
         with pytest.raises(ValueError, match="line 3"):
             read_histogram_csv(str(path))
-        path.write_text("t_ns,counts\n0.5,10\n1.5,9\n3.5,8\n")
+        path.write_text("t_ns,counts_000\n0.5,10\n1.5,9\n3.5,8\n")
         with pytest.raises(ValueError, match="uniform"):
+            read_histogram_csv(str(path))
+        # equal or falling times are not bins either, whichever column
+        for times in ("0.5,10\n0.5,9\n", "1.5,10\n0.5,9\n"):
+            path.write_text("t_ns,counts_000\n" + times)
+            with pytest.raises(MalformedCSV, match="bad.csv: bins must be uniform and increasing"):
+                read_histogram_csv(str(path))
+
+    @pytest.mark.parametrize(
+        "text, match",
+        [
+            # a counts_ column missing, and two swapped
+            ("t_ns,counts_000,counts_002\n0.5,1,2\n1.5,3,4\n",
+             "line 1: column 3 is 'counts_002', not 'counts_001'"),
+            ("t_ns,counts_001,counts_000\n0.5,1,2\n1.5,3,4\n",
+             "line 1: column 2 is 'counts_001', not 'counts_000'"),
+            ("counts_000,t_ns\n0.5,1\n1.5,3\n",
+             "line 1: column 1 is 'counts_000', not 't_ns'"),
+            ("", "line 1: expected header ['t_ns'], got None"),
+            # a ragged line, a nan cell, a negative count
+            ("t_ns,counts_000,counts_001\n0.5,1,2\n1.5,3\n", "line 3: expected 3 columns"),
+            ("t_ns,counts_000,counts_001\n0.5,1,2\n1.5,3,nan\n",
+             "line 3: counts_001 is nan, not a finite number"),
+            ("t_ns,counts_000,counts_001\n0.5,1,2\n1.5,-3,4\n",
+             "counts_000: counts must be non-negative"),
+        ],
+    )
+    def test_malformed_histogram_table_names_line_and_column(self, tmp_path, text, match):
+        path = tmp_path / "histograms.csv"
+        path.write_text(text)
+        with pytest.raises(MalformedCSV, match=re.escape(f"{path} {match}")):
             read_histogram_csv(str(path))
 
     def test_parse_errors_are_malformed_csv(self, tmp_path):
@@ -309,9 +350,9 @@ class TestCsv:
         for text, reader in [
             ("bogus,phi_rad,intensity_counts\n1.0,0.05,3\n", read_sweep_csv),
             ("voltage,phi_rad,intensity_counts\n1.0,0.05\n", read_sweep_csv),
-            ("t_ns,counts\n0.5,10\n1.5\n", read_histogram_csv),
-            ("t_ns,counts\n0.5,10\n1.5,-1\n", read_histogram_csv),
-            ("t_ns,counts\n1.5,10\n0.5,9\n", read_histogram_csv),
+            ("t_ns,counts_000\n0.5,10\n1.5\n", read_histogram_csv),
+            ("t_ns,counts_000\n0.5,10\n1.5,-1\n", read_histogram_csv),
+            ("t_ns,counts_000\n1.5,10\n0.5,9\n", read_histogram_csv),
         ]:
             path.write_text(text)
             with pytest.raises(MalformedCSV, match="bad.csv"):
@@ -331,3 +372,37 @@ def test_histogram_counts_invariants(gamma_f, ratio, seed):
     assert hist.counts.sum() == hist.total_counts
     assert np.all(hist.counts >= 0)
     assert np.all(hist.counts == np.floor(hist.counts))
+
+
+def per_file_edges(mids):
+    """The edges a one-histogram file's reader rebuilt from its t_ns column."""
+    w = float(np.diff(mids)[0])
+    return np.concatenate([mids - w / 2.0, [mids[-1] + w / 2.0]])
+
+
+@given(
+    n_hist=st.integers(min_value=1, max_value=200),
+    n_bins=st.integers(min_value=2, max_value=64),
+    t_max=st.floats(min_value=0.5, max_value=100.0),
+    noiseless=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@example(n_hist=200, n_bins=64, t_max=25.0, noiseless=False, seed=0)
+@example(n_hist=1, n_bins=2, t_max=0.5, noiseless=True, seed=1)
+def test_histogram_table_round_trip(tmp_path_factory, n_hist, n_bins, t_max, noiseless, seed):
+    rng = np.random.default_rng(seed)
+    edges = default_bin_edges(t_max, n_bins)
+    shape = (n_hist, n_bins)
+    counts = rng.uniform(0.0, 1e4, shape) if noiseless else rng.poisson(1e3, shape)
+    hists = [DecayHistogram(edges, c) for c in counts]
+    path = str(tmp_path_factory.mktemp("hist") / "histograms.csv")
+    write_histogram_csv(hists, path)
+    back = read_histogram_csv(path)
+    assert len(back) == n_hist
+    want_edges = per_file_edges(hists[0].midpoints)
+    for hist, got in zip(hists, back):
+        assert got.counts.tobytes() == np.asarray(hist.counts, dtype=float).tobytes()
+        # one rebuilt edge array, bit for bit the one-file reader's
+        assert got.bin_edges is back[0].bin_edges
+        assert got.bin_edges.tobytes() == want_edges.tobytes()
+    np.testing.assert_allclose(want_edges, edges, rtol=0.0, atol=1e-12 * t_max)
