@@ -2,7 +2,10 @@
 
 Byte-identical output for identical input is part of the output
 contract, so no plotting framework is used: floats are formatted with
-a fixed precision and elements are emitted in a fixed order.
+a fixed precision and elements are emitted in a fixed order.  Polyline
+coordinates are computed as arrays, by the same IEEE operations in the
+same order as for one point at a time, and formatted a few thousand
+points per call, so the bytes are those a per-point loop writes.
 """
 
 from __future__ import annotations
@@ -26,15 +29,33 @@ def escape(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
+def _widen(lo: float, hi: float) -> tuple[float, float]:
+    """(lo, hi), or for an empty range one a unit wide.
+
+    Where a unit is below the resolution of `lo` (|lo| >= 2**53) the range
+    is a millionth of |lo| wide instead, on the side towards zero.
+    """
+    if hi > lo:
+        return lo, hi
+    if lo + 1.0 > lo:
+        return lo, lo + 1.0
+    d = abs(lo) * 2.0**-20
+    return (lo - d, lo) if lo > 0 else (lo, lo + d)
+
+
 def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
     """Round tick positions using the usual 1-2-5 progression."""
     if not (math.isfinite(lo) and math.isfinite(hi)):
         return [0.0, 1.0]
-    if hi <= lo:
-        hi = lo + 1.0
+    lo, hi = _widen(lo, hi)
     span = hi - lo
     raw = span / max(target - 1, 1)
-    mag = 10.0 ** math.floor(math.log10(raw))
+    mag = 10.0 ** math.floor(math.log10(raw)) if 0.0 < raw < math.inf else 0.0
+    if mag == 0.0:
+        # the span overflows, or is a few subnormals wide: tick a copy
+        # scaled by a power of two, then scale the ticks back
+        s = 0.5 if raw == math.inf else 2.0**600
+        return [t / s for t in _nice_ticks(lo * s, hi * s, target)]
     for mult in (1.0, 2.0, 5.0, 10.0):
         step = mult * mag
         if span / step <= target + 0.5:
@@ -44,7 +65,10 @@ def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
     t = first
     while t <= hi + 1e-9 * span:
         ticks.append(0.0 if abs(t) < 1e-12 * span else t)
-        t += step
+        nxt = t + step
+        if not t < nxt < math.inf:
+            break  # step is below half an ulp of t, or t overflows
+        t = nxt
     return ticks or [lo, hi]
 
 
@@ -57,21 +81,44 @@ def _fmt_tick(v: float) -> str:
     return "0" if s == "-0" else s
 
 
+def _extent(v: np.ndarray) -> tuple[float, float]:
+    return (float(np.min(v)), float(np.max(v))) if v.size else (0.0, 0.0)
+
+
+_POINTS_PER_CALL = 2048
+
+
+def _points(xs: np.ndarray, ys: np.ndarray) -> str:
+    """Pixel pairs as "x,y x,y ...", each coordinate as `_fmt` writes it."""
+    # a few thousand points per format call: as fast as one call for the
+    # whole series, without holding all of its floats as a tuple at once
+    xy = np.column_stack((xs, ys))
+    blocks = []
+    for start in range(0, len(xy), _POINTS_PER_CALL):
+        block = xy[start:start + _POINTS_PER_CALL]
+        fmt = " ".join(["%.2f,%.2f"] * len(block))
+        blocks.append(fmt % tuple(block.ravel().tolist()))
+    return " ".join(blocks)
+
+
 def line_plot(
     series: list[tuple[str, np.ndarray, np.ndarray]],
     title: str,
     xlabel: str,
     ylabel: str,
 ) -> str:
-    """Render named (x, y) series to one SVG document string."""
-    xs = np.concatenate([np.asarray(x, dtype=float) for _, x, _ in series])
-    ys = np.concatenate([np.asarray(y, dtype=float) for _, _, y in series])
-    x_lo, x_hi = float(np.min(xs)), float(np.max(xs))
-    y_lo, y_hi = float(np.min(ys)), float(np.max(ys))
-    if x_hi <= x_lo:
-        x_hi = x_lo + 1.0
-    if y_hi <= y_lo:
-        y_hi = y_lo + 1.0
+    """Render named (x, y) series to one SVG document string.
+
+    A point whose x or y is not finite is left out of its polyline and of
+    the axis limits; where no point is finite the axes span [0, 1].
+    """
+    finite = []
+    for name, x, y in series:
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        keep = np.isfinite(x) & np.isfinite(y)
+        finite.append((name, x[keep], y[keep]))
+    x_lo, x_hi = _widen(*_extent(np.concatenate([x for _, x, _ in finite])))
+    y_lo, y_hi = _widen(*_extent(np.concatenate([y for _, _, y in finite])))
     pad = 0.05 * (y_hi - y_lo)
     y_lo -= pad
     y_hi += pad
@@ -79,10 +126,11 @@ def line_plot(
     plot_w = _WIDTH - _MARGIN_L - _MARGIN_R
     plot_h = _HEIGHT - _MARGIN_T - _MARGIN_B
 
-    def px(x: float) -> float:
+    # each takes a float or an array, with the same operations for both
+    def px(x):
         return _MARGIN_L + (x - x_lo) / (x_hi - x_lo) * plot_w
 
-    def py(y: float) -> float:
+    def py(y):
         return _MARGIN_T + (y_hi - y) / (y_hi - y_lo) * plot_h
 
     out = [
@@ -126,16 +174,11 @@ def line_plot(
         f'height="{plot_h}" fill="none" stroke="#333333" stroke-width="1"/>'
     )
 
-    for i, (name, x_arr, y_arr) in enumerate(series):
+    for i, (name, x, y) in enumerate(finite):
         color = _PALETTE[i % len(_PALETTE)]
-        pts = " ".join(
-            f"{_fmt(px(float(x)))},{_fmt(py(float(y)))}"
-            for x, y in zip(np.asarray(x_arr, float), np.asarray(y_arr, float))
-            if math.isfinite(float(x)) and math.isfinite(float(y))
-        )
         out.append(
-            f'<polyline points="{pts}" fill="none" stroke="{color}" '
-            f'stroke-width="1.6"/>'
+            f'<polyline points="{_points(px(x), py(y))}" fill="none" '
+            f'stroke="{color}" stroke-width="1.6"/>'
         )
         lx = _WIDTH - _MARGIN_R - 150
         ly = _MARGIN_T + 16 + 18 * i
