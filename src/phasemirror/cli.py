@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import functools
 import os
 import sys
 
@@ -39,7 +40,10 @@ from .csvio import MalformedCSV, write_csv
 from .emission import DipoleOrientation
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parse_args leaves
+    it unchanged and returns a new namespace on every call."""
     parser = argparse.ArgumentParser(
         prog="phasemirror",
         description="Phase-controlled emitter-mirror simulation toolkit.",
@@ -136,8 +140,9 @@ def cmd_mode(args: argparse.Namespace, cfg: RunConfig, outs: _Outputs) -> None:
         profile.e_x,
         profile.e_y,
     )
-    fig1c = emission.figure1c_curves(scene, weights, r, DipoleOrientation.Y)
-    phis, gammas, intensities = map(np.array, zip(*fig1c))
+    phis, gammas, intensities = emission.figure1c_curves(
+        scene, weights, r, DipoleOrientation.Y
+    )
     write_csv(
         outs.path("fig1c.csv"),
         ("phi_rad", "gamma_total", "intensity_rel"),
@@ -145,8 +150,7 @@ def cmd_mode(args: argparse.Namespace, cfg: RunConfig, outs: _Outputs) -> None:
         gammas,
         intensities,
     )
-    fig1d = emission.figure1d_curves(profile, scene, r)
-    offsets, nu_i, nu_g = map(np.array, zip(*fig1d))
+    offsets, nu_i, nu_g = emission.figure1d_curves(profile, scene, r)
     write_csv(outs.path("fig1d.csv"), ("y0_nm", "nu_I", "nu_gamma"), offsets, nu_i, nu_g)
 
     svgplot.write_line_plot(
@@ -179,8 +183,7 @@ def cmd_mirror(args: argparse.Namespace, cfg: RunConfig, outs: _Outputs) -> None
     spec = cfg.crystal()
     m = cfg.raw["mirror"]
     lambdas = np.linspace(m["lambda_min_nm"], m["lambda_max_nm"], m["sweep_points"])
-    rows = opticalstack.reflectivity_sweep(spec, lambdas)
-    lams, r, power = map(np.array, zip(*rows))
+    lams, r, power = opticalstack.reflectivity_sweep(spec, lambdas)
     write_csv(
         outs.path("mirror_sweep.csv"),
         ("lambda_nm", "r_re", "r_im", "R_power"),

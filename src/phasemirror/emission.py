@@ -125,14 +125,18 @@ def rate_modulation_green(
     """Rate factor via the image-dipole Green's-function ratio.
 
     Evaluates 1 +/- |r_T| Im{e^{i 2 phi} G0(0, 2L)} / Im G0(0, 0);
-    algebraically identical to rate_modulation with theta = 2kL.
+    algebraically identical to rate_modulation with theta = 2kL.  phi
+    may be an array of phases, each giving the bits of a scalar call.
     """
     _check_reflectivity(r_T_mag)
     if dip is DipoleOrientation.AVERAGED_BOTH:
         raise ValueError("modulation factor is defined per dipole axis")
     g_image = scalar_green(0.0, 2.0 * L, k)
     g_self = scalar_green(0.0, 0.0, k)
-    ratio = (np.exp(2j * phi) * g_image).imag / g_self.imag
+    # Im{e g} in real arithmetic: numpy's complex multiply rounds an array
+    # differently from one number, these products round the same for both
+    e = np.exp(2j * phi)
+    ratio = (e.real * g_image.imag + e.imag * g_image.real) / g_self.imag
     return 1.0 + _SIGN[dip] * r_T_mag * ratio
 
 
@@ -260,23 +264,23 @@ def figure1c_curves(
     r_T_mag: float,
     dip: DipoleOrientation = DipoleOrientation.Y,
     n_phi: int = 201,
-) -> list[tuple[float, float, float]]:
-    """Phase sweep of (phi, total rate, relative intensity).
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Phase sweep as columns (phi, total rate, relative intensity).
 
     The grid covers one fringe period [0, pi) and always includes the
     two phases where cos(2 phi + theta) = +/-1, so the tabulated curve
-    attains the analytic extrema exactly.
+    attains the analytic extrema exactly.  Each value has the bits of
+    the scalar decay_rate or intensity call at its phase.
     """
     if n_phi < 2:
         raise ValueError("need at least two phase points")
-    phis = set(np.linspace(0.0, math.pi, n_phi, endpoint=False))
+    phis = set(np.linspace(0.0, math.pi, n_phi, endpoint=False).tolist())
     phis.update(_extremal_phases(scene.theta))
-    rows = []
-    for phi in sorted(phis):
-        gamma = decay_rate(scene, r_T_mag, phi, dip)
-        inten = intensity(scene, weights, r_T_mag, phi, dip)
-        rows.append((float(phi), float(gamma), float(inten)))
-    return rows
+    phis = sorted(phis)
+    gammas = decay_rate(scene, r_T_mag, np.array(phis), dip)
+    # math.cos per phase: np.cos need not round as math.cos does
+    intens = [intensity(scene, weights, r_T_mag, phi, dip) for phi in phis]
+    return np.array(phis), gammas, np.array(intens)
 
 
 def offset_scaled_rates(
@@ -301,8 +305,8 @@ def figure1d_curves(
     scene: EmitterScene,
     r_T_mag: float,
     n_offsets: int = 201,
-) -> list[tuple[float, float, float]]:
-    """Offset sweep of (y0, nu_I, nu_gamma) across the waveguide width.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Offset sweep as columns (y0, nu_I, nu_gamma) across the waveguide width.
 
     Intensity visibility uses the mode-weight reduction; rate
     visibility uses the averaged-dipole formula with equal rate
@@ -324,4 +328,4 @@ def figure1d_curves(
     nu_g = visibility_rate(
         beta_x, beta_y, 1.0, 1.0, r_T_mag, DipoleOrientation.AVERAGED_BOTH
     )
-    return list(zip(y0.tolist(), nu_i.tolist(), nu_g.tolist()))
+    return y0, nu_i, nu_g

@@ -12,6 +12,10 @@ incidence with 2x2 characteristic matrices, one period being
 [unetched/2, hole, unetched/2] so the default stack is symmetric; the
 N-period mirror is the period matrix raised to the N-th power (Abeles;
 Yeh, Optical Waves in Layered Media, 1988), for all wavelengths at once.
+A sweep holds each matrix as its four entries, four arrays over
+wavelength, multiplied entry by entry; `stack_matrix` and
+`stack_coefficients`, one 2x2 `@` product per layer and wavelength, are
+the reference it is tested against.
 """
 
 from __future__ import annotations
@@ -105,17 +109,27 @@ def segment_layout(spec: PhotonicCrystalSpec) -> tuple[np.ndarray, np.ndarray]:
     return np.tile(indices, spec.n_holes), np.tile(lengths, spec.n_holes)
 
 
+# A 2x2 matrix as its entries (m11, m12, m21, m22); in a sweep each is an
+# array over wavelength.
+_Entries = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+
+def _layer_entries(n: float, d_nm: float, wavelengths_nm: np.ndarray) -> _Entries:
+    """Entries of the characteristic matrix of one homogeneous layer."""
+    delta = 2.0 * np.pi / wavelengths_nm * n * d_nm
+    c, s = np.cos(delta).astype(complex), np.sin(delta)
+    return c, 1j * s / n, 1j * n * s, c
+
+
 def layer_matrix(n: float, d_nm: float, wavelength_nm: float | np.ndarray) -> np.ndarray:
     """Characteristic matrix of one homogeneous layer (normal incidence).
 
     A scalar wavelength gives one 2x2 matrix, an array of wavelengths a
     stack of them, shape (..., 2, 2).
     """
-    delta = 2.0 * np.pi / np.asarray(wavelength_nm, dtype=float) * n * d_nm
-    c, s = np.cos(delta), np.sin(delta)
+    m11, m12, m21, m22 = _layer_entries(n, d_nm, np.asarray(wavelength_nm, dtype=float))
     return np.stack(
-        [np.stack([c, 1j * s / n], axis=-1), np.stack([1j * n * s, c], axis=-1)],
-        axis=-2,
+        [np.stack([m11, m12], axis=-1), np.stack([m21, m22], axis=-1)], axis=-2
     )
 
 
@@ -128,22 +142,37 @@ def stack_matrix(
     return M
 
 
-def _matrix_power(M: np.ndarray, power: int) -> np.ndarray:
-    """M**power for a stack of 2x2 matrices, by repeated squaring."""
-    result = np.broadcast_to(np.eye(2, dtype=complex), M.shape)
+def _product(a: _Entries, b: _Entries) -> _Entries:
+    """The 2x2 matrix product a @ b at every wavelength, entry by entry."""
+    a11, a12, a21, a22 = a
+    b11, b12, b21, b22 = b
+    return (
+        a11 * b11 + a12 * b21,
+        a11 * b12 + a12 * b22,
+        a21 * b11 + a22 * b21,
+        a21 * b12 + a22 * b22,
+    )
+
+
+def _power(m: _Entries, power: int) -> _Entries:
+    """m**power at every wavelength, by repeated squaring."""
+    result = None
     while power:
         if power & 1:
-            result = result @ M
+            result = m if result is None else _product(result, m)
         power >>= 1
         if power:
-            M = M @ M
+            m = _product(m, m)
+    if result is None:
+        one, zero = np.ones_like(m[0]), np.zeros_like(m[0])
+        return one, zero, zero, one
     return result
 
 
-def _coefficients(M: np.ndarray, n_in: float, n_out: float) -> tuple[np.ndarray, np.ndarray]:
-    """Amplitude (r, t) from the characteristic matrix (or a stack of them)."""
-    m11, m12 = M[..., 0, 0], M[..., 0, 1]
-    m21, m22 = M[..., 1, 0], M[..., 1, 1]
+def _coefficients(m, n_in: float, n_out: float) -> tuple:
+    """Amplitude (r, t) from the entries (m11, m12, m21, m22) of the
+    characteristic matrix, four numbers or four arrays over wavelength."""
+    m11, m12, m21, m22 = m
     denom = (m11 + m12 * n_out) * n_in + (m21 + m22 * n_out)
     r = ((m11 + m12 * n_out) * n_in - (m21 + m22 * n_out)) / denom
     t = 2.0 * n_in / denom
@@ -161,16 +190,20 @@ def stack_coefficients(
 
     Power conservation reads |r|^2 + (n_out/n_in) |t|^2 = 1.
     """
-    r, t = _coefficients(stack_matrix(indices, lengths, wavelength_nm), n_in, n_out)
+    M = stack_matrix(indices, lengths, wavelength_nm)
+    r, t = _coefficients(M.ravel(), n_in, n_out)
     return complex(r), complex(t)
 
 
 def _crystal_reflectivity(spec: PhotonicCrystalSpec, wavelengths_nm: np.ndarray) -> np.ndarray:
     """r_M at each wavelength: the period matrices raised to n_holes (Abeles)."""
-    indices, lengths = _period_layout(spec)
-    period = stack_matrix(indices, lengths, wavelengths_nm)
+    # the period [u/2, hole, u/2] begins and ends with the same layer
+    (n_u, n_h, _), (d_u, d_h, _) = _period_layout(spec)
+    half = _layer_entries(float(n_u), float(d_u), wavelengths_nm)
+    hole = _layer_entries(float(n_h), float(d_h), wavelengths_nm)
+    period = _product(_product(half, hole), half)
     n = spec.termination_index
-    r, _ = _coefficients(_matrix_power(period, spec.n_holes), n, n)
+    r, _ = _coefficients(_power(period, spec.n_holes), n, n)
     return r
 
 
@@ -183,11 +216,14 @@ def tmm_reflectivity(spec: PhotonicCrystalSpec, wavelength_nm: float) -> complex
 
 def reflectivity_sweep(
     spec: PhotonicCrystalSpec, wavelengths_nm: np.ndarray
-) -> list[tuple[float, complex, float]]:
-    """[(lambda, r, |r|^2)] over a wavelength grid."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Columns (lambda, r, |r|^2) over a wavelength grid."""
     lams = np.asarray(wavelengths_nm, dtype=float)
-    r_M = _crystal_reflectivity(spec, lams).tolist()
-    return [(lam, r, float(abs(r) ** 2)) for lam, r in zip(lams.tolist(), r_M)]
+    r = _crystal_reflectivity(spec, lams)
+    # Python's float ** 2 (C pow) of np.hypot, which is Python's abs():
+    # numpy's x * x differs from pow in the last bit on some values
+    power = np.array([m**2 for m in np.hypot(r.real, r.imag).tolist()], dtype=float)
+    return lams, r, power
 
 
 def waveguide_transmission(loss_db_per_mm: float, length_nm: float) -> float:

@@ -11,6 +11,7 @@ points per call, so the bytes are those a per-point loop writes.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -72,8 +73,35 @@ def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
     return ticks or [lo, hi]
 
 
+def _limits(v: np.ndarray, pad: float) -> tuple[float, float, float]:
+    """(scale, lo, hi): the axis of the values v, `pad` of its span wider on
+    each side, with lo and hi in units of v * scale.
+
+    scale is 1, or a quarter where the limits or their span would overflow:
+    a power of two, so scaled values and their differences are finite.
+    """
+    lo, hi = _widen(*_extent(v))
+    for scale in (1.0, 0.25):
+        lo_s, hi_s = lo * scale, hi * scale
+        margin = pad * (hi_s - lo_s)
+        if math.isfinite((hi_s + margin) - (lo_s - margin)):
+            break
+    return scale, lo_s - margin, hi_s + margin
+
+
+def _axis_ticks(lo: float, hi: float, scale: float) -> list[float]:
+    """Ticks, in data units, of the axis [lo, hi] given in units scaled by `scale`."""
+    big = sys.float_info.max
+    return _nice_ticks(max(lo / scale, -big), min(hi / scale, big))
+
+
 def _fmt(v: float) -> str:
     return f"{v:.2f}"
+
+
+def _drawn_within(p: float, start: int, size: int) -> bool:
+    """Whether pixel coordinate p, as `_fmt` draws it, lies in [start, start + size]."""
+    return start <= float(_fmt(p)) <= start + size
 
 
 def _fmt_tick(v: float) -> str:
@@ -117,21 +145,18 @@ def line_plot(
         x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
         keep = np.isfinite(x) & np.isfinite(y)
         finite.append((name, x[keep], y[keep]))
-    x_lo, x_hi = _widen(*_extent(np.concatenate([x for _, x, _ in finite])))
-    y_lo, y_hi = _widen(*_extent(np.concatenate([y for _, _, y in finite])))
-    pad = 0.05 * (y_hi - y_lo)
-    y_lo -= pad
-    y_hi += pad
+    x_scale, x_lo, x_hi = _limits(np.concatenate([x for _, x, _ in finite]), 0.0)
+    y_scale, y_lo, y_hi = _limits(np.concatenate([y for _, _, y in finite]), 0.05)
 
     plot_w = _WIDTH - _MARGIN_L - _MARGIN_R
     plot_h = _HEIGHT - _MARGIN_T - _MARGIN_B
 
     # each takes a float or an array, with the same operations for both
     def px(x):
-        return _MARGIN_L + (x - x_lo) / (x_hi - x_lo) * plot_w
+        return _MARGIN_L + (x * x_scale - x_lo) / (x_hi - x_lo) * plot_w
 
     def py(y):
-        return _MARGIN_T + (y_hi - y) / (y_hi - y_lo) * plot_h
+        return _MARGIN_T + (y_hi - y * y_scale) / (y_hi - y_lo) * plot_h
 
     out = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -142,10 +167,10 @@ def line_plot(
         f'font-family="sans-serif" font-size="15">{escape(title)}</text>',
     ]
 
-    for t in _nice_ticks(x_lo, x_hi):
-        if t < x_lo - 1e-12 or t > x_hi + 1e-12:
-            continue
+    for t in _axis_ticks(x_lo, x_hi, x_scale):
         x = px(t)
+        if not _drawn_within(x, _MARGIN_L, plot_w):
+            continue
         out.append(
             f'<line x1="{_fmt(x)}" y1="{_MARGIN_T}" x2="{_fmt(x)}" '
             f'y2="{_HEIGHT - _MARGIN_B}" stroke="#dddddd" stroke-width="1"/>'
@@ -155,10 +180,10 @@ def line_plot(
             f'text-anchor="middle" font-family="sans-serif" font-size="12">'
             f"{escape(_fmt_tick(t))}</text>"
         )
-    for t in _nice_ticks(y_lo, y_hi):
-        if t < y_lo - 1e-12 or t > y_hi + 1e-12:
-            continue
+    for t in _axis_ticks(y_lo, y_hi, y_scale):
         y = py(t)
+        if not _drawn_within(y, _MARGIN_T, plot_h):
+            continue
         out.append(
             f'<line x1="{_MARGIN_L}" y1="{_fmt(y)}" x2="{_WIDTH - _MARGIN_R}" '
             f'y2="{_fmt(y)}" stroke="#dddddd" stroke-width="1"/>'

@@ -107,16 +107,14 @@ def test_05_figure_curves():
     profile = solve_te0(cfg.geometry(), n_points=cfg.grid_points)
     scene = cfg.scene(profile.k)
     weights = mode_weights(profile, scene.y0)
-    fig1c = em.figure1c_curves(scene, weights, 0.5, DipoleOrientation.Y)
-    rates = np.array([row[1] for row in fig1c])
-    inten = np.array([row[2] for row in fig1c])
+    _, rates, inten = em.figure1c_curves(scene, weights, 0.5, DipoleOrientation.Y)
     nu_i = (inten.max() - inten.min()) / (inten.max() + inten.min())
     extrema_ok = (
         abs(rates.max() - (scene.gamma_y0 * 1.5 + scene.gamma_b)) < 1e-10
         and abs(rates.min() - (scene.gamma_y0 * 0.5 + scene.gamma_b)) < 1e-10
     )
-    fig1d = em.figure1d_curves(profile, scene, 0.5)
-    by_y0 = {row[0]: (row[1], row[2]) for row in fig1d}
+    y0, nu_i_col, nu_g_col = em.figure1d_curves(profile, scene, 0.5)
+    by_y0 = dict(zip(y0.tolist(), zip(nu_i_col.tolist(), nu_g_col.tolist())))
     beta_y0 = scene.gamma_y0 / (scene.gamma_y0 + scene.gamma_b)
     center_ok = (
         abs(by_y0[0.0][0] - 0.8) < 1e-12
@@ -216,8 +214,8 @@ def test_08_mirror_stopband_and_flux_conservation():
     cfg = RunConfig.from_dict(DEFAULT_CONFIG)
     spec = cfg.crystal()
     lams = np.linspace(900.0, 1000.0, 101)
-    rows = opticalstack.reflectivity_sweep(spec, lams)
-    min_R = min(row[2] for row in rows)
+    _, _, power = opticalstack.reflectivity_sweep(spec, lams)
+    min_R = min(power)
     indices, lengths = opticalstack.segment_layout(spec)
     worst = 0.0
     for lam in lams:

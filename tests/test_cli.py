@@ -12,7 +12,7 @@ import pytest
 
 import phasemirror
 from phasemirror import config
-from phasemirror.cli import main
+from phasemirror.cli import build_parser, main
 from phasemirror.config import DEFAULT_CONFIG, QD1_PRESET, builtin_table1_path
 from phasemirror.csvio import read_csv, write_csv
 from phasemirror.synthlab import ExcitonModel, generate_decay_histogram, histogram_header
@@ -118,6 +118,16 @@ class TestManifests:
         assert main([a.replace("<sim>", sim_dir) for a in args] + ["--out", out]) == 0
         written = set(os.listdir(out)) - {"manifest.json"}
         assert set(read_manifest(out)["files"]) == written
+
+    @pytest.mark.parametrize("command", ["mode", "mirror"])
+    def test_rerun_writes_an_identical_manifest(self, tmp_path, command):
+        # the manifest holds the SHA-256 of every file the command wrote
+        manifests = []
+        for name in ("a", "b"):
+            out = tmp_path / name
+            assert main([command, "--out", str(out)]) == 0
+            manifests.append((out / "manifest.json").read_bytes())
+        assert manifests[0] == manifests[1]
 
 
 class TestModeCommand:
@@ -622,6 +632,23 @@ class TestConfigErrors:
             calls.clear()
             assert main([*args, "--out", str(tmp_path / str(i))]) == 0
             assert len(calls) == 1, args
+
+
+def test_main_calls_parse_independently(tmp_path, sim_dir):
+    # the parser is built once per process; every call gets a fresh
+    # namespace, so no flag of one call reaches the next
+    assert build_parser() is build_parser()
+    runs = [
+        (["analyze", "--in", sim_dir], None),
+        (["mode", "--seed", "3"], 3),
+        (["analyze", "--table1", builtin_table1_path()], DEFAULT_CONFIG["seed"]),
+        (["mirror"], DEFAULT_CONFIG["seed"]),
+    ]
+    for i, (args, seed) in enumerate(runs):
+        out = str(tmp_path / str(i))
+        assert main([*args, "--out", out]) == 0, args
+        if seed is not None:
+            assert read_manifest(out)["seed"] == seed, args
 
 
 def test_cli_import_leaves_scipy_out():

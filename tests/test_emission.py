@@ -273,25 +273,20 @@ class TestScene:
 class TestFigureCurves:
     def test_phase_curve_attains_extrema(self):
         scene = make_scene()
-        rows = figure1c_curves(scene, (0.0, 1.0), 0.5, Y)
-        gammas = [row[1] for row in rows]
+        _, gammas, _ = figure1c_curves(scene, (0.0, 1.0), 0.5, Y)
         assert max(gammas) == pytest.approx(1.0 * 1.5 + 0.1, abs=1e-12)
         assert min(gammas) == pytest.approx(1.0 * 0.5 + 0.1, abs=1e-12)
 
     def test_phase_curve_lock(self):
         scene = make_scene()
-        rows = figure1c_curves(scene, (0.0, 1.0), 0.5, Y, n_phi=801)
-        gammas = np.array([row[1] for row in rows])
-        ints = np.array([row[2] for row in rows])
+        _, gammas, ints = figure1c_curves(scene, (0.0, 1.0), 0.5, Y, n_phi=801)
+        assert len(gammas) >= 801
         assert np.argmax(gammas) == np.argmax(ints)
 
     def test_offset_curves_center_and_symmetry(self, default_profile):
         scene = make_scene()
-        rows = figure1d_curves(default_profile, scene, 0.5)
-        y0 = np.array([row[0] for row in rows])
-        nu_i = np.array([row[1] for row in rows])
-        nu_g = np.array([row[2] for row in rows])
-        mid = len(rows) // 2
+        y0, nu_i, nu_g = figure1d_curves(default_profile, scene, 0.5)
+        mid = len(y0) // 2
         assert y0[mid] == pytest.approx(0.0, abs=1e-12)
         assert nu_i[mid] == pytest.approx(0.8, abs=1e-12)
         assert nu_g[mid] == pytest.approx(0.5 * scene.beta_y0 * 0.5, abs=1e-12)
@@ -311,12 +306,26 @@ class TestFigureCurves:
             beta_x = gx / (gx + scene.gamma_b)
             beta_y = gy / (gy + scene.gamma_b)
             want.append((y0, nu_i, visibility_rate(beta_x, beta_y, 1.0, 1.0, r, AVG)))
-        assert figure1d_curves(default_profile, scene, r) == want
+        columns = figure1d_curves(default_profile, scene, r)
+        assert [col.tolist() for col in columns] == [list(col) for col in zip(*want)]
+
+    @pytest.mark.parametrize("dip", [X, Y, AVG])
+    @pytest.mark.parametrize("r", [0.0, 0.6, 1.0])
+    def test_phase_curves_equal_the_per_phase_calls(self, r, dip):
+        # figure1c_curves evaluates the rates of all phases at once; the
+        # scalar calls, one phase at a time, must give every float exactly
+        scene = make_scene(gamma_x0=0.3)
+        weights = (0.2, 0.8)
+        phis, gammas, ints = figure1c_curves(scene, weights, r, dip)
+        phis = phis.tolist()
+        assert phis == sorted(set(phis))
+        assert gammas.tolist() == [decay_rate(scene, r, phi, dip) for phi in phis]
+        assert ints.tolist() == [intensity(scene, weights, r, phi, dip) for phi in phis]
 
     def test_offset_nu_i_monotone_to_crossing(self, default_profile):
         scene = make_scene()
-        rows = figure1d_curves(default_profile, scene, 0.5, n_offsets=401)
-        half = [(y, v) for y, v, _ in rows if y >= 0]
+        y0, nu_i, _ = figure1d_curves(default_profile, scene, 0.5, n_offsets=401)
+        half = [(y, v) for y, v in zip(y0.tolist(), nu_i.tolist()) if y >= 0]
         values = [v for _, v in half]
         crossing = int(np.argmin(values))
         diffs = np.diff(values[: crossing + 1])
@@ -350,8 +359,9 @@ class TestFigureCurves:
             ),
         }
         assert main(["mode", "--out", str(tmp_path)]) == 0
-        for name, (header, rows) in want.items():
+        for name, (header, columns) in want.items():
             with open(tmp_path / name, newline="") as fh:
                 parsed = list(csv.reader(fh))
             assert parsed[0] == header
+            rows = list(zip(*(col.tolist() for col in columns)))
             assert [tuple(map(float, row)) for row in parsed[1:]] == rows

@@ -167,30 +167,36 @@ def test_sweep_csv(default_cfg, tmp_path):
     # `mirror` exports the sweep it computes, every float exactly
     m = default_cfg.raw["mirror"]
     lams = np.linspace(m["lambda_min_nm"], m["lambda_max_nm"], m["sweep_points"])
-    rows = reflectivity_sweep(default_cfg.crystal(), lams)
+    lam_col, r_col, rp_col = reflectivity_sweep(default_cfg.crystal(), lams)
     assert main(["mirror", "--out", str(tmp_path)]) == 0
     with open(tmp_path / "mirror_sweep.csv", newline="") as fh:
         parsed = list(csv.reader(fh))
     assert parsed[0] == ["lambda_nm", "r_re", "r_im", "R_power"]
-    assert len(parsed) == len(rows) + 1
-    for (lam, r, rp), row in zip(rows, parsed[1:]):
+    assert len(parsed) == len(lam_col) + 1
+    for lam, r, rp, row in zip(lam_col, r_col, rp_col, parsed[1:]):
         assert float(row[0]) == lam
         assert float(row[1]) == r.real
         assert float(row[2]) == r.imag
         assert float(row[3]) == rp
 
 
-@pytest.mark.parametrize("n_holes", [0, 1, 4, 12, 48])
-def test_sweep_matches_layer_by_layer_product(n_holes):
+@pytest.mark.parametrize(
+    "n_holes, lams",
+    [(n, np.linspace(850.0, 1050.0, 41)) for n in (0, 1, 4, 12, 48)]
+    # the shape of the benchmark's design sweeps
+    + [(24, np.linspace(845.0, 1055.0, 1001))],
+    ids=["0", "1", "4", "12", "48", "24-design"],
+)
+def test_sweep_matches_layer_by_layer_product(n_holes, lams):
     # the sweep raises one period matrix to n_holes for all wavelengths at
     # once; the per-layer product of stack_coefficients is the reference
     spec = PhotonicCrystalSpec(n_holes=n_holes)
     indices, lengths = segment_layout(spec)
     n = spec.termination_index
-    lams = np.linspace(850.0, 1050.0, 41)
-    rows = reflectivity_sweep(spec, lams)
+    lam_col, r_col, rp_col = reflectivity_sweep(spec, lams)
+    assert len(lam_col) == len(r_col) == len(rp_col) == len(lams)
     tol = 1e3 * np.finfo(float).eps
-    for lam, (lam_row, r, rp) in zip(lams, rows):
+    for lam, lam_row, r, rp in zip(lams, lam_col.tolist(), r_col.tolist(), rp_col.tolist()):
         want, _ = stack_coefficients(indices, lengths, n, n, lam)
         assert lam_row == lam
         assert abs(r - want) <= tol

@@ -4,6 +4,7 @@ import os
 import resource
 import subprocess
 import sys
+import warnings
 import xml.etree.ElementTree as ET
 from xml.sax.saxutils import escape as sax_escape
 
@@ -69,10 +70,32 @@ def _polylines(svg):
     return [p.get("points") for p in ET.fromstring(svg).iter(_SVG + "polyline")]
 
 
+_FRAME_X = (svgplot._MARGIN_L, svgplot._WIDTH - svgplot._MARGIN_R)
+_FRAME_Y = (svgplot._MARGIN_T, svgplot._HEIGHT - svgplot._MARGIN_B)
+
+
+def _assert_drawn_in_frame(svg):
+    """Every polyline point and grid line lies on the plot frame or within it."""
+    root = ET.fromstring(svg)
+    xs, ys = [], []
+    for points in _polylines(svg):
+        for pair in points.split():
+            x, y = pair.split(",")
+            xs.append(float(x))
+            ys.append(float(y))
+    for line in root.iter(_SVG + "line"):
+        if line.get("stroke") == "#dddddd":
+            xs += [float(line.get("x1")), float(line.get("x2"))]
+            ys += [float(line.get("y1")), float(line.get("y2"))]
+    assert all(_FRAME_X[0] <= x <= _FRAME_X[1] for x in xs), xs
+    assert all(_FRAME_Y[0] <= y <= _FRAME_Y[1] for y in ys), ys
+
+
 def _assert_matches_oracle(series):
     svg = svgplot.line_plot(
         [(f"s{i}", x, y) for i, (x, y) in enumerate(series)], "t", "x", "y"
     )
+    _assert_drawn_in_frame(svg)
     got = _polylines(svg)
     limits = _oracle_limits(series)
     assert got == [_oracle_points(x, y, *limits) for x, y in series]
@@ -268,3 +291,44 @@ def test_line_plot_returns_on_spans_below_resolution():
     out = _in_child(code)
     assert out.count("</svg>") == 3
     assert "nan" not in out and "inf" not in out
+
+
+# --- spans at the ends of the double range ----------------------------------
+
+_MAX = sys.float_info.max
+
+
+@pytest.mark.parametrize(
+    "x, y",
+    [
+        ([-1e308, 0.0, 1e308], [0.0, 1.0, 2.0]),
+        ([0.0, 1.0, 2.0], [-1e308, 0.0, 1e308]),
+        ([-_MAX, 0.0, _MAX], [-_MAX, 0.0, _MAX]),
+        # the span is finite, its 5% margins are not
+        ([0.0, 1.0], [-0.85e308, 0.85e308]),
+        ([0.0, 1.0], [0.5 * _MAX, _MAX]),
+    ],
+)
+def test_spans_wider_than_the_double_range_stay_in_the_frame(x, y):
+    x, y = np.array(x), np.array(y)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        svg = svgplot.line_plot([("s", x, y)], "t", "x", "y")
+    assert "nan" not in svg and "inf" not in svg
+    _assert_drawn_in_frame(svg)
+    (points,) = _polylines(svg)
+    px = [float(p.split(",")[0]) for p in points.split()]
+    py = [float(p.split(",")[1]) for p in points.split()]
+    # the ends of each axis map to the ends of the frame, in order
+    assert px[0] == _FRAME_X[0] and px[-1] == _FRAME_X[1] and px == sorted(px)
+    assert py == sorted(py, reverse=True) and py[0] > py[-1]
+
+
+def test_ticks_outside_the_frame_are_dropped():
+    # the only tick of this span, 0.9999999999999999, lies below the axis
+    y = np.array([1.0, 1.0 + 2.2e-16, 1.0])
+    svg = svgplot.line_plot([("s", np.arange(3.0), y)], "t", "x", "y")
+    _assert_drawn_in_frame(svg)
+    # y tick labels are the right-aligned texts
+    texts = ET.fromstring(svg).iter(_SVG + "text")
+    assert [t.text for t in texts if t.get("text-anchor") == "end"] == []
