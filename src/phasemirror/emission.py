@@ -109,24 +109,15 @@ def _check_reflectivity(r_T_mag: float) -> None:
         raise ReflectivityOutOfRange(f"|r_T| must lie in [0, 1], got {r_T_mag}")
 
 
-def rate_modulation(
-    r_T_mag: float, phi: float, theta: float, dip: DipoleOrientation
-) -> float:
-    """Closed-form rate factor 1 +/- |r_T| cos(2 phi + theta)."""
-    _check_reflectivity(r_T_mag)
-    if dip is DipoleOrientation.AVERAGED_BOTH:
-        raise ValueError("modulation factor is defined per dipole axis")
-    return 1.0 + _SIGN[dip] * r_T_mag * math.cos(2.0 * phi + theta)
-
-
 def rate_modulation_green(
     r_T_mag: float, phi: float, k: float, L: float, dip: DipoleOrientation
 ) -> float:
     """Rate factor via the image-dipole Green's-function ratio.
 
     Evaluates 1 +/- |r_T| Im{e^{i 2 phi} G0(0, 2L)} / Im G0(0, 0);
-    algebraically identical to rate_modulation with theta = 2kL.  phi
-    may be an array of phases, each giving the bits of a scalar call.
+    algebraically identical to the closed form 1 +/- |r_T| cos(2 phi +
+    theta) with theta = 2kL.  phi may be an array of phases, each giving
+    the bits of a scalar call.
     """
     _check_reflectivity(r_T_mag)
     if dip is DipoleOrientation.AVERAGED_BOTH:

@@ -115,14 +115,6 @@ def poisson_nll(mu: np.ndarray, counts: np.ndarray) -> float:
     return float((mu - counts * np.log(mu)).sum())
 
 
-def poisson_nll_gradient(
-    x: np.ndarray, edges: np.ndarray, counts: np.ndarray, fit_background: bool
-) -> np.ndarray:
-    """Analytic gradient of the negative log-likelihood in log-params."""
-    mu, J = biexp_model(x, edges, fit_background)
-    return J.T @ (1.0 - counts / mu)
-
-
 def _fisher(J: np.ndarray, mu: np.ndarray) -> np.ndarray:
     return (J / mu[:, None]).T @ J
 

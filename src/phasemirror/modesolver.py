@@ -255,41 +255,3 @@ def mode_weights(profile: ModeProfile, y0_nm: float | np.ndarray) -> tuple:
     if y0.ndim == 0:
         return float(ex * ex), float(ey * ey)
     return ex * ex, ey * ey
-
-
-def helmholtz_residual(profile: ModeProfile, geom: WaveguideGeometry) -> float:
-    """Relative residual of the discrete Helmholtz operator on the mode.
-
-    The solver's discretization is exact for piecewise-constant index:
-    within each homogeneous run the auxiliary field obeys the
-    three-point relation H[i-1] + H[i+1] = 2 cos(kappa h) H[i] (cosh for
-    evanescent segments).  The residual of that operator, normalized by
-    the eigenvalue term beta^2 h^2 H, measures how well the returned
-    profile solves the discrete problem.  Nodes whose stencil straddles
-    a sidewall are excluded because the interface matching belongs to
-    the jump conditions, not the bulk operator.
-    """
-    y = profile.grid
-    h = y[1] - y[0]
-    half_w = profile.core_half_width
-    k0 = geom.k0
-    beta = profile.k
-
-    inside = np.abs(y) <= half_w
-    n_slab = _solve_width(geom).n_slab
-    n_sq = np.where(inside, n_slab**2, geom.clad_index**2)
-    H = n_sq * profile.e_y
-
-    kappa_sq = (k0**2) * n_sq - beta**2
-    c = np.where(
-        kappa_sq >= 0,
-        np.cos(np.sqrt(np.abs(kappa_sq)) * h),
-        np.cosh(np.sqrt(np.abs(kappa_sq)) * h),
-    )
-
-    same_region = inside[:-2] == inside[2:]
-    same_region &= inside[:-2] == inside[1:-1]
-    idx = np.where(same_region)[0] + 1
-    r = H[idx - 1] + H[idx + 1] - 2.0 * c[idx] * H[idx]
-    eig_term = (beta * h) ** 2 * H[idx]
-    return float(np.linalg.norm(r) / np.linalg.norm(eig_term))

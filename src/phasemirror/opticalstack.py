@@ -13,9 +13,13 @@ incidence with 2x2 characteristic matrices, one period being
 N-period mirror is the period matrix raised to the N-th power (Abeles;
 Yeh, Optical Waves in Layered Media, 1988), for all wavelengths at once.
 A sweep holds each matrix as its four entries, four arrays over
-wavelength, multiplied entry by entry; `stack_matrix` and
-`stack_coefficients`, one 2x2 `@` product per layer and wavelength, are
-the reference it is tested against.
+wavelength, multiplied entry by entry.  The tests check it against a
+per-layer 2x2 `@` product in `tests/oracles.py`.
+
+The power reflectivity R = |r|^2 is exact only to about 1e-15 absolute:
+deep in the stopband of a long mirror rounding can put it just above 1
+(1.0000000000000009 at 48 holes).  It is reported as computed, not
+clamped.
 """
 
 from __future__ import annotations
@@ -93,22 +97,6 @@ class PhotonicCrystalSpec:
         return (hole * self.n_hole + (self.pitch_nm - hole) * self.n_unetched) / self.pitch_nm
 
 
-def _period_layout(spec: PhotonicCrystalSpec) -> tuple[np.ndarray, np.ndarray]:
-    """(indices, lengths) of one period [u/2, hole, u/2]."""
-    hole_len = 2.0 * spec.hole_radius_nm
-    u_half = (spec.pitch_nm - hole_len) / 2.0
-    return (
-        np.array([spec.n_unetched, spec.n_hole, spec.n_unetched], dtype=float),
-        np.array([u_half, hole_len, u_half], dtype=float),
-    )
-
-
-def segment_layout(spec: PhotonicCrystalSpec) -> tuple[np.ndarray, np.ndarray]:
-    """(indices, lengths) of the stack, one period = [u/2, hole, u/2]."""
-    indices, lengths = _period_layout(spec)
-    return np.tile(indices, spec.n_holes), np.tile(lengths, spec.n_holes)
-
-
 # A 2x2 matrix as its entries (m11, m12, m21, m22); in a sweep each is an
 # array over wavelength.
 _Entries = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
@@ -119,27 +107,6 @@ def _layer_entries(n: float, d_nm: float, wavelengths_nm: np.ndarray) -> _Entrie
     delta = 2.0 * np.pi / wavelengths_nm * n * d_nm
     c, s = np.cos(delta).astype(complex), np.sin(delta)
     return c, 1j * s / n, 1j * n * s, c
-
-
-def layer_matrix(n: float, d_nm: float, wavelength_nm: float | np.ndarray) -> np.ndarray:
-    """Characteristic matrix of one homogeneous layer (normal incidence).
-
-    A scalar wavelength gives one 2x2 matrix, an array of wavelengths a
-    stack of them, shape (..., 2, 2).
-    """
-    m11, m12, m21, m22 = _layer_entries(n, d_nm, np.asarray(wavelength_nm, dtype=float))
-    return np.stack(
-        [np.stack([m11, m12], axis=-1), np.stack([m21, m22], axis=-1)], axis=-2
-    )
-
-
-def stack_matrix(
-    indices: np.ndarray, lengths: np.ndarray, wavelength_nm: float | np.ndarray
-) -> np.ndarray:
-    M = np.eye(2, dtype=complex)
-    for n, d in zip(indices, lengths):
-        M = M @ layer_matrix(float(n), float(d), wavelength_nm)
-    return M
 
 
 def _product(a: _Entries, b: _Entries) -> _Entries:
@@ -169,41 +136,25 @@ def _power(m: _Entries, power: int) -> _Entries:
     return result
 
 
-def _coefficients(m, n_in: float, n_out: float) -> tuple:
-    """Amplitude (r, t) from the entries (m11, m12, m21, m22) of the
-    characteristic matrix, four numbers or four arrays over wavelength."""
+def _coefficients(m: _Entries, n: float) -> tuple[np.ndarray, np.ndarray]:
+    """Amplitude (r, t) at every wavelength from the entries of the
+    characteristic matrix of a stack with index n on both sides."""
     m11, m12, m21, m22 = m
-    denom = (m11 + m12 * n_out) * n_in + (m21 + m22 * n_out)
-    r = ((m11 + m12 * n_out) * n_in - (m21 + m22 * n_out)) / denom
-    t = 2.0 * n_in / denom
+    denom = (m11 + m12 * n) * n + (m21 + m22 * n)
+    r = ((m11 + m12 * n) * n - (m21 + m22 * n)) / denom
+    t = 2.0 * n / denom
     return r, t
-
-
-def stack_coefficients(
-    indices: np.ndarray,
-    lengths: np.ndarray,
-    n_in: float,
-    n_out: float,
-    wavelength_nm: float,
-) -> tuple[complex, complex]:
-    """Amplitude (r, t) of an arbitrary lossless layer sequence.
-
-    Power conservation reads |r|^2 + (n_out/n_in) |t|^2 = 1.
-    """
-    M = stack_matrix(indices, lengths, wavelength_nm)
-    r, t = _coefficients(M.ravel(), n_in, n_out)
-    return complex(r), complex(t)
 
 
 def _crystal_reflectivity(spec: PhotonicCrystalSpec, wavelengths_nm: np.ndarray) -> np.ndarray:
     """r_M at each wavelength: the period matrices raised to n_holes (Abeles)."""
     # the period [u/2, hole, u/2] begins and ends with the same layer
-    (n_u, n_h, _), (d_u, d_h, _) = _period_layout(spec)
-    half = _layer_entries(float(n_u), float(d_u), wavelengths_nm)
-    hole = _layer_entries(float(n_h), float(d_h), wavelengths_nm)
+    hole_len = 2.0 * spec.hole_radius_nm
+    u_half = (spec.pitch_nm - hole_len) / 2.0
+    half = _layer_entries(spec.n_unetched, u_half, wavelengths_nm)
+    hole = _layer_entries(spec.n_hole, hole_len, wavelengths_nm)
     period = _product(_product(half, hole), half)
-    n = spec.termination_index
-    r, _ = _coefficients(_power(period, spec.n_holes), n, n)
+    r, _ = _coefficients(_power(period, spec.n_holes), spec.termination_index)
     return r
 
 

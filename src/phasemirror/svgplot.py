@@ -104,9 +104,18 @@ def _drawn_within(p: float, start: int, size: int) -> bool:
     return start <= float(_fmt(p)) <= start + size
 
 
-def _fmt_tick(v: float) -> str:
-    s = f"{v:.6g}"
-    return "0" if s == "-0" else s
+def _tick_marks(ticks: list[float], to_px, start: int, size: int) -> list[tuple[str, float]]:
+    """(label, pixel) of each tick that `_fmt` draws within [start, start + size].
+
+    An axis' labels have the fewest significant digits, at least 6, that
+    tell adjacent ticks apart; 17 tell any two doubles apart.
+    """
+    drawn = [(t, p) for t, p in ((t, to_px(t)) for t in ticks) if _drawn_within(p, start, size)]
+    for digits in range(6, 18):
+        labels = [f"{t:.{digits}g}" for t, _ in drawn]
+        if all(a != b for a, b in zip(labels, labels[1:])):
+            break
+    return [("0" if s == "-0" else s, p) for s, (_, p) in zip(labels, drawn)]
 
 
 def _extent(v: np.ndarray) -> tuple[float, float]:
@@ -167,10 +176,7 @@ def line_plot(
         f'font-family="sans-serif" font-size="15">{escape(title)}</text>',
     ]
 
-    for t in _axis_ticks(x_lo, x_hi, x_scale):
-        x = px(t)
-        if not _drawn_within(x, _MARGIN_L, plot_w):
-            continue
+    for label, x in _tick_marks(_axis_ticks(x_lo, x_hi, x_scale), px, _MARGIN_L, plot_w):
         out.append(
             f'<line x1="{_fmt(x)}" y1="{_MARGIN_T}" x2="{_fmt(x)}" '
             f'y2="{_HEIGHT - _MARGIN_B}" stroke="#dddddd" stroke-width="1"/>'
@@ -178,12 +184,9 @@ def line_plot(
         out.append(
             f'<text x="{_fmt(x)}" y="{_HEIGHT - _MARGIN_B + 18}" '
             f'text-anchor="middle" font-family="sans-serif" font-size="12">'
-            f"{escape(_fmt_tick(t))}</text>"
+            f"{escape(label)}</text>"
         )
-    for t in _axis_ticks(y_lo, y_hi, y_scale):
-        y = py(t)
-        if not _drawn_within(y, _MARGIN_T, plot_h):
-            continue
+    for label, y in _tick_marks(_axis_ticks(y_lo, y_hi, y_scale), py, _MARGIN_T, plot_h):
         out.append(
             f'<line x1="{_MARGIN_L}" y1="{_fmt(y)}" x2="{_WIDTH - _MARGIN_R}" '
             f'y2="{_fmt(y)}" stroke="#dddddd" stroke-width="1"/>'
@@ -191,7 +194,7 @@ def line_plot(
         out.append(
             f'<text x="{_MARGIN_L - 8}" y="{_fmt(y + 4)}" text-anchor="end" '
             f'font-family="sans-serif" font-size="12">'
-            f"{escape(_fmt_tick(t))}</text>"
+            f"{escape(label)}</text>"
         )
 
     out.append(

@@ -1,0 +1,128 @@
+"""Reference implementations that the tests check the package against.
+
+Each function here is a second, plainer route to a quantity that
+`phasemirror` computes once, kept out of the package because no command
+uses it:
+
+- the per-layer transfer-matrix product of a mirror stack (one 2x2 `@`
+  per layer and wavelength) and the (r, t) it gives, against which the
+  sweep's repeated squaring of the period matrix is checked;
+- the analytic gradient of the Poisson negative log-likelihood, checked
+  against finite differences and used to build a reference Hessian;
+- the bulk residual of the discrete Helmholtz operator on a solved mode;
+- the closed-form rate factor 1 +/- |r_T| cos(2 phi + theta), against
+  which the Green's-function ratio is checked.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from phasemirror.emission import DipoleOrientation
+from phasemirror.inference import biexp_model
+from phasemirror.modesolver import ModeProfile, WaveguideGeometry, _solve_width
+from phasemirror.opticalstack import PhotonicCrystalSpec
+
+# ---------------------------------------------------------------------------
+# transfer matrices
+
+
+def segment_layout(spec: PhotonicCrystalSpec) -> tuple[np.ndarray, np.ndarray]:
+    """(indices, lengths) of the stack, one period = [u/2, hole, u/2]."""
+    hole = 2.0 * spec.hole_radius_nm
+    u_half = (spec.pitch_nm - hole) / 2.0
+    indices = np.array([spec.n_unetched, spec.n_hole, spec.n_unetched], dtype=float)
+    lengths = np.array([u_half, hole, u_half], dtype=float)
+    return np.tile(indices, spec.n_holes), np.tile(lengths, spec.n_holes)
+
+
+def layer_matrix(n: float, d_nm: float, wavelength_nm: float) -> np.ndarray:
+    """Characteristic matrix of one homogeneous layer (normal incidence)."""
+    delta = 2.0 * np.pi / wavelength_nm * n * d_nm
+    c, s = np.cos(delta), np.sin(delta)
+    return np.array([[c, 1j * s / n], [1j * n * s, c]], dtype=complex)
+
+
+def stack_matrix(indices: np.ndarray, lengths: np.ndarray, wavelength_nm: float) -> np.ndarray:
+    """Product of the layer matrices, first layer on the left."""
+    M = np.eye(2, dtype=complex)
+    for n, d in zip(indices, lengths):
+        M = M @ layer_matrix(float(n), float(d), wavelength_nm)
+    return M
+
+
+def stack_coefficients(
+    indices: np.ndarray,
+    lengths: np.ndarray,
+    n_in: float,
+    n_out: float,
+    wavelength_nm: float,
+) -> tuple[complex, complex]:
+    """Amplitude (r, t) of a lossless layer sequence between two media.
+
+    Power conservation reads |r|^2 + (n_out/n_in) |t|^2 = 1.
+    """
+    (m11, m12), (m21, m22) = stack_matrix(indices, lengths, wavelength_nm)
+    b, c = m11 + m12 * n_out, m21 + m22 * n_out
+    denom = n_in * b + c
+    return complex((n_in * b - c) / denom), complex(2.0 * n_in / denom)
+
+
+# ---------------------------------------------------------------------------
+# lifetime fits
+
+
+def poisson_nll_gradient(
+    x: np.ndarray, edges: np.ndarray, counts: np.ndarray, fit_background: bool
+) -> np.ndarray:
+    """Analytic gradient of the negative log-likelihood in log-params."""
+    mu, J = biexp_model(x, edges, fit_background)
+    return J.T @ (1.0 - counts / mu)
+
+
+# ---------------------------------------------------------------------------
+# mode solver
+
+
+def helmholtz_residual(profile: ModeProfile, geom: WaveguideGeometry) -> float:
+    """Relative residual of the discrete Helmholtz operator on the mode.
+
+    The solver's discretization is exact for piecewise-constant index:
+    within each homogeneous run the auxiliary field obeys the
+    three-point relation H[i-1] + H[i+1] = 2 cos(kappa h) H[i] (cosh for
+    evanescent segments).  The residual of that operator, normalized by
+    the eigenvalue term beta^2 h^2 H, measures how well the returned
+    profile solves the discrete problem.  Nodes whose stencil straddles
+    a sidewall are excluded because the interface matching belongs to
+    the jump conditions, not the bulk operator.
+    """
+    y = profile.grid
+    h = y[1] - y[0]
+    beta = profile.k
+
+    inside = np.abs(y) <= profile.core_half_width
+    n_slab = _solve_width(geom).n_slab
+    n_sq = np.where(inside, n_slab**2, geom.clad_index**2)
+    H = n_sq * profile.e_y
+
+    kappa_sq = geom.k0**2 * n_sq - beta**2
+    root = np.sqrt(np.abs(kappa_sq)) * h
+    c = np.where(kappa_sq >= 0, np.cos(root), np.cosh(root))
+
+    same_region = (inside[:-2] == inside[2:]) & (inside[:-2] == inside[1:-1])
+    idx = np.where(same_region)[0] + 1
+    r = H[idx - 1] + H[idx + 1] - 2.0 * c[idx] * H[idx]
+    eig_term = (beta * h) ** 2 * H[idx]
+    return float(np.linalg.norm(r) / np.linalg.norm(eig_term))
+
+
+# ---------------------------------------------------------------------------
+# emission
+
+
+def rate_modulation(r_T_mag: float, phi: float, theta: float, dip: DipoleOrientation) -> float:
+    """Closed-form rate factor 1 +/- |r_T| cos(2 phi + theta), + for X, - for Y."""
+    sign = {DipoleOrientation.X: 1.0, DipoleOrientation.Y: -1.0}[dip]
+    return 1.0 + sign * r_T_mag * math.cos(2.0 * phi + theta)

@@ -16,7 +16,7 @@ from phasemirror.config import (
     RunConfig,
 )
 from phasemirror.modesolver import WINDOW_MARGIN_NM, WaveguideGeometry
-from phasemirror.opticalstack import PhotonicCrystalSpec
+from phasemirror.opticalstack import MirrorChain, PhotonicCrystalSpec, waveguide_transmission
 from phasemirror.synthlab import CalibrationModel, PhaseCalibration
 
 
@@ -234,8 +234,10 @@ def _device_error(doc):
     """The ValueError text of building a schema-valid doc's device, or None.
 
     The emitter must lie in the solved window and the background must
-    leave the histograms some signal; these are checked first.  The
-    mirror chain is left out: the schema bounds each of its values.
+    leave the histograms some signal; these are checked first.  The rest
+    is built in the order `RunConfig.from_dict` builds it: the schema
+    bounds every value of the mirror chain, but a nan passes each bound
+    and fails only when the chain is built.
     """
     g, m, c = doc["geometry"], doc["mirror"], doc["calibration"]
     y0, window = doc["emitter"]["y0_nm"], g["width_nm"] / 2.0 + WINDOW_MARGIN_NM
@@ -245,8 +247,10 @@ def _device_error(doc):
     if s["hist_counts"] - s["background"] * s["n_bins"] <= 0:
         return "hist_counts must exceed the background budget background * n_bins"
     try:
+        one_way = waveguide_transmission(m["loss_db_per_mm"], m["qd_mirror_distance_um"] * 1000.0)
         WaveguideGeometry(*(g[f.name] for f in fields(WaveguideGeometry)))
         PhotonicCrystalSpec(*(m[f.name] for f in fields(PhotonicCrystalSpec)))
+        MirrorChain(m["t_phi_sq"], one_way**2, m["r_M_mag"])
         PhaseCalibration(
             CalibrationModel(c["model"]),
             None if c["table"] is None else tuple(map(tuple, c["table"])),
@@ -257,6 +261,12 @@ def _device_error(doc):
     except ValueError as exc:
         return str(exc)
     return None
+
+
+def test_device_error_builds_the_mirror_chain():
+    doc = copy.deepcopy(QD1_PRESET)
+    doc["mirror"]["loss_db_per_mm"] = float("nan")
+    assert _device_error(doc) == "t_wg_sq must lie in [0, 1], got nan"
 
 
 @settings(max_examples=500)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oracles import rate_modulation
 from phasemirror.cli import main
 from phasemirror.emission import (
     DegenerateRates,
@@ -18,7 +19,6 @@ from phasemirror.emission import (
     figure1d_curves,
     intensity,
     offset_scaled_rates,
-    rate_modulation,
     rate_modulation_green,
     scalar_green,
     visibility_intensity,
@@ -91,11 +91,11 @@ class TestRateModulation:
 
     def test_averaged_has_no_single_factor(self):
         with pytest.raises(ValueError):
-            rate_modulation(0.5, 0.0, 0.0, AVG)
+            rate_modulation_green(0.5, 0.0, 0.0173, 0.0, AVG)
 
     def test_reflectivity_range(self):
         with pytest.raises(ReflectivityOutOfRange):
-            rate_modulation(1.5, 0.0, 0.0, X)
+            rate_modulation_green(1.5, 0.0, 0.0173, 0.0, X)
 
 
 class TestDecayRate:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import poisson_nll_gradient
 from phasemirror.inference import (
     EmptyFeasibleSet,
     InsufficientFringes,
@@ -22,7 +23,6 @@ from phasemirror.inference import (
     fit_biexponential,
     fit_sinusoid,
     poisson_nll,
-    poisson_nll_gradient,
     r_lower_bound,
     read_table1_csv,
     reconstruct_phase_map,

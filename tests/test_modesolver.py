@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oracles import helmholtz_residual
 from phasemirror.cli import main
 from phasemirror.modesolver import (
     GridTooCoarse,
@@ -15,7 +16,6 @@ from phasemirror.modesolver import (
     WaveguideGeometry,
     _solve_even_slab,
     bisect_root,
-    helmholtz_residual,
     mode_weights,
     solve_te0,
 )

@@ -5,14 +5,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oracles import segment_layout, stack_coefficients, stack_matrix
 from phasemirror.cli import main
 from phasemirror.opticalstack import (
     MirrorChain,
     PhotonicCrystalSpec,
     reflectivity_sweep,
-    segment_layout,
-    stack_coefficients,
-    stack_matrix,
     tmm_reflectivity,
     waveguide_transmission,
 )

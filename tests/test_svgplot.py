@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 import os
@@ -15,6 +16,8 @@ from hypothesis import strategies as st
 
 import phasemirror
 from phasemirror import svgplot
+from phasemirror.cli import main
+from phasemirror.config import DEFAULT_CONFIG
 
 _SVG = "{http://www.w3.org/2000/svg}"
 
@@ -332,3 +335,37 @@ def test_ticks_outside_the_frame_are_dropped():
     # y tick labels are the right-aligned texts
     texts = ET.fromstring(svg).iter(_SVG + "text")
     assert [t.text for t in texts if t.get("text-anchor") == "end"] == []
+
+
+# --- tick labels ------------------------------------------------------------
+
+
+def _y_labels(svg):
+    # y tick labels are the right-aligned texts
+    texts = ET.fromstring(svg).iter(_SVG + "text")
+    return [t.text for t in texts if t.get("text-anchor") == "end"]
+
+
+@pytest.mark.parametrize("n_holes", [None, 24])
+def test_mirror_sweep_y_labels_are_distinct(tmp_path, n_holes):
+    # deep in the stopband R spans a few 1e-6 (12 holes) or 1e-12 (24 holes)
+    # below 1, where six significant digits gave adjacent ticks one label
+    args = ["mirror", "--out", str(tmp_path / "out")]
+    if n_holes is not None:
+        cfg = copy.deepcopy(DEFAULT_CONFIG)
+        cfg["mirror"]["n_holes"] = n_holes
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg), encoding="utf-8")
+        args += ["--config", str(tmp_path / "cfg.json")]
+    assert main(args) == 0
+    labels = _y_labels((tmp_path / "out" / "mirror_sweep.svg").read_text(encoding="utf-8"))
+    assert len(labels) >= 2
+    assert all(a != b for a, b in zip(labels, labels[1:])), labels
+
+
+def test_distinct_tick_labels_keep_six_digits():
+    svg = svgplot.line_plot([("s", np.arange(3.0), np.array([0.0, 0.5, 1.0]))], "t", "x", "y")
+    assert _y_labels(svg) == ["0", "0.2", "0.4", "0.6", "0.8", "1"]
+    # a span of 1e-7 around 1 needs eight digits to tell its ticks apart
+    y = 1.0 + np.array([0.0, 1e-7])
+    labels = _y_labels(svgplot.line_plot([("s", np.arange(2.0), y)], "t", "x", "y"))
+    assert labels == ["1", "1.00000002", "1.00000004", "1.00000006", "1.00000008", "1.0000001"]
