@@ -210,7 +210,7 @@ def cmd_simulate(args: argparse.Namespace, cfg: RunConfig, outs: _Outputs) -> No
         scene,
         weights,
         cfg.r_T_magnitude(),
-        cfg.calibration(),
+        cfg.calibration,
         cfg.voltages(),
         cfg.counts_scale,
         cfg.seed,

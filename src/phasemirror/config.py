@@ -4,6 +4,15 @@ The schema rejects unknown keys so typos fail loudly, and the SHA-256
 hash of the canonical serialization is recorded in every output
 manifest, tying artifacts to the exact inputs that produced them.
 
+Each key is written once, in `_TABLE`, with its schema and its default:
+the sections geometry, mirror, emitter, calibration and sweep map their
+keys to (schema, default) pairs, as the top level does `seed` and
+`r_T_mag`.  `SCHEMA` and `DEFAULT_CONFIG` are both derived from it.  The
+document and each section are objects with no additional properties
+that require every key but `r_T_mag`, the one optional key.
+`WaveguideGeometry` and `PhotonicCrystalSpec` are built from the keys
+of their sections named like their fields.
+
 `SCHEMA` is a JSON Schema (draft 2020-12) checked by a small interpreter
 of exactly the keywords it uses: `type` (a name or a list of names, with
 JSON's `number` and `integer`, so booleans are neither and 2.0 is an
@@ -11,9 +20,10 @@ integer), `enum`, `required`, `properties`, `additionalProperties: false`,
 `minimum`, `maximum`, `exclusiveMinimum`, `items`, `minItems` and
 `maxItems`.  It reports the error, with the text, that
 `jsonschema.validate` would raise.  A document the schema accepts must
-also describe a buildable device: `RunConfig.from_dict` builds its
-geometry, crystal, mirror chain and calibration, and a contradiction
-among the values is a ConfigError too.
+hold no nan (an in-process dict can; JSON cannot) and must describe a
+buildable device: `RunConfig.from_dict` builds its geometry, crystal,
+mirror chain and calibration, and a contradiction among the values is a
+ConfigError too.
 
 The package's JSON goes through `read_json` and `write_json` (sorted
 keys, two-space indent, final LF): configs, manifests and reports.
@@ -26,7 +36,7 @@ import hashlib
 import json
 import numbers
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from importlib import resources
 
 import numpy as np
@@ -39,170 +49,87 @@ from .synthlab import CalibrationModel, PhaseCalibration, default_bin_edges
 _NUM = {"type": "number"}
 _POS = {"type": "number", "exclusiveMinimum": 0}
 _NONNEG = {"type": "number", "minimum": 0}
+_FRACTION = {"type": "number", "minimum": 0, "maximum": 1}
+_PAIR = {"items": _NUM, "minItems": 2, "maxItems": 2}
 
-SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["geometry", "mirror", "emitter", "calibration", "sweep", "seed"],
-    "properties": {
-        "geometry": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": [
-                "width_nm", "thickness_nm", "core_index", "clad_index",
-                "wavelength_nm", "grid_points",
-            ],
-            "properties": {
-                "width_nm": _POS,
-                "thickness_nm": _POS,
-                "core_index": _POS,
-                "clad_index": _POS,
-                "wavelength_nm": _POS,
-                "grid_points": {"type": "integer", "minimum": 64},
-            },
-        },
-        "mirror": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": [
-                "n_holes", "pitch_nm", "hole_radius_nm", "n_unetched", "n_hole",
-                "termination_index", "loss_db_per_mm", "qd_mirror_distance_um",
-                "t_phi_sq", "r_M_mag", "lambda_min_nm", "lambda_max_nm",
-                "sweep_points",
-            ],
-            "properties": {
-                "n_holes": {"type": "integer", "minimum": 0},
-                "pitch_nm": _POS,
-                "hole_radius_nm": _NONNEG,
-                "n_unetched": _POS,
-                "n_hole": _POS,
-                "termination_index": _POS,
-                "loss_db_per_mm": _NONNEG,
-                "qd_mirror_distance_um": _POS,
-                "t_phi_sq": {"type": "number", "minimum": 0, "maximum": 1},
-                "r_M_mag": {"type": "number", "minimum": 0, "maximum": 1},
-                "lambda_min_nm": _POS,
-                "lambda_max_nm": _POS,
-                "sweep_points": {"type": "integer", "minimum": 2},
-            },
-        },
-        "emitter": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["y0_nm", "gamma_x0", "gamma_y0", "gamma_b", "gamma_nrad"],
-            "properties": {
-                "y0_nm": _NUM,
-                "gamma_x0": _NONNEG,
-                "gamma_y0": _NONNEG,
-                "gamma_b": _NONNEG,
-                "gamma_nrad": _NONNEG,
-            },
-        },
-        "calibration": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["model", "quad_coeff", "quad_offset", "v_range", "table"],
-            "properties": {
-                "model": {"enum": ["quadratic", "table"]},
-                "quad_coeff": {"type": ["number", "null"]},
-                "quad_offset": _NUM,
-                "v_range": {
-                    "type": ["array", "null"],
-                    "items": _NUM,
-                    "minItems": 2,
-                    "maxItems": 2,
-                },
-                "table": {
-                    "type": ["array", "null"],
-                    "items": {
-                        "type": "array",
-                        "items": _NUM,
-                        "minItems": 2,
-                        "maxItems": 2,
-                    },
-                },
-            },
-        },
-        "sweep": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": [
-                "v_start", "v_stop", "n_points", "counts_scale", "hist_counts",
-                "t_max_ns", "n_bins", "irf_sigma_ns", "amp_ratio", "background",
-            ],
-            "properties": {
-                "v_start": _NUM,
-                "v_stop": _NUM,
-                "n_points": {"type": "integer", "minimum": 1},
-                "counts_scale": _POS,
-                "hist_counts": _POS,
-                "t_max_ns": _POS,
-                "n_bins": {"type": "integer", "minimum": 8},
-                "irf_sigma_ns": {"type": ["number", "null"], "exclusiveMinimum": 0},
-                "amp_ratio": _NONNEG,
-                "background": _NONNEG,
-            },
-        },
-        "seed": {"type": "integer", "minimum": 0},
-        "r_T_mag": {"type": ["number", "null"], "minimum": 0, "maximum": 1},
-    },
-}
-
-DEFAULT_CONFIG: dict = {
+# Every key once, as (its schema, its default); a section is a dict of keys.
+_TABLE = {
     "geometry": {
-        "width_nm": 300.0,
-        "thickness_nm": 160.0,
-        "core_index": 3.48,
-        "clad_index": 1.0,
-        "wavelength_nm": 930.0,
-        "grid_points": 513,
+        "width_nm": (_POS, 300.0),
+        "thickness_nm": (_POS, 160.0),
+        "core_index": (_POS, 3.48),
+        "clad_index": (_POS, 1.0),
+        "wavelength_nm": (_POS, 930.0),
+        "grid_points": ({"type": "integer", "minimum": 64}, 513),
     },
     "mirror": {
-        "n_holes": 12,
-        "pitch_nm": 265.0,
-        "hole_radius_nm": 70.0,
-        "n_unetched": 2.56,
-        "n_hole": 1.107,
-        "termination_index": 2.56,
-        "loss_db_per_mm": 7.5,
-        "qd_mirror_distance_um": 30.0,
-        "t_phi_sq": 0.55,
-        "r_M_mag": 1.0,
-        "lambda_min_nm": 850.0,
-        "lambda_max_nm": 1050.0,
-        "sweep_points": 401,
+        "n_holes": ({"type": "integer", "minimum": 0}, 12),
+        "pitch_nm": (_POS, 265.0),
+        "hole_radius_nm": (_NONNEG, 70.0),
+        "n_unetched": (_POS, 2.56),
+        "n_hole": (_POS, 1.107),
+        "termination_index": (_POS, 2.56),
+        "loss_db_per_mm": (_NONNEG, 7.5),
+        "qd_mirror_distance_um": (_POS, 30.0),
+        "t_phi_sq": (_FRACTION, 0.55),
+        "r_M_mag": (_FRACTION, 1.0),
+        "lambda_min_nm": (_POS, 850.0),
+        "lambda_max_nm": (_POS, 1050.0),
+        "sweep_points": ({"type": "integer", "minimum": 2}, 401),
     },
     "emitter": {
-        "y0_nm": 0.0,
-        "gamma_x0": 0.0,
-        "gamma_y0": 1.0,
-        "gamma_b": 0.1,
-        "gamma_nrad": 0.1,
+        "y0_nm": (_NUM, 0.0),
+        "gamma_x0": (_NONNEG, 0.0),
+        "gamma_y0": (_NONNEG, 1.0),
+        "gamma_b": (_NONNEG, 0.1),
+        "gamma_nrad": (_NONNEG, 0.1),
     },
     "calibration": {
-        "model": "quadratic",
-        "quad_coeff": 0.05,
-        "quad_offset": 0.0,
-        "v_range": None,
-        "table": None,
+        "model": ({"enum": ["quadratic", "table"]}, "quadratic"),
+        "quad_coeff": ({"type": ["number", "null"]}, 0.05),
+        "quad_offset": (_NUM, 0.0),
+        "v_range": ({"type": ["array", "null"], **_PAIR}, None),
+        "table": ({"type": ["array", "null"], "items": {"type": "array", **_PAIR}}, None),
     },
     "sweep": {
-        "v_start": 0.0,
-        "v_stop": 8.0,
-        "n_points": 12,
-        "counts_scale": 40000.0,
-        "hist_counts": 100000.0,
-        "t_max_ns": 25.0,
-        "n_bins": 500,
-        "irf_sigma_ns": None,
-        "amp_ratio": 0.05,
-        "background": 0.0,
+        "v_start": (_NUM, 0.0),
+        "v_stop": (_NUM, 8.0),
+        "n_points": ({"type": "integer", "minimum": 1}, 12),
+        "counts_scale": (_POS, 40000.0),
+        "hist_counts": (_POS, 100000.0),
+        "t_max_ns": (_POS, 25.0),
+        "n_bins": ({"type": "integer", "minimum": 8}, 500),
+        "irf_sigma_ns": ({"type": ["number", "null"], "exclusiveMinimum": 0}, None),
+        "amp_ratio": (_NONNEG, 0.05),
+        "background": (_NONNEG, 0.0),
     },
-    "seed": 20230901,
-    # figure-style default: pin |r_T| at 0.5; set null to compose it
-    # from t_phi_sq, the propagation loss over 2L, and r_M_mag
-    "r_T_mag": 0.5,
+    "seed": ({"type": "integer", "minimum": 0}, 20230901),
+    # the one optional key; the figure-style default pins |r_T| at 0.5,
+    # and null composes it from t_phi_sq, the propagation loss over 2L,
+    # and r_M_mag
+    "r_T_mag": ({"type": ["number", "null"], "minimum": 0, "maximum": 1}, 0.5),
 }
+
+
+def _schema(node) -> dict:
+    if isinstance(node, tuple):
+        return node[0]
+    return {
+        "type": "object",
+        "additionalProperties": False,
+        "required": [key for key in node if key != "r_T_mag"],
+        "properties": {key: _schema(sub) for key, sub in node.items()},
+    }
+
+
+def _defaults(node):
+    if isinstance(node, tuple):
+        return node[1]
+    return {key: _defaults(sub) for key, sub in node.items()}
+
+
+SCHEMA = _schema(_TABLE)
+DEFAULT_CONFIG: dict = _defaults(_TABLE)
 
 # Emitter tuned so the averaged radiative rate toggles 1.05 <-> 0.63 1/ns
 # with nu_gamma = 0.25 and nu_I = 0.48 at |r_T| = 0.6; the offset and the
@@ -328,6 +255,28 @@ def _best_error(data, schema: dict = SCHEMA) -> str | None:
     return None if best is None else best[1]
 
 
+def _nan_error(node, path: tuple = ()) -> str | None:
+    """'<dotted path> is nan' for the first nan in document order, or None.
+
+    Every bound comparison with nan is false, so a nan passes the schema;
+    JSON has no nan, but an in-process dict can hold one.  Infinities are
+    left to the bounds: counts_scale = inf is the noiseless mode.
+    """
+    if isinstance(node, (dict, list)):
+        for key, sub in node.items() if isinstance(node, dict) else enumerate(node):
+            found = _nan_error(sub, path + (key,))
+            if found:
+                return found
+    elif _is_number(node) and node != node:
+        return f"{'.'.join(map(str, path))} is nan"
+    return None
+
+
+def _build(cls, section: dict):
+    """A dataclass from the config keys named like its fields."""
+    return cls(**{f.name: section[f.name] for f in fields(cls)})
+
+
 class ConfigError(ValueError):
     """Configuration failed schema validation or is self-inconsistent."""
 
@@ -337,21 +286,21 @@ class RunConfig:
     """Validated configuration document plus the typed objects it describes.
 
     from_dict builds the geometry, crystal, mirror chain and calibration
-    once; values that contradict each other (a cladding index above the
-    core index, holes wider than the pitch, an emitter outside the solved
-    window, a background that fills the whole histogram budget) fail
-    there as a ConfigError.
+    once; a nan anywhere, or values that contradict each other (a
+    cladding index above the core index, holes wider than the pitch, an
+    emitter outside the solved window, a background that fills the whole
+    histogram budget) fail there as a ConfigError.
     """
 
     raw: dict
     _geometry: WaveguideGeometry
     _crystal: PhotonicCrystalSpec
-    _chain: MirrorChain
-    _calibration: PhaseCalibration
+    chain: MirrorChain
+    calibration: PhaseCalibration
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
-        message = _best_error(data)
+        message = _best_error(data) or _nan_error(data)
         if message is not None:
             raise ConfigError(f"invalid config: {message}")
         raw = copy.deepcopy(data)
@@ -377,21 +326,8 @@ class RunConfig:
             )
             return cls(
                 raw,
-                WaveguideGeometry(
-                    width_nm=g["width_nm"],
-                    thickness_nm=g["thickness_nm"],
-                    core_index=g["core_index"],
-                    clad_index=g["clad_index"],
-                    wavelength_nm=g["wavelength_nm"],
-                ),
-                PhotonicCrystalSpec(
-                    n_holes=m["n_holes"],
-                    pitch_nm=m["pitch_nm"],
-                    hole_radius_nm=m["hole_radius_nm"],
-                    n_unetched=m["n_unetched"],
-                    n_hole=m["n_hole"],
-                    termination_index=m["termination_index"],
-                ),
+                _build(WaveguideGeometry, g),
+                _build(PhotonicCrystalSpec, m),
                 MirrorChain(
                     t_phi_sq=m["t_phi_sq"], t_wg_sq=one_way**2, r_M_mag=m["r_M_mag"]
                 ),
@@ -414,6 +350,8 @@ class RunConfig:
     def seed(self) -> int:
         return int(self.raw["seed"])
 
+    # geometry() and crystal() are methods, unlike chain and calibration,
+    # because perfbench calls them
     def geometry(self) -> WaveguideGeometry:
         return self._geometry
 
@@ -424,14 +362,11 @@ class RunConfig:
     def crystal(self) -> PhotonicCrystalSpec:
         return self._crystal
 
-    def chain(self) -> MirrorChain:
-        return self._chain
-
     def r_T_magnitude(self) -> float:
         override = self.raw.get("r_T_mag")
         if override is not None:
             return float(override)
-        return self.chain().magnitude
+        return self.chain.magnitude
 
     def scene(self, k: float) -> EmitterScene:
         e = self.raw["emitter"]
@@ -444,9 +379,6 @@ class RunConfig:
             gamma_b=e["gamma_b"],
             gamma_nrad=e["gamma_nrad"],
         )
-
-    def calibration(self) -> PhaseCalibration:
-        return self._calibration
 
     def voltages(self) -> np.ndarray:
         s = self.raw["sweep"]

@@ -1,4 +1,7 @@
-"""The package's one table format, written and read here only.
+"""The table format of every CSV the package writes, and its reader.
+
+`inference.read_table1_csv` reads the input table `table1.csv` itself,
+since its rows hold named, checked values rather than float columns.
 
 A table is a header line of column names, then one line per row of
 `repr(float)` cells joined by commas; every line ends in LF and the

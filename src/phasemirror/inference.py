@@ -514,7 +514,7 @@ class VisibilityEstimate:
 
     r_T_lower_bound_point inverts the intensity visibility for a
     centered emitter; r_T_lower_bound applies the same inversion at
-    nu_I minus n_sigma uncertainties so it lower-bounds every member
+    nu_I minus N_SIGMA uncertainties so it lower-bounds every member
     of the feasible set.  feasible_set holds sampled (r_T, beta_y0,
     y0) triples consistent with both measured visibilities.
     """
@@ -563,13 +563,22 @@ def r_lower_bound(nu_I: float) -> float:
     return nu_I / (1.0 + math.sqrt(max(1.0 - nu_I**2, 0.0)))
 
 
+# a feasible point lies within N_SIGMA sigmas of both visibilities; the
+# desk-scale sigmas are the defaults and the floors of a sweep's fitted ones
+N_SIGMA = 2.0
+SIGMA_FLOOR_I = 0.03
+SIGMA_FLOOR_GAMMA = 0.05
+# sigmas of a tabulated row without its nu_I_err or nu_gamma_err column
+TABLE1_SIGMA_I = 0.05
+TABLE1_SIGMA_GAMMA = 0.04
+
+
 def estimate_parameters(
     nu_I: float,
     nu_gamma: float,
     profile: ModeProfile,
-    sigma_I: float = 0.03,
-    sigma_gamma: float = 0.05,
-    n_sigma: float = 2.0,
+    sigma_I: float = SIGMA_FLOOR_I,
+    sigma_gamma: float = SIGMA_FLOOR_GAMMA,
     r_points: int = 101,
     y0_points: int = 201,
     beta_points: int = 101,
@@ -579,7 +588,7 @@ def estimate_parameters(
     """Bound (r_T, beta_y0, y0) on a grid by a measured visibility pair.
 
     Keeps every grid point whose predicted intensity and rate
-    visibilities both fall within n_sigma of the measurement; the
+    visibilities both fall within N_SIGMA sigmas of the measurement; the
     intensity model is the mode-weight-reduced fringe visibility and
     the rate model the rate-weighted two-dipole average with both
     dipole rates scaled by the local mode weights (beta_y0 is the
@@ -607,13 +616,13 @@ def estimate_parameters(
     betas = np.linspace(0.0, 1.0, beta_points)
     empty = EmptyFeasibleSet(
         f"no (r_T, beta_y0, y0) reproduces nu_I={nu_I} and nu_gamma={nu_gamma} "
-        f"within {n_sigma} sigma"
+        f"within {N_SIGMA} sigma"
     )
 
     # stage 1: the intensity constraint on the (r_T, y0) plane
     f_mode = np.abs(wy - wx) / (wy + wx)
     nu_i_pred = 2.0 * rs[:, None] / (1.0 + rs[:, None] ** 2) * f_mode
-    ri, yi = np.nonzero(np.abs(nu_i_pred - nu_I) <= n_sigma * sigma_I)
+    ri, yi = np.nonzero(np.abs(nu_i_pred - nu_I) <= N_SIGMA * sigma_I)
     if len(ri) == 0:
         raise empty
     # stage 2: the rate constraint, one run of betas per passing cell.
@@ -625,7 +634,7 @@ def estimate_parameters(
     num = (betas * np.abs(wy - wx)[:, None]).ravel()
     den = (betas * (wy + wx)[:, None] + 2.0 * wy0 * (1.0 - betas)).ravel()
     last, r_cell = yi * beta_points - 1, rs[ri]
-    tol = n_sigma * sigma_gamma
+    tol = N_SIGMA * sigma_gamma
     bound = np.array([[math.nextafter(-tol, -math.inf)], [tol]])
     # binary lifting: both prefixes of every cell at once, each grown by
     # the halving powers of two that keep its betas within the bound; a
@@ -662,7 +671,7 @@ def estimate_parameters(
         nu_gamma=nu_gamma,
         nu_gamma_sigma=sigma_gamma,
         theta_offset=theta_offset,
-        r_T_lower_bound=r_lower_bound(max(nu_I - n_sigma * sigma_I, 0.0)),
+        r_T_lower_bound=r_lower_bound(max(nu_I - N_SIGMA * sigma_I, 0.0)),
         r_T_lower_bound_point=r_lower_bound(nu_I),
         r_T_range=(float(r_vals.min()), float(r_vals.max())),
         beta_y0_range=(float(betas[b_lo]), float(betas[b_hi])),
@@ -682,8 +691,6 @@ def analyze_sweep(
     intensity_counts: np.ndarray,
     histograms: list[DecayHistogram],
     profile: ModeProfile | None = None,
-    sigma_floor_I: float = 0.03,
-    sigma_floor_gamma: float = 0.05,
     fit_background: bool = False,
     histogram_names: list[str] | None = None,
 ) -> dict:
@@ -692,8 +699,9 @@ def analyze_sweep(
     Fits the intensity fringe, fits every histogram for its radiative
     rate, fits the rate fringe, and (when a mode profile is supplied)
     scans the feasible parameter set using the fitted visibilities
-    with desk-scale floors on the uncertainties.  fit_background adds a
-    flat floor to every lifetime fit, for histograms recorded with one.
+    with the desk-scale floors SIGMA_FLOOR_I and SIGMA_FLOOR_GAMMA on
+    the uncertainties.  fit_background adds a flat floor to every
+    lifetime fit, for histograms recorded with one.
     A failing lifetime fit, or one whose rate or rate sigma is not finite
     (NonFiniteRate), raises an error prefixed with the histogram's name
     from histogram_names, or else its position.
@@ -734,8 +742,8 @@ def analyze_sweep(
         "notes": [],
     }
     if profile is not None:
-        sig_i = max(intensity_fit.derived["visibility_sigma"], sigma_floor_I)
-        sig_g = max(rate_fit.derived["visibility_sigma"], sigma_floor_gamma)
+        sig_i = max(intensity_fit.derived["visibility_sigma"], SIGMA_FLOOR_I)
+        sig_g = max(rate_fit.derived["visibility_sigma"], SIGMA_FLOOR_GAMMA)
         try:
             estimate = estimate_parameters(
                 min(max(nu_i, 0.0), 1.0),
@@ -826,8 +834,6 @@ def read_table1_csv(path: str) -> list[dict]:
 def table1_report(
     rows: list[dict],
     profile: ModeProfile | None = None,
-    sigma_I_default: float = 0.05,
-    sigma_gamma_default: float = 0.04,
     crosscheck: dict | None = QD1_SWEEP_CROSSCHECK,
 ) -> dict:
     """Per-emitter contrast, bound, and feasibility report.
@@ -844,7 +850,7 @@ def table1_report(
         if not gmax >= gmin > 0:
             raise MalformedRow(f"qd {row['qd']}: need gamma_max >= gamma_min > 0")
         contrast = (gmax - gmin) / (gmax + gmin)
-        err_g = row.get("nu_gamma_err", sigma_gamma_default)
+        err_g = row.get("nu_gamma_err", TABLE1_SIGMA_GAMMA)
         diff = contrast - row["nu_gamma"]
         entry = {
             "qd": row["qd"],
@@ -862,7 +868,7 @@ def table1_report(
             "notes": [],
         }
         if profile is not None:
-            sig_i = row.get("nu_I_err", sigma_I_default)
+            sig_i = row.get("nu_I_err", TABLE1_SIGMA_I)
             try:
                 est = estimate_parameters(
                     row["nu_I"],

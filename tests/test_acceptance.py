@@ -146,7 +146,7 @@ def test_06_qd1_round_trip():
         scene,
         weights,
         cfg.r_T_magnitude(),
-        cfg.calibration(),
+        cfg.calibration,
         list(cfg.voltages()),
         cfg.counts_scale,
         seed=cfg.seed,

@@ -1,4 +1,5 @@
 import copy
+import math
 from dataclasses import fields
 
 import jsonschema
@@ -14,6 +15,7 @@ from phasemirror.config import (
     SCHEMA,
     ConfigError,
     RunConfig,
+    config_hash,
 )
 from phasemirror.modesolver import WINDOW_MARGIN_NM, WaveguideGeometry
 from phasemirror.opticalstack import MirrorChain, PhotonicCrystalSpec, waveguide_transmission
@@ -263,6 +265,15 @@ def _device_error(doc):
     return None
 
 
+def _nan_error(doc):
+    """'<dotted path> is nan' for the first nan of doc in document order."""
+    for path in _paths(doc):
+        value = _node(doc, path)
+        if isinstance(value, float) and math.isnan(value):
+            return f"{'.'.join(map(str, path))} is nan"
+    return None
+
+
 def test_device_error_builds_the_mirror_chain():
     doc = copy.deepcopy(QD1_PRESET)
     doc["mirror"]["loss_db_per_mm"] = float("nan")
@@ -275,7 +286,9 @@ def test_error_text_matches_jsonschema_on_random_mutations(data):
     doc = copy.deepcopy(data.draw(st.sampled_from([DEFAULT_CONFIG, QD1_PRESET])))
     for _ in range(data.draw(st.sampled_from([1, 1, 2, 3, 4]))):
         _mutate(data.draw, doc)
-    want = _oracle_message(doc)
+    # a nan passes every schema bound, so from_dict rejects it next; this
+    # step is the one departure from jsonschema, and it is on purpose
+    want = _oracle_message(doc) or _nan_error(doc)
     if want is None:
         # the schema accepts doc; its values must also describe a device
         reason = _device_error(doc)
@@ -288,3 +301,45 @@ def test_error_text_matches_jsonschema_on_random_mutations(data):
     with pytest.raises(ConfigError) as got:
         RunConfig.from_dict(doc)
     assert str(got.value) == want
+
+
+@pytest.mark.parametrize(
+    "section, key",
+    [
+        ("emitter", "y0_nm"),
+        ("geometry", "width_nm"),
+        ("sweep", "v_stop"),
+        ("emitter", "gamma_b"),
+        ("sweep", "counts_scale"),
+    ],
+)
+def test_nan_is_rejected_by_its_dotted_path(section, key):
+    doc = copy.deepcopy(QD1_PRESET)
+    doc[section][key] = float("nan")
+    with pytest.raises(ConfigError) as got:
+        RunConfig.from_dict(doc)
+    assert str(got.value) == f"invalid config: {section}.{key} is nan"
+
+
+def test_first_nan_in_document_order_is_named():
+    doc = copy.deepcopy(DEFAULT_CONFIG)
+    doc["calibration"].update(model="table", table=[[0.0, 0.0], [1.0, float("nan")]])
+    doc["sweep"]["v_stop"] = float("nan")
+    with pytest.raises(ConfigError, match=r"^invalid config: calibration\.table\.1\.1 is nan$"):
+        RunConfig.from_dict(doc)
+
+
+def test_infinite_counts_scale_stays_the_noiseless_mode():
+    doc = copy.deepcopy(DEFAULT_CONFIG)
+    doc["sweep"]["counts_scale"] = float("inf")
+    assert RunConfig.from_dict(doc).counts_scale == math.inf
+
+
+def test_shipped_config_hashes_are_pinned():
+    # every shipped manifest's config_hash comes from these two documents
+    assert config_hash(DEFAULT_CONFIG) == (
+        "9c209c8c8643b90c47f9bdef6238fda6e66f03d713be7fef2d6253bb04c75ae3"
+    )
+    assert config_hash(QD1_PRESET) == (
+        "b671b66a18fa99d29c68f3f480353b3022c3cbf32d07c0ec58fe8ed773490c51"
+    )

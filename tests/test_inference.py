@@ -69,7 +69,7 @@ def qd1_sweep(qd1_cfg, qd1_profile):
         scene,
         weights,
         cfg.r_T_magnitude(),
-        cfg.calibration(),
+        cfg.calibration,
         list(cfg.voltages()),
         cfg.counts_scale,
         seed=cfg.seed,
@@ -316,7 +316,7 @@ class TestFitParity:
             scene,
             mode_weights(profile, scene.y0),
             cfg.r_T_magnitude(),
-            cfg.calibration(),
+            cfg.calibration,
             cfg.voltages(),
             cfg.counts_scale,
             cfg.seed,
@@ -509,7 +509,7 @@ class TestPhaseMapReconstruction:
         for seed in range(10):
             # the intensity stream does not depend on the histogram binning
             records = generate_sweep(
-                scene, weights, qd1_cfg.r_T_magnitude(), qd1_cfg.calibration(),
+                scene, weights, qd1_cfg.r_T_magnitude(), qd1_cfg.calibration,
                 voltages, 4e4, seed,
                 hist_counts=1000.0, bin_edges=np.linspace(0.0, 25.0, 21),
             )
@@ -836,7 +836,7 @@ class TestAnalyzeSweep:
                 scene,
                 weights,
                 cfg.r_T_magnitude(),
-                cfg.calibration(),
+                cfg.calibration,
                 volts,
                 cfg.counts_scale,
                 seed=seed,
