@@ -12,7 +12,7 @@ through `config.write_json`; a command records each file's name as it
 writes the file, and the manifest lists exactly those names.  The
 config is loaded and validated once, after any --seed override;
 `analyze --in` takes it from the simulate manifest instead.  Exit
-codes: 0 success, 2 config or input error, 3 numerical failure.
+codes: 0 success, 2 config, input or path error, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import argparse
 import copy
 import functools
 import os
+import stat
 import sys
 
 import numpy as np
@@ -57,10 +58,6 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--seed", type=int, help="override the config seed")
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument(
-            "--threads", type=int, default=1,
-            help="accepted for compatibility; has no effect",
-        )
 
     for name, desc in [
         ("mode", "solve the guided mode and export visibility curves"),
@@ -206,12 +203,13 @@ def cmd_simulate(args: argparse.Namespace, cfg: RunConfig, outs: _Outputs) -> No
     profile = _solve(cfg)
     scene = cfg.scene(profile.k)
     weights = modesolver.mode_weights(profile, scene.y0)
-    records = synthlab.generate_sweep(
+    voltages = cfg.voltages()
+    phis, counts, histograms = synthlab.generate_sweep(
         scene,
         weights,
         cfg.r_T_magnitude(),
         cfg.calibration,
-        cfg.voltages(),
+        voltages,
         cfg.counts_scale,
         cfg.seed,
         amp_ratio=cfg.raw["sweep"]["amp_ratio"],
@@ -220,18 +218,11 @@ def cmd_simulate(args: argparse.Namespace, cfg: RunConfig, outs: _Outputs) -> No
         bin_edges=cfg.bin_edges(),
         irf_sigma=cfg.irf_sigma,
     )
-    synthlab.write_sweep_csv(records, outs.path("sweep.csv"))
-    histograms = [rec.histogram for rec in records]
+    synthlab.write_sweep_csv((voltages, phis, counts), outs.path("sweep.csv"))
     synthlab.write_histogram_csv(histograms, outs.path("histograms.csv"))
     svgplot.write_line_plot(
         outs.path("sweep.svg"),
-        [
-            (
-                "intensity (counts)",
-                np.array([rec.voltage for rec in records]),
-                np.array([rec.intensity_counts for rec in records]),
-            )
-        ],
+        [("intensity (counts)", voltages, counts)],
         f"simulated sweep, |r_T| = {cfg.r_T_magnitude():g}",
         "voltage (V)",
         "collected intensity",
@@ -240,7 +231,12 @@ def cmd_simulate(args: argparse.Namespace, cfg: RunConfig, outs: _Outputs) -> No
 
 
 def _verify_inputs(in_dir: str, manifest_path: str, manifest: dict, cfg: RunConfig) -> None:
-    """Check the manifest's config hash and the SHA-256 of every file it lists."""
+    """Check the manifest's config hash and the SHA-256 of every file it lists.
+
+    Each listed name must be a plain name (no separator, not . or ..)
+    of a regular file in in_dir, not a link: so no name reads a file
+    outside in_dir, and none reads a device or a pipe forever.
+    """
     if manifest.get("config_hash") != cfg.hash:
         raise ConfigError(f"{manifest_path}: config_hash does not match its config")
     files = manifest.get("files")
@@ -250,12 +246,17 @@ def _verify_inputs(in_dir: str, manifest_path: str, manifest: dict, cfg: RunConf
         if name not in files:
             raise ConfigError(f"{manifest_path}: {name} is not in its 'files' map")
     for name, digest in files.items():
+        if os.path.basename(name) != name or name in ("", ".", ".."):
+            raise ConfigError(f"{manifest_path}: {name!r} is not a plain file name")
         path = os.path.join(in_dir, name)
         try:
-            matches = file_sha256(path) == digest
+            regular = stat.S_ISREG(os.lstat(path).st_mode)
+            matches = regular and file_sha256(path) == digest
         except (OSError, ValueError) as exc:  # ValueError: a NUL in the name
             reason = getattr(exc, "strerror", None) or exc
             raise ConfigError(f"{path!r}: cannot be read: {reason}") from None
+        if not regular:
+            raise ConfigError(f"{manifest_path}: {name!r} is not a regular file")
         if not matches:
             raise ConfigError(f"{path}: SHA-256 does not match the manifest")
 
@@ -284,7 +285,6 @@ def _analyze_sweep_dir(args: argparse.Namespace, outs: _Outputs) -> None:
     names = synthlab.histogram_header(len(histograms))[1:]
     profile = _solve(cfg)
     result = inference.analyze_sweep(
-        voltages,
         phases,
         counts,
         histograms,
@@ -350,7 +350,10 @@ _INPUT_ERRORS = (
     MalformedCSV,
     synthlab.OutOfCalibration,
     FileNotFoundError,
+    FileExistsError,
+    IsADirectoryError,
     NotADirectoryError,
+    PermissionError,
 )
 
 _NUMERICAL_ERRORS = (

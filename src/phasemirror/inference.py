@@ -321,14 +321,15 @@ def fit_biexponential(hist: DecayHistogram, fit_background: bool = False) -> Fit
 # sinusoid fits
 
 
-def fit_sinusoid(
-    phases: np.ndarray, values: np.ndarray, sigmas: np.ndarray | None = None
-) -> FitResult:
+def fit_sinusoid(phases: np.ndarray, values: np.ndarray, sigmas: np.ndarray) -> FitResult:
     """Weighted least squares of v = m (1 + nu cos(2 phi + theta)).
 
     Linear in the basis (1, cos 2phi, sin 2phi), hence exact; the
     visibility nu = amplitude/mean is non-negative by construction
-    with the sign absorbed into theta (wrapped to [0, 2 pi)).
+    with the sign absorbed into theta (wrapped to [0, 2 pi)).  sigmas
+    are the values' standard deviations, all positive; the covariance
+    is the inverse of the weighted normal matrix, and the goodness the
+    chi-squared per degree of freedom.
     """
     phi = np.asarray(phases, dtype=float)
     val = np.asarray(values, dtype=float)
@@ -336,13 +337,10 @@ def fit_sinusoid(
         raise InsufficientPhaseSpan("need at least 6 phase points")
     if float(np.ptp(2.0 * phi)) < math.pi - 1e-9:
         raise InsufficientPhaseSpan("need a 2*phi span of at least pi")
-    if sigmas is None:
-        w = np.ones_like(val)
-    else:
-        s = np.asarray(sigmas, dtype=float)
-        if np.any(s <= 0):
-            raise ValueError("sigmas must be positive")
-        w = 1.0 / s**2
+    s = np.asarray(sigmas, dtype=float)
+    if np.any(s <= 0):
+        raise ValueError("sigmas must be positive")
+    w = 1.0 / s**2
     X = np.stack([np.ones_like(phi), np.cos(2.0 * phi), np.sin(2.0 * phi)], axis=1)
     A = (X * w[:, None]).T @ X
     b = (X * w[:, None]).T @ val
@@ -351,8 +349,6 @@ def fit_sinusoid(
     resid = val - X @ coef
     chi2 = float(np.sum(w * resid**2))
     dof = max(len(val) - 3, 1)
-    if sigmas is None:
-        cov = cov * (chi2 / dof)
     m, ca, cb = (float(v) for v in coef)
     amp = math.hypot(ca, cb)
     flags: list[str] = []
@@ -686,21 +682,22 @@ def estimate_parameters(
 
 
 def analyze_sweep(
-    voltages: np.ndarray,
     phases: np.ndarray,
     intensity_counts: np.ndarray,
     histograms: list[DecayHistogram],
-    profile: ModeProfile | None = None,
+    profile: ModeProfile,
     fit_background: bool = False,
     histogram_names: list[str] | None = None,
 ) -> dict:
     """Full inverse chain on one sweep: fits, visibilities, estimate.
 
-    Fits the intensity fringe, fits every histogram for its radiative
-    rate, fits the rate fringe, and (when a mode profile is supplied)
-    scans the feasible parameter set using the fitted visibilities
+    Fits the intensity fringe (Poisson sigmas, sqrt of the counts
+    floored at 1), fits every histogram for its radiative rate, fits
+    the rate fringe weighted by the rate sigmas, and scans the
+    profile's feasible parameter set using the fitted visibilities
     with the desk-scale floors SIGMA_FLOOR_I and SIGMA_FLOOR_GAMMA on
-    the uncertainties.  fit_background adds a flat floor to every
+    the uncertainties; an empty feasible set leaves "estimate" None
+    and says why in "notes".  fit_background adds a flat floor to every
     lifetime fit, for histograms recorded with one.
     A failing lifetime fit, or one whose rate or rate sigma is not finite
     (NonFiniteRate), raises an error prefixed with the histogram's name
@@ -741,21 +738,20 @@ def analyze_sweep(
         "estimate": None,
         "notes": [],
     }
-    if profile is not None:
-        sig_i = max(intensity_fit.derived["visibility_sigma"], SIGMA_FLOOR_I)
-        sig_g = max(rate_fit.derived["visibility_sigma"], SIGMA_FLOOR_GAMMA)
-        try:
-            estimate = estimate_parameters(
-                min(max(nu_i, 0.0), 1.0),
-                min(max(nu_g, 0.0), 1.0),
-                profile,
-                sigma_I=sig_i,
-                sigma_gamma=sig_g,
-                theta_offset=intensity_fit.params["theta"],
-            )
-            result["estimate"] = estimate.to_dict()
-        except EmptyFeasibleSet as exc:
-            result["notes"].append(str(exc))
+    sig_i = max(intensity_fit.derived["visibility_sigma"], SIGMA_FLOOR_I)
+    sig_g = max(rate_fit.derived["visibility_sigma"], SIGMA_FLOOR_GAMMA)
+    try:
+        estimate = estimate_parameters(
+            min(max(nu_i, 0.0), 1.0),
+            min(max(nu_g, 0.0), 1.0),
+            profile,
+            sigma_I=sig_i,
+            sigma_gamma=sig_g,
+            theta_offset=intensity_fit.params["theta"],
+        )
+        result["estimate"] = estimate.to_dict()
+    except EmptyFeasibleSet as exc:
+        result["notes"].append(str(exc))
     return result
 
 
@@ -831,17 +827,16 @@ def read_table1_csv(path: str) -> list[dict]:
     return rows
 
 
-def table1_report(
-    rows: list[dict],
-    profile: ModeProfile | None = None,
-    crosscheck: dict | None = QD1_SWEEP_CROSSCHECK,
-) -> dict:
+def table1_report(rows: list[dict], profile: ModeProfile) -> dict:
     """Per-emitter contrast, bound, and feasibility report.
 
     For each row: the rate contrast (gamma_max - gamma_min) /
     (gamma_max + gamma_min) next to the tabulated nu_gamma with a
     1-sigma consistency flag, the centered-emitter |r_T| bound from
-    nu_I, and (with a profile) the feasible (r_T, beta_y0, y0) ranges.
+    nu_I, and the profile's feasible (r_T, beta_y0, y0) ranges, or
+    "feasible" False with the reason in the row's notes.  The row of
+    the first emitter (QD1_SWEEP_CROSSCHECK's qd) also notes how the
+    sweep-derived line differs from it.
     """
     out_rows = []
     notes = []
@@ -864,36 +859,33 @@ def table1_report(
             "contrast_minus_nu_gamma": diff,
             "contrast_within_1_sigma": bool(abs(diff) <= err_g),
             "r_T_lower_bound_point": r_lower_bound(row["nu_I"]),
-            "feasible": None,
             "notes": [],
         }
-        if profile is not None:
-            sig_i = row.get("nu_I_err", TABLE1_SIGMA_I)
-            try:
-                est = estimate_parameters(
-                    row["nu_I"],
-                    row["nu_gamma"],
-                    profile,
-                    sigma_I=sig_i,
-                    sigma_gamma=err_g,
-                )
-                entry["feasible"] = True
-                entry["r_T_lower_bound"] = est.r_T_lower_bound
-                entry["r_T_range"] = list(est.r_T_range)
-                entry["beta_y0_range"] = list(est.beta_y0_range)
-                entry["y0_range"] = list(est.y0_range)
-            except EmptyFeasibleSet as exc:
-                entry["feasible"] = False
-                entry["notes"].append(str(exc))
+        try:
+            est = estimate_parameters(
+                row["nu_I"],
+                row["nu_gamma"],
+                profile,
+                sigma_I=row.get("nu_I_err", TABLE1_SIGMA_I),
+                sigma_gamma=err_g,
+            )
+            entry["feasible"] = True
+            entry["r_T_lower_bound"] = est.r_T_lower_bound
+            entry["r_T_range"] = list(est.r_T_range)
+            entry["beta_y0_range"] = list(est.beta_y0_range)
+            entry["y0_range"] = list(est.y0_range)
+        except EmptyFeasibleSet as exc:
+            entry["feasible"] = False
+            entry["notes"].append(str(exc))
         if not entry["contrast_within_1_sigma"]:
             entry["notes"].append(
                 f"rate contrast {contrast:.3f} outside 1 sigma of tabulated "
                 f"nu_gamma {row['nu_gamma']} +/- {err_g}"
             )
-        if crosscheck is not None and row["qd"] == crosscheck.get("qd"):
+        if row["qd"] == QD1_SWEEP_CROSSCHECK["qd"]:
             entry["notes"].append(
-                f"sweep-derived line at {crosscheck['lambda_nm']} nm gives "
-                f"nu_I = {crosscheck['nu_I']} while this row tabulates "
+                f"sweep-derived line at {QD1_SWEEP_CROSSCHECK['lambda_nm']} nm gives "
+                f"nu_I = {QD1_SWEEP_CROSSCHECK['nu_I']} while this row tabulates "
                 f"{row['nu_I']} at {row['lambda_nm']} nm; treated as the same "
                 "emitter, discrepancy left unresolved"
             )

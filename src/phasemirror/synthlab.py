@@ -229,17 +229,6 @@ def expected_histogram(
     return DecayHistogram(*expected_bin_counts(model, total_counts, bin_edges, irf_sigma))
 
 
-@dataclass(frozen=True)
-class SweepRecord:
-    """One voltage point: phase, sampled intensity, decay histogram."""
-
-    voltage: float
-    phi: float
-    expected_intensity: float
-    intensity_counts: float
-    histogram: DecayHistogram
-
-
 def generate_sweep(
     scene: EmitterScene,
     weights: tuple[float, float],
@@ -253,35 +242,33 @@ def generate_sweep(
     hist_counts: float = 100_000.0,
     bin_edges: np.ndarray | None = None,
     irf_sigma: float | None = None,
-) -> list[SweepRecord]:
-    """Simulate a full voltage sweep of intensity and lifetime data.
+) -> tuple[np.ndarray, np.ndarray, list[DecayHistogram]]:
+    """Simulate a voltage sweep as columns (phi, intensity counts, histograms).
 
     Per point: the calibration gives phi, the collected intensity is
     Poisson-sampled at counts_scale times the relative intensity, and
-    the histogram's fast rate is the phase-dependent radiative rate
-    plus the slow rate gamma_s = scene.gamma_nrad (gamma_f =
-    Gamma_rad(phi) + gamma_s, so the bright-line radiative rate is
-    recoverable as gamma_f - gamma_s); amp_ratio is A_s/A_f and
-    background a flat counts-per-bin floor.  counts_scale=inf switches
-    to noiseless expectation values for both intensity and histograms.
-    Point i draws from its own counter-based streams,
-    SeedSequence([seed, i]).spawn(2) for the intensity and the
-    histogram, so a point does not depend on which others are
-    generated.  The records come back in the order of the voltages.
+    the histogram's fast rate is the total decay rate, radiative plus
+    the slow rate gamma_s = scene.gamma_nrad (so the bright-line
+    radiative rate is recoverable as gamma_f - gamma_s); amp_ratio is
+    A_s/A_f and background a flat counts-per-bin floor.
+    counts_scale=inf switches to noiseless expectation values for both
+    intensity and histograms.  Point i draws from its own
+    counter-based streams, SeedSequence([seed, i]).spawn(2) for the
+    intensity and the histogram, so a point does not depend on which
+    others are generated.  Each column is in the order of the voltages.
     """
     noiseless = math.isinf(counts_scale)
-    records = []
+    phis, counts, histograms = [], [], []
     for index, v in enumerate(voltages):
-        voltage = float(v)
-        phi = phase_of_voltage(cal, voltage)
+        phi = phase_of_voltage(cal, float(v))
         expected = emission.intensity(
             scene, weights, r_T_mag, phi, DipoleOrientation.AVERAGED_BOTH
         )
-        gamma_rad = emission.decay_rate(
-            scene, r_T_mag, phi, DipoleOrientation.AVERAGED_BOTH
-        )
         model = ExcitonModel(
-            gamma_f=gamma_rad + scene.gamma_nrad,
+            gamma_f=emission.decay_rate(
+                scene, r_T_mag, phi, DipoleOrientation.AVERAGED_BOTH,
+                include_nonradiative=True,
+            ),
             gamma_s=scene.gamma_nrad,
             amp_ratio=amp_ratio,
             background=background,
@@ -295,8 +282,10 @@ def generate_sweep(
             hist = generate_decay_histogram(
                 model, hist_counts, bin_edges, irf_sigma, seed=ss_hist
             )
-        records.append(SweepRecord(voltage, phi, expected, intensity_counts, hist))
-    return records
+        phis.append(phi)
+        counts.append(intensity_counts)
+        histograms.append(hist)
+    return np.array(phis), np.array(counts), histograms
 
 
 SWEEP_HEADER = ("voltage", "phi_rad", "intensity_counts")
@@ -307,15 +296,9 @@ def histogram_header(n_histograms: int) -> tuple[str, ...]:
     return ("t_ns", *(f"counts_{j:03d}" for j in range(n_histograms)))
 
 
-def write_sweep_csv(records: list[SweepRecord], path: str) -> None:
-    """Write sweep points as voltage,phi_rad,intensity_counts."""
-    write_csv(
-        path,
-        SWEEP_HEADER,
-        [rec.voltage for rec in records],
-        [rec.phi for rec in records],
-        [rec.intensity_counts for rec in records],
-    )
+def write_sweep_csv(columns: tuple[np.ndarray, np.ndarray, np.ndarray], path: str) -> None:
+    """Write the columns (voltages, phases, intensity counts) under SWEEP_HEADER."""
+    write_csv(path, SWEEP_HEADER, *columns)
 
 
 def write_histogram_csv(histograms: list[DecayHistogram], path: str) -> None:

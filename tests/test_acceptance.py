@@ -142,7 +142,7 @@ def test_06_qd1_round_trip():
     profile = solve_te0(cfg.geometry(), n_points=cfg.grid_points)
     scene = cfg.scene(profile.k)
     weights = mode_weights(profile, scene.y0)
-    records = synthlab.generate_sweep(
+    phis, counts, histograms = synthlab.generate_sweep(
         scene,
         weights,
         cfg.r_T_magnitude(),
@@ -154,13 +154,7 @@ def test_06_qd1_round_trip():
         bin_edges=cfg.bin_edges(),
         irf_sigma=cfg.irf_sigma,
     )
-    result = inference.analyze_sweep(
-        list(cfg.voltages()),
-        [r.phi for r in records],
-        [r.intensity_counts for r in records],
-        [r.histogram for r in records],
-        profile=profile,
-    )
+    result = inference.analyze_sweep(phis, counts, histograms, profile=profile)
     elapsed = time.perf_counter() - t0
     ok = (
         abs(result["gamma_max"] - 1.00) <= 0.08
@@ -178,13 +172,15 @@ def test_06_qd1_round_trip():
     )
 
 
-def test_07a_reflectivity_bound_from_intensity_visibility():
+def test_07a_reflectivity_bound_from_intensity_visibility(default_profile):
     rows = inference.read_table1_csv(builtin_table1_path())
     (qd4,) = [row for row in rows if row["qd"] == 4]
     nu_I = qd4["nu_I"]
     bound = inference.r_lower_bound(nu_I)
     (qd4_report,) = [
-        row for row in inference.table1_report(rows)["rows"] if row["qd"] == 4
+        row
+        for row in inference.table1_report(rows, default_profile)["rows"]
+        if row["qd"] == 4
     ]
     ok = (
         0.40 <= bound <= 0.42
@@ -259,11 +255,11 @@ def test_09_gradient_check():
     assert report("9", "analytic likelihood gradient matches finite differences", ok), worst
 
 
-def _run_pipeline(base, tag, threads):
+def _run_pipeline(base, tag):
     sim = os.path.join(base, f"sim_{tag}")
     ana = os.path.join(base, f"ana_{tag}")
-    assert main(["simulate", "--threads", str(threads), "--out", sim]) == 0
-    assert main(["analyze", "--in", sim, "--threads", str(threads), "--out", ana]) == 0
+    assert main(["simulate", "--out", sim]) == 0
+    assert main(["analyze", "--in", sim, "--out", ana]) == 0
     return sim, ana
 
 
@@ -274,22 +270,22 @@ def _manifest_files(out_dir):
 
 def test_10_byte_determinism(tmp_path):
     base = str(tmp_path)
-    sim1, ana1 = _run_pipeline(base, "a", 1)
-    sim2, ana2 = _run_pipeline(base, "b", 1)
-    sim4, ana4 = _run_pipeline(base, "c", 4)
-    same_sim = _manifest_files(sim1) == _manifest_files(sim2) == _manifest_files(sim4)
-    same_ana = _manifest_files(ana1) == _manifest_files(ana2) == _manifest_files(ana4)
+    sim1, ana1 = _run_pipeline(base, "a")
+    sim2, ana2 = _run_pipeline(base, "b")
+    sim3, ana3 = _run_pipeline(base, "c")
+    same_sim = _manifest_files(sim1) == _manifest_files(sim2) == _manifest_files(sim3)
+    same_ana = _manifest_files(ana1) == _manifest_files(ana2) == _manifest_files(ana3)
     with open(os.path.join(ana1, "report.json"), "rb") as fh:
         rep1 = hashlib.sha256(fh.read()).hexdigest()
-    with open(os.path.join(ana4, "report.json"), "rb") as fh:
-        rep4 = hashlib.sha256(fh.read()).hexdigest()
-    ok = same_sim and same_ana and rep1 == rep4
-    assert report("10", "simulate+analyze byte-identical across reruns and threads", ok)
+    with open(os.path.join(ana3, "report.json"), "rb") as fh:
+        rep3 = hashlib.sha256(fh.read()).hexdigest()
+    ok = same_sim and same_ana and rep1 == rep3
+    assert report("10", "simulate+analyze byte-identical across reruns", ok)
 
 
-def test_11_table_report_flags_first_row():
+def test_11_table_report_flags_first_row(default_profile):
     rows = inference.read_table1_csv(builtin_table1_path())
-    rep = inference.table1_report(rows)
+    rep = inference.table1_report(rows, default_profile)
     first = rep["rows"][0]
     ok = (
         len(rep["rows"]) == 6

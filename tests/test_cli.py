@@ -188,10 +188,13 @@ class TestSimulateCommand:
             os.path.join(out, "sweep.csv")
         )
 
-    def test_thread_count_is_byte_immaterial(self, tmp_path, sim_dir):
-        out = str(tmp_path / "threads")
-        assert main(["simulate", "--threads", "4", "--out", out]) == 0
-        assert read_manifest(sim_dir)["files"] == read_manifest(out)["files"]
+    def test_threads_flag_is_rejected(self, tmp_path, capsys):
+        out = tmp_path / "threads"
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--threads", "4", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "--threads" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_seed_changes_the_draws(self, tmp_path, sim_dir):
         out = str(tmp_path / "seeded")
@@ -395,7 +398,8 @@ class TestAnalyzeCommand:
         assert "histograms.csv" in err and "SHA-256 does not match" in err
 
     @pytest.mark.parametrize(
-        "damage", ["missing", "unlisted", "nul", "config_hash", "config"]
+        "damage",
+        ["missing", "unlisted", "nul", "config_hash", "config", "outside", "link"],
     )
     def test_manifest_that_does_not_vouch_for_inputs_is_input_error(
         self, tmp_path, sim_dir, capsys, damage
@@ -403,6 +407,7 @@ class TestAnalyzeCommand:
         broken = str(tmp_path / "broken")
         shutil.copytree(sim_dir, broken)
         man = read_manifest(broken)
+        sweep = os.path.join(sim_dir, "sweep.csv")
         if damage == "missing":
             os.remove(os.path.join(broken, "histograms.csv"))
             named = "histograms.csv"
@@ -415,6 +420,16 @@ class TestAnalyzeCommand:
         elif damage == "config_hash":
             man["config_hash"] = "0" * 64
             named = "config_hash"
+        elif damage == "outside":
+            # a true digest of a file beside the input directory
+            os.mkdir(tmp_path / "other")
+            shutil.copy(sweep, tmp_path / "other")
+            named = "../other/sweep.csv"
+            man["files"][named] = sha256(sweep)
+        elif damage == "link":
+            os.symlink(sweep, os.path.join(broken, "link.csv"))
+            named = "link.csv"
+            man["files"][named] = sha256(sweep)
         else:
             man["config"]["sweep"]["background"] = 1.0
             named = "config_hash"
@@ -632,6 +647,19 @@ class TestConfigErrors:
             calls.clear()
             assert main([*args, "--out", str(tmp_path / str(i))]) == 0
             assert len(calls) == 1, args
+
+    @pytest.mark.parametrize("flag", ["--out", "--config", "--table1"])
+    def test_unusable_path_is_input_error(self, tmp_path, capsys, flag):
+        # an existing file as the output directory, a directory as a file
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        args = {
+            "--out": ["mode", "--out", str(taken)],
+            "--config": ["mode", "--config", str(tmp_path), "--out", str(tmp_path / "x")],
+            "--table1": ["analyze", "--table1", str(tmp_path), "--out", str(tmp_path / "x")],
+        }[flag]
+        assert main(args) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_main_calls_parse_independently(tmp_path, sim_dir):

@@ -80,14 +80,8 @@ def qd1_sweep(qd1_cfg, qd1_profile):
 
 
 @pytest.fixture(scope="module")
-def qd1_analysis(qd1_cfg, qd1_profile, qd1_sweep):
-    return analyze_sweep(
-        list(qd1_cfg.voltages()),
-        [r.phi for r in qd1_sweep],
-        [r.intensity_counts for r in qd1_sweep],
-        [r.histogram for r in qd1_sweep],
-        profile=qd1_profile,
-    )
+def qd1_analysis(qd1_profile, qd1_sweep):
+    return analyze_sweep(*qd1_sweep, profile=qd1_profile)
 
 
 class TestPoissonGradient:
@@ -312,7 +306,7 @@ class TestFitParity:
         cfg = RunConfig.from_dict(data)
         profile = solve_te0(cfg.geometry(), n_points=cfg.grid_points)
         scene = cfg.scene(profile.k)
-        sweep = generate_sweep(
+        _, _, histograms = generate_sweep(
             scene,
             mode_weights(profile, scene.y0),
             cfg.r_T_magnitude(),
@@ -326,7 +320,7 @@ class TestFitParity:
             bin_edges=cfg.bin_edges(),
         )
         for i, n_iter in ((1, 9), (7, 8)):
-            res = fit_biexponential(sweep[i].histogram, fit_background=True)
+            res = fit_biexponential(histograms[i], fit_background=True)
             assert res.n_iter == n_iter
             assert res.params["background"] == 0.0
             assert res.uncertainties["background"] == math.inf
@@ -397,7 +391,7 @@ class TestSinusoidFit:
     def test_exact_recovery(self):
         phi = np.linspace(0.0, 2.2, 17)
         vals = 3.0 * (1.0 + 0.6 * np.cos(2.0 * phi + 0.9))
-        res = fit_sinusoid(phi, vals)
+        res = fit_sinusoid(phi, vals, np.ones_like(vals))
         assert res.params["mean"] == pytest.approx(3.0, abs=1e-10)
         assert res.derived["visibility"] == pytest.approx(0.6, abs=1e-10)
         assert res.params["theta"] == pytest.approx(0.9, abs=1e-10)
@@ -406,7 +400,7 @@ class TestSinusoidFit:
     def test_negative_amplitude_absorbed_into_theta(self):
         phi = np.linspace(0.0, 2.2, 17)
         vals = 3.0 * (1.0 - 0.6 * np.cos(2.0 * phi + 0.9))
-        res = fit_sinusoid(phi, vals)
+        res = fit_sinusoid(phi, vals, np.ones_like(vals))
         assert res.derived["visibility"] == pytest.approx(0.6, abs=1e-10)
         assert res.params["theta"] == pytest.approx(
             (0.9 + math.pi) % (2.0 * math.pi), abs=1e-10
@@ -414,7 +408,7 @@ class TestSinusoidFit:
 
     def test_constant_data_flags_theta(self):
         phi = np.linspace(0.0, 2.2, 17)
-        res = fit_sinusoid(phi, np.full_like(phi, 4.0))
+        res = fit_sinusoid(phi, np.full_like(phi, 4.0), np.ones_like(phi))
         assert "theta_undefined" in res.flags
         assert res.params["theta"] == 0.0
         assert res.derived["visibility"] == pytest.approx(0.0, abs=1e-12)
@@ -430,12 +424,12 @@ class TestSinusoidFit:
     def test_too_few_points_rejected(self):
         phi = np.linspace(0.0, 3.0, 5)
         with pytest.raises(InsufficientPhaseSpan, match="6 phase points"):
-            fit_sinusoid(phi, np.ones(5))
+            fit_sinusoid(phi, np.ones(5), np.ones(5))
 
     def test_short_span_rejected(self):
         phi = np.linspace(0.0, 0.4, 10)
         with pytest.raises(InsufficientPhaseSpan, match="span"):
-            fit_sinusoid(phi, np.ones(10))
+            fit_sinusoid(phi, np.ones(10), np.ones(10))
 
     def test_nonpositive_sigma_rejected(self):
         phi = np.linspace(0.0, 2.2, 10)
@@ -450,7 +444,7 @@ class TestSinusoidFit:
     def test_round_trip_property(self, mean, nu, theta):
         phi = np.linspace(0.0, math.pi, 13)
         vals = mean * (1.0 + nu * np.cos(2.0 * phi + theta))
-        res = fit_sinusoid(phi, vals)
+        res = fit_sinusoid(phi, vals, np.ones_like(vals))
         assert res.params["mean"] == pytest.approx(mean, rel=1e-8)
         assert res.derived["visibility"] == pytest.approx(nu, rel=1e-6, abs=1e-8)
         dtheta = (res.params["theta"] - theta + math.pi) % (2.0 * math.pi) - math.pi
@@ -508,13 +502,11 @@ class TestPhaseMapReconstruction:
         voltages = list(np.linspace(0.0, 8.0, n_points))
         for seed in range(10):
             # the intensity stream does not depend on the histogram binning
-            records = generate_sweep(
+            phi, counts, _ = generate_sweep(
                 scene, weights, qd1_cfg.r_T_magnitude(), qd1_cfg.calibration,
                 voltages, 4e4, seed,
                 hist_counts=1000.0, bin_edges=np.linspace(0.0, 25.0, 21),
             )
-            phi = np.array([r.phi for r in records])
-            counts = np.array([r.intensity_counts for r in records])
             rec = recovered_phases(reconstruct_phase_map(voltages, counts), voltages)
             assert float(np.max(np.abs(rec - (phi - phi[0])))) <= 0.05, seed
 
@@ -545,8 +537,8 @@ class TestPhaseMapReconstruction:
         v, _, inten = quad_fringe()
         cal = reconstruct_phase_map(v, inten)
         rec = recovered_phases(cal, v)
-        f1 = fit_sinusoid(rec, inten)
-        f2 = fit_sinusoid(-rec + 0.7, inten)
+        f1 = fit_sinusoid(rec, inten, np.ones_like(inten))
+        f2 = fit_sinusoid(-rec + 0.7, inten, np.ones_like(inten))
         assert abs(f1.derived["visibility"] - f2.derived["visibility"]) < 1e-9
 
     def test_recovered_map_transfers_to_another_line(self):
@@ -819,7 +811,7 @@ class TestAnalyzeSweep:
 
     def test_result_structure(self, qd1_analysis, qd1_sweep):
         out = qd1_analysis
-        assert len(out["rate_fits"]) == len(qd1_sweep)
+        assert len(out["rate_fits"]) == len(qd1_sweep[2])
         for key in ("intensity_fit", "rate_fit", "theta_offset", "notes"):
             assert key in out
         assert out["gamma_max"] > out["gamma_min"]
@@ -844,12 +836,7 @@ class TestAnalyzeSweep:
                 bin_edges=cfg.bin_edges(),
                 irf_sigma=cfg.irf_sigma,
             )
-            out = analyze_sweep(
-                volts,
-                [r.phi for r in recs],
-                [r.intensity_counts for r in recs],
-                [r.histogram for r in recs],
-            )
+            out = analyze_sweep(*recs, profile=qd1_profile)
             ests.append(out["nu_gamma"])
         ests = np.asarray(ests)
         sem = float(ests.std(ddof=1)) / math.sqrt(len(ests))
@@ -901,9 +888,9 @@ class TestTable1:
         with pytest.raises(MalformedRow, match="no data rows"):
             read_table1_csv(str(p))
 
-    def test_report_contrasts_and_flags(self):
+    def test_report_contrasts_and_flags(self, default_profile):
         rows = read_table1_csv(builtin_table1_path())
-        rep = table1_report(rows)
+        rep = table1_report(rows, default_profile)
         out = rep["rows"]
         assert out[0]["rate_contrast"] == pytest.approx(0.37 / 1.63, rel=1e-12)
         assert out[3]["rate_contrast"] == pytest.approx(0.23 / 1.43, rel=1e-12)
@@ -919,20 +906,15 @@ class TestTable1:
             0.5328151919332849, rel=1e-12
         )
 
-    def test_first_emitter_crosscheck_note(self):
+    def test_first_emitter_crosscheck_note(self, default_profile):
         rows = read_table1_csv(builtin_table1_path())
-        rep = table1_report(rows)
+        rep = table1_report(rows, default_profile)
         notes = rep["rows"][0]["notes"]
         assert any("923.25" in n and "discrepancy" in n for n in notes)
         for row in rep["rows"][1:]:
             assert not any("923.25" in n for n in row["notes"])
 
-    def test_crosscheck_suppressed_when_disabled(self):
-        rows = read_table1_csv(builtin_table1_path())
-        rep = table1_report(rows, crosscheck=None)
-        assert not any("923.25" in n for n in rep["rows"][0]["notes"])
-
-    def test_equal_rates_give_zero_contrast(self):
+    def test_equal_rates_give_zero_contrast(self, default_profile):
         rows = [
             {
                 "qd": 9,
@@ -943,11 +925,11 @@ class TestTable1:
                 "nu_I": 0.3,
             }
         ]
-        rep = table1_report(rows, crosscheck=None)
+        rep = table1_report(rows, default_profile)
         assert rep["rows"][0]["rate_contrast"] == 0.0
         assert rep["rows"][0]["contrast_within_1_sigma"]
 
-    def test_inverted_rates_rejected(self):
+    def test_inverted_rates_rejected(self, default_profile):
         rows = [
             {
                 "qd": 9,
@@ -959,14 +941,14 @@ class TestTable1:
             }
         ]
         with pytest.raises(MalformedRow):
-            table1_report(rows, crosscheck=None)
+            table1_report(rows, default_profile)
 
-    def test_non_positive_gamma_min_rejected(self):
+    def test_non_positive_gamma_min_rejected(self, default_profile):
         # gamma_max + gamma_min > 0 and gamma_max >= gamma_min still hold
         row = {"qd": 9, "lambda_nm": 920.0, "gamma_max": 1.0, "gamma_min": -0.1,
                "nu_gamma": 0.1, "nu_I": 0.3}
         with pytest.raises(MalformedRow, match="need gamma_max >= gamma_min > 0"):
-            table1_report([row], crosscheck=None)
+            table1_report([row], default_profile)
 
     def test_feasibility_with_profile(self, default_profile):
         rows = read_table1_csv(builtin_table1_path())
