@@ -11,8 +11,8 @@ collected intensity.  This package covers the full workflow:
   mirror and the lumped reflectivity chain seen by the emitter,
 - ``emission``: image-dipole rate and intensity modulation, visibilities,
 - ``synthlab``: seeded synthetic sweeps (photon counts, decay histograms),
-- ``inference``: Poisson lifetime fits, fringe fits, phase-map
-  reconstruction, and feasible-parameter estimation,
+- ``inference``: Poisson lifetime fits, fringe fits and
+  feasible-parameter estimation,
 - ``csvio``: the one CSV table format, written and read in one place,
 - ``cli``: config-driven command line tying it together.
 

@@ -266,6 +266,9 @@ def _analyze_sweep_dir(args: argparse.Namespace, outs: _Outputs) -> None:
         raise ConfigError("analyze --in takes its config from the manifest")
     manifest_path = os.path.join(args.in_dir, "manifest.json")
     manifest = read_json(manifest_path)
+    if os.path.samefile(args.out, args.in_dir):
+        # the analyze manifest would replace the one that verifies the inputs
+        raise ConfigError(f"--out {args.out!r} is the --in directory")
     if (
         not isinstance(manifest, dict)
         or manifest.get("command") != "simulate"
@@ -362,7 +365,6 @@ _NUMERICAL_ERRORS = (
     inference.NonIdentifiable,
     inference.TooFewBins,
     inference.EmptyFeasibleSet,
-    inference.InsufficientFringes,
     inference.InsufficientPhaseSpan,
     inference.NonFiniteRate,
     np.linalg.LinAlgError,

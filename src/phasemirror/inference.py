@@ -1,12 +1,11 @@
 """Inverse pipeline: from counts and histograms back to physics.
 
-Four stages mirror the measurement chain in reverse: Poisson-MLE
+Three stages mirror the measurement chain in reverse: Poisson-MLE
 bi-exponential lifetime fits (damped Gauss-Newton on the analytic
 gradient, uncertainties from the exact observed information), weighted
-sinusoid fits for fringe visibilities, phase-map reconstruction from a
-reference fringe by a variable-projection fit of a monotone quadratic
-phase, and joint estimation of (|r_T|, beta_y0, y0) from the visibility
-pair, including the centered-emitter lower bound on |r_T|.
+sinusoid fits for fringe visibilities, and joint estimation of (|r_T|,
+beta_y0, y0) from the visibility pair, including the centered-emitter
+lower bound on |r_T|.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .modesolver import ModeProfile, mode_weights
-from .synthlab import CalibrationModel, DecayHistogram, PhaseCalibration
+from .synthlab import DecayHistogram
 
 
 class NonIdentifiable(RuntimeError):
@@ -32,10 +31,6 @@ class NotConverged(RuntimeError):
 
 class InsufficientPhaseSpan(ValueError):
     """Too few points or too narrow a 2*phi range for a fringe fit."""
-
-
-class InsufficientFringes(ValueError):
-    """Reference sweep covers less than one full intensity fringe."""
 
 
 class EmptyFeasibleSet(RuntimeError):
@@ -389,118 +384,6 @@ def fit_sinusoid(phases: np.ndarray, values: np.ndarray, sigmas: np.ndarray) -> 
 
 
 # ---------------------------------------------------------------------------
-# phase-map reconstruction
-
-
-def reconstruct_phase_map(
-    voltages: np.ndarray, intensities: np.ndarray
-) -> PhaseCalibration:
-    """Recover phi(V) from a reference line's intensity fringe.
-
-    Fits I = A + C cos 2phi + S sin 2phi with phi = P ((1 - kappa) x +
-    kappa x^2), x = (V - V_0) / (V_end - V_0), P > 0 and kappa in
-    [-1, 1]: exactly the monotone maps of degree <= 2 with phi(V_0) = 0,
-    which include linear and electrostatic (V^2) actuation.  By
-    variable projection (Golub & Pereyra 1973) (A, C, S) are solved
-    linearly for every (P, kappa); a grid over (P, kappa), bounded by
-    the number of mean crossings, picks the start and damped
-    Gauss-Newton on the projected residual refines it, with Poisson
-    weights 1/max(I, 1).  The output is gauged to phi = 0 at the first
-    sample, with the global sign and offset left undetermined
-    (documented in gauge_note).  A sweep must cover at least one full
-    fringe.
-    """
-    v = np.asarray(voltages, dtype=float)
-    inten = np.asarray(intensities, dtype=float)
-    if len(v) < 8:
-        raise InsufficientFringes("need at least 8 samples along the sweep")
-    if np.any(np.diff(v) <= 0):
-        raise ValueError("voltages must be strictly increasing")
-    mid = 0.5 * (inten.max() + inten.min())
-    amp = 0.5 * (inten.max() - inten.min())
-    if amp <= 1e-12 * max(abs(mid), 1.0):
-        raise InsufficientFringes("no fringe modulation detected")
-    x = (v - v[0]) / (v[-1] - v[0])
-    sw = 1.0 / np.sqrt(np.maximum(inten, 1.0))
-    y = sw * inten
-
-    def basis(two_phi: np.ndarray) -> np.ndarray:
-        return np.stack(
-            np.broadcast_arrays(sw, sw * np.cos(two_phi), sw * np.sin(two_phi)),
-            axis=-1,
-        )
-
-    # start: 2 phi advances by about pi between mean crossings, and grid
-    # steps that move 2 phi by at most pi/4 keep a node in the basin
-    crossings = int(np.count_nonzero(np.diff(np.signbit(inten - inten.mean()))))
-    p_max = 0.5 * math.pi * (crossings + 2)
-    ps = np.arange(1, math.ceil(8.0 * p_max / math.pi) + 1) * (math.pi / 8.0)
-    start = (-math.inf, 0.0, 0.0)
-    for kappa in np.linspace(-1.0, 1.0, 2 * math.ceil(2.0 * p_max / math.pi) + 1):
-        X = basis(2.0 * ps[:, None] * ((1.0 - kappa) * x + kappa * x**2))
-        Xt = np.swapaxes(X, -1, -2)
-        b = (Xt @ y)[..., None]
-        # y.y minus the residual sum of squares of each linear solve
-        explained = np.sum(b * np.linalg.solve(Xt @ X, b), axis=(-2, -1))
-        i = int(np.argmax(explained))
-        start = max(start, (float(explained[i]), float(ps[i]), float(kappa)))
-
-    def project(P: float, kappa: float):
-        shape = (1.0 - kappa) * x + kappa * x**2
-        two_phi = 2.0 * P * shape
-        Q, R = np.linalg.qr(basis(two_phi))
-        qy = Q.T @ y
-        resid = y - Q @ qy
-        return float(resid @ resid), resid, Q, np.linalg.solve(R, qy), shape, two_phi
-
-    _, P, kappa = start
-    fit = project(P, kappa)
-    lam = 1e-3
-    for _ in range(100):
-        rss, resid, Q, coef, shape, two_phi = fit
-        dmodel = 2.0 * sw * (coef[2] * np.cos(two_phi) - coef[1] * np.sin(two_phi))
-        J = dmodel[:, None] * np.stack([shape, P * (x**2 - x)], axis=1)
-        J -= Q @ (Q.T @ J)
-        JtJ, Jtr = J.T @ J, J.T @ resid
-        step = None
-        while lam < 1e14:
-            damped = JtJ + lam * np.diag(np.diag(JtJ))
-            delta = np.linalg.lstsq(damped, Jtr, rcond=None)[0]
-            if abs(kappa) == 1.0 and abs(kappa + delta[1]) > 1.0:
-                # pinned on a bound of kappa: step in P alone
-                delta = np.array([Jtr[0] / damped[0, 0], 0.0])
-            P_try = max(P + float(delta[0]), 0.5 * P)
-            kappa_try = min(max(kappa + float(delta[1]), -1.0), 1.0)
-            trial = project(P_try, kappa_try)
-            if trial[0] <= rss:
-                step = abs(P_try - P) + abs(kappa_try - kappa)
-                P, kappa, fit = P_try, kappa_try, trial
-                lam = max(lam / 3.0, 1e-12)
-                break
-            lam *= 10.0
-        if step is None or step <= 1e-14 * (1.0 + P):
-            break
-
-    if P < 0.95 * math.pi:
-        raise InsufficientFringes(
-            f"sweep spans {P / math.pi:.2f} fringes; need at least one"
-        )
-    rss, shape = fit[0], fit[4]
-    note = (
-        "gauge: phi(first sample) = 0; global sign and offset unresolved; "
-        f"chi2/dof = {rss / max(len(v) - 5, 1):.3g}"
-    )
-    table = tuple(zip(v.tolist(), (P * shape).tolist()))
-    return PhaseCalibration(
-        model=CalibrationModel.TABLE,
-        table=table,
-        quad_coeff=None,
-        v_range=(float(v[0]), float(v[-1])),
-        gauge_note=note,
-    )
-
-
-# ---------------------------------------------------------------------------
 # visibility-based parameter estimation
 
 
@@ -773,8 +656,9 @@ def read_table1_csv(path: str) -> list[dict]:
 
     Every cell must be finite, the visibilities must lie in [0, 1],
     gamma_max >= gamma_min > 0 and the optional *_err columns must be
-    positive; a row that breaks this raises MalformedRow naming the file
-    and line.
+    positive.  Each column appears once and every row has one cell per
+    column.  A table that breaks this raises MalformedRow naming the
+    file and line.
     """
     rows = []
     with open(path, "rb") as fh:
@@ -785,19 +669,27 @@ def read_table1_csv(path: str) -> list[dict]:
         lineno = data.count(b"\n", 0, exc.start) + 1
         raise MalformedRow(f"{path} line {lineno}: {exc}") from None
     with io.StringIO(text, newline="") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
+        reader = csv.reader(fh)
+        header = next(reader, [])
         missing = [c for c in _TABLE1_REQUIRED if c not in header]
         if missing:
             raise MalformedRow(f"{path} line 1: missing columns {missing}")
         unknown = [c for c in header if c not in _TABLE1_REQUIRED + _TABLE1_OPTIONAL]
         if unknown:
             raise MalformedRow(f"{path} line 1: unknown columns {unknown}")
-        for lineno, raw in enumerate(reader, start=2):
+        repeated = sorted({c for c in header if header.count(c) > 1})
+        if repeated:
+            raise MalformedRow(f"{path} line 1: repeated columns {repeated}")
+        for lineno, cells in enumerate(reader, start=2):
+            if not cells:
+                continue  # a blank line
+            if len(cells) != len(header):
+                raise MalformedRow(
+                    f"{path} line {lineno}: expected {len(header)} columns, got {len(cells)}"
+                )
             row = {}
-            for col in header:
-                cell = raw.get(col)
-                if cell is None or cell == "":
+            for col, cell in zip(header, cells):
+                if cell == "":
                     raise MalformedRow(f"{path} line {lineno}: empty cell in {col}")
                 try:
                     row[col] = int(cell) if col == "qd" else float(cell)

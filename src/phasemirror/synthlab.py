@@ -38,8 +38,7 @@ class PhaseCalibration:
 
     Table form interpolates linearly between strictly increasing
     voltage knots; quadratic form models electrostatic actuation as
-    phi = quad_coeff * v^2 + quad_offset.  gauge_note documents the
-    sign/offset gauge when the map was reconstructed from fringes.
+    phi = quad_coeff * v^2 + quad_offset.
     """
 
     model: CalibrationModel = CalibrationModel.QUADRATIC
@@ -47,7 +46,6 @@ class PhaseCalibration:
     quad_coeff: float | None = 0.05
     quad_offset: float = 0.0
     v_range: tuple[float, float] | None = None
-    gauge_note: str = ""
 
     def __post_init__(self) -> None:
         if self.model is CalibrationModel.TABLE:

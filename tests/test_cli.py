@@ -213,6 +213,28 @@ class TestSimulateCommand:
         assert (flat.max() - flat.min()) / flat.mean() < 0.05
         assert (modulated.max() - modulated.min()) / modulated.mean() > 0.5
 
+    def test_table_calibration_matches_quadratic(self, tmp_path):
+        # knots at the sweep's own voltages reproduce the quadratic map
+        # exactly, so every output but the manifest keeps its bytes
+        data = copy.deepcopy(QD1_PRESET)
+        s, c = data["sweep"], data["calibration"]
+        volts = np.linspace(s["v_start"], s["v_stop"], s["n_points"]).tolist()
+        c["table"] = [[v, c["quad_coeff"] * v**2 + c["quad_offset"]] for v in volts]
+        c["model"] = "table"
+        cfg_path = tmp_path / "table.json"
+        cfg_path.write_text(json.dumps(data))
+        quad, table = str(tmp_path / "quad"), str(tmp_path / "table")
+        assert main(["simulate", "--preset", "qd1", "--seed", "7", "--out", quad]) == 0
+        args = ["--config", str(cfg_path), "--seed", "7", "--out", table]
+        assert main(["simulate", *args]) == 0
+        for name in ("sweep.csv", "histograms.csv", "sweep.svg"):
+            assert sha256(os.path.join(table, name)) == sha256(os.path.join(quad, name))
+        for d in (quad, table):
+            assert main(["analyze", "--in", d, "--out", d + "-fit"]) == 0
+        assert sha256(os.path.join(table + "-fit", "report.json")) == sha256(
+            os.path.join(quad + "-fit", "report.json")
+        )
+
 
 class TestAnalyzeCommand:
     def test_round_trip_report(self, analysis_dir):
@@ -280,6 +302,22 @@ class TestAnalyzeCommand:
             ]
         )
         assert rc == 2
+
+    @pytest.mark.parametrize("alias", ["same", "dot", "link"])
+    def test_out_that_is_the_in_directory_is_input_error(
+        self, tmp_path, sim_dir, capsys, alias
+    ):
+        # the analyze manifest would replace the one that verifies the inputs
+        d = str(tmp_path / "d")
+        shutil.copytree(sim_dir, d)
+        out = {"same": d, "dot": os.path.join(d, "."), "link": str(tmp_path / "l")}[alias]
+        if alias == "link":
+            os.symlink(d, out)
+        before = sorted(os.listdir(d)), sha256(os.path.join(d, "manifest.json"))
+        assert main(["analyze", "--in", d, "--out", out]) == 2
+        assert "is the --in directory" in capsys.readouterr().err
+        assert (sorted(os.listdir(d)), sha256(os.path.join(d, "manifest.json"))) == before
+        assert main(["analyze", "--in", d, "--out", str(tmp_path / "e")]) == 0
 
     def test_rejects_non_simulate_directory(self, tmp_path, mode_dir):
         rc = main(["analyze", "--in", mode_dir, "--out", str(tmp_path / "x")])
@@ -359,6 +397,29 @@ class TestAnalyzeCommand:
         assert rc == 2
         err = capsys.readouterr().err
         assert f"{table} line 2" in err and "can't decode byte 0xff" in err
+
+    @pytest.mark.parametrize(
+        "damage, why",
+        [
+            ("repeated column", "line 1: repeated columns ['nu_I']"),
+            ("extra cell", "line 3: expected 9 columns, got 10"),
+        ],
+        ids=["repeated_column", "extra_cell"],
+    )
+    def test_table_of_other_shape_is_input_error(self, tmp_path, capsys, damage, why):
+        with open(builtin_table1_path(), encoding="utf-8") as fh:
+            lines = fh.read().split("\n")
+        if damage == "repeated column":
+            # the second nu_I would give QD1 0.99 in place of its 0.42
+            lines[0] += ",nu_I"
+            lines[1:] = [line + ",0.99" if line else line for line in lines[1:]]
+        else:
+            lines[2] += ",7"
+        table = tmp_path / "table1.csv"
+        table.write_text("\n".join(lines), encoding="utf-8")
+        rc = main(["analyze", "--table1", str(table), "--out", str(tmp_path / "x")])
+        assert rc == 2
+        assert f"{table} {why}" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "col, value, why",

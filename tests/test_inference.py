@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from oracles import poisson_nll_gradient
 from phasemirror.inference import (
     EmptyFeasibleSet,
-    InsufficientFringes,
     InsufficientPhaseSpan,
     MalformedRow,
     NonIdentifiable,
@@ -25,7 +24,6 @@ from phasemirror.inference import (
     poisson_nll,
     r_lower_bound,
     read_table1_csv,
-    reconstruct_phase_map,
     table1_report,
 )
 from phasemirror.config import RunConfig, builtin_table1_path
@@ -35,7 +33,6 @@ from phasemirror.synthlab import (
     expected_histogram,
     generate_decay_histogram,
     generate_sweep,
-    phase_of_voltage,
 )
 
 EDGES = np.linspace(0.0, 25.0, 501)
@@ -49,10 +46,6 @@ def quad_fringe():
     phi = 0.05 * v**2
     inten = 120.0 * (1.0 + 0.8 * np.cos(2.0 * phi + 0.3))
     return v, phi, inten
-
-
-def recovered_phases(cal, voltages):
-    return np.array([phase_of_voltage(cal, vi) for vi in voltages])
 
 
 @pytest.fixture(scope="module")
@@ -450,108 +443,12 @@ class TestSinusoidFit:
         dtheta = (res.params["theta"] - theta + math.pi) % (2.0 * math.pi) - math.pi
         assert abs(dtheta) < 1e-6
 
-
-class TestPhaseMapReconstruction:
-    def test_quadratic_map_recovered(self):
-        v, phi, inten = quad_fringe()
-        cal = reconstruct_phase_map(v, inten)
-        rec = recovered_phases(cal, v)
-        err = (rec - rec[0]) - (phi - phi[0])
-        assert float(np.max(np.abs(err))) <= 1e-6
-        assert "sign and offset unresolved" in cal.gauge_note
-        assert "chi2/dof" in cal.gauge_note
-
-    def test_linear_map_recovered(self):
-        v = np.linspace(0.0, 5.0, 64)
-        phi = 1.1 * math.pi * v / 5.0
-        inten = 80.0 * (1.0 + 0.5 * np.cos(2.0 * phi + 1.2))
-        cal = reconstruct_phase_map(v, inten)
-        rec = recovered_phases(cal, v)
-        err = (rec - rec[0]) - (phi - phi[0])
-        assert float(np.max(np.abs(err))) <= 1e-6
-
-    @pytest.mark.parametrize("theta", [0.3, 2.35, 4.0, 5.5])
-    def test_fringe_offset_is_immaterial(self, theta):
-        # the fringe may start on a rising or falling edge, or at a turn
-        v = np.linspace(0.0, 10.0, 201)
-        phi = 0.05 * v**2
-        inten = 1.0 + 0.5 * np.cos(2.0 * phi + theta)
-        rec = recovered_phases(reconstruct_phase_map(v, inten), v)
-        assert float(np.max(np.abs(rec - phi))) <= 1e-6
-
-    def test_output_is_monotone_from_zero(self):
-        v, _, inten = quad_fringe()
-        cal = reconstruct_phase_map(v, inten)
-        rec = recovered_phases(cal, v)
-        assert rec[0] == 0.0
-        assert np.all(np.diff(rec) >= 0.0)
-
-    def test_noisy_reference_recovered(self):
-        # desk-scale counts: shot noise on a 2000-count fringe
-        v, phi, _ = quad_fringe()
-        rng = np.random.default_rng(9)
-        lam = 2000.0 * (1.0 + 0.8 * np.cos(2.0 * phi + 0.3)) / 2.0 + 50.0
-        noisy = rng.poisson(lam).astype(float)
-        rec = recovered_phases(reconstruct_phase_map(v, noisy), v)
-        assert float(np.max(np.abs(rec - phi))) <= 0.03
-
-    @pytest.mark.parametrize("n_points", [12, 48, 192])
-    def test_simulated_qd1_sweeps_recovered(self, qd1_cfg, qd1_profile, n_points):
-        scene = qd1_cfg.scene(qd1_profile.k)
-        weights = mode_weights(qd1_profile, scene.y0)
-        voltages = list(np.linspace(0.0, 8.0, n_points))
-        for seed in range(10):
-            # the intensity stream does not depend on the histogram binning
-            phi, counts, _ = generate_sweep(
-                scene, weights, qd1_cfg.r_T_magnitude(), qd1_cfg.calibration,
-                voltages, 4e4, seed,
-                hist_counts=1000.0, bin_edges=np.linspace(0.0, 25.0, 21),
-            )
-            rec = recovered_phases(reconstruct_phase_map(voltages, counts), voltages)
-            assert float(np.max(np.abs(rec - (phi - phi[0])))) <= 0.05, seed
-
-    def test_too_few_samples_rejected(self):
-        v, _, inten = quad_fringe()
-        with pytest.raises(InsufficientFringes, match="8 samples"):
-            reconstruct_phase_map(v[:6], inten[:6])
-
-    def test_flat_line_rejected(self):
-        v, _, _ = quad_fringe()
-        with pytest.raises(InsufficientFringes, match="modulation"):
-            reconstruct_phase_map(v, np.full_like(v, 7.0))
-
-    def test_partial_fringe_rejected(self):
-        v, _, inten = quad_fringe()
-        with pytest.raises(InsufficientFringes, match="fringes"):
-            reconstruct_phase_map(v[:40], inten[:40])
-
-    def test_nonmonotone_voltages_rejected(self):
-        v, _, inten = quad_fringe()
-        v = v.copy()
-        v[5] = v[4]
-        with pytest.raises(ValueError, match="strictly increasing"):
-            reconstruct_phase_map(v, inten)
-
     def test_visibility_is_gauge_invariant(self):
-        # a sign flip plus offset on the map must not move the visibility
-        v, _, inten = quad_fringe()
-        cal = reconstruct_phase_map(v, inten)
-        rec = recovered_phases(cal, v)
-        f1 = fit_sinusoid(rec, inten, np.ones_like(inten))
-        f2 = fit_sinusoid(-rec + 0.7, inten, np.ones_like(inten))
+        # a sign flip plus offset on the phases must not move the visibility
+        _, phi, inten = quad_fringe()
+        f1 = fit_sinusoid(phi, inten, np.ones_like(inten))
+        f2 = fit_sinusoid(-phi + 0.7, inten, np.ones_like(inten))
         assert abs(f1.derived["visibility"] - f2.derived["visibility"]) < 1e-9
-
-    def test_recovered_map_transfers_to_another_line(self):
-        # a second noisy fringe analyzed with the recovered map fits well
-        v, phi, inten = quad_fringe()
-        cal = reconstruct_phase_map(v, inten)
-        rec = recovered_phases(cal, v)
-        rng = np.random.default_rng(21)
-        lam = 5e4 * (1.0 + 0.55 * np.cos(2.0 * phi + 1.9)) / 2.0 + 1e3
-        counts = rng.poisson(lam).astype(float)
-        res = fit_sinusoid(rec, counts, np.sqrt(counts))
-        assert res.goodness < 2.0
-        assert res.derived["visibility"] == pytest.approx(0.55 * 5e4 / (5e4 + 2e3), abs=0.02)
 
 
 class TestRLowerBound:
