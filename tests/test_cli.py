@@ -403,8 +403,9 @@ class TestAnalyzeCommand:
         [
             ("repeated column", "line 1: repeated columns ['nu_I']"),
             ("extra cell", "line 3: expected 9 columns, got 10"),
+            ("missing cell", "line 3: expected 9 columns, got 8"),
         ],
-        ids=["repeated_column", "extra_cell"],
+        ids=["repeated_column", "extra_cell", "missing_cell"],
     )
     def test_table_of_other_shape_is_input_error(self, tmp_path, capsys, damage, why):
         with open(builtin_table1_path(), encoding="utf-8") as fh:
@@ -413,8 +414,10 @@ class TestAnalyzeCommand:
             # the second nu_I would give QD1 0.99 in place of its 0.42
             lines[0] += ",nu_I"
             lines[1:] = [line + ",0.99" if line else line for line in lines[1:]]
-        else:
+        elif damage == "extra cell":
             lines[2] += ",7"
+        else:
+            lines[2] = lines[2].rsplit(",", 1)[0]
         table = tmp_path / "table1.csv"
         table.write_text("\n".join(lines), encoding="utf-8")
         rc = main(["analyze", "--table1", str(table), "--out", str(tmp_path / "x")])

@@ -450,6 +450,26 @@ class TestSinusoidFit:
         f2 = fit_sinusoid(-phi + 0.7, inten, np.ones_like(inten))
         assert abs(f1.derived["visibility"] - f2.derived["visibility"]) < 1e-9
 
+    @pytest.mark.parametrize("theta", [0.3, 2.35, 4.0, 5.5])
+    def test_fringe_offset_is_immaterial(self, theta):
+        # the fringe may start on a rising or falling edge, or at a turn
+        v, phi, _ = quad_fringe()
+        inten = 1.0 + 0.5 * np.cos(2.0 * phi + theta)
+        res = fit_sinusoid(phi, inten, np.ones_like(inten))
+        assert res.derived["visibility"] == pytest.approx(0.5, abs=1e-10)
+        dtheta = (res.params["theta"] - theta + math.pi) % (2.0 * math.pi) - math.pi
+        assert abs(dtheta) < 1e-9
+
+    def test_shot_noise_fringe_fits_well(self):
+        # desk-scale counts on a fringe analyzed with its own phases
+        _, phi, _ = quad_fringe()
+        rng = np.random.default_rng(21)
+        lam = 5e4 * (1.0 + 0.55 * np.cos(2.0 * phi + 1.9)) / 2.0 + 1e3
+        counts = rng.poisson(lam).astype(float)
+        res = fit_sinusoid(phi, counts, np.sqrt(counts))
+        assert res.goodness < 2.0
+        assert res.derived["visibility"] == pytest.approx(0.55 * 5e4 / (5e4 + 2e3), abs=0.02)
+
 
 class TestRLowerBound:
     def test_frozen_values(self):
@@ -778,6 +798,20 @@ class TestTable1:
         )
         with pytest.raises(MalformedRow, match="empty cell"):
             read_table1_csv(str(p))
+
+    def test_short_row_rejected(self, tmp_path):
+        p = tmp_path / "t.csv"
+        p.write_text("qd,lambda_nm,gamma_max,gamma_min,nu_gamma,nu_I\n1,920.0,1.0,0.6,0.2\n")
+        with pytest.raises(MalformedRow, match="line 2: expected 6 columns, got 5"):
+            read_table1_csv(str(p))
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        header = "qd,lambda_nm,gamma_max,gamma_min,nu_gamma,nu_I\n"
+        rows = "1,920.0,1.0,0.6,0.2,0.4\n", "2,921.0,1.2,0.5,0.3,0.5\n"
+        dense, sparse = tmp_path / "dense.csv", tmp_path / "sparse.csv"
+        dense.write_text(header + "".join(rows))
+        sparse.write_text(header + "\n" + "\n".join(rows) + "\n")
+        assert read_table1_csv(str(sparse)) == read_table1_csv(str(dense))
 
     def test_no_rows_rejected(self, tmp_path):
         p = tmp_path / "t.csv"

@@ -78,6 +78,20 @@ class TestCalibration:
                 table=((0.0, 0.0), (1.0, 1.0), (2.0, 0.5)),
             )
 
+    def test_quadratic_without_range_accepts_any_voltage(self):
+        assert QUAD.span() == (-math.inf, math.inf)
+        assert phase_of_voltage(QUAD, -3.0) == pytest.approx(0.45)
+        assert phase_of_voltage(QUAD, 1e3) == pytest.approx(5e4)
+
+    def test_decreasing_table_interpolation(self):
+        cal = PhaseCalibration(
+            model=CalibrationModel.TABLE,
+            table=((1.0, 2.0), (3.0, 1.0), (5.0, -1.0)),
+        )
+        assert cal.span() == (1.0, 5.0)
+        assert [phase_of_voltage(cal, v) for v in (1.0, 3.0, 5.0)] == [2.0, 1.0, -1.0]
+        assert phase_of_voltage(cal, 4.0) == pytest.approx(0.0)
+
     def test_quadratic_needs_coefficient(self):
         with pytest.raises(ValueError):
             PhaseCalibration(model=CalibrationModel.QUADRATIC, quad_coeff=None)
@@ -244,6 +258,47 @@ class TestSweep:
             hist_counts=1000.0,
         )
         assert len(set(counts)) == 1
+
+    @pytest.mark.parametrize("n_points", [12, 48, 192])
+    def test_intensity_stream_ignores_histogram_binning(self, n_points):
+        voltages = np.linspace(0.0, 8.0, n_points)
+        runs = [
+            generate_sweep(
+                SCENE, WEIGHTS, 0.6, QUAD, voltages, 40_000.0, 3,
+                hist_counts=1000.0, bin_edges=np.linspace(0.0, 25.0, n_bins + 1),
+            )
+            for n_bins in (20, 50)
+        ]
+        (phi_a, counts_a, _), (phi_b, counts_b, _) = runs
+        assert np.array_equal(phi_a, [phase_of_voltage(QUAD, v) for v in voltages])
+        assert np.array_equal(phi_a, phi_b)
+        assert np.array_equal(counts_a, counts_b)
+
+    def test_prefix_of_a_sweep_keeps_its_points(self):
+        # point i draws from its own streams, so later points change nothing
+        voltages = np.linspace(0.0, 8.0, 12)
+        _, counts, hists = self.run(voltages=voltages)
+        _, head_counts, head_hists = self.run(voltages=voltages[:5])
+        assert np.array_equal(head_counts, counts[:5])
+        for ha, hb in zip(head_hists, hists[:5]):
+            assert np.array_equal(ha.counts, hb.counts)
+
+    def test_table_knots_at_the_voltages_match_quadratic(self):
+        voltages = np.linspace(0.0, 8.0, 12)
+        table = PhaseCalibration(
+            model=CalibrationModel.TABLE,
+            table=tuple((float(v), phase_of_voltage(QUAD, v)) for v in voltages),
+        )
+        quad = generate_sweep(
+            SCENE, WEIGHTS, 0.6, QUAD, voltages, 40_000.0, 11, hist_counts=1000.0
+        )
+        tab = generate_sweep(
+            SCENE, WEIGHTS, 0.6, table, voltages, 40_000.0, 11, hist_counts=1000.0
+        )
+        assert np.array_equal(tab[0], quad[0])
+        assert np.array_equal(tab[1], quad[1])
+        for ha, hb in zip(tab[2], quad[2]):
+            assert np.array_equal(ha.counts, hb.counts)
 
     def test_out_of_calibration_propagates(self):
         cal = PhaseCalibration(
