@@ -266,9 +266,6 @@ def _analyze_sweep_dir(args: argparse.Namespace, outs: _Outputs) -> None:
         raise ConfigError("analyze --in takes its config from the manifest")
     manifest_path = os.path.join(args.in_dir, "manifest.json")
     manifest = read_json(manifest_path)
-    if os.path.samefile(args.out, args.in_dir):
-        # the analyze manifest would replace the one that verifies the inputs
-        raise ConfigError(f"--out {args.out!r} is the --in directory")
     if (
         not isinstance(manifest, dict)
         or manifest.get("command") != "simulate"
@@ -373,9 +370,30 @@ _NUMERICAL_ERRORS = (
 )
 
 
+def _keep_simulate_manifest(args: argparse.Namespace) -> None:
+    """Refuse an --out that holds a simulate manifest, unless simulating.
+
+    That manifest is what `analyze --in` verifies the sweep against; the
+    manifest of any other command would replace it.
+    """
+    path = os.path.join(args.out, "manifest.json")
+    if args.command == "simulate" or not os.path.isfile(path):
+        return
+    try:
+        manifest = read_json(path)
+    except ConfigError:
+        return  # not JSON: not a simulate manifest either
+    if not isinstance(manifest, dict) or manifest.get("command") != "simulate":
+        return
+    if args.command == "analyze" and args.in_dir and os.path.samefile(args.out, args.in_dir):
+        raise ConfigError(f"--out {args.out!r} is the --in directory")
+    raise ConfigError(f"{path}: only simulate writes over a simulate manifest")
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _keep_simulate_manifest(args)
         # analyze --in takes its config from the simulate manifest
         sweep_dir = args.command == "analyze" and args.in_dir
         cfg = None if sweep_dir else _load_config(args)

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import copy
 import hashlib
+import itertools
 import json
 import numbers
 import operator
@@ -425,8 +426,12 @@ def _json_default(obj):
 
 def write_json(path: str, doc) -> None:
     """Write doc as sorted, 2-space-indented JSON ending in LF."""
+    tokens = json.JSONEncoder(sort_keys=True, indent=2, default=_json_default).iterencode(doc)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=2, default=_json_default)
+        # a thousand tokens per write: json.dump writes each token alone,
+        # and json.dumps holds every token of a sweep report (~1.5 MB) at once
+        while text := "".join(itertools.islice(tokens, 1024)):
+            fh.write(text)
         fh.write("\n")
 
 

@@ -7,14 +7,22 @@ A table is a header line of column names, then one line per row of
 `repr(float)` cells joined by commas; every line ends in LF and the
 file is UTF-8.  `repr` round-trips every float64 exactly, -0.0, inf
 and subnormals included, so a table read back equals the arrays
-written; a nan reads back as nan, without its sign or payload.  No
-write or read holds the text of a whole table at once.
+written; a nan reads back as nan, without its sign or payload.
+
+A table in the writer's own layout (the exact header line, at least
+one row, no blank line, and no quote, CR, non-ASCII character or
+ASCII separator 0x1c-0x1f anywhere) is parsed by numpy's C parser,
+`np.loadtxt`, which reads those cells as `float()` does.  Any other
+table, and any table that parser refuses, is read with `csv.reader`
+and `float()`, which alone name the errors.  No write or read holds
+the text of a whole table at once.
 """
 
 from __future__ import annotations
 
 import array
 import csv
+import itertools
 from collections.abc import Sequence
 
 import numpy as np
@@ -49,7 +57,10 @@ def read_csv(path: str, header: Sequence[str]) -> list[np.ndarray]:
     Raises MalformedCSV naming the path, and the line for a row error.
     """
     try:
-        return _read_rows(path, header)
+        try:
+            table = _read_plain(path, header)
+        except ValueError:  # _NotPlain, a cell loadtxt refuses, or bad UTF-8
+            table = _read_rows(path, header)
     except UnicodeDecodeError:
         # the text is decoded a chunk at a time: name the line from the bytes
         with open(path, "rb") as fh:
@@ -60,9 +71,51 @@ def read_csv(path: str, header: Sequence[str]) -> list[np.ndarray]:
             lineno = data.count(b"\n", 0, exc.start) + 1
             raise MalformedCSV(f"{path} line {lineno}: {exc}") from None
         raise
+    return [col.copy() for col in table.T]
 
 
-def _read_rows(path: str, header: Sequence[str]) -> list[np.ndarray]:
+class _NotPlain(ValueError):
+    """A table outside the writer's own layout: csv.reader reads it."""
+
+
+# characters that make numpy's parser read a line otherwise than csv.reader
+# and float() do: quotes, CR line ends, and the separators \x1c-\x1f,
+# which it strips from a cell as whitespace
+_NOT_PLAIN = ('"', "\r", "\x1c", "\x1d", "\x1e", "\x1f")
+
+
+def _read_plain(path: str, header: Sequence[str]) -> np.ndarray:
+    # the (rows, columns) table by np.loadtxt, a line at a time; raises
+    # ValueError for any table csv.reader is left to read
+    n = len(header)
+    rows = 0
+
+    def lines(fh):
+        nonlocal rows
+        for line in fh:
+            if line == "\n" or not line.isascii() or any(c in line for c in _NOT_PLAIN):
+                raise _NotPlain
+            rows += 1
+            yield line
+
+    with open(path, newline="", encoding="utf-8") as fh:
+        first, row = fh.readline(), fh.readline()
+        # loadtxt warns on an empty body; an empty table is csv.reader's
+        if first != ",".join(header) + "\n" or not row:
+            raise _NotPlain
+        table = np.loadtxt(
+            lines(itertools.chain([row], fh)),
+            delimiter=",",
+            comments=None,
+            dtype=float,
+            ndmin=2,
+        )
+    if table.shape != (rows, n):  # a line loadtxt skipped, or other columns
+        raise _NotPlain
+    return table
+
+
+def _read_rows(path: str, header: Sequence[str]) -> np.ndarray:
     # csv.reader a line at a time (quoted cells, CR line ends, no final LF
     # read too); every line's width is checked before a bad cell is named
     n = len(header)
@@ -85,4 +138,4 @@ def _read_rows(path: str, header: Sequence[str]) -> list[np.ndarray]:
                     bad = MalformedCSV(f"{path} line {lineno}: {exc}")
     if bad is not None:
         raise bad
-    return [col.copy() for col in np.frombuffer(values).reshape(-1, n).T]
+    return np.frombuffer(values).reshape(-1, n)

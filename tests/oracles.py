@@ -11,7 +11,10 @@ uses it:
   against finite differences and used to build a reference Hessian;
 - the bulk residual of the discrete Helmholtz operator on a solved mode;
 - the closed-form rate factor 1 +/- |r_T| cos(2 phi + theta), against
-  which the Green's-function ratio is checked.
+  which the Green's-function ratio is checked;
+- the expected counts of one decay histogram, one rate at a time and
+  math.erfc at every bin, against which the sweep's blocks of rates are
+  checked bit for bit.
 """
 
 from __future__ import annotations
@@ -126,3 +129,33 @@ def rate_modulation(r_T_mag: float, phi: float, theta: float, dip: DipoleOrienta
     """Closed-form rate factor 1 +/- |r_T| cos(2 phi + theta), + for X, - for Y."""
     sign = {DipoleOrientation.X: 1.0, DipoleOrientation.Y: -1.0}[dip]
     return 1.0 + sign * r_T_mag * math.cos(2.0 * phi + theta)
+
+
+# ---------------------------------------------------------------------------
+# decay histograms
+
+
+def expected_bin_counts(model, total_counts: float, edges: np.ndarray, irf_sigma=None) -> np.ndarray:
+    """Expected counts of one ExcitonModel, scaled to sum to total_counts.
+
+    Without an IRF each exponential is integrated over each bin; with
+    one, the blurred density at the midpoints times the bin widths.
+    """
+    widths = np.diff(edges)
+    mids = 0.5 * (edges[:-1] + edges[1:])
+
+    def component(gamma: float) -> np.ndarray:
+        if irf_sigma is None:
+            if gamma < 1e-12:
+                return widths
+            e = np.exp(-gamma * edges)
+            return (e[:-1] - e[1:]) / gamma
+        arg = (irf_sigma**2 * gamma - mids) / (math.sqrt(2.0) * irf_sigma)
+        erfc = np.array([math.erfc(a) for a in arg])
+        return 0.5 * np.exp(irf_sigma**2 * gamma**2 / 2.0 - gamma * mids) * erfc
+
+    shape = component(model.gamma_f) + model.amp_ratio * component(model.gamma_s)
+    if irf_sigma is not None:
+        shape = shape * widths
+    signal_total = total_counts - model.background * len(widths)
+    return shape * (signal_total / shape.sum()) + model.background

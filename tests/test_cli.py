@@ -119,6 +119,23 @@ class TestManifests:
         written = set(os.listdir(out)) - {"manifest.json"}
         assert set(read_manifest(out)["files"]) == written
 
+    @pytest.mark.parametrize(
+        "args", [["analyze", "--in", "<sim>"], ["mode"]], ids=["analyze-in", "mode"]
+    )
+    def test_out_that_holds_a_simulate_manifest_is_input_error(
+        self, tmp_path, sim_dir, capsys, args
+    ):
+        # only simulate may replace the manifest that analyze --in verifies
+        d = str(tmp_path / "d")
+        shutil.copytree(sim_dir, d)
+        path = os.path.join(d, "manifest.json")
+        before = sorted(os.listdir(d)), sha256(path)
+        assert main([a.replace("<sim>", sim_dir) for a in args] + ["--out", d]) == 2
+        assert f"{path}: only simulate writes over a simulate manifest" in capsys.readouterr().err
+        assert (sorted(os.listdir(d)), sha256(path)) == before
+        assert main(["analyze", "--in", d, "--out", str(tmp_path / "e")]) == 0
+        assert main(["simulate", "--out", d]) == 0
+
     @pytest.mark.parametrize("command", ["mode", "mirror"])
     def test_rerun_writes_an_identical_manifest(self, tmp_path, command):
         # the manifest holds the SHA-256 of every file the command wrote

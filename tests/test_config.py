@@ -1,8 +1,11 @@
 import copy
+import io
+import json
 import math
 from dataclasses import fields
 
 import jsonschema
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,12 +13,14 @@ from hypothesis import strategies as st
 from phasemirror.config import (
     _KEYWORDS,
     _best_error,
+    _json_default,
     DEFAULT_CONFIG,
     QD1_PRESET,
     SCHEMA,
     ConfigError,
     RunConfig,
     config_hash,
+    write_json,
 )
 from phasemirror.modesolver import WINDOW_MARGIN_NM, WaveguideGeometry
 from phasemirror.opticalstack import MirrorChain, PhotonicCrystalSpec, waveguide_transmission
@@ -343,3 +348,17 @@ def test_shipped_config_hashes_are_pinned():
     assert config_hash(QD1_PRESET) == (
         "b671b66a18fa99d29c68f3f480353b3022c3cbf32d07c0ec58fe8ed773490c51"
     )
+
+
+def test_write_json_writes_what_json_dump_writes(tmp_path):
+    # the writer hands the encoder's tokens over in batches; the text
+    # across batch boundaries is json.dump's, numpy values included
+    doc = {
+        "b": np.arange(3000, dtype=float) / 7.0,
+        "a": [np.float64(0.1), np.int64(3), {"z": None, "y": True, "x": "\u00e9"}],
+    }
+    path = tmp_path / "doc.json"
+    write_json(str(path), doc)
+    want = io.StringIO()
+    json.dump(doc, want, sort_keys=True, indent=2, default=_json_default)
+    assert path.read_bytes() == (want.getvalue() + "\n").encode("utf-8")

@@ -143,7 +143,10 @@ def test_irregular_tables_read_as_csv_reader_reads_them(tmp_path, text, n_rows):
     assert len(got[0]) == n_rows
 
 
-TOKENS = list("0123456789.-e, \"\n\r") + ["nan", "inf", "1.5", "-0.0", "2e-3"]
+# besides the writer's own cells, text numpy's parser reads otherwise than
+# csv.reader and float(): a tab, an underscore, a hash, a sign alone, an
+# Arabic-Indic digit, and the separator \x1c that it strips as whitespace
+TOKENS = list("0123456789.-e, \"\n\r\t_#+\u0661\x1c") + ["nan", "inf", "1.5", "-0.0", "2e-3"]
 texts = st.tuples(
     st.integers(min_value=1, max_value=3),
     st.sampled_from(["", "\n", "\r\n"]),
@@ -156,6 +159,14 @@ texts = st.tuples(
 @example((2, "a,b\n1,2\n3,4\n"))
 @example((1, "a\n1\n\n2\n"))
 @example((3, 'a,b,c\n1,"2,3",4\n'))
+@example((1, "a\n1_0\n"))
+@example((1, "a\n\u0661\n"))
+@example((1, "a\n\x1c1\n"))
+@example((2, "a,b\n\t1,+2\n"))
+@example((2, "a,b\n#1,2\n"))
+@example((2, "a,b\n1,2\r3,4\n"))  # a lone CR ends a line
+@example((2, "a,b\n1,2\n \n3,4\n"))  # a whitespace-only line
+@example((2, "a,b\n1,2\n3,4\n\n"))  # a trailing blank line
 def test_reader_agrees_with_csv_reader(tmp_path_factory, case):
     """Either the reference's arrays or its MalformedCSV, and nothing else."""
     n, text = case

@@ -7,8 +7,10 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from phasemirror.emission import DipoleOrientation, EmitterScene, intensity
+from oracles import expected_bin_counts as one_rate_expected_counts
+from phasemirror.emission import DipoleOrientation, EmitterScene, decay_rate, intensity
 from phasemirror.synthlab import (
+    _SWEEP_BLOCK,
     CalibrationModel,
     DecayHistogram,
     ExcitonModel,
@@ -165,7 +167,7 @@ class TestHistogram:
         t = np.linspace(0.5, 20.0, 40)
         errors = []
         for sigma in (1e-1, 1e-2, 1e-3):
-            rel = _exgauss_density(t, gamma, sigma) / np.exp(-gamma * t) - 1.0
+            rel = _exgauss_density(t, [gamma], sigma)[0] / np.exp(-gamma * t) - 1.0
             assert np.max(np.abs(rel)) <= sigma**2 * gamma**2
             errors.append(np.max(np.abs(rel)))
         assert errors[0] > errors[1] > errors[2]
@@ -174,7 +176,7 @@ class TestHistogram:
     def test_exgauss_sums_to_one_over_a_long_window(self, sigma):
         gamma = 0.8
         t, dt = np.linspace(-12.0 * sigma, 60.0 / gamma, 200_001, retstep=True)
-        total = gamma * np.sum(_exgauss_density(t, gamma, sigma)) * dt
+        total = gamma * np.sum(_exgauss_density(t, [gamma], sigma)) * dt
         assert total == pytest.approx(1.0, abs=1e-6)
 
     def test_erfc_is_exactly_two_from_minus_six_down(self):
@@ -189,7 +191,7 @@ class TestHistogram:
                 arg = (sigma**2 * gamma - t) / (math.sqrt(2.0) * sigma)
                 erfc = np.array([math.erfc(a) for a in arg])
                 want = 0.5 * np.exp(sigma**2 * gamma**2 / 2.0 - gamma * t) * erfc
-                assert _exgauss_density(t, gamma, sigma).tobytes() == want.tobytes()
+                assert _exgauss_density(t, [gamma], sigma)[0].tobytes() == want.tobytes()
 
     def test_poisson_statistics_pooled(self):
         # variance/mean over repeated draws stays near 1 for busy bins
@@ -282,6 +284,38 @@ class TestSweep:
         assert np.array_equal(head_counts, counts[:5])
         for ha, hb in zip(head_hists, hists[:5]):
             assert np.array_equal(ha.counts, hb.counts)
+
+    @pytest.mark.parametrize(
+        "n_points", [1, _SWEEP_BLOCK - 1, _SWEEP_BLOCK, _SWEEP_BLOCK + 1, 192]
+    )
+    @pytest.mark.parametrize("irf_sigma", [None, 0.2])
+    @pytest.mark.parametrize("background", [0.0, 1.0])
+    def test_histograms_equal_the_per_point_functions(self, n_points, irf_sigma, background):
+        # blocks of points give each point's own histogram, bit for bit
+        voltages = np.linspace(0.0, 8.0, n_points)
+        for counts_scale in (40_000.0, math.inf):
+            phis, _, hists = generate_sweep(
+                SCENE, WEIGHTS, 0.6, QUAD, voltages, counts_scale, 11,
+                background=background, hist_counts=20_000.0, irf_sigma=irf_sigma,
+            )
+            assert len(hists) == n_points
+            for i, (phi, hist) in enumerate(zip(phis, hists)):
+                gamma_f = decay_rate(
+                    SCENE, 0.6, phi, DipoleOrientation.AVERAGED_BOTH, include_nonradiative=True
+                )
+                model = ExcitonModel(gamma_f, SCENE.gamma_nrad, 0.05, background)
+                if math.isinf(counts_scale):
+                    want = expected_histogram(model, 20_000.0, irf_sigma=irf_sigma)
+                    oracle = one_rate_expected_counts(model, 20_000.0, want.bin_edges, irf_sigma)
+                    assert want.counts.tobytes() == oracle.tobytes()
+                else:
+                    ss_hist = np.random.SeedSequence([11, i]).spawn(2)[1]
+                    want = generate_decay_histogram(
+                        model, 20_000.0, irf_sigma=irf_sigma, seed=ss_hist
+                    )
+                assert hist.bin_edges.tobytes() == want.bin_edges.tobytes()
+                assert hist.counts.dtype == want.counts.dtype
+                assert hist.counts.tobytes() == want.counts.tobytes()
 
     def test_table_knots_at_the_voltages_match_quadratic(self):
         voltages = np.linspace(0.0, 8.0, 12)
