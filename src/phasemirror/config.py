@@ -38,7 +38,6 @@ import json
 import numbers
 import operator
 from dataclasses import dataclass, fields
-from importlib import resources
 
 import numpy as np
 
@@ -469,8 +468,3 @@ def write_manifest(
     if extra:
         doc.update(extra)
     write_json(path, doc)
-
-
-def builtin_table1_path() -> str:
-    """Path to the shipped per-emitter results table."""
-    return str(resources.files("phasemirror.data") / "table1.csv")

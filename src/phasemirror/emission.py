@@ -233,14 +233,6 @@ def visibility_rate(
     return num / (Gamma_x0 + Gamma_y0) * r_T_mag
 
 
-def visibility_rate_centered(beta_y0: float, r_T_mag: float) -> float:
-    """Centered-emitter approximation nu_gamma ~= beta_y0 r / 2."""
-    _check_reflectivity(r_T_mag)
-    if not 0.0 <= beta_y0 <= 1.0:
-        raise ValueError(f"beta_y0 must lie in [0, 1], got {beta_y0}")
-    return 0.5 * beta_y0 * r_T_mag
-
-
 def _extremal_phases(theta: float) -> tuple[float, float]:
     # cos(2 phi + theta) = +1 at phi = -theta/2 (mod pi), = -1 half a
     # fringe later; wrapped into [0, pi).

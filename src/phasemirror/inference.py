@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .modesolver import ModeProfile, mode_weights
-from .synthlab import DecayHistogram
+from .synthlab import DecayHistogram, exp_bin_integrals
 
 
 class NonIdentifiable(RuntimeError):
@@ -82,21 +82,17 @@ def biexp_model(x: np.ndarray, edges: np.ndarray, fit_background: bool) -> tuple
 
     x holds (ln A_f, ln gamma_f, ln A_s, ln gamma_s[, ln bg]); the
     model per bin is A_f Ef + A_s Es + bg with E the exact exponential
-    bin integral, so a histogram built from the same family is
-    representable exactly.  The Jacobian is one (m, p) buffer filled
-    column by column.
+    bin integral of synthlab.exp_bin_integrals, the simulator's own, so
+    a histogram built from the same family is representable exactly.
+    The Jacobian is one (m, p) buffer.
     """
-    af, gf, as_, gs = np.exp(x[:4])
-    a, b = edges[:-1], edges[1:]
-    width = b - a
-    J = np.empty((len(a), len(x)))
-    for col, amp, gamma in ((0, af, gf), (2, as_, gs)):
-        # one exponential per edge serves the integral and its gamma-derivative
-        e = np.exp(-gamma * edges)
-        E = e[:-1] * (-np.expm1(-gamma * width)) / gamma
-        dE = ((b * e[1:] - a * e[:-1]) - E) / gamma
-        np.multiply(amp, E, out=J[:, col])
-        np.multiply(amp * gamma, dE, out=J[:, col + 1])
+    values = np.exp(x[:4])
+    amps, gammas = values[0::2, None], values[1::2]
+    E, dE = exp_bin_integrals(gammas, edges, derivative=True)
+    J = np.empty((len(edges) - 1, len(x)))
+    # row k of E and dE fills the columns (ln A, ln gamma) of rate k
+    np.multiply(amps, E, out=J[:, 0:4:2].T)
+    np.multiply(amps * gammas[:, None], dE, out=J[:, 1:4:2].T)
     mu = J[:, 0] + J[:, 2]
     if fit_background:
         bg = math.exp(x[4])
@@ -152,7 +148,10 @@ def _minimize_poisson(
     """Levenberg-damped Gauss-Newton on the Poisson deviance surface.
 
     Returns (x, mu, J, n_iter, converged) with mu and J the model and
-    its Jacobian at x.
+    its Jacobian at x.  A trial step whose NLL is not finite (an
+    exponential that overflows, a rate that underflows) is rejected
+    like a worse one and raises the damping; the caller silences the
+    floating-point warnings such trials raise.
     """
     x = x0.copy()
     mu, J = biexp_model(x, edges, fit_background)
@@ -185,7 +184,7 @@ def _minimize_poisson(
             delta_max = float(np.abs(delta).max())
             # tiny steps are trusted outright: so close to the optimum
             # the NLL itself can no longer resolve the improvement
-            if nll_try <= nll or delta_max < 1e-6:
+            if math.isfinite(nll_try) and (nll_try <= nll or delta_max < 1e-6):
                 x, mu, J, nll = x_try, mu_try, J_try, nll_try
                 lam = max(lam / 3.0, 1e-12)
                 step_max = delta_max
@@ -257,7 +256,8 @@ def fit_biexponential(hist: DecayHistogram, fit_background: bool = False) -> Fit
     if len(counts_w) < 8:
         raise TooFewBins("too few bins after the peak to fit")
     x0 = _initial_guess(edges_w, counts_w, fit_background)
-    x, mu, J, n_iter, converged = _minimize_poisson(x0, edges_w, counts_w, fit_background)
+    with np.errstate(all="ignore"):  # rejected trial steps may overflow
+        x, mu, J, n_iter, converged = _minimize_poisson(x0, edges_w, counts_w, fit_background)
     gf, gs = float(np.exp(x[1])), float(np.exp(x[3]))
     # identifiability outranks convergence: a degenerate rate pair is
     # the usual reason the damped iteration stalls

@@ -12,9 +12,14 @@ uses it:
 - the bulk residual of the discrete Helmholtz operator on a solved mode;
 - the closed-form rate factor 1 +/- |r_T| cos(2 phi + theta), against
   which the Green's-function ratio is checked;
+- the exponential bin integral and its rate derivative, one rate at a
+  time in the package's float arithmetic (checked bit for bit) and in
+  long double by series and closed forms the package does not use
+  (checked for accuracy);
 - the expected counts of one decay histogram, one rate at a time and
   math.erfc at every bin, against which the sweep's blocks of rates are
-  checked bit for bit.
+  checked bit for bit;
+- the centered-emitter approximation of the rate visibility.
 """
 
 from __future__ import annotations
@@ -135,6 +140,54 @@ def rate_modulation(r_T_mag: float, phi: float, theta: float, dip: DipoleOrienta
 # decay histograms
 
 
+def bin_integral(gamma: float, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Integral of e^{-gamma t} over each [a, b], one exp call per bin end.
+
+    A rate below 1e-12 /ns gives the bin widths, the gamma -> 0 limit.
+    """
+    if gamma < 1e-12:
+        return b - a
+    return np.exp(-gamma * a) * (-np.expm1(-gamma * (b - a))) / gamma
+
+
+def bin_integral_derivative(gamma: float, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """d/dgamma of bin_integral; -(b^2 - a^2) / 2 below 1e-12 /ns."""
+    if gamma < 1e-12:
+        return -0.5 * (b - a) * (a + b)
+    E = bin_integral(gamma, a, b)
+    return ((b * np.exp(-gamma * b) - a * np.exp(-gamma * a)) - E) / gamma
+
+
+def bin_integrals_longdouble(gamma: float, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(E, dE) of one rate over each bin, in long double.
+
+    With z = gamma w for a bin [a, a + w],
+    E = e^{-gamma a} w phi1(z) and dE = -e^{-gamma a} (a w phi1(z) + w^2 phi2(z)),
+    where phi1 = (1 - e^{-z}) / z and phi2 = (1 - (1 + z) e^{-z}) / z^2.
+    Both come from their Taylor series below z = 0.5, where the closed
+    forms cancel, so gamma = 0 and gamma = 1e-300 need no special case.
+    """
+    t = np.asarray(edges, dtype=np.longdouble)
+    g = np.longdouble(gamma)
+    a, w = t[:-1], np.diff(t)
+    z = g * w
+    with np.errstate(divide="ignore", invalid="ignore"):
+        phi1 = -np.expm1(-z) / z
+        phi2 = (-np.expm1(-z) - z * np.exp(-z)) / (z * z)
+    near = z < 0.5
+    s1 = np.zeros_like(z)
+    s2 = np.zeros_like(z)
+    term = np.ones_like(z)  # (-z)^k / k!
+    for k in range(40):
+        s1 += term / (k + 1)
+        s2 += term / (k + 2)
+        term = term * (-z) / (k + 1)
+    phi1 = np.where(near, s1, phi1)
+    phi2 = np.where(near, s2, phi2)
+    e_a = np.exp(-g * a)
+    return e_a * w * phi1, -e_a * (a * w * phi1 + w * w * phi2)
+
+
 def expected_bin_counts(model, total_counts: float, edges: np.ndarray, irf_sigma=None) -> np.ndarray:
     """Expected counts of one ExcitonModel, scaled to sum to total_counts.
 
@@ -146,10 +199,7 @@ def expected_bin_counts(model, total_counts: float, edges: np.ndarray, irf_sigma
 
     def component(gamma: float) -> np.ndarray:
         if irf_sigma is None:
-            if gamma < 1e-12:
-                return widths
-            e = np.exp(-gamma * edges)
-            return (e[:-1] - e[1:]) / gamma
+            return bin_integral(gamma, edges[:-1], edges[1:])
         arg = (irf_sigma**2 * gamma - mids) / (math.sqrt(2.0) * irf_sigma)
         erfc = np.array([math.erfc(a) for a in arg])
         return 0.5 * np.exp(irf_sigma**2 * gamma**2 / 2.0 - gamma * mids) * erfc
@@ -159,3 +209,12 @@ def expected_bin_counts(model, total_counts: float, edges: np.ndarray, irf_sigma
         shape = shape * widths
     signal_total = total_counts - model.background * len(widths)
     return shape * (signal_total / shape.sum()) + model.background
+
+
+# ---------------------------------------------------------------------------
+# visibilities
+
+
+def visibility_rate_centered(beta_y0: float, r_T_mag: float) -> float:
+    """Centered-emitter approximation nu_gamma ~= beta_y0 r / 2."""
+    return 0.5 * beta_y0 * r_T_mag

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 import oracles
+from helpers import builtin_table1_path
 from phasemirror import emission as em
 from phasemirror import inference, opticalstack, synthlab
 from phasemirror.cli import main
@@ -23,7 +24,6 @@ from phasemirror.config import (
     DEFAULT_CONFIG,
     QD1_PRESET,
     RunConfig,
-    builtin_table1_path,
 )
 from phasemirror.emission import DipoleOrientation
 from phasemirror.modesolver import mode_weights, solve_te0

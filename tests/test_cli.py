@@ -11,9 +11,10 @@ import numpy as np
 import pytest
 
 import phasemirror
+from helpers import builtin_table1_path
 from phasemirror import config
 from phasemirror.cli import build_parser, main
-from phasemirror.config import DEFAULT_CONFIG, QD1_PRESET, builtin_table1_path
+from phasemirror.config import DEFAULT_CONFIG, QD1_PRESET
 from phasemirror.csvio import read_csv, write_csv
 from phasemirror.synthlab import ExcitonModel, generate_decay_histogram, histogram_header
 
@@ -617,6 +618,25 @@ class TestAnalyzeCommand:
             err = capsys.readouterr().err
             assert "histograms.csv counts_019: gamma_rad = " in err
             assert err.rstrip().endswith("+/- nan")
+
+    @pytest.mark.parametrize(
+        "section, key, value, seed",
+        [
+            ("emitter", "gamma_nrad", 0.0, 0),  # a flat slow component
+            ("sweep", "amp_ratio", 0.0, 1),  # one exponential
+            ("emitter", "gamma_y0", 8.2, 0),  # trial steps whose exponentials overflow
+        ],
+    )
+    def test_boundary_decay_configs_end_without_warning(self, tmp_path, section, key, value, seed):
+        # pytest turns every RuntimeWarning into an error: the fits may
+        # fail (exit 3), but none may warn
+        data = copy.deepcopy(QD1_PRESET)
+        data[section][key] = value
+        cfg_path = tmp_path / "boundary.json"
+        cfg_path.write_text(json.dumps(data))
+        sim, fit = str(tmp_path / "sim"), str(tmp_path / "fit")
+        assert main(["simulate", "--config", str(cfg_path), "--seed", str(seed), "--out", sim]) == 0
+        assert main(["analyze", "--in", sim, "--out", fit]) in (0, 3)
 
     def test_table_report(self, tmp_path):
         out = str(tmp_path / "tab")

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import rate_modulation
+from oracles import rate_modulation, visibility_rate_centered
 from phasemirror.cli import main
 from phasemirror.emission import (
     DegenerateRates,
@@ -24,7 +24,6 @@ from phasemirror.emission import (
     visibility_intensity,
     visibility_intensity_mixed,
     visibility_rate,
-    visibility_rate_centered,
 )
 from phasemirror.modesolver import mode_weights
 

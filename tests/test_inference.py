@@ -7,7 +7,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import poisson_nll_gradient
+from helpers import builtin_table1_path
+from oracles import (
+    bin_integral,
+    bin_integral_derivative,
+    bin_integrals_longdouble,
+    poisson_nll_gradient,
+)
 from phasemirror.inference import (
     EmptyFeasibleSet,
     InsufficientPhaseSpan,
@@ -26,10 +32,11 @@ from phasemirror.inference import (
     read_table1_csv,
     table1_report,
 )
-from phasemirror.config import RunConfig, builtin_table1_path
+from phasemirror.config import RunConfig
 from phasemirror.modesolver import mode_weights, solve_te0
 from phasemirror.synthlab import (
     ExcitonModel,
+    expected_bin_counts,
     expected_histogram,
     generate_decay_histogram,
     generate_sweep,
@@ -106,21 +113,12 @@ class TestPoissonGradient:
             assert float(rel.max()) < 1e-6
 
 
-def _oracle_bin_integral(gamma, a, b):
-    return np.exp(-gamma * a) * (-np.expm1(-gamma * (b - a))) / gamma
-
-
-def _oracle_bin_integral_deriv(gamma, a, b):
-    E = _oracle_bin_integral(gamma, a, b)
-    return ((b * np.exp(-gamma * b) - a * np.exp(-gamma * a)) - E) / gamma
-
-
 def _oracle_biexp_model(x, edges, fit_background):
     """Reference bi-exponential model: one exp call per bin end and term."""
     af, gf, as_, gs = np.exp(x[:4])
     a, b = edges[:-1], edges[1:]
-    Ef, dEf = _oracle_bin_integral(gf, a, b), _oracle_bin_integral_deriv(gf, a, b)
-    Es, dEs = _oracle_bin_integral(gs, a, b), _oracle_bin_integral_deriv(gs, a, b)
+    Ef, dEf = bin_integral(gf, a, b), bin_integral_derivative(gf, a, b)
+    Es, dEs = bin_integral(gs, a, b), bin_integral_derivative(gs, a, b)
     mu = af * Ef + as_ * Es
     cols = [af * Ef, af * gf * dEf, as_ * Es, as_ * gs * dEs]
     if fit_background:
@@ -150,6 +148,34 @@ class TestBiexpModelOracle:
         mu_ref, J_ref = _oracle_biexp_model(x, edges, fit_background)
         assert mu.tobytes() == mu_ref.tobytes()
         assert J.tobytes() == J_ref.tobytes()
+
+
+class TestForwardEqualsInverse:
+    @given(
+        gamma_f=st.floats(1e-3, 20.0),
+        slow=st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+        amp_ratio=st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+        background=st.one_of(st.just(0.0), st.floats(0.0, 5.0)),
+    )
+    @example(gamma_f=1.2, slow=0.0, amp_ratio=0.05, background=0.0)
+    @example(gamma_f=1.2, slow=1e-7, amp_ratio=0.05, background=1.0)
+    @example(gamma_f=20.0, slow=1e-3, amp_ratio=0.0, background=0.0)
+    def test_biexp_model_reproduces_the_simulator(self, gamma_f, slow, amp_ratio, background):
+        # the fit's model at a simulated ExcitonModel's own parameters is the
+        # simulator's expectation, down to a slow rate of 0 (a flat component)
+        model = ExcitonModel(gamma_f, slow * gamma_f, amp_ratio, background)
+        total = 1e5
+        _, mu = expected_bin_counts(model, total, EDGES)
+        shape = (
+            bin_integrals_longdouble(model.gamma_f, EDGES)[0]
+            + model.amp_ratio * bin_integrals_longdouble(model.gamma_s, EDGES)[0]
+        )
+        a_f = float((total - background * (len(EDGES) - 1)) / shape.sum())
+        params = (a_f, model.gamma_f, model.amp_ratio * a_f, model.gamma_s, background)
+        x = np.array([math.log(v) if v > 0 else -math.inf for v in params])
+        mu_fit, J = biexp_model(x, EDGES, True)
+        assert np.all(np.isfinite(J))
+        assert np.all(np.abs(mu_fit - mu) <= 1e-12 * mu)
 
 
 def _oracle_observed_information(x, edges, counts, fit_background):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from oracles import bin_integrals_longdouble
 from oracles import expected_bin_counts as one_rate_expected_counts
 from phasemirror.emission import DipoleOrientation, EmitterScene, decay_rate, intensity
 from phasemirror.synthlab import (
@@ -19,6 +20,7 @@ from phasemirror.synthlab import (
     PhaseCalibration,
     _exgauss_density,
     default_bin_edges,
+    exp_bin_integrals,
     expected_bin_counts,
     expected_histogram,
     generate_decay_histogram,
@@ -217,6 +219,54 @@ class TestHistogram:
         c = generate_decay_histogram(model, 10_000, seed=43)
         assert np.array_equal(a.counts, b.counts)
         assert not np.array_equal(a.counts, c.counts)
+
+
+# the default window, a coarse one, a fit window that starts mid-histogram,
+# and a window from the first edge the histogram reader rebuilds
+KERNEL_EDGES = (
+    default_bin_edges(),
+    np.linspace(0.0, 25.0, 51),
+    default_bin_edges()[137:],
+    np.linspace(-3.47e-18, 10.0, 2001),
+)
+
+
+class TestExpBinIntegrals:
+    @given(gamma=st.floats(1e-3, 50.0), which=st.integers(0, len(KERNEL_EDGES) - 1))
+    @example(gamma=1e-3, which=0)
+    @example(gamma=1e-3, which=3)
+    @example(gamma=50.0, which=2)
+    def test_matches_the_long_double_oracle(self, gamma, which):
+        edges = KERNEL_EDGES[which]
+        E, dE = exp_bin_integrals([gamma], edges, derivative=True)
+        E_ref, dE_ref = bin_integrals_longdouble(gamma, edges)
+        assert np.all(np.isfinite(E)) and np.all(np.isfinite(dE))
+        # bins below float's normal range hold no relative precision to check
+        ok = E_ref > 1e-290
+        assert np.all((np.abs(E[0] - E_ref) <= 1e-13 * E_ref)[ok])
+        # dE is the fit's ((b e_b - a e_a) - E) / gamma, kept so that fits keep
+        # every bit; its difference cancels as gamma w -> 0 and carries the
+        # rounding of both exponentials and their arguments, kappa
+        a, b = np.abs(edges[:-1]), np.abs(edges[1:])
+        kappa = (
+            b * np.exp(-gamma * b) * (1.0 + gamma * b) + a * np.exp(-gamma * a) * (1.0 + gamma * a)
+        ) / gamma
+        bound = 1e-13 * np.abs(dE_ref) + 4.0 * np.finfo(float).eps * kappa
+        assert np.all((np.abs(dE[0] - dE_ref) <= bound)[ok])
+
+    @pytest.mark.parametrize("gamma", [0.0, 1e-300])
+    @pytest.mark.parametrize("which", range(len(KERNEL_EDGES)))
+    def test_takes_the_exact_limits_as_gamma_vanishes(self, gamma, which):
+        edges = KERNEL_EDGES[which]
+        E, dE = exp_bin_integrals([gamma, 1.0], edges, derivative=True)
+        E_ref, dE_ref = bin_integrals_longdouble(gamma, edges)
+        assert E[0].tobytes() == np.diff(edges).tobytes()
+        assert np.all(np.abs(dE[0] - dE_ref) <= np.finfo(float).eps * np.abs(dE_ref))
+        # the limit row leaves the other rows as they are alone
+        E1, dE1 = exp_bin_integrals([1.0], edges, derivative=True)
+        assert E[1].tobytes() == E1[0].tobytes()
+        assert dE[1].tobytes() == dE1[0].tobytes()
+        assert exp_bin_integrals([gamma, 1.0], edges).tobytes() == E.tobytes()
 
 
 class TestSweep:
