@@ -277,7 +277,7 @@ def _analyze_sweep_dir(args: argparse.Namespace, outs: _Outputs) -> None:
 
     voltages, phases, counts = synthlab.read_sweep_csv(os.path.join(args.in_dir, "sweep.csv"))
     hist_path = os.path.join(args.in_dir, "histograms.csv")
-    histograms = synthlab.read_histogram_csv(hist_path)
+    histograms = synthlab.read_histogram_csv(hist_path, cfg.bin_edges())
     if len(histograms) != len(voltages):
         raise MalformedCSV(
             f"{hist_path}: {len(histograms)} histograms for {len(voltages)} sweep rows"

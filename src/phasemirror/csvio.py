@@ -9,19 +9,17 @@ file is UTF-8.  `repr` round-trips every float64 exactly, -0.0, inf
 and subnormals included, so a table read back equals the arrays
 written; a nan reads back as nan, without its sign or payload.
 
-A table in the writer's own layout (the exact header line, at least
-one row, no blank line, and no quote, CR, non-ASCII character or
-ASCII separator 0x1c-0x1f anywhere) is parsed by numpy's C parser,
-`np.loadtxt`, which reads those cells as `float()` does.  Any other
-table, and any table that parser refuses, is read with `csv.reader`
-and `float()`, which alone name the errors.  No write or read holds
-the text of a whole table at once.
+The reader takes only the writer's layout: the exact header line, at
+least one row, every line ending in LF, ASCII text, and no blank line,
+quote, CR or ASCII separator 0x1c-0x1f anywhere.  Numpy's C parser,
+`np.loadtxt`, reads the rows a line at a time, the writer's cells as
+`float()` does, so no read holds the text of a whole table at once.
+Any other table, a cell that parser refuses and a byte that is not
+UTF-8 (read as non-ASCII) are MalformedCSV, naming the first bad line.
 """
 
 from __future__ import annotations
 
-import array
-import csv
 import itertools
 from collections.abc import Sequence
 
@@ -45,97 +43,71 @@ def write_csv(path: str, header: Sequence[str], *columns: Sequence[float]) -> No
             fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
+def _open(path: str):
+    # CR is kept, to be refused; a byte that is not UTF-8 becomes U+FFFD,
+    # which fails the ASCII check on its own line
+    return open(path, newline="", encoding="utf-8", errors="replace")
+
+
 def read_header(path: str) -> list[str]:
-    """The column names on a table's first line, as `read_csv` reads them."""
-    with open(path, newline="", encoding="utf-8", errors="replace") as fh:
-        return next(csv.reader([fh.readline()]), [])
+    """The column names on a table's first line, split at its commas."""
+    with _open(path) as fh:
+        line = fh.readline()
+    return line.removesuffix("\n").split(",") if line else []
 
 
 def read_csv(path: str, header: Sequence[str]) -> list[np.ndarray]:
     """One C-contiguous float64 array per column of a table with this header.
 
-    Raises MalformedCSV naming the path, and the line for a row error.
+    Raises MalformedCSV naming the path and the first line outside the
+    writer's layout.
     """
-    try:
-        try:
-            table = _read_plain(path, header)
-        except ValueError:  # _NotPlain, a cell loadtxt refuses, or bad UTF-8
-            table = _read_rows(path, header)
-    except UnicodeDecodeError:
-        # the text is decoded a chunk at a time: name the line from the bytes
-        with open(path, "rb") as fh:
-            data = fh.read()
-        try:
-            data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            lineno = data.count(b"\n", 0, exc.start) + 1
-            raise MalformedCSV(f"{path} line {lineno}: {exc}") from None
-        raise
-    return [col.copy() for col in table.T]
-
-
-class _NotPlain(ValueError):
-    """A table outside the writer's own layout: csv.reader reads it."""
-
-
-# characters that make numpy's parser read a line otherwise than csv.reader
-# and float() do: quotes, CR line ends, and the separators \x1c-\x1f,
-# which it strips from a cell as whitespace
-_NOT_PLAIN = ('"', "\r", "\x1c", "\x1d", "\x1e", "\x1f")
-
-
-def _read_plain(path: str, header: Sequence[str]) -> np.ndarray:
-    # the (rows, columns) table by np.loadtxt, a line at a time; raises
-    # ValueError for any table csv.reader is left to read
     n = len(header)
-    rows = 0
+    lineno, line = 1, ""
 
-    def lines(fh):
-        nonlocal rows
+    def rows(fh):
+        # loadtxt asks for a line only once it has parsed the one before,
+        # so lineno and line name the row of a cell or width it refuses
+        nonlocal lineno, line
         for line in fh:
-            if line == "\n" or not line.isascii() or any(c in line for c in _NOT_PLAIN):
-                raise _NotPlain
-            rows += 1
+            lineno += 1
+            # the quote, CR and 0x1c-0x1f that the writer never writes,
+            # and that numpy's parser reads otherwise than float() does
+            if (
+                line[-1] != "\n" or line == "\n" or not line.isascii() or '"' in line
+                or "\r" in line or "\x1c" in line or "\x1d" in line
+                or "\x1e" in line or "\x1f" in line
+            ):
+                raise MalformedCSV(
+                    f"{path} line {lineno}: not a row as written: blank, no final LF,"
+                    " or a byte outside ASCII, a quote, a CR or a 0x1c-0x1f separator"
+                )
             yield line
 
-    with open(path, newline="", encoding="utf-8") as fh:
+    with _open(path) as fh:
         first, row = fh.readline(), fh.readline()
-        # loadtxt warns on an empty body; an empty table is csv.reader's
-        if first != ",".join(header) + "\n" or not row:
-            raise _NotPlain
-        table = np.loadtxt(
-            lines(itertools.chain([row], fh)),
-            delimiter=",",
-            comments=None,
-            dtype=float,
-            ndmin=2,
-        )
-    if table.shape != (rows, n):  # a line loadtxt skipped, or other columns
-        raise _NotPlain
-    return table
-
-
-def _read_rows(path: str, header: Sequence[str]) -> np.ndarray:
-    # csv.reader a line at a time (quoted cells, CR line ends, no final LF
-    # read too); every line's width is checked before a bad cell is named
-    n = len(header)
-    values = array.array("d")
-    bad = None
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        got = next(reader, None)
+        got = first.removesuffix("\n").split(",") if first else None
         if got != list(header):
-            raise MalformedCSV(
-                f"{path} line 1: expected header {list(header)}, got {got}"
+            raise MalformedCSV(f"{path} line 1: expected header {list(header)}, got {got}")
+        if not row:  # loadtxt would warn on an empty body
+            raise MalformedCSV(f"{path} line 2: expected at least one row")
+        # loadtxt takes its width from the first row and refuses any other
+        if row.count(",") != n - 1:
+            raise MalformedCSV(f"{path} line 2: expected {n} columns")
+        try:
+            table = np.loadtxt(
+                rows(itertools.chain([row], fh)),
+                delimiter=",",
+                comments=None,
+                dtype=float,
+                ndmin=2,
             )
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != n:
-                raise MalformedCSV(f"{path} line {lineno}: expected {n} columns")
-            if bad is None:
-                try:
-                    values.extend(map(float, row))
-                except ValueError as exc:
-                    bad = MalformedCSV(f"{path} line {lineno}: {exc}")
-    if bad is not None:
-        raise bad
-    return np.frombuffer(values).reshape(-1, n)
+        except MalformedCSV:
+            raise
+        except ValueError as exc:  # loadtxt's own row count is not the line
+            if line.count(",") != n - 1:
+                reason = f"expected {n} columns"
+            else:
+                reason = str(exc).partition(" at row ")[0]
+            raise MalformedCSV(f"{path} line {lineno}: {reason}") from None
+    return [col.copy() for col in table.T]

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .modesolver import ModeProfile, mode_weights
-from .synthlab import DecayHistogram, exp_bin_integrals
+from .synthlab import DecayHistogram, bin_midpoints, exp_bin_integrals
 
 
 class NonIdentifiable(RuntimeError):
@@ -122,7 +122,7 @@ def _initial_guess(
     edges: np.ndarray, counts: np.ndarray, fit_background: bool
 ) -> np.ndarray:
     """Log-linear slope fits on tail and head give starting rates."""
-    mids = 0.5 * (edges[:-1] + edges[1:])
+    mids = bin_midpoints(edges)
     width = float(np.mean(np.diff(edges)))
     n = len(counts)
     y = np.log(np.maximum(counts, 0.5))

@@ -134,8 +134,13 @@ class DecayHistogram:
 
     @property
     def midpoints(self) -> np.ndarray:
-        edges = np.asarray(self.bin_edges, dtype=float)
-        return 0.5 * (edges[:-1] + edges[1:])
+        return bin_midpoints(self.bin_edges)
+
+
+def bin_midpoints(bin_edges: np.ndarray) -> np.ndarray:
+    """The midpoint of each bin: the t_ns the histogram table holds."""
+    edges = np.asarray(bin_edges, dtype=float)
+    return 0.5 * (edges[:-1] + edges[1:])
 
 
 def default_bin_edges(t_max_ns: float = 25.0, n_bins: int = 500) -> np.ndarray:
@@ -145,10 +150,9 @@ def default_bin_edges(t_max_ns: float = 25.0, n_bins: int = 500) -> np.ndarray:
     return np.linspace(0.0, t_max_ns, n_bins + 1)
 
 
-def _rng(entropy) -> np.random.Generator:
-    if not isinstance(entropy, np.random.SeedSequence):
-        entropy = np.random.SeedSequence(entropy)
-    return np.random.Generator(np.random.Philox(entropy))
+def _rng(seed: int | np.random.SeedSequence) -> np.random.Generator:
+    # Philox takes an int through SeedSequence(seed)
+    return np.random.Generator(np.random.Philox(seed))
 
 
 def exp_bin_integrals(
@@ -223,7 +227,7 @@ def _expectation(
     else:
         if irf_sigma <= 0:
             raise ValueError("irf_sigma must be positive when given")
-        mids = 0.5 * (edges[:-1] + edges[1:])
+        mids = bin_midpoints(edges)
         slow = amp_ratio * _exgauss_density(mids, [gamma_s], irf_sigma)
     signal_total = total_counts - background * len(widths)
     if signal_total <= 0:
@@ -237,48 +241,6 @@ def _expectation(
         return shape * (signal_total / shape.sum(axis=1))[:, None] + background
 
     return edges, expected
-
-
-def expected_bin_counts(
-    model: ExcitonModel,
-    total_counts: float,
-    bin_edges: np.ndarray | None = None,
-    irf_sigma: float | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(bin_edges, expected counts) scaled so the expectation sums to total_counts.
-
-    Without an IRF the exponentials are integrated exactly over each
-    bin; with an IRF the blurred density is sampled at bin midpoints
-    (adequate for sigma well below the window length).
-    """
-    edges, expected = _expectation(
-        model.gamma_s, model.amp_ratio, model.background, total_counts, bin_edges, irf_sigma
-    )
-    return edges, expected([model.gamma_f])[0]
-
-
-def generate_decay_histogram(
-    model: ExcitonModel,
-    total_counts: float,
-    bin_edges: np.ndarray | None = None,
-    irf_sigma: float | None = None,
-    seed: int | np.random.SeedSequence = 0,
-) -> DecayHistogram:
-    """Poisson-sampled decay histogram; same seed gives identical bits."""
-    if total_counts <= 0:
-        raise ValueError("total_counts must be positive")
-    edges, mu = expected_bin_counts(model, total_counts, bin_edges, irf_sigma)
-    return DecayHistogram(edges, _rng(seed).poisson(mu))
-
-
-def expected_histogram(
-    model: ExcitonModel,
-    total_counts: float,
-    bin_edges: np.ndarray | None = None,
-    irf_sigma: float | None = None,
-) -> DecayHistogram:
-    """Noiseless expectation curve packaged as a histogram (float counts)."""
-    return DecayHistogram(*expected_bin_counts(model, total_counts, bin_edges, irf_sigma))
 
 
 _SWEEP_BLOCK = 32  # sweep points whose expected counts are computed as one array
@@ -312,12 +274,11 @@ def generate_sweep(
     intensity and the histogram, so a point does not depend on which
     others are generated.  Each column is in the order of the voltages.
 
-    Every histogram equals `generate_decay_histogram` (or, noiseless,
-    `expected_histogram`) of its point's ExcitonModel, bit for bit: the
-    slow component is computed once per sweep and the expected counts
-    of up to _SWEEP_BLOCK points at a time as one array.  What every
-    point shares (hist_counts, irf_sigma, the background budget) is
-    checked before the first point.
+    Every histogram is bit for bit the one its point's ExcitonModel
+    gives alone: the slow component is computed once per sweep and the
+    expected counts of up to _SWEEP_BLOCK points at a time as one array.
+    What every point shares (hist_counts, irf_sigma, the background
+    budget) is checked before the first point.
     """
     noiseless = math.isinf(counts_scale)
     if not noiseless and hist_counts <= 0:
@@ -403,12 +364,12 @@ def read_sweep_csv(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return tuple(_read_finite(path, SWEEP_HEADER))
 
 
-def read_histogram_csv(path: str) -> list[DecayHistogram]:
+def read_histogram_csv(path: str, bin_edges: np.ndarray) -> list[DecayHistogram]:
     """Read a histogram table back into its DecayHistograms, in sweep order.
 
     The header must be t_ns, counts_000, counts_001, ... with no column
-    missing or out of order; the bin edges are rebuilt once from the
-    midpoints and shared by every histogram.
+    missing or out of order, and t_ns must hold the midpoints of
+    bin_edges bit for bit; every histogram is binned on bin_edges.
     """
     got = read_header(path)
     header = histogram_header(len(got) - 1)
@@ -416,13 +377,17 @@ def read_histogram_csv(path: str) -> list[DecayHistogram]:
         if name != want:
             raise MalformedCSV(f"{path} line 1: column {j + 1} is {name!r}, not {want!r}")
     mids, *counts = _read_finite(path, header)
-    if len(mids) < 2:
-        raise MalformedCSV(f"{path}: need at least two bins")
-    widths = np.diff(mids)
-    if not widths[0] > 0 or np.any(np.abs(widths - widths[0]) > 1e-9 * widths[0]):
-        raise MalformedCSV(f"{path}: bins must be uniform and increasing")
-    w = float(widths[0])
-    edges = np.concatenate([mids - w / 2.0, [mids[-1] + w / 2.0]])
+    edges = np.asarray(bin_edges, dtype=float)
+    midpoints = bin_midpoints(edges)
+    if len(mids) != len(midpoints):
+        raise MalformedCSV(f"{path}: {len(mids)} rows for {len(midpoints)} bins")
+    differ = np.flatnonzero(mids.view(np.int64) != midpoints.view(np.int64))
+    if differ.size:
+        i = differ[0]
+        raise MalformedCSV(
+            f"{path} line {i + 2}: t_ns is {float(mids[i])!r},"
+            f" not the bin midpoint {float(midpoints[i])!r}"
+        )
     histograms = []
     for name, column in zip(header[1:], counts):
         try:

@@ -19,6 +19,10 @@ uses it:
 - the expected counts of one decay histogram, one rate at a time and
   math.erfc at every bin, against which the sweep's blocks of rates are
   checked bit for bit;
+- one sweep point's histogram, expected or Poisson-sampled, from the
+  simulator's own expectation of that point alone: `generate_sweep`
+  must give each point this histogram bit for bit, whichever block of
+  points it computes it in;
 - the centered-emitter approximation of the rate visibility.
 """
 
@@ -32,6 +36,7 @@ from phasemirror.emission import DipoleOrientation
 from phasemirror.inference import biexp_model
 from phasemirror.modesolver import ModeProfile, WaveguideGeometry, _solve_width
 from phasemirror.opticalstack import PhotonicCrystalSpec
+from phasemirror.synthlab import DecayHistogram, ExcitonModel, _expectation, _rng
 
 # ---------------------------------------------------------------------------
 # transfer matrices
@@ -209,6 +214,31 @@ def expected_bin_counts(model, total_counts: float, edges: np.ndarray, irf_sigma
         shape = shape * widths
     signal_total = total_counts - model.background * len(widths)
     return shape * (signal_total / shape.sum()) + model.background
+
+
+def expected_histogram(
+    model: ExcitonModel,
+    total_counts: float,
+    bin_edges: np.ndarray | None = None,
+    irf_sigma: float | None = None,
+) -> DecayHistogram:
+    """One point's noiseless expectation curve (float counts), default bins if none."""
+    edges, expected = _expectation(
+        model.gamma_s, model.amp_ratio, model.background, total_counts, bin_edges, irf_sigma
+    )
+    return DecayHistogram(edges, expected([model.gamma_f])[0])
+
+
+def generate_decay_histogram(
+    model: ExcitonModel,
+    total_counts: float,
+    bin_edges: np.ndarray | None = None,
+    irf_sigma: float | None = None,
+    seed: int | np.random.SeedSequence = 0,
+) -> DecayHistogram:
+    """One point's Poisson-sampled histogram; the same seed gives the same bits."""
+    mu = expected_histogram(model, total_counts, bin_edges, irf_sigma)
+    return DecayHistogram(mu.bin_edges, _rng(seed).poisson(mu.counts))
 
 
 # ---------------------------------------------------------------------------

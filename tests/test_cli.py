@@ -12,11 +12,12 @@ import pytest
 
 import phasemirror
 from helpers import builtin_table1_path
-from phasemirror import config
+from oracles import generate_decay_histogram
+from phasemirror import config, inference
 from phasemirror.cli import build_parser, main
 from phasemirror.config import DEFAULT_CONFIG, QD1_PRESET
 from phasemirror.csvio import read_csv, write_csv
-from phasemirror.synthlab import ExcitonModel, generate_decay_histogram, histogram_header
+from phasemirror.synthlab import ExcitonModel, histogram_header
 
 
 def sha256(path):
@@ -405,7 +406,52 @@ class TestAnalyzeCommand:
         rc = main(["analyze", "--in", broken, "--out", str(tmp_path / "x")])
         assert rc == 2
         err = capsys.readouterr().err
-        assert "histograms.csv line 3" in err and "can't decode byte 0xff" in err
+        # the byte decodes as U+FFFD, which the ASCII check refuses on its line
+        assert "histograms.csv line 3: not a row as written" in err and "outside ASCII" in err
+
+    def test_histograms_are_fitted_on_the_config_bin_edges(
+        self, tmp_path, sim_dir, monkeypatch
+    ):
+        fitted, analyze = [], inference.analyze_sweep
+
+        def analyze_sweep(phases, counts, histograms, **kwargs):
+            fitted.extend(histograms)
+            return analyze(phases, counts, histograms, **kwargs)
+
+        monkeypatch.setattr(inference, "analyze_sweep", analyze_sweep)
+        assert main(["analyze", "--in", sim_dir, "--out", str(tmp_path / "x")]) == 0
+        edges = config.RunConfig.from_dict(read_manifest(sim_dir)["config"]).bin_edges()
+        assert len(fitted) == DEFAULT_CONFIG["sweep"]["n_points"]
+        assert all(h.bin_edges.tobytes() == edges.tobytes() for h in fitted)
+
+    @pytest.mark.parametrize(
+        "edit, named",
+        [
+            # the first t_ns cell one ulp up, and every line ended in CR LF
+            ("t_ns", "histograms.csv line 2: t_ns is 0.025000000000000005,"),
+            ("crlf", "histograms.csv line 1: column 13 is 'counts_011\\r'"),
+        ],
+    )
+    def test_edited_rehashed_histogram_table_is_input_error(
+        self, tmp_path, sim_dir, capsys, edit, named
+    ):
+        broken = str(tmp_path / "broken")
+        shutil.copytree(sim_dir, broken)
+        path = os.path.join(broken, "histograms.csv")
+        if edit == "t_ns":
+            header = histogram_header(DEFAULT_CONFIG["sweep"]["n_points"])
+            columns = read_csv(path, header)
+            columns[0][0] = np.nextafter(columns[0][0], np.inf)
+            write_csv(path, header, *columns)
+        else:
+            with open(path, "rb") as fh:
+                data = fh.read()
+            with open(path, "wb") as fh:
+                fh.write(data.replace(b"\n", b"\r\n"))
+        rehash(broken, "histograms.csv")
+        rc = main(["analyze", "--in", broken, "--out", str(tmp_path / "x")])
+        assert rc == 2
+        assert named in capsys.readouterr().err
 
     def test_non_utf8_table_is_input_error(self, tmp_path, capsys):
         table = tmp_path / "table1.csv"

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from oracles import bin_integrals_longdouble
+from oracles import bin_integrals_longdouble, expected_histogram, generate_decay_histogram
 from oracles import expected_bin_counts as one_rate_expected_counts
 from phasemirror.emission import DipoleOrientation, EmitterScene, decay_rate, intensity
 from phasemirror.synthlab import (
@@ -21,9 +21,6 @@ from phasemirror.synthlab import (
     _exgauss_density,
     default_bin_edges,
     exp_bin_integrals,
-    expected_bin_counts,
-    expected_histogram,
-    generate_decay_histogram,
     generate_sweep,
     phase_of_voltage,
     read_histogram_csv,
@@ -137,7 +134,7 @@ class TestHistogram:
     def test_expected_curve_matches_analytic(self):
         model = ExcitonModel(gamma_f=1.0, gamma_s=0.1, amp_ratio=0.05)
         edges = default_bin_edges(25.0, 500)
-        _, mu = expected_bin_counts(model, 1e5, edges)
+        mu = expected_histogram(model, 1e5, edges).counts
         assert mu.sum() == pytest.approx(1e5, rel=1e-12)
         # analytic bin integral of the two exponentials
         a, b = edges[:-1], edges[1:]
@@ -150,11 +147,11 @@ class TestHistogram:
     def test_background_floor(self):
         model = ExcitonModel(gamma_f=1.0, gamma_s=0.1, background=2.0)
         edges = default_bin_edges(25.0, 100)
-        _, mu = expected_bin_counts(model, 10_000, edges)
+        mu = expected_histogram(model, 10_000, edges).counts
         assert mu.sum() == pytest.approx(10_000, rel=1e-12)
         assert np.all(mu >= 2.0)
         with pytest.raises(ValueError):
-            expected_bin_counts(model, 100, edges)  # background exceeds budget
+            expected_histogram(model, 100, edges)  # background exceeds budget
 
     def test_irf_broadens_the_peak(self):
         sharp = expected_histogram(ExcitonModel(1.0, 0.1), 1e5)
@@ -199,7 +196,7 @@ class TestHistogram:
         # variance/mean over repeated draws stays near 1 for busy bins
         model = ExcitonModel(gamma_f=1.0, gamma_s=0.1)
         edges = default_bin_edges(10.0, 50)
-        _, mu = expected_bin_counts(model, 50_000, edges)
+        mu = expected_histogram(model, 50_000, edges).counts
         draws = np.array(
             [
                 generate_decay_histogram(model, 50_000, edges, seed=s).counts
@@ -222,7 +219,7 @@ class TestHistogram:
 
 
 # the default window, a coarse one, a fit window that starts mid-histogram,
-# and a window from the first edge the histogram reader rebuilds
+# and a window whose first edge lies just below 0
 KERNEL_EDGES = (
     default_bin_edges(),
     np.linspace(0.0, 25.0, 51),
@@ -395,6 +392,10 @@ class TestSweep:
             )
 
 
+# three 1 ns bins, whose midpoints are 0.5, 1.5 and 2.5
+EDGES_3 = np.array([0.0, 1.0, 2.0, 3.0])
+
+
 class TestCsv:
     def test_sweep_round_trip(self, tmp_path):
         voltages = np.linspace(0.0, 8.0, 12)
@@ -413,16 +414,13 @@ class TestCsv:
         ]
         path = tmp_path / "histograms.csv"
         write_histogram_csv(hists, str(path))
-        backs = read_histogram_csv(str(path))
+        backs = read_histogram_csv(str(path), default_bin_edges())
         assert len(backs) == len(hists)
-        # the table carries every field of each histogram
+        # the table and the edges carry every field of each histogram
         for hist, back in zip(hists, backs):
             for f in dataclasses.fields(DecayHistogram):
-                want, got = getattr(hist, f.name), getattr(back, f.name)
-                if f.name == "bin_edges":
-                    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
-                else:
-                    assert np.array_equal(got, want), f.name
+                want, got = (np.asarray(getattr(h, f.name), float) for h in (hist, back))
+                assert got.tobytes() == want.tobytes(), f.name
             assert back.total_counts == hist.total_counts
 
     def test_histograms_binned_otherwise_are_not_written(self, tmp_path):
@@ -445,15 +443,17 @@ class TestCsv:
         path = tmp_path / "bad.csv"
         path.write_text("t_ns,counts_000\n0.5,10\n1.5\n")
         with pytest.raises(ValueError, match="line 3"):
-            read_histogram_csv(str(path))
-        path.write_text("t_ns,counts_000\n0.5,10\n1.5,9\n3.5,8\n")
-        with pytest.raises(ValueError, match="uniform"):
-            read_histogram_csv(str(path))
-        # equal or falling times are not bins either, whichever column
-        for times in ("0.5,10\n0.5,9\n", "1.5,10\n0.5,9\n"):
+            read_histogram_csv(str(path), EDGES_3)
+        # t_ns must be the given bins' midpoints, row for row
+        for times, match in [
+            ("0.5,10\n1.5,9\n", "bad.csv: 2 rows for 3 bins"),
+            ("0.5,10\n1.5,9\n3.5,8\n", "bad.csv line 4: t_ns is 3.5, not the bin midpoint 2.5"),
+            ("0.5,10\n0.5,9\n2.5,8\n", "bad.csv line 3: t_ns is 0.5, not the bin midpoint 1.5"),
+            ("1.5,10\n0.5,9\n2.5,8\n", "bad.csv line 2: t_ns is 1.5, not the bin midpoint 0.5"),
+        ]:
             path.write_text("t_ns,counts_000\n" + times)
-            with pytest.raises(MalformedCSV, match="bad.csv: bins must be uniform and increasing"):
-                read_histogram_csv(str(path))
+            with pytest.raises(MalformedCSV, match=re.escape(match)):
+                read_histogram_csv(str(path), EDGES_3)
 
     @pytest.mark.parametrize(
         "text, match",
@@ -478,7 +478,7 @@ class TestCsv:
         path = tmp_path / "histograms.csv"
         path.write_text(text)
         with pytest.raises(MalformedCSV, match=re.escape(f"{path} {match}")):
-            read_histogram_csv(str(path))
+            read_histogram_csv(str(path), EDGES_3[:3])
 
     def test_parse_errors_are_malformed_csv(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -490,8 +490,9 @@ class TestCsv:
             ("t_ns,counts_000\n1.5,10\n0.5,9\n", read_histogram_csv),
         ]:
             path.write_text(text)
+            args = (EDGES_3[:3],) if reader is read_histogram_csv else ()
             with pytest.raises(MalformedCSV, match="bad.csv"):
-                reader(str(path))
+                reader(str(path), *args)
 
 
 @given(
@@ -507,12 +508,6 @@ def test_histogram_counts_invariants(gamma_f, ratio, seed):
     assert hist.counts.sum() == hist.total_counts
     assert np.all(hist.counts >= 0)
     assert np.all(hist.counts == np.floor(hist.counts))
-
-
-def per_file_edges(mids):
-    """The edges a one-histogram file's reader rebuilt from its t_ns column."""
-    w = float(np.diff(mids)[0])
-    return np.concatenate([mids - w / 2.0, [mids[-1] + w / 2.0]])
 
 
 @given(
@@ -532,12 +527,10 @@ def test_histogram_table_round_trip(tmp_path_factory, n_hist, n_bins, t_max, noi
     hists = [DecayHistogram(edges, c) for c in counts]
     path = str(tmp_path_factory.mktemp("hist") / "histograms.csv")
     write_histogram_csv(hists, path)
-    back = read_histogram_csv(path)
+    back = read_histogram_csv(path, edges)
     assert len(back) == n_hist
-    want_edges = per_file_edges(hists[0].midpoints)
     for hist, got in zip(hists, back):
         assert got.counts.tobytes() == np.asarray(hist.counts, dtype=float).tobytes()
-        # one rebuilt edge array, bit for bit the one-file reader's
+        # one edge array, the simulated one bit for bit
         assert got.bin_edges is back[0].bin_edges
-        assert got.bin_edges.tobytes() == want_edges.tobytes()
-    np.testing.assert_allclose(want_edges, edges, rtol=0.0, atol=1e-12 * t_max)
+        assert got.bin_edges.tobytes() == edges.tobytes()
