@@ -204,6 +204,7 @@ def cmd_simulate(args: argparse.Namespace, cfg: RunConfig, outs: _Outputs) -> No
     scene = cfg.scene(profile.k)
     weights = modesolver.mode_weights(profile, scene.y0)
     voltages = cfg.voltages()
+    edges = cfg.bin_edges()
     phis, counts, histograms = synthlab.generate_sweep(
         scene,
         weights,
@@ -215,11 +216,11 @@ def cmd_simulate(args: argparse.Namespace, cfg: RunConfig, outs: _Outputs) -> No
         amp_ratio=cfg.raw["sweep"]["amp_ratio"],
         background=cfg.raw["sweep"]["background"],
         hist_counts=cfg.hist_counts,
-        bin_edges=cfg.bin_edges(),
+        bin_edges=edges,
         irf_sigma=cfg.irf_sigma,
     )
     synthlab.write_sweep_csv((voltages, phis, counts), outs.path("sweep.csv"))
-    synthlab.write_histogram_csv(histograms, outs.path("histograms.csv"))
+    synthlab.write_histogram_csv((edges, histograms), outs.path("histograms.csv"))
     svgplot.write_line_plot(
         outs.path("sweep.svg"),
         [("intensity (counts)", voltages, counts)],
@@ -277,7 +278,8 @@ def _analyze_sweep_dir(args: argparse.Namespace, outs: _Outputs) -> None:
 
     voltages, phases, counts = synthlab.read_sweep_csv(os.path.join(args.in_dir, "sweep.csv"))
     hist_path = os.path.join(args.in_dir, "histograms.csv")
-    histograms = synthlab.read_histogram_csv(hist_path, cfg.bin_edges())
+    edges = cfg.bin_edges()
+    histograms = synthlab.read_histogram_csv(hist_path, edges)
     if len(histograms) != len(voltages):
         raise MalformedCSV(
             f"{hist_path}: {len(histograms)} histograms for {len(voltages)} sweep rows"
@@ -287,6 +289,7 @@ def _analyze_sweep_dir(args: argparse.Namespace, outs: _Outputs) -> None:
     result = inference.analyze_sweep(
         phases,
         counts,
+        edges,
         histograms,
         profile=profile,
         fit_background=cfg.raw["sweep"]["background"] > 0,

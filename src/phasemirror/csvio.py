@@ -56,8 +56,8 @@ def read_header(path: str) -> list[str]:
     return line.removesuffix("\n").split(",") if line else []
 
 
-def read_csv(path: str, header: Sequence[str]) -> list[np.ndarray]:
-    """One C-contiguous float64 array per column of a table with this header.
+def read_csv(path: str, header: Sequence[str]) -> np.ndarray:
+    """A table with this header as one C-contiguous float64 array, a row per column.
 
     Raises MalformedCSV naming the path and the first line outside the
     writer's layout.
@@ -110,4 +110,4 @@ def read_csv(path: str, header: Sequence[str]) -> list[np.ndarray]:
             else:
                 reason = str(exc).partition(" at row ")[0]
             raise MalformedCSV(f"{path} line {lineno}: {reason}") from None
-    return [col.copy() for col in table.T]
+    return np.ascontiguousarray(table.T)

@@ -2,10 +2,11 @@
 
 Three stages mirror the measurement chain in reverse: Poisson-MLE
 bi-exponential lifetime fits (damped Gauss-Newton on the analytic
-gradient, uncertainties from the exact observed information), weighted
-sinusoid fits for fringe visibilities, and joint estimation of (|r_T|,
-beta_y0, y0) from the visibility pair, including the centered-emitter
-lower bound on |r_T|.
+gradient, uncertainties from the exact observed information), one per
+row of a sweep's (points x bins) counts matrix on its shared bin edges,
+weighted sinusoid fits for fringe visibilities, and joint estimation of
+(|r_T|, beta_y0, y0) from the visibility pair, including the
+centered-emitter lower bound on |r_T|.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .modesolver import ModeProfile, mode_weights
-from .synthlab import DecayHistogram, bin_midpoints, exp_bin_integrals
+from .synthlab import bin_midpoints, exp_bin_integrals
 
 
 class NonIdentifiable(RuntimeError):
@@ -240,17 +241,20 @@ def _deviance(mu: np.ndarray, counts: np.ndarray) -> float:
     return float(2.0 * np.sum(term - (c - mu)))
 
 
-def fit_biexponential(hist: DecayHistogram, fit_background: bool = False) -> FitResult:
-    """Poisson maximum-likelihood fit of a bi-exponential decay.
+def fit_biexponential(
+    bin_edges: np.ndarray, counts: np.ndarray, fit_background: bool = False
+) -> FitResult:
+    """Poisson maximum-likelihood fit of a bi-exponential decay histogram.
 
+    The histogram is its counts on bin_edges, one more edge than counts.
     Fits (A_f, gamma_f, A_s, gamma_s) and, with fit_background, a flat
     floor, starting from slope fits to the data; the window starts at
     the histogram peak so the rising edge is never modeled.  Returns derived
     gamma_rad = gamma_f - gamma_s and gamma_nrad ~= gamma_s with
     propagated uncertainties.
     """
-    edges = np.asarray(hist.bin_edges, dtype=float)
-    counts = np.asarray(hist.counts, dtype=float)
+    edges = np.asarray(bin_edges, dtype=float)
+    counts = np.asarray(counts, dtype=float)
     i0 = int(np.argmax(counts))
     edges_w, counts_w = edges[i0:], counts[i0:]
     if len(counts_w) < 8:
@@ -298,7 +302,7 @@ def fit_biexponential(hist: DecayHistogram, fit_background: bool = False) -> Fit
         "amp_ratio": float(values[2] / values[0]),
         "window_start_bin": float(i0),
     }
-    if hist.total_counts < 1000:
+    if counts.sum() < 1000:
         flags.append("low_statistics")
     dof = max(len(counts_w) - len(x), 1)
     return FitResult(
@@ -567,7 +571,8 @@ def estimate_parameters(
 def analyze_sweep(
     phases: np.ndarray,
     intensity_counts: np.ndarray,
-    histograms: list[DecayHistogram],
+    bin_edges: np.ndarray,
+    hist_counts: np.ndarray,
     profile: ModeProfile,
     fit_background: bool = False,
     histogram_names: list[str] | None = None,
@@ -575,8 +580,9 @@ def analyze_sweep(
     """Full inverse chain on one sweep: fits, visibilities, estimate.
 
     Fits the intensity fringe (Poisson sigmas, sqrt of the counts
-    floored at 1), fits every histogram for its radiative rate, fits
-    the rate fringe weighted by the rate sigmas, and scans the
+    floored at 1), fits every histogram (a row of hist_counts on
+    bin_edges) for its radiative rate, fits the rate fringe weighted by
+    the rate sigmas, and scans the
     profile's feasible parameter set using the fitted visibilities
     with the desk-scale floors SIGMA_FLOOR_I and SIGMA_FLOOR_GAMMA on
     the uncertainties; an empty feasible set leaves "estimate" None
@@ -591,10 +597,10 @@ def analyze_sweep(
     intensity_fit = fit_sinusoid(phases, counts, np.sqrt(np.maximum(counts, 1.0)))
 
     rate_fits = []
-    for i, hist in enumerate(histograms):
+    for i, row in enumerate(hist_counts):
         name = histogram_names[i] if histogram_names else f"histogram {i}"
         try:
-            fit = fit_biexponential(hist, fit_background)
+            fit = fit_biexponential(bin_edges, row, fit_background)
         except (TooFewBins, NonIdentifiable, NotConverged) as exc:
             raise type(exc)(f"{name}: {exc}") from exc
         rate, sigma = fit.derived["gamma_rad"], fit.derived["gamma_rad_sigma"]

@@ -34,14 +34,13 @@ class MirrorChain:
     """Lumped one-sided termination seen by the emitter.
 
     t_phi_sq and t_wg_sq are power transmittivities in [0, 1]; r_M_mag
-    is the mirror reflectivity magnitude in [0, 1]; phi is the one-way
-    phase (rad) added by the shifter.
+    is the mirror reflectivity magnitude in [0, 1].  The shifter's phase
+    phi turns r_T but leaves its magnitude.
     """
 
     t_phi_sq: float = 0.55
     t_wg_sq: float = 0.9
     r_M_mag: float = 1.0
-    phi: float = 0.0
 
     def __post_init__(self) -> None:
         for name in ("t_phi_sq", "t_wg_sq", "r_M_mag"):
@@ -53,10 +52,6 @@ class MirrorChain:
     def magnitude(self) -> float:
         """|r_T|, independent of phi."""
         return self.t_phi_sq * self.t_wg_sq * self.r_M_mag
-
-    def reflectivity(self) -> complex:
-        """Complex lumped reflection r_T = |r_T| exp(i 2 phi)."""
-        return self.magnitude * np.exp(2j * self.phi)
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,11 @@
 Reproduces the lab pipeline: a voltage-to-phase calibration, per-point
 collected-intensity samples with shot noise, and time-resolved decay
 histograms drawn from a bright/dark bi-exponential model whose fast
-rate follows the phase-dependent radiative rate.
+rate follows the phase-dependent radiative rate.  Every histogram of a
+sweep shares the caller's bin edges, so a sweep's histograms are one
+float64 counts matrix, a row per point and a column per bin, and
+histograms.csv is that matrix transposed under a t_ns column of bin
+midpoints.
 
 Randomness uses counter-based Philox streams keyed by (seed, point
 index), so sweep points can be generated in any order while producing
@@ -82,61 +86,6 @@ def phase_of_voltage(cal: PhaseCalibration, v: float) -> float:
     return cal.quad_coeff * v**2 + cal.quad_offset
 
 
-@dataclass(frozen=True)
-class ExcitonModel:
-    """Bi-exponential decay: fast bright transition plus slow dark tail.
-
-    amp_ratio is A_s/A_f in density units; background is a flat
-    counts-per-bin floor.  gamma_f == gamma_s is allowed at the type
-    level (a degenerate single exponential); identifiability is the
-    fitter's concern.
-    """
-
-    gamma_f: float
-    gamma_s: float
-    amp_ratio: float = 0.05
-    background: float = 0.0
-
-    def __post_init__(self) -> None:
-        if not self.gamma_f >= self.gamma_s >= 0.0:
-            raise ValueError("rates must satisfy gamma_f >= gamma_s >= 0")
-        if self.amp_ratio < 0 or self.background < 0:
-            raise ValueError("amp_ratio and background must be non-negative")
-
-
-@dataclass(frozen=True)
-class DecayHistogram:
-    """Binned time-resolved counts over a fixed acquisition window.
-
-    A histogram is its bin edges and its counts, nothing else: counts
-    are integers after Poisson sampling but may be floats for noiseless
-    expectation curves, and total_counts is computed from them.  The
-    IRF width and the seed that produced a histogram belong to the run
-    configuration, not to the histogram.
-    """
-
-    bin_edges: np.ndarray
-    counts: np.ndarray
-
-    def __post_init__(self) -> None:
-        edges = np.asarray(self.bin_edges, dtype=float)
-        counts = np.asarray(self.counts, dtype=float)
-        if edges.ndim != 1 or counts.ndim != 1 or len(edges) != len(counts) + 1:
-            raise ValueError("need len(bin_edges) == len(counts) + 1")
-        if np.any(np.diff(edges) <= 0):
-            raise ValueError("bin edges must be strictly increasing")
-        if np.any(counts < 0):
-            raise ValueError("counts must be non-negative")
-
-    @property
-    def total_counts(self) -> float:
-        return float(np.sum(self.counts))
-
-    @property
-    def midpoints(self) -> np.ndarray:
-        return bin_midpoints(self.bin_edges)
-
-
 def bin_midpoints(bin_edges: np.ndarray) -> np.ndarray:
     """The midpoint of each bin: the t_ns the histogram table holds."""
     edges = np.asarray(bin_edges, dtype=float)
@@ -164,21 +113,26 @@ def exp_bin_integrals(
     E = e^{-gamma a} (1 - e^{-gamma w}) / gamma, through expm1 so that a
     slow rate keeps its digits, and dE = ((b e^{-gamma b} - a e^{-gamma a})
     - E) / gamma from the same exponentials.  A rate below 1e-12 /ns
-    takes the gamma -> 0 limits, E = w and dE = -(b^2 - a^2) / 2.  The
-    simulator and the lifetime fit both integrate through this function.
+    takes the gamma -> 0 limit of dE, -(b^2 - a^2) / 2, whose difference
+    cancels; E keeps its expm1 form down to gamma t < 2^-53 at the last
+    edge, below which w is E correctly rounded.  The simulator and the
+    lifetime fit both integrate through this function.
     """
     g = np.asarray(gammas, dtype=float)
     a, b = edges[:-1], edges[1:]
     width = b - a
     small = g < 1e-12
     limit = True in small.tolist()  # cheaper than small.any() for the fit's two rates
-    # any positive stand-in keeps the formulas quiet; the limits replace it
-    g = np.where(small, 1.0, g)[:, None] if limit else g[:, None]
+    if limit:
+        flat = small & (g * edges[-1] < 2.0**-53)
+        # any positive stand-in keeps the formulas quiet; the limits replace it
+        g = np.where(flat, 1.0, g)
+    g = g[:, None]
     minus_g = -g
     e = np.exp(minus_g * edges)
     E = e[:, :-1] * (-np.expm1(minus_g * width)) / g
     if limit:
-        E[small] = width
+        E[flat] = width
     if not derivative:
         return E
     dE = ((b * e[:, 1:] - a * e[:, :-1]) - E) / g
@@ -259,8 +213,8 @@ def generate_sweep(
     hist_counts: float = 100_000.0,
     bin_edges: np.ndarray | None = None,
     irf_sigma: float | None = None,
-) -> tuple[np.ndarray, np.ndarray, list[DecayHistogram]]:
-    """Simulate a voltage sweep as columns (phi, intensity counts, histograms).
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Simulate a voltage sweep as (phis, intensity counts, histogram counts).
 
     Per point: the calibration gives phi, the collected intensity is
     Poisson-sampled at counts_scale times the relative intensity, and
@@ -274,11 +228,13 @@ def generate_sweep(
     intensity and the histogram, so a point does not depend on which
     others are generated.  Each column is in the order of the voltages.
 
-    Every histogram is bit for bit the one its point's ExcitonModel
-    gives alone: the slow component is computed once per sweep and the
-    expected counts of up to _SWEEP_BLOCK points at a time as one array.
-    What every point shares (hist_counts, irf_sigma, the background
-    budget) is checked before the first point.
+    The histograms are one float64 matrix, a row of counts per point on
+    bin_edges (default_bin_edges() if None).  Every row is bit for bit
+    the histogram of its point's rates alone: the slow component is
+    computed once per sweep and the expected counts of up to
+    _SWEEP_BLOCK points at a time as one array.  What every point shares
+    (hist_counts, irf_sigma, the background budget) is checked before
+    the first point.
     """
     noiseless = math.isinf(counts_scale)
     if not noiseless and hist_counts <= 0:
@@ -292,15 +248,6 @@ def generate_sweep(
         expected = emission.intensity(
             scene, weights, r_T_mag, phi, DipoleOrientation.AVERAGED_BOTH
         )
-        model = ExcitonModel(
-            gamma_f=emission.decay_rate(
-                scene, r_T_mag, phi, DipoleOrientation.AVERAGED_BOTH,
-                include_nonradiative=True,
-            ),
-            gamma_s=scene.gamma_nrad,
-            amp_ratio=amp_ratio,
-            background=background,
-        )
         ss_intensity, ss_hist = np.random.SeedSequence([seed, index]).spawn(2)
         if noiseless:
             intensity_counts = expected
@@ -308,15 +255,17 @@ def generate_sweep(
             intensity_counts = float(_rng(ss_intensity).poisson(counts_scale * expected))
         phis.append(phi)
         counts.append(intensity_counts)
-        gammas_f.append(model.gamma_f)
+        gammas_f.append(emission.decay_rate(
+            scene, r_T_mag, phi, DipoleOrientation.AVERAGED_BOTH, include_nonradiative=True
+        ))
         hist_streams.append(ss_hist)
-    histograms = []
+    histograms = np.empty((len(gammas_f), len(edges) - 1))
     for start in range(0, len(gammas_f), _SWEEP_BLOCK):
         block = slice(start, start + _SWEEP_BLOCK)
-        for mu, ss_hist in zip(expected_counts(gammas_f[block]), hist_streams[block]):
-            histograms.append(
-                DecayHistogram(edges, mu if noiseless else _rng(ss_hist).poisson(mu))
-            )
+        histograms[block] = expected_counts(gammas_f[block])
+        if not noiseless:
+            for row, ss_hist in zip(histograms[block], hist_streams[block]):
+                row[:] = _rng(ss_hist).poisson(row)
     return np.array(phis), np.array(counts), histograms
 
 
@@ -333,30 +282,29 @@ def write_sweep_csv(columns: tuple[np.ndarray, np.ndarray, np.ndarray], path: st
     write_csv(path, SWEEP_HEADER, *columns)
 
 
-def write_histogram_csv(histograms: list[DecayHistogram], path: str) -> None:
-    """Write a sweep's histograms as one table, t_ns once, then in sweep order.
-
-    A histogram binned otherwise than the first raises ValueError.
-    """
-    edges = histograms[0].bin_edges
-    for j, hist in enumerate(histograms):
-        if not np.array_equal(hist.bin_edges, edges):
-            raise ValueError(f"histogram {j} has other bin edges than histogram 0")
-    header = histogram_header(len(histograms))
-    write_csv(path, header, histograms[0].midpoints, *(h.counts for h in histograms))
+def write_histogram_csv(columns: tuple[np.ndarray, np.ndarray], path: str) -> None:
+    """Write (bin edges, counts matrix) as one table: t_ns, then a column per row."""
+    bin_edges, hist_counts = columns
+    header = histogram_header(len(hist_counts))
+    write_csv(path, header, bin_midpoints(bin_edges), *hist_counts)
 
 
-def _read_finite(path: str, header: tuple[str, ...]) -> list[np.ndarray]:
-    # nan passes every comparison the readers make, so a non-finite cell
-    # is rejected here, naming the first line that holds one
-    columns = read_csv(path, header)
-    bad = ~np.isfinite(np.column_stack(columns))
+def _refuse(
+    path: str, header: Sequence[str], table: np.ndarray, bad: np.ndarray, why: str
+) -> None:
+    # table holds a column per row, as read_csv gives it; the first line
+    # with a bad cell is named, and its first bad column
     if bad.any():
-        i, j = np.argwhere(bad)[0]
-        raise MalformedCSV(
-            f"{path} line {i + 2}: {header[j]} is {columns[j][i]}, not a finite number"
-        )
-    return columns
+        i, j = np.argwhere(bad.T)[0]
+        raise MalformedCSV(f"{path} line {i + 2}: {header[j]} is {table[j, i]}, {why}")
+
+
+def _read_finite(path: str, header: tuple[str, ...]) -> np.ndarray:
+    # nan passes every comparison the readers make, so a non-finite cell
+    # is rejected here
+    table = read_csv(path, header)
+    _refuse(path, header, table, ~np.isfinite(table), "not a finite number")
+    return table
 
 
 def read_sweep_csv(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -364,21 +312,21 @@ def read_sweep_csv(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return tuple(_read_finite(path, SWEEP_HEADER))
 
 
-def read_histogram_csv(path: str, bin_edges: np.ndarray) -> list[DecayHistogram]:
-    """Read a histogram table back into its DecayHistograms, in sweep order.
+def read_histogram_csv(path: str, bin_edges: np.ndarray) -> np.ndarray:
+    """Read a histogram table back into its counts matrix, a row per histogram.
 
     The header must be t_ns, counts_000, counts_001, ... with no column
-    missing or out of order, and t_ns must hold the midpoints of
-    bin_edges bit for bit; every histogram is binned on bin_edges.
+    missing or out of order, t_ns must hold the midpoints of bin_edges
+    bit for bit, and every count must be non-negative.
     """
     got = read_header(path)
     header = histogram_header(len(got) - 1)
     for j, (name, want) in enumerate(zip(got, header)):
         if name != want:
             raise MalformedCSV(f"{path} line 1: column {j + 1} is {name!r}, not {want!r}")
-    mids, *counts = _read_finite(path, header)
-    edges = np.asarray(bin_edges, dtype=float)
-    midpoints = bin_midpoints(edges)
+    table = _read_finite(path, header)
+    mids, counts = table[0], table[1:]
+    midpoints = bin_midpoints(bin_edges)
     if len(mids) != len(midpoints):
         raise MalformedCSV(f"{path}: {len(mids)} rows for {len(midpoints)} bins")
     differ = np.flatnonzero(mids.view(np.int64) != midpoints.view(np.int64))
@@ -388,10 +336,5 @@ def read_histogram_csv(path: str, bin_edges: np.ndarray) -> list[DecayHistogram]
             f"{path} line {i + 2}: t_ns is {float(mids[i])!r},"
             f" not the bin midpoint {float(midpoints[i])!r}"
         )
-    histograms = []
-    for name, column in zip(header[1:], counts):
-        try:
-            histograms.append(DecayHistogram(edges, column))
-        except ValueError as exc:  # negative counts
-            raise MalformedCSV(f"{path} {name}: {exc}") from None
-    return histograms
+    _refuse(path, header[1:], counts, counts < 0, "a negative count")
+    return counts

@@ -4,6 +4,8 @@ Each function here is a second, plainer route to a quantity that
 `phasemirror` computes once, kept out of the package because no command
 uses it:
 
+- the lumped reflection r_T = |r_T| e^{2 i phi} of a mirror chain at a
+  shifter phase;
 - the per-layer transfer-matrix product of a mirror stack (one 2x2 `@`
   per layer and wavelength) and the (r, t) it gives, against which the
   sweep's repeated squaring of the period matrix is checked;
@@ -16,6 +18,8 @@ uses it:
   time in the package's float arithmetic (checked bit for bit) and in
   long double by series and closed forms the package does not use
   (checked for accuracy);
+- a decay model's parameters, and one histogram's bin edges and counts,
+  as validated bundles that the tests build their inputs from;
 - the expected counts of one decay histogram, one rate at a time and
   math.erfc at every bin, against which the sweep's blocks of rates are
   checked bit for bit;
@@ -29,17 +33,23 @@ uses it:
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from phasemirror.emission import DipoleOrientation
 from phasemirror.inference import biexp_model
 from phasemirror.modesolver import ModeProfile, WaveguideGeometry, _solve_width
-from phasemirror.opticalstack import PhotonicCrystalSpec
-from phasemirror.synthlab import DecayHistogram, ExcitonModel, _expectation, _rng
+from phasemirror.opticalstack import MirrorChain, PhotonicCrystalSpec
+from phasemirror.synthlab import _expectation, _rng
 
 # ---------------------------------------------------------------------------
 # transfer matrices
+
+
+def lumped_reflection(chain: MirrorChain, phi: float) -> complex:
+    """Complex lumped reflection r_T = |r_T| exp(i 2 phi) at one-way phase phi."""
+    return chain.magnitude * np.exp(2j * phi)
 
 
 def segment_layout(spec: PhotonicCrystalSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -145,12 +155,56 @@ def rate_modulation(r_T_mag: float, phi: float, theta: float, dip: DipoleOrienta
 # decay histograms
 
 
+@dataclass(frozen=True)
+class ExcitonModel:
+    """Bi-exponential decay: fast bright transition plus slow dark tail.
+
+    amp_ratio is A_s/A_f in density units; background is a flat
+    counts-per-bin floor.  gamma_f == gamma_s is allowed (a degenerate
+    single exponential); identifiability is the fitter's concern.
+    """
+
+    gamma_f: float
+    gamma_s: float
+    amp_ratio: float = 0.05
+    background: float = 0.0
+
+    def __post_init__(self) -> None:
+        if not self.gamma_f >= self.gamma_s >= 0.0:
+            raise ValueError("rates must satisfy gamma_f >= gamma_s >= 0")
+        if self.amp_ratio < 0 or self.background < 0:
+            raise ValueError("amp_ratio and background must be non-negative")
+
+
+@dataclass(frozen=True)
+class DecayHistogram:
+    """One histogram: bin edges, and counts (integers or expectation floats)."""
+
+    bin_edges: np.ndarray
+    counts: np.ndarray
+
+    def __post_init__(self) -> None:
+        edges = np.asarray(self.bin_edges, dtype=float)
+        counts = np.asarray(self.counts, dtype=float)
+        if edges.ndim != 1 or counts.ndim != 1 or len(edges) != len(counts) + 1:
+            raise ValueError("need len(bin_edges) == len(counts) + 1")
+        if np.any(np.diff(edges) <= 0):
+            raise ValueError("bin edges must be strictly increasing")
+        if np.any(counts < 0):
+            raise ValueError("counts must be non-negative")
+
+    @property
+    def total_counts(self) -> float:
+        return float(np.sum(self.counts))
+
+
 def bin_integral(gamma: float, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Integral of e^{-gamma t} over each [a, b], one exp call per bin end.
 
-    A rate below 1e-12 /ns gives the bin widths, the gamma -> 0 limit.
+    A rate below 1e-12 /ns whose gamma b stays below 2^-53 at the last
+    bin gives the bin widths, the gamma -> 0 limit rounded.
     """
-    if gamma < 1e-12:
+    if gamma < 1e-12 and gamma * b[-1] < 2.0**-53:
         return b - a
     return np.exp(-gamma * a) * (-np.expm1(-gamma * (b - a))) / gamma
 

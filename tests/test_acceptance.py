@@ -154,7 +154,9 @@ def test_06_qd1_round_trip():
         bin_edges=cfg.bin_edges(),
         irf_sigma=cfg.irf_sigma,
     )
-    result = inference.analyze_sweep(phis, counts, histograms, profile=profile)
+    result = inference.analyze_sweep(
+        phis, counts, cfg.bin_edges(), histograms, profile=profile
+    )
     elapsed = time.perf_counter() - t0
     ok = (
         abs(result["gamma_max"] - 1.00) <= 0.08

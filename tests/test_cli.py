@@ -12,12 +12,12 @@ import pytest
 
 import phasemirror
 from helpers import builtin_table1_path
-from oracles import generate_decay_histogram
+from oracles import ExcitonModel, generate_decay_histogram
 from phasemirror import config, inference
 from phasemirror.cli import build_parser, main
 from phasemirror.config import DEFAULT_CONFIG, QD1_PRESET
 from phasemirror.csvio import read_csv, write_csv
-from phasemirror.synthlab import ExcitonModel, histogram_header
+from phasemirror.synthlab import histogram_header
 
 
 def sha256(path):
@@ -412,24 +412,26 @@ class TestAnalyzeCommand:
     def test_histograms_are_fitted_on_the_config_bin_edges(
         self, tmp_path, sim_dir, monkeypatch
     ):
-        fitted, analyze = [], inference.analyze_sweep
+        fitted, fit = [], inference.fit_biexponential
 
-        def analyze_sweep(phases, counts, histograms, **kwargs):
-            fitted.extend(histograms)
-            return analyze(phases, counts, histograms, **kwargs)
+        def fit_biexponential(bin_edges, counts, *args, **kwargs):
+            fitted.append(np.asarray(bin_edges))
+            return fit(bin_edges, counts, *args, **kwargs)
 
-        monkeypatch.setattr(inference, "analyze_sweep", analyze_sweep)
+        monkeypatch.setattr(inference, "fit_biexponential", fit_biexponential)
         assert main(["analyze", "--in", sim_dir, "--out", str(tmp_path / "x")]) == 0
         edges = config.RunConfig.from_dict(read_manifest(sim_dir)["config"]).bin_edges()
         assert len(fitted) == DEFAULT_CONFIG["sweep"]["n_points"]
-        assert all(h.bin_edges.tobytes() == edges.tobytes() for h in fitted)
+        assert all(e.tobytes() == edges.tobytes() for e in fitted)
 
     @pytest.mark.parametrize(
         "edit, named",
         [
-            # the first t_ns cell one ulp up, and every line ended in CR LF
+            # the first t_ns cell one ulp up, every line ended in CR LF, and
+            # a negative count in the first histogram's last bin
             ("t_ns", "histograms.csv line 2: t_ns is 0.025000000000000005,"),
             ("crlf", "histograms.csv line 1: column 13 is 'counts_011\\r'"),
+            ("negative", "histograms.csv line 501: counts_000 is -1.0, a negative count"),
         ],
     )
     def test_edited_rehashed_histogram_table_is_input_error(
@@ -438,10 +440,13 @@ class TestAnalyzeCommand:
         broken = str(tmp_path / "broken")
         shutil.copytree(sim_dir, broken)
         path = os.path.join(broken, "histograms.csv")
-        if edit == "t_ns":
+        if edit in ("t_ns", "negative"):
             header = histogram_header(DEFAULT_CONFIG["sweep"]["n_points"])
             columns = read_csv(path, header)
-            columns[0][0] = np.nextafter(columns[0][0], np.inf)
+            if edit == "t_ns":
+                columns[0][0] = np.nextafter(columns[0][0], np.inf)
+            else:
+                columns[1][-1] = -1.0
             write_csv(path, header, *columns)
         else:
             with open(path, "rb") as fh:

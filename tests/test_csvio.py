@@ -214,7 +214,7 @@ def test_simulated_histograms_match_the_reference_format(tmp_path, irf_sigma_ns)
     assert path.read_bytes() == want
     assert_same_arrays(read_csv(str(path), header), columns)
     histograms = read_histogram_csv(str(path), RunConfig.from_dict(cfg).bin_edges())
-    assert [h.counts.tobytes() for h in histograms] == [c.tobytes() for c in columns[1:]]
+    assert [row.tobytes() for row in histograms] == [c.tobytes() for c in columns[1:]]
 
 
 def test_a_sweep_table_is_written_and_read_a_row_at_a_time(tmp_path):

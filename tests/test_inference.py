@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from helpers import builtin_table1_path
 from oracles import (
+    ExcitonModel,
     bin_integral,
     bin_integral_derivative,
     bin_integrals_longdouble,
@@ -36,7 +37,7 @@ from phasemirror.inference import (
 )
 from phasemirror.config import RunConfig
 from phasemirror.modesolver import mode_weights, solve_te0
-from phasemirror.synthlab import ExcitonModel, generate_sweep
+from phasemirror.synthlab import generate_sweep
 
 EDGES = np.linspace(0.0, 25.0, 501)
 PLAIN = ExcitonModel(gamma_f=1.1, gamma_s=0.1, amp_ratio=0.05)
@@ -76,8 +77,9 @@ def qd1_sweep(qd1_cfg, qd1_profile):
 
 
 @pytest.fixture(scope="module")
-def qd1_analysis(qd1_profile, qd1_sweep):
-    return analyze_sweep(*qd1_sweep, profile=qd1_profile)
+def qd1_analysis(qd1_cfg, qd1_profile, qd1_sweep):
+    phis, counts, hists = qd1_sweep
+    return analyze_sweep(phis, counts, qd1_cfg.bin_edges(), hists, profile=qd1_profile)
 
 
 class TestPoissonGradient:
@@ -156,6 +158,9 @@ class TestForwardEqualsInverse:
     @example(gamma_f=1.2, slow=0.0, amp_ratio=0.05, background=0.0)
     @example(gamma_f=1.2, slow=1e-7, amp_ratio=0.05, background=1.0)
     @example(gamma_f=20.0, slow=1e-3, amp_ratio=0.0, background=0.0)
+    # slow rates between the flat limit and 1e-12 /ns keep E's expm1 form
+    @example(gamma_f=1.0, slow=1e-13, amp_ratio=1.0, background=0.0)
+    @example(gamma_f=1.0, slow=9.9e-13, amp_ratio=1.0, background=0.0)
     def test_biexp_model_reproduces_the_simulator(self, gamma_f, slow, amp_ratio, background):
         # the fit's model at a simulated ExcitonModel's own parameters is the
         # simulator's expectation, down to a slow rate of 0 (a flat component)
@@ -302,7 +307,7 @@ class TestFitParity:
     def test_matches_frozen_fit(self, kind):
         spec, fit_background, n_iter, params, sigmas = FROZEN_FITS[kind]
         hist = generate_decay_histogram(bin_edges=EDGES, **spec)
-        res = fit_biexponential(hist, fit_background)
+        res = fit_biexponential(hist.bin_edges, hist.counts, fit_background)
         assert res.n_iter == n_iter
         assert res.flags == []
         assert res.params == pytest.approx(
@@ -335,7 +340,7 @@ class TestFitParity:
             bin_edges=cfg.bin_edges(),
         )
         for i, n_iter in ((1, 9), (7, 8)):
-            res = fit_biexponential(histograms[i], fit_background=True)
+            res = fit_biexponential(cfg.bin_edges(), histograms[i], fit_background=True)
             assert res.n_iter == n_iter
             assert res.params["background"] == 0.0
             assert res.uncertainties["background"] == math.inf
@@ -346,7 +351,7 @@ class TestBiexponentialFit:
     def test_noiseless_histogram_recovered_exactly(self):
         # the model integrates bins exactly, so noiseless data is a fixed point
         hist = expected_histogram(PLAIN, 1e5, bin_edges=EDGES)
-        res = fit_biexponential(hist)
+        res = fit_biexponential(hist.bin_edges, hist.counts)
         assert res.converged
         assert res.params["gamma_f"] == pytest.approx(1.1, rel=1e-8)
         assert res.params["gamma_s"] == pytest.approx(0.1, rel=1e-8)
@@ -356,7 +361,7 @@ class TestBiexponentialFit:
 
     def test_noisy_fit_within_tolerance_and_errors_honest(self):
         hist = generate_decay_histogram(PLAIN, 1e5, bin_edges=EDGES, seed=7)
-        res = fit_biexponential(hist)
+        res = fit_biexponential(hist.bin_edges, hist.counts)
         gf, sgf = res.params["gamma_f"], res.uncertainties["gamma_f"]
         gs, sgs = res.params["gamma_s"], res.uncertainties["gamma_s"]
         assert abs(gf - 1.1) / 1.1 < 0.05
@@ -371,19 +376,19 @@ class TestBiexponentialFit:
         model = ExcitonModel(gamma_f=1.0, gamma_s=0.8, amp_ratio=1.0)
         hist = generate_decay_histogram(model, 1e5, bin_edges=EDGES, seed=3)
         with pytest.raises(NonIdentifiable, match="degenerate"):
-            fit_biexponential(hist)
+            fit_biexponential(hist.bin_edges, hist.counts)
 
     def test_background_noiseless_exact(self):
         model = ExcitonModel(gamma_f=1.1, gamma_s=0.1, amp_ratio=0.05, background=2.0)
         hist = expected_histogram(model, 2e5, bin_edges=EDGES)
-        res = fit_biexponential(hist, fit_background=True)
+        res = fit_biexponential(hist.bin_edges, hist.counts, fit_background=True)
         assert res.params["gamma_f"] == pytest.approx(1.1, rel=1e-6)
         assert res.params["background"] == pytest.approx(2.0, abs=1e-6)
 
     def test_background_noisy_covered_by_errors(self):
         model = ExcitonModel(gamma_f=1.1, gamma_s=0.1, amp_ratio=0.05, background=2.0)
         hist = generate_decay_histogram(model, 2e5, bin_edges=EDGES, seed=11)
-        res = fit_biexponential(hist, fit_background=True)
+        res = fit_biexponential(hist.bin_edges, hist.counts, fit_background=True)
         assert "background" in res.params
         bg, sbg = res.params["background"], res.uncertainties["background"]
         assert abs(bg - 2.0) < 2.0 * sbg
@@ -392,14 +397,14 @@ class TestBiexponentialFit:
     def test_low_statistics_flag(self):
         hist = generate_decay_histogram(PLAIN, 500, bin_edges=EDGES, seed=2)
         assert hist.total_counts < 1000
-        res = fit_biexponential(hist)
+        res = fit_biexponential(hist.bin_edges, hist.counts)
         assert "low_statistics" in res.flags
 
     def test_too_few_bins_rejected(self):
         edges = np.linspace(0.0, 1.0, 6)
         hist = expected_histogram(PLAIN, 1e4, bin_edges=edges)
         with pytest.raises(ValueError, match="too few bins"):
-            fit_biexponential(hist)
+            fit_biexponential(hist.bin_edges, hist.counts)
 
 
 class TestSinusoidFit:
@@ -748,6 +753,13 @@ class TestAnalyzeSweep:
         assert out["estimate"] is not None
         assert out["estimate"]["n_feasible"] > 0
 
+    def test_fits_every_row_of_the_counts_matrix(self, qd1_cfg, qd1_analysis, qd1_sweep):
+        # the sweep's rate fits are fit_biexponential's, row by row
+        edges, hists = qd1_cfg.bin_edges(), qd1_sweep[2]
+        assert hists.shape == (len(qd1_sweep[0]), len(edges) - 1)
+        fits = [fit_biexponential(edges, row).to_dict() for row in hists]
+        assert qd1_analysis["rate_fits"] == fits
+
     def test_result_structure(self, qd1_analysis, qd1_sweep):
         out = qd1_analysis
         assert len(out["rate_fits"]) == len(qd1_sweep[2])
@@ -775,7 +787,8 @@ class TestAnalyzeSweep:
                 bin_edges=cfg.bin_edges(),
                 irf_sigma=cfg.irf_sigma,
             )
-            out = analyze_sweep(*recs, profile=qd1_profile)
+            phis, counts, hists = recs
+            out = analyze_sweep(phis, counts, cfg.bin_edges(), hists, profile=qd1_profile)
             ests.append(out["nu_gamma"])
         ests = np.asarray(ests)
         sem = float(ests.std(ddof=1)) / math.sqrt(len(ests))

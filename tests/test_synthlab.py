@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import re
 
@@ -7,14 +6,18 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from oracles import bin_integrals_longdouble, expected_histogram, generate_decay_histogram
+from oracles import (
+    DecayHistogram,
+    ExcitonModel,
+    bin_integrals_longdouble,
+    expected_histogram,
+    generate_decay_histogram,
+)
 from oracles import expected_bin_counts as one_rate_expected_counts
 from phasemirror.emission import DipoleOrientation, EmitterScene, decay_rate, intensity
 from phasemirror.synthlab import (
     _SWEEP_BLOCK,
     CalibrationModel,
-    DecayHistogram,
-    ExcitonModel,
     MalformedCSV,
     OutOfCalibration,
     PhaseCalibration,
@@ -278,11 +281,14 @@ class TestSweep:
     def test_structure(self):
         voltages = np.linspace(0.0, 8.0, 12)
         phis, counts, hists = self.run()
-        assert len(phis) == len(counts) == len(hists) == 12
-        for v, phi, n, hist in zip(voltages, phis, counts, hists):
+        assert len(phis) == len(counts) == 12
+        # one float64 row of counts per point, on the default bins
+        assert hists.shape == (12, len(default_bin_edges()) - 1)
+        assert hists.dtype == np.float64 and hists.flags.c_contiguous
+        assert np.all(hists >= 0) and np.all(hists == np.floor(hists))
+        for v, phi, n in zip(voltages, phis, counts):
             assert phi == pytest.approx(0.05 * v**2)
             assert n >= 0
-            assert hist.counts.sum() == hist.total_counts
 
     def test_noiseless_mode(self):
         phis, counts, hists = self.run(counts_scale=math.inf)
@@ -290,15 +296,14 @@ class TestSweep:
             expected = intensity(SCENE, WEIGHTS, 0.6, phi, DipoleOrientation.AVERAGED_BOTH)
             assert n == expected
             # float expectation counts, not integers
-            assert hist.counts.dtype.kind == "f"
+            assert np.any(hist != np.floor(hist))
 
     def test_seeded_reproducibility(self):
         a_counts, a_hists = self.run(seed=5)[1:]
         b_counts, b_hists = self.run(seed=5)[1:]
         c_counts = self.run(seed=6)[1]
         assert np.array_equal(a_counts, b_counts)
-        for ha, hb in zip(a_hists, b_hists):
-            assert np.array_equal(ha.counts, hb.counts)
+        assert a_hists.tobytes() == b_hists.tobytes()
         assert np.any(a_counts != c_counts)
 
     def test_zero_reflectivity_flat_sweep(self):
@@ -329,8 +334,7 @@ class TestSweep:
         _, counts, hists = self.run(voltages=voltages)
         _, head_counts, head_hists = self.run(voltages=voltages[:5])
         assert np.array_equal(head_counts, counts[:5])
-        for ha, hb in zip(head_hists, hists[:5]):
-            assert np.array_equal(ha.counts, hb.counts)
+        assert head_hists.tobytes() == hists[:5].tobytes()
 
     @pytest.mark.parametrize(
         "n_points", [1, _SWEEP_BLOCK - 1, _SWEEP_BLOCK, _SWEEP_BLOCK + 1, 192]
@@ -345,7 +349,7 @@ class TestSweep:
                 SCENE, WEIGHTS, 0.6, QUAD, voltages, counts_scale, 11,
                 background=background, hist_counts=20_000.0, irf_sigma=irf_sigma,
             )
-            assert len(hists) == n_points
+            assert hists.shape == (n_points, len(default_bin_edges()) - 1)
             for i, (phi, hist) in enumerate(zip(phis, hists)):
                 gamma_f = decay_rate(
                     SCENE, 0.6, phi, DipoleOrientation.AVERAGED_BOTH, include_nonradiative=True
@@ -360,9 +364,9 @@ class TestSweep:
                     want = generate_decay_histogram(
                         model, 20_000.0, irf_sigma=irf_sigma, seed=ss_hist
                     )
-                assert hist.bin_edges.tobytes() == want.bin_edges.tobytes()
-                assert hist.counts.dtype == want.counts.dtype
-                assert hist.counts.tobytes() == want.counts.tobytes()
+                assert want.bin_edges.tobytes() == default_bin_edges().tobytes()
+                # Poisson draws are integers, exact as float64
+                assert hist.tobytes() == want.counts.astype(float).tobytes()
 
     def test_table_knots_at_the_voltages_match_quadratic(self):
         voltages = np.linspace(0.0, 8.0, 12)
@@ -378,8 +382,7 @@ class TestSweep:
         )
         assert np.array_equal(tab[0], quad[0])
         assert np.array_equal(tab[1], quad[1])
-        for ha, hb in zip(tab[2], quad[2]):
-            assert np.array_equal(ha.counts, hb.counts)
+        assert tab[2].tobytes() == quad[2].tobytes()
 
     def test_out_of_calibration_propagates(self):
         cal = PhaseCalibration(
@@ -412,23 +415,15 @@ class TestCsv:
             generate_decay_histogram(ExcitonModel(1.0, 0.1), 5000, irf_sigma=0.1, seed=s)
             for s in (3, 4)
         ]
+        counts = np.array([h.counts for h in hists], dtype=float)
         path = tmp_path / "histograms.csv"
-        write_histogram_csv(hists, str(path))
-        backs = read_histogram_csv(str(path), default_bin_edges())
-        assert len(backs) == len(hists)
-        # the table and the edges carry every field of each histogram
-        for hist, back in zip(hists, backs):
-            for f in dataclasses.fields(DecayHistogram):
-                want, got = (np.asarray(getattr(h, f.name), float) for h in (hist, back))
-                assert got.tobytes() == want.tobytes(), f.name
-            assert back.total_counts == hist.total_counts
-
-    def test_histograms_binned_otherwise_are_not_written(self, tmp_path):
-        path = str(tmp_path / "histograms.csv")
-        a = DecayHistogram(default_bin_edges(25.0, 4), np.ones(4))
-        b = DecayHistogram(default_bin_edges(20.0, 4), np.ones(4))
-        with pytest.raises(ValueError, match="histogram 2 has other bin edges"):
-            write_histogram_csv([a, a, b], path)
+        write_histogram_csv((default_bin_edges(), counts), str(path))
+        back = read_histogram_csv(str(path), default_bin_edges())
+        # the table and the edges carry every histogram whole
+        assert back.dtype == np.float64 and back.flags.c_contiguous
+        assert back.shape == counts.shape
+        assert back.tobytes() == counts.tobytes()
+        assert list(back.sum(axis=1)) == [h.total_counts for h in hists]
 
     def test_sweep_parse_errors_carry_line_numbers(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -471,7 +466,9 @@ class TestCsv:
             ("t_ns,counts_000,counts_001\n0.5,1,2\n1.5,3,nan\n",
              "line 3: counts_001 is nan, not a finite number"),
             ("t_ns,counts_000,counts_001\n0.5,1,2\n1.5,-3,4\n",
-             "counts_000: counts must be non-negative"),
+             "line 3: counts_000 is -3.0, a negative count"),
+            ("t_ns,counts_000,counts_001\n0.5,1,-2\n1.5,-3,4\n",
+             "line 2: counts_001 is -2.0, a negative count"),
         ],
     )
     def test_malformed_histogram_table_names_line_and_column(self, tmp_path, text, match):
@@ -524,13 +521,40 @@ def test_histogram_table_round_trip(tmp_path_factory, n_hist, n_bins, t_max, noi
     edges = default_bin_edges(t_max, n_bins)
     shape = (n_hist, n_bins)
     counts = rng.uniform(0.0, 1e4, shape) if noiseless else rng.poisson(1e3, shape)
-    hists = [DecayHistogram(edges, c) for c in counts]
     path = str(tmp_path_factory.mktemp("hist") / "histograms.csv")
-    write_histogram_csv(hists, path)
+    write_histogram_csv((edges, counts), path)
     back = read_histogram_csv(path, edges)
-    assert len(back) == n_hist
-    for hist, got in zip(hists, back):
-        assert got.counts.tobytes() == np.asarray(hist.counts, dtype=float).tobytes()
-        # one edge array, the simulated one bit for bit
-        assert got.bin_edges is back[0].bin_edges
-        assert got.bin_edges.tobytes() == edges.tobytes()
+    assert back.dtype == np.float64 and back.flags.c_contiguous
+    assert back.shape == shape
+    assert back.tobytes() == counts.astype(float).tobytes()
+
+
+@given(
+    n_points=st.integers(min_value=1, max_value=2 * _SWEEP_BLOCK + 1),
+    n_bins=st.integers(min_value=8, max_value=120),
+    t_max=st.floats(min_value=2.0, max_value=50.0),
+    noiseless=st.booleans(),
+    irf_sigma=st.one_of(st.none(), st.floats(min_value=0.02, max_value=0.5)),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@example(n_points=192, n_bins=500, t_max=25.0, noiseless=False, irf_sigma=None, seed=0)
+@example(n_points=192, n_bins=500, t_max=25.0, noiseless=False, irf_sigma=0.2, seed=1)
+@example(n_points=3, n_bins=8, t_max=2.0, noiseless=True, irf_sigma=None, seed=2)
+@example(n_points=3, n_bins=8, t_max=2.0, noiseless=True, irf_sigma=0.5, seed=3)
+def test_simulated_histograms_read_back_bit_for_bit(
+    tmp_path_factory, n_points, n_bins, t_max, noiseless, irf_sigma, seed
+):
+    # the matrix generate_sweep gives is the matrix read_histogram_csv gives
+    # back, on the same edges
+    edges = default_bin_edges(t_max, n_bins)
+    _, _, hists = generate_sweep(
+        SCENE, WEIGHTS, 0.6, QUAD, np.linspace(0.0, 8.0, n_points),
+        math.inf if noiseless else 40_000.0, seed,
+        hist_counts=20_000.0, bin_edges=edges, irf_sigma=irf_sigma,
+    )
+    path = str(tmp_path_factory.mktemp("sweep") / "histograms.csv")
+    write_histogram_csv((edges, hists), path)
+    back = read_histogram_csv(path, edges)
+    assert hists.shape == back.shape == (n_points, n_bins)
+    assert back.dtype == hists.dtype == np.float64
+    assert back.tobytes() == hists.tobytes()
