@@ -12,7 +12,8 @@ through `config.write_json`; a command records each file's name as it
 writes the file, and the manifest lists exactly those names.  The
 config is loaded and validated once, after any --seed override;
 `analyze --in` takes it from the simulate manifest instead.  Exit
-codes: 0 success, 2 config, input or path error, 3 numerical failure.
+codes: 0 success, 2 an `errors.InputError` or a path error, 3 an
+`errors.NumericalError`; any other exception is a fault and a traceback.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from .config import (
 )
 from .csvio import MalformedCSV, write_csv
 from .emission import DipoleOrientation
+from .errors import InputError, NumericalError
 
 
 @functools.cache
@@ -347,29 +349,15 @@ _DISPATCH = {
     "analyze": cmd_analyze,
 }
 
+# exit 2: the input is wrong, or a path cannot be used; exit 3: a value
+# computed from valid input is unusable.  Any other exception is a fault.
 _INPUT_ERRORS = (
-    ConfigError,
-    inference.MalformedRow,
-    MalformedCSV,
-    synthlab.OutOfCalibration,
+    InputError,
     FileNotFoundError,
     FileExistsError,
     IsADirectoryError,
     NotADirectoryError,
     PermissionError,
-)
-
-_NUMERICAL_ERRORS = (
-    modesolver.ModeSolverError,
-    inference.NotConverged,
-    inference.NonIdentifiable,
-    inference.TooFewBins,
-    inference.EmptyFeasibleSet,
-    inference.InsufficientPhaseSpan,
-    inference.NonFiniteRate,
-    np.linalg.LinAlgError,
-    ValueError,
-    ArithmeticError,
 )
 
 
@@ -405,7 +393,7 @@ def main(argv: list[str] | None = None) -> int:
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except _NUMERICAL_ERRORS as exc:
+    except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     return 0

@@ -20,10 +20,11 @@ integer), `enum`, `required`, `properties`, `additionalProperties: false`,
 `minimum`, `maximum`, `exclusiveMinimum`, `items`, `minItems` and
 `maxItems`.  It reports the error, with the text, that
 `jsonschema.validate` would raise.  A document the schema accepts must
-hold no nan (an in-process dict can; JSON cannot) and must describe a
-buildable device: `RunConfig.from_dict` builds its geometry, crystal,
-mirror chain and calibration, and a contradiction among the values is a
-ConfigError too.
+hold only finite numbers, but for the noiseless `sweep.counts_scale` =
+inf (JSON's 1e999 loads as inf; an in-process dict can hold nan), and
+must describe a buildable device: `RunConfig.from_dict` builds its
+geometry, crystal, mirror chain and calibration, and a contradiction
+among the values is a ConfigError too.
 
 The package's JSON goes through `read_json` and `write_json` (sorted
 keys, two-space indent, final LF): configs, manifests and reports.
@@ -35,13 +36,16 @@ import copy
 import hashlib
 import itertools
 import json
+import math
 import numbers
 import operator
+import sys
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .emission import EmitterScene
+from .errors import InputError
 from .modesolver import WINDOW_MARGIN_NM, WaveguideGeometry
 from .opticalstack import MirrorChain, PhotonicCrystalSpec, waveguide_transmission
 from .synthlab import CalibrationModel, PhaseCalibration, default_bin_edges
@@ -255,20 +259,27 @@ def _best_error(data, schema: dict = SCHEMA) -> str | None:
     return None if best is None else best[1]
 
 
-def _nan_error(node, path: tuple = ()) -> str | None:
-    """'<dotted path> is nan' for the first nan in document order, or None.
+def _non_finite_error(node, path: tuple = ()) -> str | None:
+    """'<dotted path> is <value>' for the first non-finite number in
+    document order, or None.
 
-    Every bound comparison with nan is false, so a nan passes the schema;
-    JSON has no nan, but an in-process dict can hold one.  Infinities are
-    left to the bounds: counts_scale = inf is the noiseless mode.
+    Every bound comparison with nan is false, so a nan passes the schema,
+    and inf passes every lower bound: JSON's 1e999 loads as inf, and an
+    in-process dict can hold either.  An integer beyond the float range
+    is refused too.  sweep.counts_scale may be inf, the noiseless mode.
     """
     if isinstance(node, (dict, list)):
         for key, sub in node.items() if isinstance(node, dict) else enumerate(node):
-            found = _nan_error(sub, path + (key,))
+            found = _non_finite_error(sub, path + (key,))
             if found:
                 return found
-    elif _is_number(node) and node != node:
-        return f"{'.'.join(map(str, path))} is nan"
+    elif (
+        _is_number(node)
+        and not abs(node) <= sys.float_info.max
+        and (path, node) != (("sweep", "counts_scale"), math.inf)
+    ):
+        value = node if isinstance(node, float) else "beyond the float range"
+        return f"{'.'.join(map(str, path))} is {value}"
     return None
 
 
@@ -277,7 +288,7 @@ def _build(cls, section: dict):
     return cls(**{f.name: section[f.name] for f in fields(cls)})
 
 
-class ConfigError(ValueError):
+class ConfigError(InputError):
     """Configuration failed schema validation or is self-inconsistent."""
 
 
@@ -286,7 +297,7 @@ class RunConfig:
     """Validated configuration document plus the typed objects it describes.
 
     from_dict builds the geometry, crystal, mirror chain and calibration
-    once; a nan anywhere, or values that contradict each other (a
+    once; a nan or inf anywhere, or values that contradict each other (a
     cladding index above the core index, holes wider than the pitch, an
     emitter outside the solved window, a background that fills the whole
     histogram budget) fail there as a ConfigError.
@@ -300,7 +311,7 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
-        message = _best_error(data) or _nan_error(data)
+        message = _best_error(data) or _non_finite_error(data)
         if message is not None:
             raise ConfigError(f"invalid config: {message}")
         raw = copy.deepcopy(data)
@@ -312,13 +323,13 @@ class RunConfig:
         try:
             window = g["width_nm"] / 2.0 + WINDOW_MARGIN_NM
             if abs(raw["emitter"]["y0_nm"]) > window:
-                raise ValueError(
+                raise InputError(
                     f"y0 = {raw['emitter']['y0_nm']} nm lies outside the solved "
                     f"window (+-{window:.1f} nm)"
                 )
             s = raw["sweep"]
             if s["hist_counts"] - s["background"] * s["n_bins"] <= 0:
-                raise ValueError(
+                raise InputError(
                     "hist_counts must exceed the background budget background * n_bins"
                 )
             one_way = waveguide_transmission(
@@ -339,7 +350,7 @@ class RunConfig:
                     v_range=v_range,
                 ),
             )
-        except ValueError as exc:
+        except InputError as exc:
             raise ConfigError(f"inconsistent config: {exc}") from None
 
     @property

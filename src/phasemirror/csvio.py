@@ -25,8 +25,10 @@ from collections.abc import Sequence
 
 import numpy as np
 
+from .errors import InputError
 
-class MalformedCSV(ValueError):
+
+class MalformedCSV(InputError):
     """A table does not parse: wrong header, column count or cell."""
 
 

@@ -26,18 +26,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import InputError, NumericalError
 from .modesolver import ModeProfile, mode_weights
 
 
-class ReflectivityOutOfRange(ValueError):
+class ReflectivityOutOfRange(InputError):
     """|r_T| outside [0, 1]."""
 
 
-class ZeroField(ValueError):
+class ZeroField(NumericalError):
     """Both mode weights vanish; no guided field at the emitter."""
 
 
-class DegenerateRates(ValueError):
+class DegenerateRates(NumericalError):
     """Rate-weighted average undefined because both rates are zero."""
 
 
@@ -73,12 +74,12 @@ class EmitterScene:
 
     def __post_init__(self) -> None:
         if self.L < 0:
-            raise ValueError("mirror distance must be non-negative")
+            raise InputError("mirror distance must be non-negative")
         if self.k <= 0:
-            raise ValueError("propagation constant must be positive")
+            raise InputError("propagation constant must be positive")
         for name in ("gamma_x0", "gamma_y0", "gamma_b", "gamma_nrad"):
             if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
+                raise InputError(f"{name} must be non-negative")
 
     @property
     def theta(self) -> float:
@@ -100,7 +101,7 @@ class EmitterScene:
 def scalar_green(x: float, x_src: float, k: float) -> complex:
     """1D scalar Green's function (i/2k) e^{ik|x - x_src|}."""
     if k <= 0:
-        raise ValueError("propagation constant must be positive")
+        raise InputError("propagation constant must be positive")
     return 1j / (2.0 * k) * np.exp(1j * k * abs(x - x_src))
 
 
@@ -121,7 +122,7 @@ def rate_modulation_green(
     """
     _check_reflectivity(r_T_mag)
     if dip is DipoleOrientation.AVERAGED_BOTH:
-        raise ValueError("modulation factor is defined per dipole axis")
+        raise InputError("modulation factor is defined per dipole axis")
     g_image = scalar_green(0.0, 2.0 * L, k)
     g_self = scalar_green(0.0, 0.0, k)
     # Im{e g} in real arithmetic: numpy's complex multiply rounds an array
@@ -195,7 +196,7 @@ def visibility_intensity_mixed(r_T_mag: float, weights: tuple[float, float]) -> 
     """
     wx, wy = weights
     if np.any(wx < 0) or np.any(wy < 0):
-        raise ValueError("mode weights must be non-negative")
+        raise InputError("mode weights must be non-negative")
     if np.any((wx == 0.0) & (wy == 0.0)):
         raise ZeroField("both mode weights vanish at the emitter position")
     return visibility_intensity(r_T_mag) * abs(wy - wx) / (wy + wx)
@@ -222,7 +223,7 @@ def visibility_rate(
         val = np.asarray(val)
         bad = ~((0.0 <= val) & (val <= 1.0))
         if np.any(bad):
-            raise ValueError(f"{name} must lie in [0, 1], got {val[bad].flat[0]}")
+            raise InputError(f"{name} must lie in [0, 1], got {val[bad].flat[0]}")
     if dip is DipoleOrientation.X:
         return beta_x0 * r_T_mag
     if dip is DipoleOrientation.Y:
@@ -256,7 +257,7 @@ def figure1c_curves(
     the scalar decay_rate or intensity call at its phase.
     """
     if n_phi < 2:
-        raise ValueError("need at least two phase points")
+        raise InputError("need at least two phase points")
     phis = set(np.linspace(0.0, math.pi, n_phi, endpoint=False).tolist())
     phis.update(_extremal_phases(scene.theta))
     phis = sorted(phis)

@@ -18,35 +18,37 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import InputError, NumericalError
 from .modesolver import ModeProfile, mode_weights
 from .synthlab import bin_midpoints, exp_bin_integrals
 
 
-class NonIdentifiable(RuntimeError):
+class NonIdentifiable(NumericalError):
     """Fitted fast and slow rates too close to separate (ratio < 1.5)."""
 
 
-class NotConverged(RuntimeError):
+class NotConverged(NumericalError):
     """Fit exceeded the iteration budget without meeting tolerance."""
 
 
-class InsufficientPhaseSpan(ValueError):
-    """Too few points or too narrow a 2*phi range for a fringe fit."""
+class InsufficientPhaseSpan(NumericalError):
+    """Too few points, too narrow a 2*phi range, or phases that leave the
+    fringe undetermined."""
 
 
-class EmptyFeasibleSet(RuntimeError):
+class EmptyFeasibleSet(NumericalError):
     """No (r_T, beta_y0, y0) triple reproduces both visibilities."""
 
 
-class TooFewBins(ValueError):
+class TooFewBins(NumericalError):
     """A decay histogram has fewer than 8 bins from its peak to its end."""
 
 
-class NonFiniteRate(RuntimeError):
+class NonFiniteRate(NumericalError):
     """A lifetime fit left its radiative rate or that rate's sigma non-finite."""
 
 
-class MalformedRow(ValueError):
+class MalformedRow(InputError):
     """A tabulated-results CSV row failed to parse."""
 
 
@@ -96,7 +98,10 @@ def biexp_model(x: np.ndarray, edges: np.ndarray, fit_background: bool) -> tuple
     np.multiply(amps * gammas[:, None], dE, out=J[:, 1:4:2].T)
     mu = J[:, 0] + J[:, 2]
     if fit_background:
-        bg = math.exp(x[4])
+        try:
+            bg = math.exp(x[4])
+        except OverflowError:  # a trial step's floor: an infinite model, rejected
+            bg = math.inf
         J[:, 4] = bg
         mu += bg
     return np.maximum(mu, 1e-300, out=mu), J
@@ -241,6 +246,7 @@ def _deviance(mu: np.ndarray, counts: np.ndarray) -> float:
     return float(2.0 * np.sum(term - (c - mu)))
 
 
+@np.errstate(all="ignore")
 def fit_biexponential(
     bin_edges: np.ndarray, counts: np.ndarray, fit_background: bool = False
 ) -> FitResult:
@@ -252,6 +258,13 @@ def fit_biexponential(
     the histogram peak so the rising edge is never modeled.  Returns derived
     gamma_rad = gamma_f - gamma_s and gamma_nrad ~= gamma_s with
     propagated uncertainties.
+
+    The fit raises no floating-point warning: rejected trial steps may
+    overflow, and a parameter at an end of the float range (a rate that
+    underflowed to 0 along a flat direction, a gamma_f whose square
+    overflows, an A_f at 0) makes a derived value inf or nan, which the
+    caller checks; analyze_sweep reports a non-finite rate or rate sigma
+    as NonFiniteRate.
     """
     edges = np.asarray(bin_edges, dtype=float)
     counts = np.asarray(counts, dtype=float)
@@ -260,8 +273,7 @@ def fit_biexponential(
     if len(counts_w) < 8:
         raise TooFewBins("too few bins after the peak to fit")
     x0 = _initial_guess(edges_w, counts_w, fit_background)
-    with np.errstate(all="ignore"):  # rejected trial steps may overflow
-        x, mu, J, n_iter, converged = _minimize_poisson(x0, edges_w, counts_w, fit_background)
+    x, mu, J, n_iter, converged = _minimize_poisson(x0, edges_w, counts_w, fit_background)
     gf, gs = float(np.exp(x[1])), float(np.exp(x[3]))
     # identifiability outranks convergence: a degenerate rate pair is
     # the usual reason the damped iteration stalls
@@ -269,6 +281,10 @@ def fit_biexponential(
         raise NonIdentifiable(
             f"fast/slow rate ratio {gf / gs:.3f} < 1.5; rates are degenerate"
         )
+    # a fast decay that has ended by the window's first inner edge leaves
+    # only its count in the first bin to fit, and gamma_f runs off
+    if math.exp(-gf * edges_w[1]) == 0.0:
+        raise NonIdentifiable(f"fast rate {gf:.3g} /ns decays within the first bin")
     if not converged:
         raise NotConverged("no convergence within 200 iterations")
     H = _observed_information(x, mu, J, edges_w, counts_w)
@@ -338,13 +354,16 @@ def fit_sinusoid(phases: np.ndarray, values: np.ndarray, sigmas: np.ndarray) -> 
         raise InsufficientPhaseSpan("need a 2*phi span of at least pi")
     s = np.asarray(sigmas, dtype=float)
     if np.any(s <= 0):
-        raise ValueError("sigmas must be positive")
+        raise InputError("sigmas must be positive")
     w = 1.0 / s**2
     X = np.stack([np.ones_like(phi), np.cos(2.0 * phi), np.sin(2.0 * phi)], axis=1)
     A = (X * w[:, None]).T @ X
     b = (X * w[:, None]).T @ val
-    coef = np.linalg.solve(A, b)
-    cov = np.linalg.inv(A)
+    try:
+        coef = np.linalg.solve(A, b)
+        cov = np.linalg.inv(A)
+    except np.linalg.LinAlgError:  # e.g. every 2*phi at 0 or pi: no sine term
+        raise InsufficientPhaseSpan("the phases leave the fringe undetermined") from None
     resid = val - X @ coef
     chi2 = float(np.sum(w * resid**2))
     dof = max(len(val) - 3, 1)
@@ -442,7 +461,7 @@ def r_lower_bound(nu_I: float) -> float:
     at small nu and stays monotone in floating point.
     """
     if not 0.0 <= nu_I <= 1.0:
-        raise ValueError(f"visibility must lie in [0, 1], got {nu_I}")
+        raise InputError(f"visibility must lie in [0, 1], got {nu_I}")
     return nu_I / (1.0 + math.sqrt(max(1.0 - nu_I**2, 0.0)))
 
 
@@ -486,10 +505,10 @@ def estimate_parameters(
     """
     for name, val in (("nu_I", nu_I), ("nu_gamma", nu_gamma)):
         if not 0.0 <= val <= 1.0:
-            raise ValueError(f"{name} must lie in [0, 1], got {val}")
+            raise InputError(f"{name} must lie in [0, 1], got {val}")
     for name, val in (("sigma_I", sigma_I), ("sigma_gamma", sigma_gamma)):
         if not (math.isfinite(val) and val > 0):
-            raise ValueError(f"{name} must be positive and finite, got {val}")
+            raise InputError(f"{name} must be positive and finite, got {val}")
 
     half = profile.core_half_width
     y0s = np.linspace(0.0, half, y0_points)
@@ -601,7 +620,7 @@ def analyze_sweep(
         name = histogram_names[i] if histogram_names else f"histogram {i}"
         try:
             fit = fit_biexponential(bin_edges, row, fit_background)
-        except (TooFewBins, NonIdentifiable, NotConverged) as exc:
+        except NumericalError as exc:
             raise type(exc)(f"{name}: {exc}") from exc
         rate, sigma = fit.derived["gamma_rad"], fit.derived["gamma_rad_sigma"]
         if not (math.isfinite(rate) and math.isfinite(sigma)):

@@ -34,8 +34,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import InputError, NumericalError
 
-class ModeSolverError(Exception):
+
+class ModeSolverError(NumericalError):
     """Base class for mode-solver failures."""
 
 
@@ -47,7 +49,7 @@ class GridTooCoarse(ModeSolverError):
     """The requested grid cannot represent the mode consistently."""
 
 
-class OutOfRange(ModeSolverError, ValueError):
+class OutOfRange(ModeSolverError):
     """A queried position lies outside the computed grid."""
 
 
@@ -70,13 +72,13 @@ class WaveguideGeometry:
 
     def __post_init__(self) -> None:
         if self.width_nm <= 0 or self.thickness_nm <= 0:
-            raise ValueError("waveguide dimensions must be positive")
+            raise InputError("waveguide dimensions must be positive")
         if self.clad_index < 1.0:
-            raise ValueError("clad_index must be >= 1")
+            raise InputError("clad_index must be >= 1")
         if self.core_index <= self.clad_index:
-            raise ValueError("core_index must exceed clad_index")
+            raise InputError("core_index must exceed clad_index")
         if self.wavelength_nm <= 0:
-            raise ValueError("wavelength_nm must be positive")
+            raise InputError("wavelength_nm must be positive")
 
     @property
     def k0(self) -> float:
@@ -107,7 +109,7 @@ class ModeProfile:
 def bisect_root(f: Callable[[float], float], lo: float, hi: float) -> float:
     """Root of f on [lo, hi] by bisection down to adjacent floats.
 
-    f(lo) and f(hi) must differ in sign (ValueError otherwise).  Returns
+    f(lo) and f(hi) must differ in sign (InputError otherwise).  Returns
     an exact zero if one is hit, else whichever of the two final
     neighbouring floats, between which f changes sign, has the smaller
     |f| (the upper one on a tie).
@@ -118,7 +120,7 @@ def bisect_root(f: Callable[[float], float], lo: float, hi: float) -> float:
     if f_hi == 0.0:
         return hi
     if (f_lo < 0.0) == (f_hi < 0.0):
-        raise ValueError("f does not change sign on the bracket")
+        raise InputError("f does not change sign on the bracket")
     while True:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
@@ -150,7 +152,7 @@ def _solve_even_slab(V: float, R: float) -> float:
         raise NoBoundMode("slab V-number too small to bracket a mode")
     try:
         return bisect_root(g, lo, hi)
-    except ValueError as exc:  # no sign change on the bracket
+    except InputError as exc:  # no sign change on the bracket
         raise NoBoundMode("no guided slab solution in bracket") from exc
 
 
@@ -208,7 +210,7 @@ def solve_te0(geom: WaveguideGeometry, n_points: int = DEFAULT_GRID_POINTS) -> M
     transverse oscillation or the evanescent decay.
     """
     if n_points < 64:
-        raise ValueError("n_points must be at least 64")
+        raise InputError("n_points must be at least 64")
     sol = _solve_width(geom)
 
     half_w = geom.width_nm / 2.0

@@ -28,6 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import InputError
+
 
 @dataclass(frozen=True)
 class MirrorChain:
@@ -46,7 +48,7 @@ class MirrorChain:
         for name in ("t_phi_sq", "t_wg_sq", "r_M_mag"):
             val = getattr(self, name)
             if not 0.0 <= val <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {val}")
+                raise InputError(f"{name} must lie in [0, 1], got {val}")
 
     @property
     def magnitude(self) -> float:
@@ -72,14 +74,14 @@ class PhotonicCrystalSpec:
 
     def __post_init__(self) -> None:
         if self.n_holes < 0:
-            raise ValueError("n_holes must be non-negative")
+            raise InputError("n_holes must be non-negative")
         if self.pitch_nm <= 0 or self.hole_radius_nm < 0:
-            raise ValueError("pitch and hole radius must be positive")
+            raise InputError("pitch and hole radius must be positive")
         if 2.0 * self.hole_radius_nm >= self.pitch_nm:
-            raise ValueError("hole diameter must be smaller than the pitch")
+            raise InputError("hole diameter must be smaller than the pitch")
         for name in ("n_unetched", "n_hole", "termination_index"):
             if getattr(self, name) < 1.0:
-                raise ValueError(f"{name} must be >= 1")
+                raise InputError(f"{name} must be >= 1")
 
     @property
     def bragg_wavelength_nm(self) -> float:
@@ -156,7 +158,7 @@ def _crystal_reflectivity(spec: PhotonicCrystalSpec, wavelengths_nm: np.ndarray)
 def tmm_reflectivity(spec: PhotonicCrystalSpec, wavelength_nm: float) -> complex:
     """Complex modal reflection r_M of the etched mirror section."""
     if wavelength_nm <= 0:
-        raise ValueError("wavelength must be positive")
+        raise InputError("wavelength must be positive")
     return complex(_crystal_reflectivity(spec, np.array([wavelength_nm], dtype=float))[0])
 
 
@@ -175,6 +177,6 @@ def reflectivity_sweep(
 def waveguide_transmission(loss_db_per_mm: float, length_nm: float) -> float:
     """One-way power transmittivity of a lossy waveguide stretch."""
     if loss_db_per_mm < 0 or length_nm < 0:
-        raise ValueError("loss and length must be non-negative")
+        raise InputError("loss and length must be non-negative")
     loss_db = loss_db_per_mm * length_nm * 1e-6
     return 10.0 ** (-loss_db / 10.0)

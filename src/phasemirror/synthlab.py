@@ -26,9 +26,10 @@ import numpy as np
 from . import emission
 from .csvio import MalformedCSV, read_csv, read_header, write_csv
 from .emission import DipoleOrientation, EmitterScene
+from .errors import InputError, NumericalError
 
 
-class OutOfCalibration(ValueError):
+class OutOfCalibration(InputError):
     """Requested voltage outside the calibrated range."""
 
 
@@ -55,16 +56,16 @@ class PhaseCalibration:
     def __post_init__(self) -> None:
         if self.model is CalibrationModel.TABLE:
             if not self.table or len(self.table) < 2:
-                raise ValueError("table calibration needs at least two knots")
+                raise InputError("table calibration needs at least two knots")
             volts = [v for v, _ in self.table]
             phases = [p for _, p in self.table]
             if any(b <= a for a, b in zip(volts, volts[1:])):
-                raise ValueError("table voltages must be strictly increasing")
+                raise InputError("table voltages must be strictly increasing")
             diffs = [b - a for a, b in zip(phases, phases[1:])]
             if not (all(d >= 0 for d in diffs) or all(d <= 0 for d in diffs)):
-                raise ValueError("table phase must be monotone in voltage")
+                raise InputError("table phase must be monotone in voltage")
         elif self.quad_coeff is None:
-            raise ValueError("quadratic calibration needs quad_coeff")
+            raise InputError("quadratic calibration needs quad_coeff")
 
     def span(self) -> tuple[float, float]:
         if self.model is CalibrationModel.TABLE:
@@ -95,13 +96,31 @@ def bin_midpoints(bin_edges: np.ndarray) -> np.ndarray:
 def default_bin_edges(t_max_ns: float = 25.0, n_bins: int = 500) -> np.ndarray:
     """Uniform acquisition window, 0 to t_max in n_bins bins."""
     if t_max_ns <= 0 or n_bins < 1:
-        raise ValueError("need positive window and at least one bin")
+        raise InputError("need positive window and at least one bin")
     return np.linspace(0.0, t_max_ns, n_bins + 1)
 
 
 def _rng(seed: int | np.random.SeedSequence) -> np.random.Generator:
     # Philox takes an int through SeedSequence(seed)
     return np.random.Generator(np.random.Philox(seed))
+
+
+def _poisson(seed: np.random.SeedSequence, lam, key: str, value: float):
+    """Poisson counts of mean lam drawn from seed's stream.
+
+    A finite mean too large for numpy is an InputError naming the config
+    key that scales it; a mean that is not finite is a NumericalError.
+    """
+    try:
+        return _rng(seed).poisson(lam)
+    except ValueError as exc:  # numpy's "lam value too large", or a nan mean
+        if not np.isfinite(lam).all():
+            raise NumericalError(
+                f"the expected counts scaled by sweep.{key} are not finite"
+            ) from None
+        raise InputError(
+            f"sweep.{key} = {value:g}: cannot draw Poisson counts: {exc}"
+        ) from None
 
 
 def exp_bin_integrals(
@@ -180,12 +199,12 @@ def _expectation(
         slow = amp_ratio * exp_bin_integrals([gamma_s], edges)
     else:
         if irf_sigma <= 0:
-            raise ValueError("irf_sigma must be positive when given")
+            raise InputError("irf_sigma must be positive when given")
         mids = bin_midpoints(edges)
         slow = amp_ratio * _exgauss_density(mids, [gamma_s], irf_sigma)
     signal_total = total_counts - background * len(widths)
     if signal_total <= 0:
-        raise ValueError("total_counts must exceed the background budget")
+        raise InputError("total_counts must exceed the background budget")
 
     def expected(gammas_f: Sequence[float]) -> np.ndarray:
         if irf_sigma is None:
@@ -238,7 +257,7 @@ def generate_sweep(
     """
     noiseless = math.isinf(counts_scale)
     if not noiseless and hist_counts <= 0:
-        raise ValueError("total_counts must be positive")
+        raise InputError("total_counts must be positive")
     edges, expected_counts = _expectation(
         scene.gamma_nrad, amp_ratio, background, hist_counts, bin_edges, irf_sigma
     )
@@ -252,7 +271,9 @@ def generate_sweep(
         if noiseless:
             intensity_counts = expected
         else:
-            intensity_counts = float(_rng(ss_intensity).poisson(counts_scale * expected))
+            intensity_counts = float(
+                _poisson(ss_intensity, counts_scale * expected, "counts_scale", counts_scale)
+            )
         phis.append(phi)
         counts.append(intensity_counts)
         gammas_f.append(emission.decay_rate(
@@ -265,7 +286,7 @@ def generate_sweep(
         histograms[block] = expected_counts(gammas_f[block])
         if not noiseless:
             for row, ss_hist in zip(histograms[block], hist_streams[block]):
-                row[:] = _rng(ss_hist).poisson(row)
+                row[:] = _poisson(ss_hist, row, "hist_counts", hist_counts)
     return np.array(phis), np.array(counts), histograms
 
 

@@ -270,12 +270,14 @@ def _device_error(doc):
     return None
 
 
-def _nan_error(doc):
-    """'<dotted path> is nan' for the first nan of doc in document order."""
+def _non_finite_error(doc):
+    """'<dotted path> is <value>' for the first nan or inf of doc in document
+    order; sweep.counts_scale may be inf, the noiseless mode."""
     for path in _paths(doc):
         value = _node(doc, path)
-        if isinstance(value, float) and math.isnan(value):
-            return f"{'.'.join(map(str, path))} is nan"
+        if isinstance(value, float) and not math.isfinite(value):
+            if path != ("sweep", "counts_scale") or value != math.inf:
+                return f"{'.'.join(map(str, path))} is {value}"
     return None
 
 
@@ -291,9 +293,10 @@ def test_error_text_matches_jsonschema_on_random_mutations(data):
     doc = copy.deepcopy(data.draw(st.sampled_from([DEFAULT_CONFIG, QD1_PRESET])))
     for _ in range(data.draw(st.sampled_from([1, 1, 2, 3, 4]))):
         _mutate(data.draw, doc)
-    # a nan passes every schema bound, so from_dict rejects it next; this
-    # step is the one departure from jsonschema, and it is on purpose
-    want = _oracle_message(doc) or _nan_error(doc)
+    # a nan passes every schema bound, and inf every lower bound, so
+    # from_dict rejects them next; this step is the one departure from
+    # jsonschema, and it is on purpose
+    want = _oracle_message(doc) or _non_finite_error(doc)
     if want is None:
         # the schema accepts doc; its values must also describe a device
         reason = _device_error(doc)
@@ -332,6 +335,30 @@ def test_first_nan_in_document_order_is_named():
     doc["sweep"]["v_stop"] = float("nan")
     with pytest.raises(ConfigError, match=r"^invalid config: calibration\.table\.1\.1 is nan$"):
         RunConfig.from_dict(doc)
+
+
+@pytest.mark.parametrize(
+    "path, value, text",
+    [
+        (("emitter", "gamma_y0"), math.inf, "inf"),
+        (("emitter", "y0_nm"), -math.inf, "-inf"),
+        (("sweep", "t_max_ns"), math.inf, "inf"),
+        (("sweep", "hist_counts"), math.inf, "inf"),
+        (("mirror", "lambda_max_nm"), math.inf, "inf"),
+        (("calibration", "quad_offset"), -math.inf, "-inf"),
+        (("r_T_mag",), -math.inf, None),  # below the schema's minimum first
+        (("geometry", "width_nm"), 10**400, "beyond the float range"),
+    ],
+)
+def test_non_finite_value_is_rejected_by_its_dotted_path(path, value, text):
+    doc = copy.deepcopy(QD1_PRESET)
+    _node(doc, path[:-1])[path[-1]] = value
+    with pytest.raises(ConfigError) as got:
+        RunConfig.from_dict(doc)
+    if text is None:
+        assert "less than the minimum" in str(got.value)
+    else:
+        assert str(got.value) == f"invalid config: {'.'.join(path)} is {text}"
 
 
 def test_infinite_counts_scale_stays_the_noiseless_mode():

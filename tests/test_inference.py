@@ -22,6 +22,7 @@ from phasemirror.inference import (
     InsufficientPhaseSpan,
     MalformedRow,
     NonIdentifiable,
+    TooFewBins,
     VisibilityEstimate,
     _initial_guess,
     _observed_information,
@@ -403,8 +404,17 @@ class TestBiexponentialFit:
     def test_too_few_bins_rejected(self):
         edges = np.linspace(0.0, 1.0, 6)
         hist = expected_histogram(PLAIN, 1e4, bin_edges=edges)
-        with pytest.raises(ValueError, match="too few bins"):
+        with pytest.raises(TooFewBins, match="too few bins"):
             fit_biexponential(hist.bin_edges, hist.counts)
+
+    def test_fast_decay_within_the_first_bin_is_non_identifiable(self):
+        # one exponential plus a spike in the first bin: the fast rate has
+        # no count after that bin to fix it, and runs off
+        edges = np.linspace(0.0, 25.0, 501)
+        counts = np.round(1e3 * np.exp(-0.1 * 0.5 * (edges[:-1] + edges[1:])))
+        counts[0] += 1e3
+        with pytest.raises(NonIdentifiable, match="decays within the first bin"):
+            fit_biexponential(edges, counts)
 
 
 class TestSinusoidFit:
@@ -455,6 +465,13 @@ class TestSinusoidFit:
         phi = np.linspace(0.0, 2.2, 10)
         with pytest.raises(ValueError, match="sigmas"):
             fit_sinusoid(phi, np.ones(10), np.zeros(10))
+
+    def test_singular_normal_matrix_rejected(self):
+        # every 2*phi at 0 or pi, as a flat table calibration gives: no
+        # sine term, and LAPACK finds the normal matrix singular
+        phi = np.array([0.0, 0.0, 0.5 * math.pi, 0.5 * math.pi, 0.5 * math.pi, 0.5 * math.pi])
+        with pytest.raises(InsufficientPhaseSpan, match="undetermined"):
+            fit_sinusoid(phi, np.full(6, 100.0), np.full(6, 10.0))
 
     @given(
         mean=st.floats(0.5, 50.0),
