@@ -46,7 +46,7 @@ import numpy as np
 
 from .emission import EmitterScene
 from .errors import InputError
-from .modesolver import WINDOW_MARGIN_NM, WaveguideGeometry
+from .modesolver import DEFAULT_GRID_POINTS, WINDOW_MARGIN_NM, WaveguideGeometry
 from .opticalstack import MirrorChain, PhotonicCrystalSpec, waveguide_transmission
 from .synthlab import CalibrationModel, PhaseCalibration, default_bin_edges
 
@@ -64,7 +64,7 @@ _TABLE = {
         "core_index": (_POS, 3.48),
         "clad_index": (_POS, 1.0),
         "wavelength_nm": (_POS, 930.0),
-        "grid_points": ({"type": "integer", "minimum": 64}, 513),
+        "grid_points": ({"type": "integer", "minimum": 64}, DEFAULT_GRID_POINTS),
     },
     "mirror": {
         "n_holes": ({"type": "integer", "minimum": 0}, 12),

@@ -85,18 +85,6 @@ class EmitterScene:
     def theta(self) -> float:
         return 2.0 * self.k * self.L
 
-    @property
-    def beta_x0(self) -> float:
-        if self.gamma_x0 == 0.0:
-            return 0.0
-        return self.gamma_x0 / (self.gamma_x0 + self.gamma_b)
-
-    @property
-    def beta_y0(self) -> float:
-        if self.gamma_y0 == 0.0:
-            return 0.0
-        return self.gamma_y0 / (self.gamma_y0 + self.gamma_b)
-
 
 def scalar_green(x: float, x_src: float, k: float) -> complex:
     """1D scalar Green's function (i/2k) e^{ik|x - x_src|}."""
@@ -242,12 +230,15 @@ def _extremal_phases(theta: float) -> tuple[float, float]:
     return phi_plus, phi_minus
 
 
+N_PHI = 201  # phases of figure1c_curves over one fringe period
+N_OFFSETS = 201  # lateral offsets of figure1d_curves across the core
+
+
 def figure1c_curves(
     scene: EmitterScene,
     weights: tuple[float, float],
     r_T_mag: float,
     dip: DipoleOrientation = DipoleOrientation.Y,
-    n_phi: int = 201,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Phase sweep as columns (phi, total rate, relative intensity).
 
@@ -256,9 +247,7 @@ def figure1c_curves(
     attains the analytic extrema exactly.  Each value has the bits of
     the scalar decay_rate or intensity call at its phase.
     """
-    if n_phi < 2:
-        raise InputError("need at least two phase points")
-    phis = set(np.linspace(0.0, math.pi, n_phi, endpoint=False).tolist())
+    phis = set(np.linspace(0.0, math.pi, N_PHI, endpoint=False).tolist())
     phis.update(_extremal_phases(scene.theta))
     phis = sorted(phis)
     gammas = decay_rate(scene, r_T_mag, np.array(phis), dip)
@@ -288,7 +277,6 @@ def figure1d_curves(
     profile: ModeProfile,
     scene: EmitterScene,
     r_T_mag: float,
-    n_offsets: int = 201,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Offset sweep as columns (y0, nu_I, nu_gamma) across the waveguide width.
 
@@ -300,11 +288,11 @@ def figure1d_curves(
     """
     _check_reflectivity(r_T_mag)
     half = profile.core_half_width
-    y0 = np.linspace(-half, half, n_offsets)
+    y0 = np.linspace(-half, half, N_OFFSETS)
     nu_i = visibility_intensity_mixed(r_T_mag, mode_weights(profile, y0))
     gx, gy = offset_scaled_rates(profile, scene, y0)
-    # beta is 0 where the rate is 0, as in EmitterScene.beta_x0; with
-    # gamma_b = 0 the quotient would be 0/0 at the centre, where e_x vanishes
+    # beta is 0 where the rate is 0: with gamma_b = 0 the quotient would
+    # be 0/0 at the centre, where e_x vanishes
     beta_x, beta_y = (
         np.divide(g, g + scene.gamma_b, out=np.zeros_like(g), where=g != 0.0)
         for g in (gx, gy)

@@ -352,6 +352,8 @@ def fit_sinusoid(phases: np.ndarray, values: np.ndarray, sigmas: np.ndarray) -> 
         raise InsufficientPhaseSpan("need at least 6 phase points")
     if float(np.ptp(2.0 * phi)) < math.pi - 1e-9:
         raise InsufficientPhaseSpan("need a 2*phi span of at least pi")
+    if len(set(np.mod(2.0 * phi, 2.0 * math.pi).tolist())) < 3:
+        raise InsufficientPhaseSpan("fewer than 3 distinct 2*phi mod 2*pi: fringe undetermined")
     s = np.asarray(sigmas, dtype=float)
     if np.any(s <= 0):
         raise InputError("sigmas must be positive")
@@ -362,7 +364,7 @@ def fit_sinusoid(phases: np.ndarray, values: np.ndarray, sigmas: np.ndarray) -> 
     try:
         coef = np.linalg.solve(A, b)
         cov = np.linalg.inv(A)
-    except np.linalg.LinAlgError:  # e.g. every 2*phi at 0 or pi: no sine term
+    except np.linalg.LinAlgError:  # distinct angles so close that A rounds to singular
         raise InsufficientPhaseSpan("the phases leave the fringe undetermined") from None
     resid = val - X @ coef
     chi2 = float(np.sum(w * resid**2))
@@ -473,6 +475,9 @@ SIGMA_FLOOR_GAMMA = 0.05
 # sigmas of a tabulated row without its nu_I_err or nu_gamma_err column
 TABLE1_SIGMA_I = 0.05
 TABLE1_SIGMA_GAMMA = 0.04
+# the (|r_T|, y0, beta_y0) grid, y0 up to the core edge; MAX_STORED triples kept
+R_POINTS, Y0_POINTS, BETA_POINTS = 101, 201, 101
+MAX_STORED = 2000
 
 
 def estimate_parameters(
@@ -481,11 +486,7 @@ def estimate_parameters(
     profile: ModeProfile,
     sigma_I: float = SIGMA_FLOOR_I,
     sigma_gamma: float = SIGMA_FLOOR_GAMMA,
-    r_points: int = 101,
-    y0_points: int = 201,
-    beta_points: int = 101,
     theta_offset: float = math.nan,
-    max_stored: int = 2000,
 ) -> VisibilityEstimate:
     """Bound (r_T, beta_y0, y0) on a grid by a measured visibility pair.
 
@@ -510,12 +511,11 @@ def estimate_parameters(
         if not (math.isfinite(val) and val > 0):
             raise InputError(f"{name} must be positive and finite, got {val}")
 
-    half = profile.core_half_width
-    y0s = np.linspace(0.0, half, y0_points)
+    y0s = np.linspace(0.0, profile.core_half_width, Y0_POINTS)
     wx, wy = mode_weights(profile, y0s)
     wy0 = mode_weights(profile, 0.0)[1]
-    rs = np.linspace(0.0, 1.0, r_points)
-    betas = np.linspace(0.0, 1.0, beta_points)
+    rs = np.linspace(0.0, 1.0, R_POINTS)
+    betas = np.linspace(0.0, 1.0, BETA_POINTS)
     empty = EmptyFeasibleSet(
         f"no (r_T, beta_y0, y0) reproduces nu_I={nu_I} and nu_gamma={nu_gamma} "
         f"within {N_SIGMA} sigma"
@@ -535,21 +535,21 @@ def estimate_parameters(
     # -tol (at or below the float under it), the first stop at or below tol
     num = (betas * np.abs(wy - wx)[:, None]).ravel()
     den = (betas * (wy + wx)[:, None] + 2.0 * wy0 * (1.0 - betas)).ravel()
-    last, r_cell = yi * beta_points - 1, rs[ri]
+    last, r_cell = yi * BETA_POINTS - 1, rs[ri]
     tol = N_SIGMA * sigma_gamma
     bound = np.array([[math.nextafter(-tol, -math.inf)], [tol]])
     # binary lifting: both prefixes of every cell at once, each grown by
     # the halving powers of two that keep its betas within the bound; a
     # prefix grown past the last beta, which passes, stands for all betas
     edge = np.zeros((2, len(ri)), dtype=np.intp)
-    step = (1 << int(beta_points).bit_length()) >> 1  # 0 for no betas
+    step = (1 << BETA_POINTS.bit_length()) >> 1
     while step:
         grow = edge + step
-        at = last + np.minimum(grow, beta_points)
+        at = last + np.minimum(grow, BETA_POINTS)
         dev = np.take(num, at) * r_cell / np.take(den, at) - nu_gamma
         edge = np.where(dev <= bound, grow, edge)
         step >>= 1
-    start, stop = np.minimum(edge, beta_points)
+    start, stop = np.minimum(edge, BETA_POINTS)
     length = stop - start
     ends = np.cumsum(length)
     n_feasible = int(ends[-1])
@@ -557,7 +557,7 @@ def estimate_parameters(
         raise empty
     # the runs laid end to end, cell by cell, are the C order of the full
     # (r_T, y0, beta_y0) grid, because the cells are
-    stride = max(1, math.ceil(n_feasible / max_stored))
+    stride = max(1, math.ceil(n_feasible / MAX_STORED))
     kept = np.arange(0, n_feasible, stride)
     cell = np.searchsorted(ends, kept, side="right")
     bi = start[cell] + kept - (ends[cell] - length[cell])

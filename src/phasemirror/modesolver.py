@@ -167,7 +167,7 @@ class _WidthSolution:
 
 
 def _solve_width(geom: WaveguideGeometry) -> _WidthSolution:
-    k0 = 2.0 * np.pi / geom.wavelength_nm
+    k0 = geom.k0
     half_t = geom.thickness_nm / 2.0
     V_t = k0 * half_t * np.sqrt(geom.core_index**2 - geom.clad_index**2)
     u_t = _solve_even_slab(V_t, 1.0)

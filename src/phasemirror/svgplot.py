@@ -23,6 +23,7 @@ _MARGIN_L = 72
 _MARGIN_R = 20
 _MARGIN_T = 36
 _MARGIN_B = 52
+_TICK_TARGET = 6  # about this many ticks per axis, at 1-2-5 steps
 
 
 def escape(text: str) -> str:
@@ -44,22 +45,22 @@ def _widen(lo: float, hi: float) -> tuple[float, float]:
     return (lo - d, lo) if lo > 0 else (lo, lo + d)
 
 
-def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
+def _nice_ticks(lo: float, hi: float) -> list[float]:
     """Round tick positions using the usual 1-2-5 progression."""
     if not (math.isfinite(lo) and math.isfinite(hi)):
         return [0.0, 1.0]
     lo, hi = _widen(lo, hi)
     span = hi - lo
-    raw = span / max(target - 1, 1)
+    raw = span / (_TICK_TARGET - 1)
     mag = 10.0 ** math.floor(math.log10(raw)) if 0.0 < raw < math.inf else 0.0
     if mag == 0.0:
         # the span overflows, or is a few subnormals wide: tick a copy
         # scaled by a power of two, then scale the ticks back
         s = 0.5 if raw == math.inf else 2.0**600
-        return [t / s for t in _nice_ticks(lo * s, hi * s, target)]
+        return [t / s for t in _nice_ticks(lo * s, hi * s)]
     for mult in (1.0, 2.0, 5.0, 10.0):
         step = mult * mag
-        if span / step <= target + 0.5:
+        if span / step <= _TICK_TARGET + 0.5:
             break
     first = math.ceil(lo / step) * step
     ticks = []

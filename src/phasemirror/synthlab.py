@@ -93,7 +93,7 @@ def bin_midpoints(bin_edges: np.ndarray) -> np.ndarray:
     return 0.5 * (edges[:-1] + edges[1:])
 
 
-def default_bin_edges(t_max_ns: float = 25.0, n_bins: int = 500) -> np.ndarray:
+def default_bin_edges(t_max_ns: float, n_bins: int) -> np.ndarray:
     """Uniform acquisition window, 0 to t_max in n_bins bins."""
     if t_max_ns <= 0 or n_bins < 1:
         raise InputError("need positive window and at least one bin")
@@ -162,18 +162,27 @@ def exp_bin_integrals(
 
 def _exgauss_density(t: np.ndarray, gammas: Sequence[float], sigma: float) -> np.ndarray:
     # exponential decay starting at t=0 convolved with a zero-mean Gaussian,
-    # one row per rate
+    # one row per rate.  A density that overflows (sigma * gamma above ~37)
+    # is a NumericalError, raised without a floating-point warning
     g = np.asarray(gammas, dtype=float)
-    arg = (sigma**2 * g[:, None] - t) / (math.sqrt(2.0) * sigma)
-    # math.erfc(x) is exactly 2.0 for x <= -6: 2 - erfc(-6) ~ 2e-17 is below
-    # half an ulp of 2, so only the other bins (a nan too) need the call
-    erfc = np.full_like(arg, 2.0)
-    call = ~(arg <= -6.0)
-    erfc[call] = np.fromiter(map(math.erfc, arg[call].tolist()), float)
+    refused = NumericalError(f"sweep.irf_sigma_ns = {sigma:g}: the blurred density is not finite")
     # the exponent's constant term rate by rate in Python floats: numpy's
     # square and pow(gamma, 2) differ in the last bit for ~1 rate in 1000
-    lead = np.array([sigma**2 * gamma**2 / 2.0 for gamma in g.tolist()])
-    return 0.5 * np.exp(lead[:, None] - g[:, None] * t) * erfc
+    try:
+        lead = np.array([sigma**2 * gamma**2 / 2.0 for gamma in g.tolist()])
+    except OverflowError:  # a square beyond the float range
+        raise refused from None
+    with np.errstate(over="ignore", invalid="ignore"):
+        arg = (sigma**2 * g[:, None] - t) / (math.sqrt(2.0) * sigma)
+        # math.erfc(x) is exactly 2.0 for x <= -6: 2 - erfc(-6) ~ 2e-17 is below
+        # half an ulp of 2, so only the other bins (a nan too) need the call
+        erfc = np.full_like(arg, 2.0)
+        call = ~(arg <= -6.0)
+        erfc[call] = np.fromiter(map(math.erfc, arg[call].tolist()), float)
+        density = 0.5 * np.exp(lead[:, None] - g[:, None] * t) * erfc
+    if not np.isfinite(density).all():
+        raise refused
+    return density
 
 
 def _expectation(
@@ -181,7 +190,7 @@ def _expectation(
     amp_ratio: float,
     background: float,
     total_counts: float,
-    bin_edges: np.ndarray | None = None,
+    bin_edges: np.ndarray,
     irf_sigma: float | None = None,
 ) -> tuple[np.ndarray, Callable[[Sequence[float]], np.ndarray]]:
     """(bin_edges, expected): expected counts of decays that differ only in gamma_f.
@@ -193,7 +202,7 @@ def _expectation(
     sampled at bin midpoints (adequate for sigma well below the window
     length).
     """
-    edges = default_bin_edges() if bin_edges is None else np.asarray(bin_edges, dtype=float)
+    edges = np.asarray(bin_edges, dtype=float)
     widths = np.diff(edges)
     if irf_sigma is None:
         slow = amp_ratio * exp_bin_integrals([gamma_s], edges)
@@ -227,10 +236,10 @@ def generate_sweep(
     voltages: list[float],
     counts_scale: float,
     seed: int,
+    bin_edges: np.ndarray,
     amp_ratio: float = 0.05,
     background: float = 0.0,
     hist_counts: float = 100_000.0,
-    bin_edges: np.ndarray | None = None,
     irf_sigma: float | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Simulate a voltage sweep as (phis, intensity counts, histogram counts).
@@ -248,12 +257,11 @@ def generate_sweep(
     others are generated.  Each column is in the order of the voltages.
 
     The histograms are one float64 matrix, a row of counts per point on
-    bin_edges (default_bin_edges() if None).  Every row is bit for bit
-    the histogram of its point's rates alone: the slow component is
-    computed once per sweep and the expected counts of up to
-    _SWEEP_BLOCK points at a time as one array.  What every point shares
-    (hist_counts, irf_sigma, the background budget) is checked before
-    the first point.
+    bin_edges.  Every row is bit for bit the histogram of its point's
+    rates alone: the slow component is computed once per sweep and the
+    expected counts of up to _SWEEP_BLOCK points at a time as one array.
+    What every point shares (hist_counts, irf_sigma, the background
+    budget) is checked before the first point.
     """
     noiseless = math.isinf(counts_scale)
     if not noiseless and hist_counts <= 0:

@@ -37,11 +37,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from phasemirror.config import DEFAULT_CONFIG
 from phasemirror.emission import DipoleOrientation
 from phasemirror.inference import biexp_model
 from phasemirror.modesolver import ModeProfile, WaveguideGeometry, _solve_width
 from phasemirror.opticalstack import MirrorChain, PhotonicCrystalSpec
-from phasemirror.synthlab import _expectation, _rng
+from phasemirror.synthlab import _expectation, _rng, default_bin_edges
+
+# the default config's acquisition window, the bins of a histogram built
+# without its own
+DEFAULT_EDGES = default_bin_edges(
+    DEFAULT_CONFIG["sweep"]["t_max_ns"], DEFAULT_CONFIG["sweep"]["n_bins"]
+)
 
 # ---------------------------------------------------------------------------
 # transfer matrices
@@ -276,9 +283,14 @@ def expected_histogram(
     bin_edges: np.ndarray | None = None,
     irf_sigma: float | None = None,
 ) -> DecayHistogram:
-    """One point's noiseless expectation curve (float counts), default bins if none."""
+    """One point's noiseless expectation curve (float counts), DEFAULT_EDGES if no bins."""
     edges, expected = _expectation(
-        model.gamma_s, model.amp_ratio, model.background, total_counts, bin_edges, irf_sigma
+        model.gamma_s,
+        model.amp_ratio,
+        model.background,
+        total_counts,
+        DEFAULT_EDGES if bin_edges is None else bin_edges,
+        irf_sigma,
     )
     return DecayHistogram(edges, expected([model.gamma_f])[0])
 

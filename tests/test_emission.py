@@ -1,5 +1,6 @@
 import csv
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oracles import rate_modulation, visibility_rate_centered
+from phasemirror import emission
 from phasemirror.cli import main
 from phasemirror.emission import (
     DegenerateRates,
@@ -252,14 +254,6 @@ class TestScene:
         scene = make_scene(L=12_345.0)
         assert scene.theta == 2.0 * scene.k * 12_345.0
 
-    def test_beta_factors(self):
-        scene = make_scene(gamma_x0=0.3)
-        assert scene.beta_x0 == pytest.approx(0.3 / 0.4)
-        assert scene.beta_y0 == pytest.approx(1.0 / 1.1)
-        bare = make_scene(gamma_x0=0.0, gamma_b=0.0)
-        assert bare.beta_x0 == 0.0
-        assert bare.beta_y0 == 1.0
-
     def test_validation(self):
         with pytest.raises(ValueError):
             make_scene(gamma_y0=-0.1)
@@ -278,7 +272,8 @@ class TestFigureCurves:
 
     def test_phase_curve_lock(self):
         scene = make_scene()
-        _, gammas, ints = figure1c_curves(scene, (0.0, 1.0), 0.5, Y, n_phi=801)
+        with mock.patch.object(emission, "N_PHI", 801):
+            _, gammas, ints = figure1c_curves(scene, (0.0, 1.0), 0.5, Y)
         assert len(gammas) >= 801
         assert np.argmax(gammas) == np.argmax(ints)
 
@@ -288,9 +283,19 @@ class TestFigureCurves:
         mid = len(y0) // 2
         assert y0[mid] == pytest.approx(0.0, abs=1e-12)
         assert nu_i[mid] == pytest.approx(0.8, abs=1e-12)
-        assert nu_g[mid] == pytest.approx(0.5 * scene.beta_y0 * 0.5, abs=1e-12)
+        assert nu_g[mid] == pytest.approx(visibility_rate_centered(1.0 / 1.1, 0.5), abs=1e-12)
         assert np.max(np.abs(nu_i - nu_i[::-1])) < 1e-10
         assert np.max(np.abs(nu_g - nu_g[::-1])) < 1e-10
+
+    @pytest.mark.parametrize("gamma_b, beta_y0", [(0.1, 1.0 / 1.1), (0.0, 1.0)])
+    def test_offset_curves_beta_factors_at_center(self, default_profile, gamma_b, beta_y0):
+        # beta_x is 0 where e_x vanishes, also with gamma_b = 0, where the
+        # quotient would be 0/0; beta_y is gamma_y0 / (gamma_y0 + gamma_b)
+        y0, _, nu_g = figure1d_curves(default_profile, make_scene(gamma_b=gamma_b), 0.5)
+        mid = len(y0) // 2
+        want = visibility_rate(0.0, beta_y0, 1.0, 1.0, 0.5, AVG)
+        assert want == pytest.approx(visibility_rate_centered(beta_y0, 0.5))
+        assert nu_g[mid] == pytest.approx(want, abs=1e-12)
 
     @pytest.mark.parametrize("r", [0.0, 0.6, 1.0])
     def test_offset_curves_equal_the_per_offset_loop(self, default_profile, r):
@@ -323,7 +328,9 @@ class TestFigureCurves:
 
     def test_offset_nu_i_monotone_to_crossing(self, default_profile):
         scene = make_scene()
-        y0, nu_i, _ = figure1d_curves(default_profile, scene, 0.5, n_offsets=401)
+        with mock.patch.object(emission, "N_OFFSETS", 401):
+            y0, nu_i, _ = figure1d_curves(default_profile, scene, 0.5)
+        assert len(y0) == 401
         half = [(y, v) for y, v in zip(y0.tolist(), nu_i.tolist()) if y >= 0]
         values = [v for _, v in half]
         crossing = int(np.argmin(values))

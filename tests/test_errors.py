@@ -13,6 +13,7 @@ import inspect
 import json
 import math
 import pkgutil
+import warnings
 
 import numpy as np
 import pytest
@@ -135,6 +136,24 @@ def test_count_scale_too_large_to_sample_is_input_error(tmp_path, capsys, key):
     cfg = _write_config(tmp_path / "c.json", _preset(**{f"sweep__{key}": 1e300}))
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "sim")]) == 2
     assert capsys.readouterr().err.startswith(f"error: sweep.{key} = 1e+300: ")
+
+
+@pytest.mark.parametrize(
+    "changes",
+    [
+        # sigma * gamma near 65: the exponential overflows where erfc underflows
+        dict(emitter__gamma_y0=8.00963399956556, sweep__irf_sigma_ns=9.708544180555629),
+        # a rate whose square is beyond the float range
+        dict(emitter__gamma_y0=1e200, sweep__irf_sigma_ns=0.2),
+    ],
+)
+def test_blurred_density_that_is_not_finite_is_numerical_error(tmp_path, capsys, changes):
+    cfg = _write_config(tmp_path / "c.json", _preset(**changes))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "sim")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: sweep.irf_sigma_ns = ") and "not finite" in err
 
 
 @pytest.mark.parametrize("command", ["mode", "simulate"])

@@ -1,6 +1,7 @@
 import copy
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -36,6 +37,7 @@ from phasemirror.inference import (
     read_table1_csv,
     table1_report,
 )
+from phasemirror import inference
 from phasemirror.config import RunConfig
 from phasemirror.modesolver import mode_weights, solve_te0
 from phasemirror.synthlab import generate_sweep
@@ -473,6 +475,25 @@ class TestSinusoidFit:
         with pytest.raises(InsufficientPhaseSpan, match="undetermined"):
             fit_sinusoid(phi, np.full(6, 100.0), np.full(6, 10.0))
 
+    @pytest.mark.parametrize(
+        "start, n_points, sigmas", [(0.0, 6, (1.0, 1.0)), (0.1, 8, (3.0, 2.0))]
+    )
+    def test_two_distinct_angles_rejected(self, start, n_points, sigmas):
+        # two values of 2*phi mod 2*pi leave three coefficients undetermined,
+        # however the rounded normal matrix comes out: LAPACK inverted these
+        # to visibilities 1.03e16 +- 1.07e23 and 4.30 +- 0.0
+        reps = n_points // 2
+        phi = np.tile([start, start + 0.5 * math.pi], reps)
+        with pytest.raises(InsufficientPhaseSpan, match="3 distinct"):
+            fit_sinusoid(phi, np.tile([10.0, 5.0], reps), np.tile(sigmas, reps))
+
+    def test_three_distinct_angles_fit(self):
+        phi = np.tile([0.0, 0.25 * math.pi, 0.5 * math.pi], 2)
+        vals = 10.0 * (1.0 + 0.5 * np.cos(2.0 * phi + 0.3))
+        res = fit_sinusoid(phi, vals, np.ones_like(vals))
+        assert res.derived["visibility"] == pytest.approx(0.5, rel=1e-12)
+        assert res.params["theta"] == pytest.approx(0.3, rel=1e-12)
+
     @given(
         mean=st.floats(0.5, 50.0),
         nu=st.floats(0.01, 0.95),
@@ -603,7 +624,8 @@ class TestEstimateParameters:
             estimate_parameters(0.3, 0.3, default_profile, sigma_I=0.0)
 
     def test_max_stored_subsamples_without_changing_count(self, default_profile):
-        est = estimate_parameters(0.48, 0.27, default_profile, max_stored=100)
+        with mock.patch.object(inference, "MAX_STORED", 100):
+            est = estimate_parameters(0.48, 0.27, default_profile)
         assert est.n_feasible == 43628
         assert len(est.feasible_set) <= 100
 
@@ -734,7 +756,8 @@ class TestEstimateParametersOracle:
     ):
         profile = default_profile if which == "default" else qd1_profile
         args = (nu_I, nu_gamma, profile, sigma_I, sigma_gamma)
-        got = _outcome(estimate_parameters, *args, max_stored=max_stored)
+        with mock.patch.object(inference, "MAX_STORED", max_stored):
+            got = _outcome(estimate_parameters, *args)
         want = _outcome(_oracle_estimate, *args, max_stored=max_stored)
         assert got == want
 
@@ -745,9 +768,11 @@ class TestEstimateParametersOracle:
         # three betas the shortest searches
         args = (nu_I, 0.2, default_profile, 1e-3, 0.3)
         for beta_points in (1, 2, 3, 5):
-            grid = dict(r_points=3, y0_points=4, beta_points=beta_points, max_stored=2000)
-            got = _outcome(estimate_parameters, *args, **grid)
-            assert got == _outcome(_oracle_estimate, *args, **grid)
+            grid = dict(R_POINTS=3, Y0_POINTS=4, BETA_POINTS=beta_points, MAX_STORED=2000)
+            with mock.patch.multiple(inference, **grid):
+                got = _outcome(estimate_parameters, *args)
+            oracle_grid = {key.lower(): value for key, value in grid.items()}
+            assert got == _outcome(_oracle_estimate, *args, **oracle_grid)
 
     def test_peak_memory_stays_small(self, default_profile):
         # the search holds O(cells) arrays, never cells x betas

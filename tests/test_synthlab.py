@@ -7,6 +7,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from oracles import (
+    DEFAULT_EDGES,
     DecayHistogram,
     ExcitonModel,
     bin_integrals_longdouble,
@@ -187,7 +188,7 @@ class TestHistogram:
         assert all(math.erfc(v) == 2.0 for v in x)
 
     def test_exgauss_equals_its_per_bin_erfc_form(self):
-        t = 0.5 * (default_bin_edges()[:-1] + default_bin_edges()[1:])
+        t = 0.5 * (DEFAULT_EDGES[:-1] + DEFAULT_EDGES[1:])
         for gamma in np.linspace(0.05, 5.0, 40):
             for sigma in (0.01, 0.05, 0.2, 0.5, 2.0):
                 arg = (sigma**2 * gamma - t) / (math.sqrt(2.0) * sigma)
@@ -224,9 +225,9 @@ class TestHistogram:
 # the default window, a coarse one, a fit window that starts mid-histogram,
 # and a window whose first edge lies just below 0
 KERNEL_EDGES = (
-    default_bin_edges(),
+    DEFAULT_EDGES,
     np.linspace(0.0, 25.0, 51),
-    default_bin_edges()[137:],
+    DEFAULT_EDGES[137:],
     np.linspace(-3.47e-18, 10.0, 2001),
 )
 
@@ -274,7 +275,7 @@ class TestSweep:
         if voltages is None:
             voltages = np.linspace(0.0, 8.0, 12)
         return generate_sweep(
-            SCENE, WEIGHTS, 0.6, QUAD, voltages, counts_scale, seed,
+            SCENE, WEIGHTS, 0.6, QUAD, voltages, counts_scale, seed, DEFAULT_EDGES,
             hist_counts=20_000.0,
         )
 
@@ -283,7 +284,7 @@ class TestSweep:
         phis, counts, hists = self.run()
         assert len(phis) == len(counts) == 12
         # one float64 row of counts per point, on the default bins
-        assert hists.shape == (12, len(default_bin_edges()) - 1)
+        assert hists.shape == (12, len(DEFAULT_EDGES) - 1)
         assert hists.dtype == np.float64 and hists.flags.c_contiguous
         assert np.all(hists >= 0) and np.all(hists == np.floor(hists))
         for v, phi, n in zip(voltages, phis, counts):
@@ -308,7 +309,7 @@ class TestSweep:
 
     def test_zero_reflectivity_flat_sweep(self):
         _, counts, _ = generate_sweep(
-            SCENE, WEIGHTS, 0.0, QUAD, np.linspace(0, 8, 6), math.inf, 0,
+            SCENE, WEIGHTS, 0.0, QUAD, np.linspace(0, 8, 6), math.inf, 0, DEFAULT_EDGES,
             hist_counts=1000.0,
         )
         assert len(set(counts)) == 1
@@ -346,10 +347,10 @@ class TestSweep:
         voltages = np.linspace(0.0, 8.0, n_points)
         for counts_scale in (40_000.0, math.inf):
             phis, _, hists = generate_sweep(
-                SCENE, WEIGHTS, 0.6, QUAD, voltages, counts_scale, 11,
+                SCENE, WEIGHTS, 0.6, QUAD, voltages, counts_scale, 11, DEFAULT_EDGES,
                 background=background, hist_counts=20_000.0, irf_sigma=irf_sigma,
             )
-            assert hists.shape == (n_points, len(default_bin_edges()) - 1)
+            assert hists.shape == (n_points, len(DEFAULT_EDGES) - 1)
             for i, (phi, hist) in enumerate(zip(phis, hists)):
                 gamma_f = decay_rate(
                     SCENE, 0.6, phi, DipoleOrientation.AVERAGED_BOTH, include_nonradiative=True
@@ -364,7 +365,7 @@ class TestSweep:
                     want = generate_decay_histogram(
                         model, 20_000.0, irf_sigma=irf_sigma, seed=ss_hist
                     )
-                assert want.bin_edges.tobytes() == default_bin_edges().tobytes()
+                assert want.bin_edges.tobytes() == DEFAULT_EDGES.tobytes()
                 # Poisson draws are integers, exact as float64
                 assert hist.tobytes() == want.counts.astype(float).tobytes()
 
@@ -375,10 +376,12 @@ class TestSweep:
             table=tuple((float(v), phase_of_voltage(QUAD, v)) for v in voltages),
         )
         quad = generate_sweep(
-            SCENE, WEIGHTS, 0.6, QUAD, voltages, 40_000.0, 11, hist_counts=1000.0
+            SCENE, WEIGHTS, 0.6, QUAD, voltages, 40_000.0, 11, DEFAULT_EDGES,
+            hist_counts=1000.0,
         )
         tab = generate_sweep(
-            SCENE, WEIGHTS, 0.6, table, voltages, 40_000.0, 11, hist_counts=1000.0
+            SCENE, WEIGHTS, 0.6, table, voltages, 40_000.0, 11, DEFAULT_EDGES,
+            hist_counts=1000.0,
         )
         assert np.array_equal(tab[0], quad[0])
         assert np.array_equal(tab[1], quad[1])
@@ -390,7 +393,7 @@ class TestSweep:
         )
         with pytest.raises(OutOfCalibration):
             generate_sweep(
-                SCENE, WEIGHTS, 0.6, cal, [0.0, 5.0], math.inf, 0,
+                SCENE, WEIGHTS, 0.6, cal, [0.0, 5.0], math.inf, 0, DEFAULT_EDGES,
                 hist_counts=1000.0,
             )
 
@@ -417,8 +420,8 @@ class TestCsv:
         ]
         counts = np.array([h.counts for h in hists], dtype=float)
         path = tmp_path / "histograms.csv"
-        write_histogram_csv((default_bin_edges(), counts), str(path))
-        back = read_histogram_csv(str(path), default_bin_edges())
+        write_histogram_csv((DEFAULT_EDGES, counts), str(path))
+        back = read_histogram_csv(str(path), DEFAULT_EDGES)
         # the table and the edges carry every histogram whole
         assert back.dtype == np.float64 and back.flags.c_contiguous
         assert back.shape == counts.shape
