@@ -9,9 +9,10 @@ the sections geometry, mirror, emitter, calibration and sweep map their
 keys to (schema, default) pairs, as the top level does `seed` and
 `r_T_mag`.  `SCHEMA` and `DEFAULT_CONFIG` are both derived from it.  The
 document and each section are objects with no additional properties
-that require every key but `r_T_mag`, the one optional key.
-`WaveguideGeometry` and `PhotonicCrystalSpec` are built from the keys
-of their sections named like their fields.
+that require every key but `r_T_mag`, the one optional key.  No
+dataclass the config builds has a field default, so `_TABLE` is the one
+home of a default value; `WaveguideGeometry` and `PhotonicCrystalSpec`
+are built from the keys of their sections named like their fields.
 
 `SCHEMA` is a JSON Schema (draft 2020-12) checked by a small interpreter
 of exactly the keywords it uses: `type` (a name or a list of names, with
@@ -66,6 +67,8 @@ _TABLE = {
         "wavelength_nm": (_POS, 930.0),
         "grid_points": ({"type": "integer", "minimum": 64}, DEFAULT_GRID_POINTS),
     },
+    # segment indices that put the first-order Bragg center 2 n_avg pitch near
+    # 950 nm (n_avg ~ 1.79 at 265 nm pitch), with a stopband over 900-1000 nm
     "mirror": {
         "n_holes": ({"type": "integer", "minimum": 0}, 12),
         "pitch_nm": (_POS, 265.0),

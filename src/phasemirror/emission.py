@@ -11,9 +11,9 @@ modulation
                = gamma_d0 (1 +/- |r_T| cos(2 phi + theta)) + gamma_b
 
 with theta = 2kL, sign + for a dipole along the waveguide axis (X)
-and - for the transverse dipole (Y).  Collected intensity, the
-matching fringe visibilities, and the offset-dependent two-dipole
-averages are all derived from this one modulation factor.
+and - for the transverse dipole (Y).  `fringe` evaluates that ratio
+for the rates and the collected intensity alike; the visibilities and
+the offset-dependent two-dipole averages follow from the same factor.
 
 Units are fixed: rates in 1/ns, lengths in nm, phases in rad.
 """
@@ -64,13 +64,13 @@ class EmitterScene:
     is always derived, never stored.
     """
 
-    y0: float = 0.0
-    L: float = 30_000.0
-    k: float = 2.0 * math.pi / 930.0 * 2.56
-    gamma_x0: float = 0.0
-    gamma_y0: float = 1.0
-    gamma_b: float = 0.1
-    gamma_nrad: float = 0.1
+    y0: float
+    L: float
+    k: float
+    gamma_x0: float
+    gamma_y0: float
+    gamma_b: float
+    gamma_nrad: float
 
     def __post_init__(self) -> None:
         if self.L < 0:
@@ -98,26 +98,30 @@ def _check_reflectivity(r_T_mag: float) -> None:
         raise ReflectivityOutOfRange(f"|r_T| must lie in [0, 1], got {r_T_mag}")
 
 
-def rate_modulation_green(
-    r_T_mag: float, phi: float, k: float, L: float, dip: DipoleOrientation
-) -> float:
-    """Rate factor via the image-dipole Green's-function ratio.
+def fringe(phi: float, k: float, L: float) -> float:
+    """The image-dipole fringe cos(2 phi + theta), theta = 2kL.
 
-    Evaluates 1 +/- |r_T| Im{e^{i 2 phi} G0(0, 2L)} / Im G0(0, 0);
-    algebraically identical to the closed form 1 +/- |r_T| cos(2 phi +
-    theta) with theta = 2kL.  phi may be an array of phases, each giving
-    the bits of a scalar call.
+    Evaluated as the Green's-function ratio Im{e^{i 2 phi} G0(0, 2L)} /
+    Im G0(0, 0), which never forms 2 phi + theta: that sum rounds at its
+    own ulp (~2.3e-13 at theta ~ 1e3), the ratio only at theta's.  phi
+    may be an array of phases, each giving the bits of a scalar call.
     """
-    _check_reflectivity(r_T_mag)
-    if dip is DipoleOrientation.AVERAGED_BOTH:
-        raise InputError("modulation factor is defined per dipole axis")
     g_image = scalar_green(0.0, 2.0 * L, k)
     g_self = scalar_green(0.0, 0.0, k)
     # Im{e g} in real arithmetic: numpy's complex multiply rounds an array
     # differently from one number, these products round the same for both
     e = np.exp(2j * phi)
-    ratio = (e.real * g_image.imag + e.imag * g_image.real) / g_self.imag
-    return 1.0 + _SIGN[dip] * r_T_mag * ratio
+    return (e.real * g_image.imag + e.imag * g_image.real) / g_self.imag
+
+
+def rate_modulation_green(
+    r_T_mag: float, phi: float, k: float, L: float, dip: DipoleOrientation
+) -> float:
+    """Rate factor 1 +/- |r_T| cos(2 phi + theta) from the image-dipole fringe."""
+    _check_reflectivity(r_T_mag)
+    if dip is DipoleOrientation.AVERAGED_BOTH:
+        raise InputError("modulation factor is defined per dipole axis")
+    return 1.0 + _SIGN[dip] * r_T_mag * fringe(phi, k, L)
 
 
 def decay_rate(
@@ -165,7 +169,7 @@ def intensity(
         ix = intensity(scene, weights, r_T_mag, phi, DipoleOrientation.X)
         iy = intensity(scene, weights, r_T_mag, phi, DipoleOrientation.Y)
         return wx * ix + wy * iy
-    c = math.cos(2.0 * phi + scene.theta)
+    c = fringe(phi, scene.k, scene.L)
     return 0.5 * (1.0 + r_T_mag**2 + _SIGN[dip] * 2.0 * r_T_mag * c)
 
 
@@ -249,11 +253,9 @@ def figure1c_curves(
     """
     phis = set(np.linspace(0.0, math.pi, N_PHI, endpoint=False).tolist())
     phis.update(_extremal_phases(scene.theta))
-    phis = sorted(phis)
-    gammas = decay_rate(scene, r_T_mag, np.array(phis), dip)
-    # math.cos per phase: np.cos need not round as math.cos does
-    intens = [intensity(scene, weights, r_T_mag, phi, dip) for phi in phis]
-    return np.array(phis), gammas, np.array(intens)
+    phis = np.array(sorted(phis))
+    gammas = decay_rate(scene, r_T_mag, phis, dip)
+    return phis, gammas, intensity(scene, weights, r_T_mag, phis, dip)
 
 
 def offset_scaled_rates(

@@ -64,11 +64,11 @@ DEFAULT_GRID_POINTS = 513
 class WaveguideGeometry:
     """Rectangular wire cross-section and the operating wavelength."""
 
-    width_nm: float = 300.0
-    thickness_nm: float = 160.0
-    core_index: float = 3.48
-    clad_index: float = 1.0
-    wavelength_nm: float = 930.0
+    width_nm: float
+    thickness_nm: float
+    core_index: float
+    clad_index: float
+    wavelength_nm: float
 
     def __post_init__(self) -> None:
         if self.width_nm <= 0 or self.thickness_nm <= 0:

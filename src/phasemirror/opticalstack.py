@@ -9,7 +9,7 @@ waveguide power transmittivity over the emitter-mirror-emitter path,
 |r_M| the mirror modal reflectivity magnitude, and phi the one-way
 tunable phase.  The photonic-crystal mirror itself is modeled at normal
 incidence with 2x2 characteristic matrices, one period being
-[unetched/2, hole, unetched/2] so the default stack is symmetric; the
+[unetched/2, hole, unetched/2] so the stack is symmetric; the
 N-period mirror is the period matrix raised to the N-th power (Abeles;
 Yeh, Optical Waves in Layered Media, 1988), for all wavelengths at once.
 A sweep holds each matrix as its four entries, four arrays over
@@ -40,9 +40,9 @@ class MirrorChain:
     phi turns r_T but leaves its magnitude.
     """
 
-    t_phi_sq: float = 0.55
-    t_wg_sq: float = 0.9
-    r_M_mag: float = 1.0
+    t_phi_sq: float
+    t_wg_sq: float
+    r_M_mag: float
 
     def __post_init__(self) -> None:
         for name in ("t_phi_sq", "t_wg_sq", "r_M_mag"):
@@ -58,19 +58,14 @@ class MirrorChain:
 
 @dataclass(frozen=True)
 class PhotonicCrystalSpec:
-    """Periodically etched waveguide section acting as the mirror.
+    """Periodically etched waveguide section acting as the mirror."""
 
-    Default segment indices are calibrated so the first-order Bragg
-    center 2 n_avg pitch sits near 950 nm (n_avg ~ 1.79 at 265 nm
-    pitch) and the stopband covers 900-1000 nm.
-    """
-
-    n_holes: int = 12
-    pitch_nm: float = 265.0
-    hole_radius_nm: float = 70.0
-    n_unetched: float = 2.56
-    n_hole: float = 1.107
-    termination_index: float = 2.56
+    n_holes: int
+    pitch_nm: float
+    hole_radius_nm: float
+    n_unetched: float
+    n_hole: float
+    termination_index: float
 
     def __post_init__(self) -> None:
         if self.n_holes < 0:

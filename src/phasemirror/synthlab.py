@@ -47,11 +47,11 @@ class PhaseCalibration:
     phi = quad_coeff * v^2 + quad_offset.
     """
 
-    model: CalibrationModel = CalibrationModel.QUADRATIC
-    table: tuple[tuple[float, float], ...] | None = None
-    quad_coeff: float | None = 0.05
-    quad_offset: float = 0.0
-    v_range: tuple[float, float] | None = None
+    model: CalibrationModel
+    table: tuple[tuple[float, float], ...] | None
+    quad_coeff: float | None
+    quad_offset: float
+    v_range: tuple[float, float] | None
 
     def __post_init__(self) -> None:
         if self.model is CalibrationModel.TABLE:
@@ -255,6 +255,8 @@ def generate_sweep(
     counter-based streams, SeedSequence([seed, i]).spawn(2) for the
     intensity and the histogram, so a point does not depend on which
     others are generated.  Each column is in the order of the voltages.
+    The relative intensities and the fast rates of all points are one
+    array call each, with the bits of a call per point.
 
     The histograms are one float64 matrix, a row of counts per point on
     bin_edges.  Every row is bit for bit the histogram of its point's
@@ -269,24 +271,17 @@ def generate_sweep(
     edges, expected_counts = _expectation(
         scene.gamma_nrad, amp_ratio, background, hist_counts, bin_edges, irf_sigma
     )
-    phis, counts, gammas_f, hist_streams = [], [], [], []
-    for index, v in enumerate(voltages):
-        phi = phase_of_voltage(cal, float(v))
-        expected = emission.intensity(
-            scene, weights, r_T_mag, phi, DipoleOrientation.AVERAGED_BOTH
-        )
+    phis = np.array([phase_of_voltage(cal, float(v)) for v in voltages])
+    dip = DipoleOrientation.AVERAGED_BOTH
+    counts = emission.intensity(scene, weights, r_T_mag, phis, dip)
+    gammas_f = emission.decay_rate(scene, r_T_mag, phis, dip, include_nonradiative=True)
+    hist_streams = []
+    for index, expected in enumerate(counts.tolist()):
         ss_intensity, ss_hist = np.random.SeedSequence([seed, index]).spawn(2)
-        if noiseless:
-            intensity_counts = expected
-        else:
-            intensity_counts = float(
-                _poisson(ss_intensity, counts_scale * expected, "counts_scale", counts_scale)
+        if not noiseless:
+            counts[index] = _poisson(
+                ss_intensity, counts_scale * expected, "counts_scale", counts_scale
             )
-        phis.append(phi)
-        counts.append(intensity_counts)
-        gammas_f.append(emission.decay_rate(
-            scene, r_T_mag, phi, DipoleOrientation.AVERAGED_BOTH, include_nonradiative=True
-        ))
         hist_streams.append(ss_hist)
     histograms = np.empty((len(gammas_f), len(edges) - 1))
     for start in range(0, len(gammas_f), _SWEEP_BLOCK):
@@ -295,7 +290,7 @@ def generate_sweep(
         if not noiseless:
             for row, ss_hist in zip(histograms[block], hist_streams[block]):
                 row[:] = _poisson(ss_hist, row, "hist_counts", hist_counts)
-    return np.array(phis), np.array(counts), histograms
+    return phis, counts, histograms
 
 
 SWEEP_HEADER = ("voltage", "phi_rad", "intensity_counts")

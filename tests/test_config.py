@@ -2,7 +2,7 @@ import copy
 import io
 import json
 import math
-from dataclasses import fields
+from dataclasses import MISSING, fields
 
 import jsonschema
 import numpy as np
@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import default_device
 from phasemirror.config import (
     _KEYWORDS,
     _best_error,
@@ -22,6 +23,7 @@ from phasemirror.config import (
     config_hash,
     write_json,
 )
+from phasemirror.emission import EmitterScene
 from phasemirror.modesolver import WINDOW_MARGIN_NM, WaveguideGeometry
 from phasemirror.opticalstack import MirrorChain, PhotonicCrystalSpec, waveguide_transmission
 from phasemirror.synthlab import CalibrationModel, PhaseCalibration
@@ -365,6 +367,32 @@ def test_infinite_counts_scale_stays_the_noiseless_mode():
     doc = copy.deepcopy(DEFAULT_CONFIG)
     doc["sweep"]["counts_scale"] = float("inf")
     assert RunConfig.from_dict(doc).counts_scale == math.inf
+
+
+@pytest.mark.parametrize(
+    "cls",
+    [WaveguideGeometry, PhotonicCrystalSpec, MirrorChain, PhaseCalibration, EmitterScene],
+)
+def test_config_dataclasses_have_no_field_defaults(cls):
+    # a default device value is written once, in config._TABLE
+    defaulted = [
+        f.name for f in fields(cls)
+        if f.default is not MISSING or f.default_factory is not MISSING
+    ]
+    assert defaulted == []
+
+
+def test_default_device_is_what_the_config_builds(default_cfg, default_profile):
+    device = default_device()
+    assert device.geometry == default_cfg.geometry()
+    assert device.crystal == default_cfg.crystal()
+    assert device.chain == default_cfg.chain
+    assert device.calibration == default_cfg.calibration
+    assert device.scene == default_cfg.scene(default_profile.k)
+    # the values that the deleted field defaults (0.9 and 2.56 * 2 pi / 930)
+    # gave otherwise
+    assert device.chain.t_wg_sq == 0.901571137605957
+    assert device.scene.k == pytest.approx(0.0173179, abs=1e-7)
 
 
 def test_shipped_config_hashes_are_pinned():

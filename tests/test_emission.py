@@ -1,5 +1,6 @@
 import csv
 import math
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -7,13 +8,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from helpers import default_device
 from oracles import rate_modulation, visibility_rate_centered
 from phasemirror import emission
 from phasemirror.cli import main
 from phasemirror.emission import (
     DegenerateRates,
     DipoleOrientation,
-    EmitterScene,
     ReflectivityOutOfRange,
     ZeroField,
     decay_rate,
@@ -27,7 +28,7 @@ from phasemirror.emission import (
     visibility_intensity_mixed,
     visibility_rate,
 )
-from phasemirror.modesolver import mode_weights
+from phasemirror.modesolver import mode_weights, solve_te0
 
 X, Y, AVG = (
     DipoleOrientation.X,
@@ -40,12 +41,7 @@ reflectivities = st.floats(min_value=0.0, max_value=1.0)
 
 
 def make_scene(**kw):
-    defaults = dict(
-        y0=0.0, L=30_000.0, k=2 * math.pi / 930.0 * 2.56,
-        gamma_x0=0.0, gamma_y0=1.0, gamma_b=0.1, gamma_nrad=0.1,
-    )
-    defaults.update(kw)
-    return EmitterScene(**defaults)
+    return replace(default_device().scene, **kw)
 
 
 class TestScalarGreen:
@@ -173,6 +169,24 @@ class TestIntensity:
         assert intensity(scene, (0, 1), r, phi, Y) == pytest.approx(
             oracle_y, abs=1e-12
         )
+
+    @pytest.mark.skipif(
+        np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+        reason="np.longdouble is no more precise than float64",
+    )
+    def test_fringe_accurate_at_the_qd1_mirror_distance(self, qd1_cfg):
+        # theta = 2kL ~ 1039 rad: the fringe that intensity and decay_rate
+        # carry, read back at |r_T| = 1, against cos(2 phi + 2kL) in long
+        # double from the scene's stored k and L
+        scene = qd1_cfg.scene(solve_te0(qd1_cfg.geometry(), n_points=qd1_cfg.grid_points).k)
+        phis = np.linspace(0.0, math.pi, 2001)
+        ld = np.longdouble
+        want = np.cos(2 * phis.astype(ld) + 2 * ld(scene.k) * ld(scene.L))
+        # Y dipole: I = 1 - c and Gamma = gamma_y0 (1 - c) + gamma_b
+        from_intensity = 1.0 - intensity(scene, (0.0, 1.0), 1.0, phis, Y)
+        from_rate = 1.0 - (decay_rate(scene, 1.0, phis, Y) - scene.gamma_b) / scene.gamma_y0
+        for got in (from_intensity, from_rate):
+            assert np.max(np.abs(got - want)) < 5e-14
 
     def test_swept_fringe_visibility(self):
         scene = make_scene()
@@ -316,8 +330,9 @@ class TestFigureCurves:
     @pytest.mark.parametrize("dip", [X, Y, AVG])
     @pytest.mark.parametrize("r", [0.0, 0.6, 1.0])
     def test_phase_curves_equal_the_per_phase_calls(self, r, dip):
-        # figure1c_curves evaluates the rates of all phases at once; the
-        # scalar calls, one phase at a time, must give every float exactly
+        # figure1c_curves evaluates the rates and intensities of all phases
+        # at once; the scalar calls, one phase at a time, must give every
+        # float exactly
         scene = make_scene(gamma_x0=0.3)
         weights = (0.2, 0.8)
         phis, gammas, ints = figure1c_curves(scene, weights, r, dip)

@@ -1,11 +1,13 @@
 import csv
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from helpers import default_device
 from oracles import helmholtz_residual
 from phasemirror.cli import main
 from phasemirror.modesolver import (
@@ -13,14 +15,13 @@ from phasemirror.modesolver import (
     ModeProfile,
     NoBoundMode,
     OutOfRange,
-    WaveguideGeometry,
     _solve_even_slab,
     bisect_root,
     mode_weights,
     solve_te0,
 )
 
-DEFAULT_GEOM = WaveguideGeometry()
+DEFAULT_GEOM = default_device().geometry
 
 
 def test_default_mode_basic_properties(default_profile):
@@ -35,13 +36,13 @@ def test_default_mode_basic_properties(default_profile):
 
 def test_geometry_validation():
     with pytest.raises(ValueError):
-        WaveguideGeometry(width_nm=-1)
+        replace(DEFAULT_GEOM, width_nm=-1)
     with pytest.raises(ValueError):
-        WaveguideGeometry(core_index=1.0, clad_index=1.0)
+        replace(DEFAULT_GEOM, core_index=1.0, clad_index=1.0)
     with pytest.raises(ValueError):
-        WaveguideGeometry(clad_index=0.5)
+        replace(DEFAULT_GEOM, clad_index=0.5)
     with pytest.raises(ValueError):
-        WaveguideGeometry(wavelength_nm=0)
+        replace(DEFAULT_GEOM, wavelength_nm=0)
 
 
 def test_grid_refinement_converges():
@@ -91,7 +92,7 @@ def test_scale_invariance(default_profile):
 
 def test_n_eff_monotone_in_width():
     n_effs = [
-        solve_te0(WaveguideGeometry(width_nm=w)).n_eff for w in (250.0, 300.0, 350.0)
+        solve_te0(replace(DEFAULT_GEOM, width_nm=w)).n_eff for w in (250.0, 300.0, 350.0)
     ]
     assert n_effs[0] < n_effs[1] < n_effs[2]
 
@@ -137,7 +138,7 @@ def test_weights_out_of_range(default_profile):
 
 def test_no_bound_mode_for_narrow_wire():
     with pytest.raises(NoBoundMode):
-        solve_te0(WaveguideGeometry(width_nm=50.0))
+        solve_te0(replace(DEFAULT_GEOM, width_nm=50.0))
 
 
 @given(
@@ -173,7 +174,7 @@ def test_bisect_root_reaches_adjacent_floats():
 def test_grid_too_coarse():
     # a very wide wire at the minimum point count undersamples the tails
     with pytest.raises(GridTooCoarse):
-        solve_te0(WaveguideGeometry(width_nm=10_000.0), n_points=64)
+        solve_te0(replace(DEFAULT_GEOM, width_nm=10_000.0), n_points=64)
 
 
 def test_n_points_precondition():
@@ -200,8 +201,8 @@ def test_profile_csv_round_trip(default_profile, tmp_path):
     wavelength=st.floats(min_value=850.0, max_value=1050.0),
 )
 def test_solved_modes_are_physical(width, thickness, wavelength):
-    geom = WaveguideGeometry(
-        width_nm=width, thickness_nm=thickness, wavelength_nm=wavelength
+    geom = replace(
+        DEFAULT_GEOM, width_nm=width, thickness_nm=thickness, wavelength_nm=wavelength
     )
     try:
         p = solve_te0(geom, n_points=257)

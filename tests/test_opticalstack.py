@@ -1,19 +1,23 @@
 import csv
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from helpers import default_device
 from oracles import lumped_reflection, segment_layout, stack_coefficients, stack_matrix
 from phasemirror.cli import main
 from phasemirror.opticalstack import (
     MirrorChain,
-    PhotonicCrystalSpec,
     reflectivity_sweep,
     tmm_reflectivity,
     waveguide_transmission,
 )
+
+CHAIN = default_device().chain
+SPEC = default_device().crystal
 
 
 class TestMirrorChain:
@@ -28,14 +32,14 @@ class TestMirrorChain:
 
     def test_no_mirror(self):
         for phi in (0.0, 1.0, 2.5):
-            chain = MirrorChain(r_M_mag=0.0)
+            chain = replace(CHAIN, r_M_mag=0.0)
             assert lumped_reflection(chain, phi) == 0
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            MirrorChain(t_phi_sq=1.2)
+            replace(CHAIN, t_phi_sq=1.2)
         with pytest.raises(ValueError):
-            MirrorChain(r_M_mag=-0.1)
+            replace(CHAIN, r_M_mag=-0.1)
 
     @given(
         t_phi=st.floats(min_value=0.0, max_value=1.0),
@@ -57,14 +61,14 @@ class TestMirrorChain:
 class TestPhotonicCrystal:
     def test_validation(self):
         with pytest.raises(ValueError):
-            PhotonicCrystalSpec(hole_radius_nm=140.0)  # diameter >= pitch
+            replace(SPEC, hole_radius_nm=140.0)  # diameter >= pitch
         with pytest.raises(ValueError):
-            PhotonicCrystalSpec(n_hole=0.5)
+            replace(SPEC, n_hole=0.5)
         with pytest.raises(ValueError):
-            PhotonicCrystalSpec(n_holes=-1)
+            replace(SPEC, n_holes=-1)
 
     def test_layout(self):
-        spec = PhotonicCrystalSpec()
+        spec = SPEC
         indices, lengths = segment_layout(spec)
         assert len(indices) == 3 * spec.n_holes
         assert np.sum(lengths) == pytest.approx(spec.n_holes * spec.pitch_nm)
@@ -73,12 +77,12 @@ class TestPhotonicCrystal:
         assert np.array_equal(lengths, lengths[::-1])
 
     def test_stopband_covers_900_1000(self):
-        spec = PhotonicCrystalSpec()
+        spec = SPEC
         for lam in np.linspace(900.0, 1000.0, 101):
             assert abs(tmm_reflectivity(spec, lam)) ** 2 > 0.9
 
     def test_bragg_center_is_local_maximum(self):
-        spec = PhotonicCrystalSpec()
+        spec = SPEC
         lam_b = spec.bragg_wavelength_nm
         assert 900.0 < lam_b < 1000.0
         r_b = abs(tmm_reflectivity(spec, lam_b)) ** 2
@@ -86,7 +90,7 @@ class TestPhotonicCrystal:
             assert abs(tmm_reflectivity(spec, lam)) ** 2 < r_b
 
     def test_flux_conservation(self):
-        spec = PhotonicCrystalSpec()
+        spec = SPEC
         indices, lengths = segment_layout(spec)
         n = spec.termination_index
         for lam in np.linspace(850.0, 1050.0, 41):
@@ -96,13 +100,13 @@ class TestPhotonicCrystal:
     def test_more_holes_reflect_more(self):
         mags = []
         for n_holes in (4, 8, 12):
-            spec = PhotonicCrystalSpec(n_holes=n_holes)
+            spec = replace(SPEC, n_holes=n_holes)
             mags.append(abs(tmm_reflectivity(spec, spec.bragg_wavelength_nm)))
         assert mags[0] < mags[1] < mags[2]
         assert mags[2] > 0.999
 
     def test_reciprocity(self):
-        spec = PhotonicCrystalSpec()
+        spec = SPEC
         indices, lengths = segment_layout(spec)
         n = spec.termination_index
         for lam in (910.0, 950.0, 990.0):
@@ -111,7 +115,7 @@ class TestPhotonicCrystal:
             assert r_fwd == pytest.approx(r_bwd, abs=1e-12)
 
     def test_cascade_then_invert_is_identity(self):
-        spec = PhotonicCrystalSpec()
+        spec = SPEC
         indices, lengths = segment_layout(spec)
         # off-band: matrix entries are O(1), identity recovered tightly
         M = stack_matrix(indices, lengths, 1300.0)
@@ -124,7 +128,7 @@ class TestPhotonicCrystal:
         assert np.linalg.det(M) == pytest.approx(1.0, rel=1e-9)
 
     def test_empty_stack_is_fresnel(self):
-        spec = PhotonicCrystalSpec(n_holes=0)
+        spec = replace(SPEC, n_holes=0)
         indices, lengths = segment_layout(spec)
         assert len(indices) == 0
         # equal media on both sides: no reflection at any wavelength
@@ -136,7 +140,7 @@ class TestPhotonicCrystal:
 
     @given(lam=st.floats(min_value=700.0, max_value=1300.0))
     def test_flux_conservation_property(self, lam):
-        spec = PhotonicCrystalSpec()
+        spec = SPEC
         indices, lengths = segment_layout(spec)
         r, t = stack_coefficients(indices, lengths, 1.0, 2.0, lam)
         assert abs(r) ** 2 + (2.0 / 1.0) * abs(t) ** 2 == pytest.approx(
@@ -188,7 +192,7 @@ def test_sweep_csv(default_cfg, tmp_path):
 def test_sweep_matches_layer_by_layer_product(n_holes, lams):
     # the sweep raises one period matrix to n_holes for all wavelengths at
     # once; the per-layer product of stack_coefficients is the reference
-    spec = PhotonicCrystalSpec(n_holes=n_holes)
+    spec = replace(SPEC, n_holes=n_holes)
     indices, lengths = segment_layout(spec)
     n = spec.termination_index
     lam_col, r_col, rp_col = reflectivity_sweep(spec, lams)

@@ -1,11 +1,13 @@
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from helpers import default_device
 from oracles import (
     DEFAULT_EDGES,
     DecayHistogram,
@@ -15,13 +17,12 @@ from oracles import (
     generate_decay_histogram,
 )
 from oracles import expected_bin_counts as one_rate_expected_counts
-from phasemirror.emission import DipoleOrientation, EmitterScene, decay_rate, intensity
+from phasemirror.emission import DipoleOrientation, decay_rate, intensity
 from phasemirror.synthlab import (
     _SWEEP_BLOCK,
     CalibrationModel,
     MalformedCSV,
     OutOfCalibration,
-    PhaseCalibration,
     _exgauss_density,
     default_bin_edges,
     exp_bin_integrals,
@@ -33,12 +34,10 @@ from phasemirror.synthlab import (
     write_sweep_csv,
 )
 
-SCENE = EmitterScene(
-    y0=0.0, L=30_000.0, k=2 * math.pi / 930.0 * 2.56,
-    gamma_x0=0.3, gamma_y0=1.0, gamma_b=0.1, gamma_nrad=0.1,
-)
+SCENE = replace(default_device().scene, gamma_x0=0.3)
 WEIGHTS = (0.2, 0.7)
-QUAD = PhaseCalibration(model=CalibrationModel.QUADRATIC, quad_coeff=0.05)
+CAL = default_device().calibration
+QUAD = replace(CAL, model=CalibrationModel.QUADRATIC, quad_coeff=0.05)
 
 
 class TestCalibration:
@@ -47,7 +46,8 @@ class TestCalibration:
         assert phase_of_voltage(QUAD, 4.0) == pytest.approx(0.8)
 
     def test_quadratic_with_offset_and_range(self):
-        cal = PhaseCalibration(
+        cal = replace(
+            CAL,
             model=CalibrationModel.QUADRATIC,
             quad_coeff=0.1,
             quad_offset=0.5,
@@ -58,7 +58,8 @@ class TestCalibration:
             phase_of_voltage(cal, 5.1)
 
     def test_table_interpolation(self):
-        cal = PhaseCalibration(
+        cal = replace(
+            CAL,
             model=CalibrationModel.TABLE,
             table=((0.0, 0.0), (2.0, 1.0), (4.0, 3.0)),
         )
@@ -71,14 +72,16 @@ class TestCalibration:
 
     def test_table_validation(self):
         with pytest.raises(ValueError):
-            PhaseCalibration(model=CalibrationModel.TABLE, table=((0.0, 0.0),))
+            replace(CAL, model=CalibrationModel.TABLE, table=((0.0, 0.0),))
         with pytest.raises(ValueError):
-            PhaseCalibration(
+            replace(
+                CAL,
                 model=CalibrationModel.TABLE,
                 table=((0.0, 0.0), (0.0, 1.0)),
             )
         with pytest.raises(ValueError):
-            PhaseCalibration(
+            replace(
+                CAL,
                 model=CalibrationModel.TABLE,
                 table=((0.0, 0.0), (1.0, 1.0), (2.0, 0.5)),
             )
@@ -89,7 +92,8 @@ class TestCalibration:
         assert phase_of_voltage(QUAD, 1e3) == pytest.approx(5e4)
 
     def test_decreasing_table_interpolation(self):
-        cal = PhaseCalibration(
+        cal = replace(
+            CAL,
             model=CalibrationModel.TABLE,
             table=((1.0, 2.0), (3.0, 1.0), (5.0, -1.0)),
         )
@@ -99,7 +103,7 @@ class TestCalibration:
 
     def test_quadratic_needs_coefficient(self):
         with pytest.raises(ValueError):
-            PhaseCalibration(model=CalibrationModel.QUADRATIC, quad_coeff=None)
+            replace(CAL, model=CalibrationModel.QUADRATIC, quad_coeff=None)
 
 
 class TestExcitonModel:
@@ -371,7 +375,8 @@ class TestSweep:
 
     def test_table_knots_at_the_voltages_match_quadratic(self):
         voltages = np.linspace(0.0, 8.0, 12)
-        table = PhaseCalibration(
+        table = replace(
+            CAL,
             model=CalibrationModel.TABLE,
             table=tuple((float(v), phase_of_voltage(QUAD, v)) for v in voltages),
         )
@@ -388,8 +393,8 @@ class TestSweep:
         assert tab[2].tobytes() == quad[2].tobytes()
 
     def test_out_of_calibration_propagates(self):
-        cal = PhaseCalibration(
-            model=CalibrationModel.QUADRATIC, quad_coeff=0.05, v_range=(0.0, 4.0)
+        cal = replace(
+            CAL, model=CalibrationModel.QUADRATIC, quad_coeff=0.05, v_range=(0.0, 4.0)
         )
         with pytest.raises(OutOfCalibration):
             generate_sweep(
