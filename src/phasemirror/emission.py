@@ -114,16 +114,6 @@ def fringe(phi: float, k: float, L: float) -> float:
     return (e.real * g_image.imag + e.imag * g_image.real) / g_self.imag
 
 
-def rate_modulation_green(
-    r_T_mag: float, phi: float, k: float, L: float, dip: DipoleOrientation
-) -> float:
-    """Rate factor 1 +/- |r_T| cos(2 phi + theta) from the image-dipole fringe."""
-    _check_reflectivity(r_T_mag)
-    if dip is DipoleOrientation.AVERAGED_BOTH:
-        raise InputError("modulation factor is defined per dipole axis")
-    return 1.0 + _SIGN[dip] * r_T_mag * fringe(phi, k, L)
-
-
 def decay_rate(
     scene: EmitterScene,
     r_T_mag: float,
@@ -134,20 +124,22 @@ def decay_rate(
     """Total decay rate Gamma(phi) in 1/ns.
 
     Single dipoles follow gamma_d0 * (1 +/- |r_T| cos(2 phi + theta))
-    + gamma_b, computed through the Green's-function ratio.  The
-    averaged orientation returns the mean of the two single-dipole
-    rates, the effective rate under non-resonant excitation that
-    populates both transitions equally.
+    + gamma_b, with one `fringe` evaluation per call.  The averaged
+    orientation returns the mean of the two single-dipole rates, the
+    effective rate under non-resonant excitation that populates both
+    transitions equally.
     """
     _check_reflectivity(r_T_mag)
+    c = fringe(phi, scene.k, scene.L)
     extra = scene.gamma_nrad if include_nonradiative else 0.0
+
+    def single(axis: DipoleOrientation):
+        gamma_d0 = scene.gamma_x0 if axis is DipoleOrientation.X else scene.gamma_y0
+        return gamma_d0 * (1.0 + _SIGN[axis] * r_T_mag * c) + scene.gamma_b
+
     if dip is DipoleOrientation.AVERAGED_BOTH:
-        gx = decay_rate(scene, r_T_mag, phi, DipoleOrientation.X)
-        gy = decay_rate(scene, r_T_mag, phi, DipoleOrientation.Y)
-        return 0.5 * (gx + gy) + extra
-    gamma_d0 = scene.gamma_x0 if dip is DipoleOrientation.X else scene.gamma_y0
-    factor = rate_modulation_green(r_T_mag, phi, scene.k, scene.L, dip)
-    return gamma_d0 * factor + scene.gamma_b + extra
+        return 0.5 * (single(DipoleOrientation.X) + single(DipoleOrientation.Y)) + extra
+    return single(dip) + extra
 
 
 def intensity(
@@ -161,16 +153,19 @@ def intensity(
 
     Single dipole: I/I0 = (1 + r^2 +/- 2 r cos(2 phi + theta)) / 2.
     Averaged: the mode weights (wx, wy) at the emitter offset mix the
-    two single-dipole fringes, which carry opposite signs.
+    two single-dipole intensities, whose fringes, one `fringe`
+    evaluation per call, carry opposite signs.
     """
     _check_reflectivity(r_T_mag)
+    c = fringe(phi, scene.k, scene.L)
+
+    def single(axis: DipoleOrientation):
+        return 0.5 * (1.0 + r_T_mag**2 + _SIGN[axis] * 2.0 * r_T_mag * c)
+
     if dip is DipoleOrientation.AVERAGED_BOTH:
         wx, wy = weights
-        ix = intensity(scene, weights, r_T_mag, phi, DipoleOrientation.X)
-        iy = intensity(scene, weights, r_T_mag, phi, DipoleOrientation.Y)
-        return wx * ix + wy * iy
-    c = fringe(phi, scene.k, scene.L)
-    return 0.5 * (1.0 + r_T_mag**2 + _SIGN[dip] * 2.0 * r_T_mag * c)
+        return wx * single(DipoleOrientation.X) + wy * single(DipoleOrientation.Y)
+    return single(dip)
 
 
 def visibility_intensity(r_T_mag: float) -> float:

@@ -91,7 +91,7 @@ def biexp_model(x: np.ndarray, edges: np.ndarray, fit_background: bool) -> tuple
     """
     values = np.exp(x[:4])
     amps, gammas = values[0::2, None], values[1::2]
-    E, dE = exp_bin_integrals(gammas, edges, derivative=True)
+    E, dE = exp_bin_integrals(gammas, edges, derivative=1)
     J = np.empty((len(edges) - 1, len(x)))
     # row k of E and dE fills the columns (ln A, ln gamma) of rate k
     np.multiply(amps, E, out=J[:, 0:4:2].T)
@@ -217,23 +217,21 @@ def _observed_information(
     derivatives of a term A E(gamma), d2/dlnA2 = A E and
     d2/dlnA dlngamma = A gamma E' are its own Jacobian columns, as is the
     floor's d2/dlnbg2 = bg, so their sums are gradient entries.  Only
-    d2/dlngamma2 = A gamma (E' + gamma E'') needs more: with
-    gamma E'' = -(b^2 e_b - a^2 e_a) - 2 E' it is
-    -A gamma (b^2 e_b - a^2 e_a) - A gamma E'.
+    d2/dlngamma2 = A gamma (E' + gamma E'') needs more: E' and E'' of
+    both rates from exp_bin_integrals.
     """
     resid = 1.0 - counts / mu
     g = J.T @ resid
     H = (J * (counts / mu**2)[:, None]).T @ J
     values = np.exp(x)
-    a, b = edges[:-1], edges[1:]
+    amps, gammas = values[0:4:2], values[1:4:2]
+    _, dE, d2E = exp_bin_integrals(gammas, edges, derivative=2)
+    curv = amps * gammas * ((dE + gammas[:, None] * d2E) @ resid)
     for k in (0, 2):
-        amp, gamma = values[k], values[k + 1]
-        e = np.exp(-gamma * edges)
-        curv = float(resid @ (b * b * e[1:] - a * a * e[:-1]))
         H[k, k] += g[k]
         H[k, k + 1] += g[k + 1]
         H[k + 1, k] += g[k + 1]
-        H[k + 1, k + 1] -= amp * gamma * curv + g[k + 1]
+        H[k + 1, k + 1] += curv[k // 2]
     if len(x) == 5:
         H[4, 4] += g[4]
     return 0.5 * (H + H.T)

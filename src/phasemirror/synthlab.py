@@ -124,18 +124,24 @@ def _poisson(seed: np.random.SeedSequence, lam, key: str, value: float):
 
 
 def exp_bin_integrals(
-    gammas: Sequence[float], edges: np.ndarray, derivative: bool = False
-) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
-    """Integrals E of e^{-gamma t} over each bin; with derivative, (E, dE/dgamma).
+    gammas: Sequence[float], edges: np.ndarray, derivative: int = 0
+) -> np.ndarray | tuple[np.ndarray, ...]:
+    """Integrals E of e^{-gamma t} over each bin, and up to two gamma-derivatives.
 
-    One row per rate, one column per bin [a, b] of width w = b - a:
-    E = e^{-gamma a} (1 - e^{-gamma w}) / gamma, through expm1 so that a
-    slow rate keeps its digits, and dE = ((b e^{-gamma b} - a e^{-gamma a})
-    - E) / gamma from the same exponentials.  A rate below 1e-12 /ns
-    takes the gamma -> 0 limit of dE, -(b^2 - a^2) / 2, whose difference
-    cancels; E keeps its expm1 form down to gamma t < 2^-53 at the last
-    edge, below which w is E correctly rounded.  The simulator and the
-    lifetime fit both integrate through this function.
+    derivative is the highest order returned: 0 gives E, 1 (E, dE/dgamma)
+    for the lifetime fit's model and 2 (E, dE/dgamma, d2E/dgamma2) for its
+    curvature.  One row per rate, one column per bin [a, b] of width
+    w = b - a, all from the same exponentials e_a, e_b = e^{-gamma a},
+    e^{-gamma b}:
+    E = e_a (1 - e^{-gamma w}) / gamma, through expm1 so that a slow rate
+    keeps its digits; dE = ((b e_b - a e_a) - E) / gamma; and, by the
+    identity gamma E'' = (a^2 e_a - b^2 e_b) - 2 E',
+    d2E = ((a^2 e_a - b^2 e_b) - 2 dE) / gamma.  A rate below 1e-12 /ns
+    takes the gamma -> 0 limits of dE and d2E, -(b^2 - a^2) / 2 and
+    (b^3 - a^3) / 3, where their differences cancel; E keeps its expm1
+    form down to gamma t < 2^-53 at the last edge, below which w is E
+    correctly rounded.  The simulator and the lifetime fit both
+    integrate through this function.
     """
     g = np.asarray(gammas, dtype=float)
     a, b = edges[:-1], edges[1:]
@@ -157,7 +163,12 @@ def exp_bin_integrals(
     dE = ((b * e[:, 1:] - a * e[:, :-1]) - E) / g
     if limit:
         dE[small] = -0.5 * width * (a + b)
-    return E, dE
+    if derivative == 1:
+        return E, dE
+    d2E = ((a * a * e[:, :-1] - b * b * e[:, 1:]) - 2.0 * dE) / g
+    if limit:
+        d2E[small] = width * (a * a + a * b + b * b) / 3.0
+    return E, dE, d2E
 
 
 def _exgauss_density(t: np.ndarray, gammas: Sequence[float], sigma: float) -> np.ndarray:
@@ -192,8 +203,8 @@ def _expectation(
     total_counts: float,
     bin_edges: np.ndarray,
     irf_sigma: float | None = None,
-) -> tuple[np.ndarray, Callable[[Sequence[float]], np.ndarray]]:
-    """(bin_edges, expected): expected counts of decays that differ only in gamma_f.
+) -> Callable[[Sequence[float]], np.ndarray]:
+    """expected(gammas_f): expected counts of decays that differ only in gamma_f.
 
     The slow component is computed here, once; expected(gammas_f) gives
     one row of bin counts per fast rate, each scaled so the expectation
@@ -222,7 +233,7 @@ def _expectation(
             shape = (_exgauss_density(mids, gammas_f, irf_sigma) + slow) * widths
         return shape * (signal_total / shape.sum(axis=1))[:, None] + background
 
-    return edges, expected
+    return expected
 
 
 _SWEEP_BLOCK = 32  # sweep points whose expected counts are computed as one array
@@ -237,9 +248,9 @@ def generate_sweep(
     counts_scale: float,
     seed: int,
     bin_edges: np.ndarray,
-    amp_ratio: float = 0.05,
-    background: float = 0.0,
-    hist_counts: float = 100_000.0,
+    amp_ratio: float,
+    background: float,
+    hist_counts: float,
     irf_sigma: float | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Simulate a voltage sweep as (phis, intensity counts, histogram counts).
@@ -268,7 +279,7 @@ def generate_sweep(
     noiseless = math.isinf(counts_scale)
     if not noiseless and hist_counts <= 0:
         raise InputError("total_counts must be positive")
-    edges, expected_counts = _expectation(
+    expected_counts = _expectation(
         scene.gamma_nrad, amp_ratio, background, hist_counts, bin_edges, irf_sigma
     )
     phis = np.array([phase_of_voltage(cal, float(v)) for v in voltages])
@@ -283,7 +294,7 @@ def generate_sweep(
                 ss_intensity, counts_scale * expected, "counts_scale", counts_scale
             )
         hist_streams.append(ss_hist)
-    histograms = np.empty((len(gammas_f), len(edges) - 1))
+    histograms = np.empty((len(gammas_f), len(bin_edges) - 1))
     for start in range(0, len(gammas_f), _SWEEP_BLOCK):
         block = slice(start, start + _SWEEP_BLOCK)
         histograms[block] = expected_counts(gammas_f[block])

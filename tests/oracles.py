@@ -224,14 +224,18 @@ def bin_integral_derivative(gamma: float, a: np.ndarray, b: np.ndarray) -> np.nd
     return ((b * np.exp(-gamma * b) - a * np.exp(-gamma * a)) - E) / gamma
 
 
-def bin_integrals_longdouble(gamma: float, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(E, dE) of one rate over each bin, in long double.
+def bin_integrals_longdouble(
+    gamma: float, edges: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(E, dE, d2E) of one rate over each bin, in long double.
 
     With z = gamma w for a bin [a, a + w],
-    E = e^{-gamma a} w phi1(z) and dE = -e^{-gamma a} (a w phi1(z) + w^2 phi2(z)),
-    where phi1 = (1 - e^{-z}) / z and phi2 = (1 - (1 + z) e^{-z}) / z^2.
-    Both come from their Taylor series below z = 0.5, where the closed
-    forms cancel, so gamma = 0 and gamma = 1e-300 need no special case.
+    E = e^{-gamma a} w phi1(z), dE = -e^{-gamma a} (a w phi1(z) + w^2 phi2(z))
+    and d2E = e^{-gamma a} (a^2 w phi1(z) + 2 a w^2 phi2(z) + w^3 phi3(z)),
+    where phi1 = (1 - e^{-z}) / z, phi2 = (1 - (1 + z) e^{-z}) / z^2 and
+    phi3 = (2 - (2 + 2z + z^2) e^{-z}) / z^3.  All three come from their
+    Taylor series below z = 0.5, where the closed forms cancel, so
+    gamma = 0 and gamma = 1e-300 need no special case.
     """
     t = np.asarray(edges, dtype=np.longdouble)
     g = np.longdouble(gamma)
@@ -240,18 +244,26 @@ def bin_integrals_longdouble(gamma: float, edges: np.ndarray) -> tuple[np.ndarra
     with np.errstate(divide="ignore", invalid="ignore"):
         phi1 = -np.expm1(-z) / z
         phi2 = (-np.expm1(-z) - z * np.exp(-z)) / (z * z)
+        phi3 = (-2 * np.expm1(-z) - (2 + z) * z * np.exp(-z)) / (z * z * z)
     near = z < 0.5
     s1 = np.zeros_like(z)
     s2 = np.zeros_like(z)
+    s3 = np.zeros_like(z)
     term = np.ones_like(z)  # (-z)^k / k!
     for k in range(40):
         s1 += term / (k + 1)
         s2 += term / (k + 2)
+        s3 += term / (k + 3)
         term = term * (-z) / (k + 1)
     phi1 = np.where(near, s1, phi1)
     phi2 = np.where(near, s2, phi2)
+    phi3 = np.where(near, s3, phi3)
     e_a = np.exp(-g * a)
-    return e_a * w * phi1, -e_a * (a * w * phi1 + w * w * phi2)
+    return (
+        e_a * w * phi1,
+        -e_a * (a * w * phi1 + w * w * phi2),
+        e_a * (a * a * w * phi1 + 2 * a * w * w * phi2 + w * w * w * phi3),
+    )
 
 
 def expected_bin_counts(model, total_counts: float, edges: np.ndarray, irf_sigma=None) -> np.ndarray:
@@ -284,13 +296,9 @@ def expected_histogram(
     irf_sigma: float | None = None,
 ) -> DecayHistogram:
     """One point's noiseless expectation curve (float counts), DEFAULT_EDGES if no bins."""
-    edges, expected = _expectation(
-        model.gamma_s,
-        model.amp_ratio,
-        model.background,
-        total_counts,
-        DEFAULT_EDGES if bin_edges is None else bin_edges,
-        irf_sigma,
+    edges = np.asarray(DEFAULT_EDGES if bin_edges is None else bin_edges, dtype=float)
+    expected = _expectation(
+        model.gamma_s, model.amp_ratio, model.background, total_counts, edges, irf_sigma
     )
     return DecayHistogram(edges, expected([model.gamma_f])[0])
 

@@ -78,8 +78,13 @@ def test_03_green_function_reduction():
         phi = rng.uniform(0.0, 2.0 * math.pi)
         k = rng.uniform(0.005, 0.05)
         L = rng.uniform(1e3, 1e5)
+        # gamma_d0 = 1 and gamma_b = 0: the rate is the modulation factor
+        scene = em.EmitterScene(
+            y0=0.0, L=L, k=k,
+            gamma_x0=1.0, gamma_y0=1.0, gamma_b=0.0, gamma_nrad=0.0,
+        )
         for dip in (DipoleOrientation.X, DipoleOrientation.Y):
-            got = em.rate_modulation_green(r, phi, k, L, dip)
+            got = em.decay_rate(scene, r, phi, dip)
             want = oracles.rate_modulation(r, phi, 2.0 * k * L, dip)
             worst = max(worst, abs(got - want))
     k = 0.0123
@@ -150,6 +155,8 @@ def test_06_qd1_round_trip():
         list(cfg.voltages()),
         cfg.counts_scale,
         seed=cfg.seed,
+        amp_ratio=cfg.raw["sweep"]["amp_ratio"],
+        background=cfg.raw["sweep"]["background"],
         hist_counts=cfg.hist_counts,
         bin_edges=cfg.bin_edges(),
         irf_sigma=cfg.irf_sigma,

@@ -22,7 +22,6 @@ from phasemirror.emission import (
     figure1d_curves,
     intensity,
     offset_scaled_rates,
-    rate_modulation_green,
     scalar_green,
     visibility_intensity,
     visibility_intensity_mixed,
@@ -65,6 +64,11 @@ class TestScalarGreen:
             scalar_green(0.0, 0.0, 0.0)
 
 
+def unit_scene(k, L):
+    # gamma_d0 = 1 and gamma_b = 0: decay_rate is the factor 1 +/- |r_T| cos(2 phi + theta)
+    return make_scene(k=k, L=L, gamma_x0=1.0, gamma_y0=1.0, gamma_b=0.0)
+
+
 class TestRateModulation:
     @given(r=reflectivities, phi=phases, theta=phases)
     def test_green_ratio_equals_closed_form(self, r, phi, theta):
@@ -72,27 +76,64 @@ class TestRateModulation:
         L = (theta % (2 * math.pi)) / (2 * k)  # non-negative, same fringe
         for dip in (X, Y):
             closed = rate_modulation(r, phi, 2 * k * L, dip)
-            green = rate_modulation_green(r, phi, k, L, dip)
+            green = decay_rate(unit_scene(k, L), r, phi, dip)
             assert green == pytest.approx(closed, abs=1e-12)
 
     def test_image_dipole_in_phase(self):
         # r=1, 2 phi + theta = 0, X dipole: doubled rate
         assert rate_modulation(1.0, 0.0, 0.0, X) == pytest.approx(2.0)
-        assert rate_modulation_green(1.0, 0.0, 0.0173, 0.0, X) == pytest.approx(2.0)
+        assert decay_rate(unit_scene(0.0173, 0.0), 1.0, 0.0, X) == pytest.approx(2.0)
 
     def test_broadband_only_theta_matters(self):
         # same 2kL product, different frequencies: identical factor
-        a = rate_modulation_green(0.7, 0.4, 0.0173, 30_000.0, Y)
-        b = rate_modulation_green(0.7, 0.4, 2 * 0.0173, 15_000.0, Y)
+        a = decay_rate(unit_scene(0.0173, 30_000.0), 0.7, 0.4, Y)
+        b = decay_rate(unit_scene(2 * 0.0173, 15_000.0), 0.7, 0.4, Y)
         assert a == pytest.approx(b, abs=1e-12)
-
-    def test_averaged_has_no_single_factor(self):
-        with pytest.raises(ValueError):
-            rate_modulation_green(0.5, 0.0, 0.0173, 0.0, AVG)
 
     def test_reflectivity_range(self):
         with pytest.raises(ReflectivityOutOfRange):
-            rate_modulation_green(1.5, 0.0, 0.0173, 0.0, X)
+            decay_rate(unit_scene(0.0173, 0.0), 1.5, 0.0, X)
+
+
+def one_fringe_call(call):
+    """call()'s value, asserting that it evaluates emission.fringe exactly once."""
+    with mock.patch.object(emission, "fringe", wraps=emission.fringe) as spy:
+        got = call()
+    assert spy.call_count == 1
+    return got
+
+
+class TestSingleAxes:
+    # the averaged dipole is built from the single-axis values of one fringe
+    # evaluation: the mean of the two rates, the weight mix of the two
+    # intensities, every bit as the single-axis calls give them
+    AXES = {X: (X,), Y: (Y,), AVG: (X, Y)}
+
+    @pytest.mark.parametrize("dip", list(DipoleOrientation))
+    @pytest.mark.parametrize("phi", [0.7, np.linspace(0.0, math.pi, 33)])
+    @pytest.mark.parametrize("include_nonradiative", [False, True])
+    def test_rate_is_the_mean_of_the_single_axis_rates(self, dip, phi, include_nonradiative):
+        scene = make_scene(gamma_x0=0.3)
+        got = one_fringe_call(
+            lambda: decay_rate(scene, 0.6, phi, dip, include_nonradiative=include_nonradiative)
+        )
+        rates = [decay_rate(scene, 0.6, phi, axis) for axis in self.AXES[dip]]
+        mean = rates[0] if len(rates) == 1 else 0.5 * (rates[0] + rates[1])
+        extra = scene.gamma_nrad if include_nonradiative else 0.0
+        assert np.asarray(got).tobytes() == np.asarray(mean + extra).tobytes()
+
+    @pytest.mark.parametrize("dip", list(DipoleOrientation))
+    @pytest.mark.parametrize("phi", [0.7, np.linspace(0.0, math.pi, 33)])
+    def test_intensity_is_the_weight_mix_of_the_single_axes(self, dip, phi):
+        scene = make_scene()
+        weights = (0.2, 0.8)
+        got = one_fringe_call(lambda: intensity(scene, weights, 0.6, phi, dip))
+        singles = [intensity(scene, weights, 0.6, phi, axis) for axis in self.AXES[dip]]
+        if dip is AVG:
+            want = weights[0] * singles[0] + weights[1] * singles[1]
+        else:
+            want = singles[0]
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
 class TestDecayRate:
@@ -112,14 +153,6 @@ class TestDecayRate:
         base = decay_rate(scene, 0.3, 0.2, Y)
         total = decay_rate(scene, 0.3, 0.2, Y, include_nonradiative=True)
         assert total == pytest.approx(base + 0.1)
-
-    def test_averaged_is_mean_of_single(self):
-        scene = make_scene(gamma_x0=0.3)
-        for phi in np.linspace(0, math.pi, 7):
-            gx = decay_rate(scene, 0.6, phi, X)
-            gy = decay_rate(scene, 0.6, phi, Y)
-            avg = decay_rate(scene, 0.6, phi, AVG)
-            assert avg == pytest.approx(0.5 * (gx + gy), abs=1e-14)
 
     @given(r=reflectivities, phi=phases)
     def test_phase_average_conserved(self, r, phi):

@@ -73,6 +73,8 @@ def qd1_sweep(qd1_cfg, qd1_profile):
         list(cfg.voltages()),
         cfg.counts_scale,
         seed=cfg.seed,
+        amp_ratio=cfg.raw["sweep"]["amp_ratio"],
+        background=cfg.raw["sweep"]["background"],
         hist_counts=cfg.hist_counts,
         bin_edges=cfg.bin_edges(),
         irf_sigma=cfg.irf_sigma,
@@ -825,6 +827,8 @@ class TestAnalyzeSweep:
                 volts,
                 cfg.counts_scale,
                 seed=seed,
+                amp_ratio=cfg.raw["sweep"]["amp_ratio"],
+                background=cfg.raw["sweep"]["background"],
                 hist_counts=cfg.hist_counts,
                 bin_edges=cfg.bin_edges(),
                 irf_sigma=cfg.irf_sigma,

@@ -1,6 +1,7 @@
 import math
 import re
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,6 +18,8 @@ from oracles import (
     generate_decay_histogram,
 )
 from oracles import expected_bin_counts as one_rate_expected_counts
+from phasemirror import emission
+from phasemirror.config import DEFAULT_CONFIG
 from phasemirror.emission import DipoleOrientation, decay_rate, intensity
 from phasemirror.synthlab import (
     _SWEEP_BLOCK,
@@ -35,6 +38,7 @@ from phasemirror.synthlab import (
 )
 
 SCENE = replace(default_device().scene, gamma_x0=0.3)
+SWEEP = DEFAULT_CONFIG["sweep"]
 WEIGHTS = (0.2, 0.7)
 CAL = default_device().calibration
 QUAD = replace(CAL, model=CalibrationModel.QUADRATIC, quad_coeff=0.05)
@@ -243,9 +247,9 @@ class TestExpBinIntegrals:
     @example(gamma=50.0, which=2)
     def test_matches_the_long_double_oracle(self, gamma, which):
         edges = KERNEL_EDGES[which]
-        E, dE = exp_bin_integrals([gamma], edges, derivative=True)
-        E_ref, dE_ref = bin_integrals_longdouble(gamma, edges)
-        assert np.all(np.isfinite(E)) and np.all(np.isfinite(dE))
+        E, dE, d2E = exp_bin_integrals([gamma], edges, derivative=2)
+        E_ref, dE_ref, d2E_ref = bin_integrals_longdouble(gamma, edges)
+        assert np.all(np.isfinite(E)) and np.all(np.isfinite(dE)) and np.all(np.isfinite(d2E))
         # bins below float's normal range hold no relative precision to check
         ok = E_ref > 1e-290
         assert np.all((np.abs(E[0] - E_ref) <= 1e-13 * E_ref)[ok])
@@ -253,24 +257,40 @@ class TestExpBinIntegrals:
         # every bit; its difference cancels as gamma w -> 0 and carries the
         # rounding of both exponentials and their arguments, kappa
         a, b = np.abs(edges[:-1]), np.abs(edges[1:])
-        kappa = (
-            b * np.exp(-gamma * b) * (1.0 + gamma * b) + a * np.exp(-gamma * a) * (1.0 + gamma * a)
-        ) / gamma
+        e_a, e_b = np.exp(-gamma * a), np.exp(-gamma * b)
+        kappa = (b * e_b * (1.0 + gamma * b) + a * e_a * (1.0 + gamma * a)) / gamma
         bound = 1e-13 * np.abs(dE_ref) + 4.0 * np.finfo(float).eps * kappa
         assert np.all((np.abs(dE[0] - dE_ref) <= bound)[ok])
+        # d2E = ((a^2 e_a - b^2 e_b) - 2 dE) / gamma cancels the same way,
+        # carrying the rounding of its own two terms and twice that of dE
+        kappa2 = (
+            b * b * e_b * (1.0 + gamma * b) + a * a * e_a * (1.0 + gamma * a) + 2.0 * kappa
+        ) / gamma
+        bound2 = 1e-13 * np.abs(d2E_ref) + 4.0 * np.finfo(float).eps * kappa2
+        assert np.all((np.abs(d2E[0] - d2E_ref) <= bound2)[ok])
+        # the lower orders are the first outputs of the higher, bit for bit
+        E1, dE1 = exp_bin_integrals([gamma], edges, derivative=1)
+        assert E1.tobytes() == E.tobytes() and dE1.tobytes() == dE.tobytes()
+        assert exp_bin_integrals([gamma], edges).tobytes() == E.tobytes()
 
     @pytest.mark.parametrize("gamma", [0.0, 1e-300])
     @pytest.mark.parametrize("which", range(len(KERNEL_EDGES)))
     def test_takes_the_exact_limits_as_gamma_vanishes(self, gamma, which):
         edges = KERNEL_EDGES[which]
-        E, dE = exp_bin_integrals([gamma, 1.0], edges, derivative=True)
-        E_ref, dE_ref = bin_integrals_longdouble(gamma, edges)
+        E, dE, d2E = exp_bin_integrals([gamma, 1.0], edges, derivative=2)
+        E_ref, dE_ref, d2E_ref = bin_integrals_longdouble(gamma, edges)
+        eps = np.finfo(float).eps
         assert E[0].tobytes() == np.diff(edges).tobytes()
-        assert np.all(np.abs(dE[0] - dE_ref) <= np.finfo(float).eps * np.abs(dE_ref))
+        assert np.all(np.abs(dE[0] - dE_ref) <= eps * np.abs(dE_ref))
+        # w (a^2 + ab + b^2) / 3 takes eight roundings to dE's limit's three
+        assert np.all(np.abs(d2E[0] - d2E_ref) <= 2.0 * eps * np.abs(d2E_ref))
         # the limit row leaves the other rows as they are alone
-        E1, dE1 = exp_bin_integrals([1.0], edges, derivative=True)
+        E1, dE1, d2E1 = exp_bin_integrals([1.0], edges, derivative=2)
         assert E[1].tobytes() == E1[0].tobytes()
         assert dE[1].tobytes() == dE1[0].tobytes()
+        assert d2E[1].tobytes() == d2E1[0].tobytes()
+        first = exp_bin_integrals([gamma, 1.0], edges, derivative=1)
+        assert [x.tobytes() for x in first] == [E.tobytes(), dE.tobytes()]
         assert exp_bin_integrals([gamma, 1.0], edges).tobytes() == E.tobytes()
 
 
@@ -280,7 +300,7 @@ class TestSweep:
             voltages = np.linspace(0.0, 8.0, 12)
         return generate_sweep(
             SCENE, WEIGHTS, 0.6, QUAD, voltages, counts_scale, seed, DEFAULT_EDGES,
-            hist_counts=20_000.0,
+            amp_ratio=SWEEP["amp_ratio"], background=SWEEP["background"], hist_counts=20_000.0,
         )
 
     def test_structure(self):
@@ -303,6 +323,12 @@ class TestSweep:
             # float expectation counts, not integers
             assert np.any(hist != np.floor(hist))
 
+    def test_two_fringe_evaluations_per_sweep(self):
+        # one for the intensities and one for the fast rates of all points
+        with mock.patch.object(emission, "fringe", wraps=emission.fringe) as spy:
+            self.run()
+        assert spy.call_count == 2
+
     def test_seeded_reproducibility(self):
         a_counts, a_hists = self.run(seed=5)[1:]
         b_counts, b_hists = self.run(seed=5)[1:]
@@ -314,7 +340,7 @@ class TestSweep:
     def test_zero_reflectivity_flat_sweep(self):
         _, counts, _ = generate_sweep(
             SCENE, WEIGHTS, 0.0, QUAD, np.linspace(0, 8, 6), math.inf, 0, DEFAULT_EDGES,
-            hist_counts=1000.0,
+            amp_ratio=SWEEP["amp_ratio"], background=SWEEP["background"], hist_counts=1000.0,
         )
         assert len(set(counts)) == 1
 
@@ -324,6 +350,7 @@ class TestSweep:
         runs = [
             generate_sweep(
                 SCENE, WEIGHTS, 0.6, QUAD, voltages, 40_000.0, 3,
+                amp_ratio=SWEEP["amp_ratio"], background=SWEEP["background"],
                 hist_counts=1000.0, bin_edges=np.linspace(0.0, 25.0, n_bins + 1),
             )
             for n_bins in (20, 50)
@@ -352,7 +379,8 @@ class TestSweep:
         for counts_scale in (40_000.0, math.inf):
             phis, _, hists = generate_sweep(
                 SCENE, WEIGHTS, 0.6, QUAD, voltages, counts_scale, 11, DEFAULT_EDGES,
-                background=background, hist_counts=20_000.0, irf_sigma=irf_sigma,
+                amp_ratio=SWEEP["amp_ratio"], background=background,
+                hist_counts=20_000.0, irf_sigma=irf_sigma,
             )
             assert hists.shape == (n_points, len(DEFAULT_EDGES) - 1)
             for i, (phi, hist) in enumerate(zip(phis, hists)):
@@ -382,11 +410,11 @@ class TestSweep:
         )
         quad = generate_sweep(
             SCENE, WEIGHTS, 0.6, QUAD, voltages, 40_000.0, 11, DEFAULT_EDGES,
-            hist_counts=1000.0,
+            amp_ratio=SWEEP["amp_ratio"], background=SWEEP["background"], hist_counts=1000.0,
         )
         tab = generate_sweep(
             SCENE, WEIGHTS, 0.6, table, voltages, 40_000.0, 11, DEFAULT_EDGES,
-            hist_counts=1000.0,
+            amp_ratio=SWEEP["amp_ratio"], background=SWEEP["background"], hist_counts=1000.0,
         )
         assert np.array_equal(tab[0], quad[0])
         assert np.array_equal(tab[1], quad[1])
@@ -399,7 +427,7 @@ class TestSweep:
         with pytest.raises(OutOfCalibration):
             generate_sweep(
                 SCENE, WEIGHTS, 0.6, cal, [0.0, 5.0], math.inf, 0, DEFAULT_EDGES,
-                hist_counts=1000.0,
+                amp_ratio=SWEEP["amp_ratio"], background=SWEEP["background"], hist_counts=1000.0,
             )
 
 
@@ -558,6 +586,7 @@ def test_simulated_histograms_read_back_bit_for_bit(
     _, _, hists = generate_sweep(
         SCENE, WEIGHTS, 0.6, QUAD, np.linspace(0.0, 8.0, n_points),
         math.inf if noiseless else 40_000.0, seed,
+        amp_ratio=SWEEP["amp_ratio"], background=SWEEP["background"],
         hist_counts=20_000.0, bin_edges=edges, irf_sigma=irf_sigma,
     )
     path = str(tmp_path_factory.mktemp("sweep") / "histograms.csv")
