@@ -13,7 +13,7 @@ the preset to keep the two in sync.
 import sys
 
 from phasemirror.config import DEFAULT_CONFIG, QD1_PRESET, RunConfig
-from phasemirror.emission import visibility_intensity
+from phasemirror.emission import visibility_intensity_mixed
 from phasemirror.modesolver import bisect_root, mode_weights, solve_te0
 
 R_T = 0.6
@@ -28,15 +28,13 @@ def main() -> int:
     profile = solve_te0(cfg.geometry(), n_points=cfg.grid_points)
     half = profile.core_half_width
 
-    # nu_I = nu(r) * (wy - wx)/(wy + wx): invert the weight imbalance.
-    f_target = NU_I_TARGET / visibility_intensity(R_T)
+    def excess(y0: float) -> float:
+        return visibility_intensity_mixed(R_T, mode_weights(profile, y0)) - NU_I_TARGET
 
-    def imbalance(y0: float) -> float:
-        wx, wy = mode_weights(profile, y0)
-        return (wy - wx) / (wy + wx) - f_target
-
-    # imbalance falls from 1 at the center through 0 near the crossing
-    y0_star = bisect_root(imbalance, 0.0, 0.75 * half)
+    # the visibility falls from nu(r) at the center to 0 at the weight
+    # crossing, inside the bracket, and rises again beyond it, to
+    # |(wy - wx)/(wy + wx)| * nu(r) = 0.164 at its end
+    y0_star = bisect_root(excess, 0.0, 0.75 * half)
     wx, wy = mode_weights(profile, y0_star)
     rho_sq = wx / wy
 

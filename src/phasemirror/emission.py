@@ -26,20 +26,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, NumericalError
+from .errors import InputError
 from .modesolver import ModeProfile, mode_weights
 
 
 class ReflectivityOutOfRange(InputError):
     """|r_T| outside [0, 1]."""
-
-
-class ZeroField(NumericalError):
-    """Both mode weights vanish; no guided field at the emitter."""
-
-
-class DegenerateRates(NumericalError):
-    """Rate-weighted average undefined because both rates are zero."""
 
 
 class DipoleOrientation(enum.Enum):
@@ -93,9 +85,11 @@ def scalar_green(x: float, x_src: float, k: float) -> complex:
     return 1j / (2.0 * k) * np.exp(1j * k * abs(x - x_src))
 
 
-def _check_reflectivity(r_T_mag: float) -> None:
-    if not 0.0 <= r_T_mag <= 1.0:
-        raise ReflectivityOutOfRange(f"|r_T| must lie in [0, 1], got {r_T_mag}")
+def _check_reflectivity(r_T_mag: float | np.ndarray) -> None:
+    r = np.asarray(r_T_mag)
+    bad = ~((0.0 <= r) & (r <= 1.0))
+    if bad.any():
+        raise ReflectivityOutOfRange(f"|r_T| must lie in [0, 1], got {r[bad].flat[0]}")
 
 
 def fringe(phi: float, k: float, L: float) -> float:
@@ -168,57 +162,28 @@ def intensity(
     return single(dip)
 
 
-def visibility_intensity(r_T_mag: float) -> float:
-    """Single-dipole intensity fringe visibility 2r / (1 + r^2)."""
+def visibility_intensity(r_T_mag: float | np.ndarray) -> float | np.ndarray:
+    """Single-dipole intensity fringe visibility 2r / (1 + r^2).
+
+    r may be an array of reflectivities, each giving the bits of a
+    scalar call.
+    """
     _check_reflectivity(r_T_mag)
-    return 2.0 * r_T_mag / (1.0 + r_T_mag**2)
+    return 2.0 * r_T_mag / (1.0 + r_T_mag * r_T_mag)
 
 
-def visibility_intensity_mixed(r_T_mag: float, weights: tuple[float, float]) -> float:
+def visibility_intensity_mixed(
+    r_T_mag: float | np.ndarray, weights: tuple[float, float]
+) -> float | np.ndarray:
     """Two-dipole intensity visibility reduced by the mode-weight factor.
 
     Multiplies 2r/(1+r^2) by |wy - wx| / (wy + wx) where (wx, wy) are
     the squared mode amplitudes at the emitter offset, two floats or two
-    arrays over offsets.
+    arrays over offsets; a column of reflectivities against arrays of
+    weights gives the (r, offset) plane.
     """
     wx, wy = weights
-    if np.any(wx < 0) or np.any(wy < 0):
-        raise InputError("mode weights must be non-negative")
-    if np.any((wx == 0.0) & (wy == 0.0)):
-        raise ZeroField("both mode weights vanish at the emitter position")
-    return visibility_intensity(r_T_mag) * abs(wy - wx) / (wy + wx)
-
-
-def visibility_rate(
-    beta_x0: float,
-    beta_y0: float,
-    Gamma_x0: float,
-    Gamma_y0: float,
-    r_T_mag: float,
-    dip: DipoleOrientation,
-) -> float:
-    """Decay-rate fringe visibility.
-
-    Single dipole: beta_0 * r.  Averaged orientation: the
-    rate-weighted beta difference
-    |beta_x0 Gamma_x0 - beta_y0 Gamma_y0| / (Gamma_x0 + Gamma_y0) * r,
-    which reduces to |beta_x0 - beta_y0| r / 2 for equal rates.  The
-    betas and rates may be arrays over offsets.
-    """
-    _check_reflectivity(r_T_mag)
-    for name, val in (("beta_x0", beta_x0), ("beta_y0", beta_y0)):
-        val = np.asarray(val)
-        bad = ~((0.0 <= val) & (val <= 1.0))
-        if np.any(bad):
-            raise InputError(f"{name} must lie in [0, 1], got {val[bad].flat[0]}")
-    if dip is DipoleOrientation.X:
-        return beta_x0 * r_T_mag
-    if dip is DipoleOrientation.Y:
-        return beta_y0 * r_T_mag
-    if np.any(Gamma_x0 + Gamma_y0 <= 0.0):
-        raise DegenerateRates("rate-weighted average needs Gamma_x0 + Gamma_y0 > 0")
-    num = abs(beta_x0 * Gamma_x0 - beta_y0 * Gamma_y0)
-    return num / (Gamma_x0 + Gamma_y0) * r_T_mag
+    return visibility_intensity(r_T_mag) * (abs(wy - wx) / (wy + wx))
 
 
 def _extremal_phases(theta: float) -> tuple[float, float]:
@@ -253,23 +218,6 @@ def figure1c_curves(
     return phis, gammas, intensity(scene, weights, r_T_mag, phis, dip)
 
 
-def offset_scaled_rates(
-    profile: ModeProfile, scene: EmitterScene, y0: float | np.ndarray
-) -> tuple:
-    """(gamma_x0, gamma_y0) at a lateral offset, or arrays over offsets.
-
-    Both dipole rates follow the local mode weights with a single
-    proportionality constant anchored so the y-dipole rate at the
-    waveguide center equals scene.gamma_y0.
-    """
-    wx, wy = mode_weights(profile, y0)
-    _, wy_center = mode_weights(profile, 0.0)
-    if wy_center <= 0.0:
-        raise ZeroField("no transverse field at the waveguide center")
-    scale = scene.gamma_y0 / wy_center
-    return scale * wx, scale * wy
-
-
 def figure1d_curves(
     profile: ModeProfile,
     scene: EmitterScene,
@@ -277,24 +225,24 @@ def figure1d_curves(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Offset sweep as columns (y0, nu_I, nu_gamma) across the waveguide width.
 
-    Intensity visibility uses the mode-weight reduction; rate
-    visibility uses the averaged-dipole formula with equal rate
+    Intensity visibility uses the mode-weight reduction.  Rate
+    visibility is the averaged-dipole beta difference with equal rate
     weights (the two total rates differ only slightly with offset),
-    with beta factors built from offset-scaled rates and the shared
-    gamma_b.  At the center this reduces to beta_y0 r / 2.
+    |beta_x - beta_y| r / 2, with beta factors built from the shared
+    gamma_b and offset-scaled rates: both dipole rates follow the local
+    mode weights, with one constant anchoring the y-dipole rate at the
+    waveguide centre to scene.gamma_y0.  At the centre this reduces to
+    beta_y0 r / 2.
     """
-    _check_reflectivity(r_T_mag)
     half = profile.core_half_width
     y0 = np.linspace(-half, half, N_OFFSETS)
-    nu_i = visibility_intensity_mixed(r_T_mag, mode_weights(profile, y0))
-    gx, gy = offset_scaled_rates(profile, scene, y0)
+    wx, wy = mode_weights(profile, y0)
+    nu_i = visibility_intensity_mixed(r_T_mag, (wx, wy))
+    scale = scene.gamma_y0 / mode_weights(profile, 0.0)[1]
     # beta is 0 where the rate is 0: with gamma_b = 0 the quotient would
     # be 0/0 at the centre, where e_x vanishes
     beta_x, beta_y = (
         np.divide(g, g + scene.gamma_b, out=np.zeros_like(g), where=g != 0.0)
-        for g in (gx, gy)
+        for g in (scale * wx, scale * wy)
     )
-    nu_g = visibility_rate(
-        beta_x, beta_y, 1.0, 1.0, r_T_mag, DipoleOrientation.AVERAGED_BOTH
-    )
-    return y0, nu_i, nu_g
+    return y0, nu_i, abs(beta_x - beta_y) / 2.0 * r_T_mag

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .emission import visibility_intensity_mixed
 from .errors import InputError, NumericalError
 from .modesolver import ModeProfile, mode_weights
 from .synthlab import bin_midpoints, exp_bin_integrals
@@ -490,7 +491,7 @@ def estimate_parameters(
 
     Keeps every grid point whose predicted intensity and rate
     visibilities both fall within N_SIGMA sigmas of the measurement; the
-    intensity model is the mode-weight-reduced fringe visibility and
+    intensity model is emission.visibility_intensity_mixed and
     the rate model the rate-weighted two-dipole average with both
     dipole rates scaled by the local mode weights (beta_y0 is the
     center value).  The set is bounded on a grid rather than by a local
@@ -520,8 +521,7 @@ def estimate_parameters(
     )
 
     # stage 1: the intensity constraint on the (r_T, y0) plane
-    f_mode = np.abs(wy - wx) / (wy + wx)
-    nu_i_pred = 2.0 * rs[:, None] / (1.0 + rs[:, None] ** 2) * f_mode
+    nu_i_pred = visibility_intensity_mixed(rs[:, None], (wx, wy))
     ri, yi = np.nonzero(np.abs(nu_i_pred - nu_I) <= N_SIGMA * sigma_I)
     if len(ri) == 0:
         raise empty
@@ -591,8 +591,8 @@ def analyze_sweep(
     bin_edges: np.ndarray,
     hist_counts: np.ndarray,
     profile: ModeProfile,
+    histogram_names: list[str],
     fit_background: bool = False,
-    histogram_names: list[str] | None = None,
 ) -> dict:
     """Full inverse chain on one sweep: fits, visibilities, estimate.
 
@@ -607,15 +607,14 @@ def analyze_sweep(
     lifetime fit, for histograms recorded with one.
     A failing lifetime fit, or one whose rate or rate sigma is not finite
     (NonFiniteRate), raises an error prefixed with the histogram's name
-    from histogram_names, or else its position.
+    from histogram_names.
     """
     phases = np.asarray(phases, dtype=float)
     counts = np.asarray(intensity_counts, dtype=float)
     intensity_fit = fit_sinusoid(phases, counts, np.sqrt(np.maximum(counts, 1.0)))
 
     rate_fits = []
-    for i, row in enumerate(hist_counts):
-        name = histogram_names[i] if histogram_names else f"histogram {i}"
+    for name, row in zip(histogram_names, hist_counts, strict=True):
         try:
             fit = fit_biexponential(bin_edges, row, fit_background)
         except NumericalError as exc:

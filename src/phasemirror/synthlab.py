@@ -202,16 +202,16 @@ def _expectation(
     background: float,
     total_counts: float,
     bin_edges: np.ndarray,
-    irf_sigma: float | None = None,
+    irf_sigma: float | None,
 ) -> Callable[[Sequence[float]], np.ndarray]:
     """expected(gammas_f): expected counts of decays that differ only in gamma_f.
 
     The slow component is computed here, once; expected(gammas_f) gives
     one row of bin counts per fast rate, each scaled so the expectation
-    sums to total_counts.  Without an IRF the exponentials are
-    integrated exactly over each bin; with an IRF the blurred density is
-    sampled at bin midpoints (adequate for sigma well below the window
-    length).
+    sums to total_counts.  Without an IRF (irf_sigma None) the
+    exponentials are integrated exactly over each bin; with an IRF the
+    blurred density is sampled at bin midpoints (adequate for sigma well
+    below the window length).
     """
     edges = np.asarray(bin_edges, dtype=float)
     widths = np.diff(edges)
@@ -251,7 +251,7 @@ def generate_sweep(
     amp_ratio: float,
     background: float,
     hist_counts: float,
-    irf_sigma: float | None = None,
+    irf_sigma: float | None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Simulate a voltage sweep as (phis, intensity counts, histogram counts).
 

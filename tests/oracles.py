@@ -27,7 +27,9 @@ uses it:
   simulator's own expectation of that point alone: `generate_sweep`
   must give each point this histogram bit for bit, whichever block of
   points it computes it in;
-- the centered-emitter approximation of the rate visibility.
+- the centered-emitter approximation of the rate visibility, and the
+  two visibilities of `fig1d` at one offset, one float at a time:
+  `figure1d_curves` must give every offset these bits.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ import numpy as np
 from phasemirror.config import DEFAULT_CONFIG
 from phasemirror.emission import DipoleOrientation
 from phasemirror.inference import biexp_model
-from phasemirror.modesolver import ModeProfile, WaveguideGeometry, _solve_width
+from phasemirror.modesolver import ModeProfile, WaveguideGeometry, _solve_width, mode_weights
 from phasemirror.opticalstack import MirrorChain, PhotonicCrystalSpec
 from phasemirror.synthlab import _expectation, _rng, default_bin_edges
 
@@ -322,3 +324,24 @@ def generate_decay_histogram(
 def visibility_rate_centered(beta_y0: float, r_T_mag: float) -> float:
     """Centered-emitter approximation nu_gamma ~= beta_y0 r / 2."""
     return 0.5 * beta_y0 * r_T_mag
+
+
+def figure1d_row(profile: ModeProfile, scene, r_T_mag: float, y0: float) -> tuple[float, float]:
+    """(nu_I, nu_gamma) of fig1d at one offset y0.
+
+    Both dipole rates follow the local mode weights, scaled so that the
+    y-dipole rate at the centre is scene.gamma_y0; beta = G / (G +
+    gamma_b) is 0 where the rate G is 0.  nu_gamma is the rate-weighted
+    two-dipole average |beta_x G_x - beta_y G_y| / (G_x + G_y) r at
+    equal unit rate weights, nu_I is 2r / (1 + r^2) times the weight
+    factor |wy - wx| / (wy + wx).
+    """
+    wx, wy = mode_weights(profile, y0)
+    scale = scene.gamma_y0 / mode_weights(profile, 0.0)[1]
+    beta_x, beta_y = (
+        g / (g + scene.gamma_b) if g != 0.0 else 0.0 for g in (scale * wx, scale * wy)
+    )
+    g_x = g_y = 1.0
+    nu_gamma = abs(beta_x * g_x - beta_y * g_y) / (g_x + g_y) * r_T_mag
+    nu_i = 2.0 * r_T_mag / (1.0 + r_T_mag * r_T_mag) * (abs(wy - wx) / (wy + wx))
+    return nu_i, nu_gamma

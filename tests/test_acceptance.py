@@ -162,7 +162,8 @@ def test_06_qd1_round_trip():
         irf_sigma=cfg.irf_sigma,
     )
     result = inference.analyze_sweep(
-        phis, counts, cfg.bin_edges(), histograms, profile=profile
+        phis, counts, cfg.bin_edges(), histograms, profile=profile,
+        histogram_names=synthlab.histogram_header(len(histograms))[1:],
     )
     elapsed = time.perf_counter() - t0
     ok = (

@@ -9,23 +9,20 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import default_device
-from oracles import rate_modulation, visibility_rate_centered
+from oracles import figure1d_row, rate_modulation, visibility_rate_centered
 from phasemirror import emission
 from phasemirror.cli import main
 from phasemirror.emission import (
-    DegenerateRates,
     DipoleOrientation,
     ReflectivityOutOfRange,
-    ZeroField,
+    _check_reflectivity,
     decay_rate,
     figure1c_curves,
     figure1d_curves,
     intensity,
-    offset_scaled_rates,
     scalar_green,
     visibility_intensity,
     visibility_intensity_mixed,
-    visibility_rate,
 )
 from phasemirror.modesolver import mode_weights, solve_te0
 
@@ -258,42 +255,33 @@ class TestVisibilities:
     def test_mixed_reduction(self):
         assert visibility_intensity_mixed(0.5, (0.0, 1.0)) == pytest.approx(0.8)
         assert visibility_intensity_mixed(0.9, (0.4, 0.4)) == 0.0
-        with pytest.raises(ZeroField):
-            visibility_intensity_mixed(0.5, (0.0, 0.0))
 
-    def test_rate_visibility_single(self):
-        assert visibility_rate(1.0, 1.0, 1.0, 1.0, 1.0, X) == 1.0
-        assert visibility_rate(0.2, 0.9, 1.0, 1.0, 0.5, Y) == pytest.approx(0.45)
+    def test_intensity_array_has_the_scalar_bits(self):
+        rs = np.linspace(0.0, 1.0, 101)
+        got = visibility_intensity(rs)
+        assert got.tolist() == [visibility_intensity(r) for r in rs.tolist()]
 
-    def test_rate_visibility_averaged_center(self):
-        # beta_x0 = 0, equal rates: reduces to beta_y0 r / 2
-        assert visibility_rate(0.0, 0.9, 1.0, 1.0, 0.6, AVG) == pytest.approx(
-            0.27, abs=1e-15
-        )
-        assert visibility_rate_centered(0.9, 0.6) == pytest.approx(0.27)
+    def test_mixed_plane_has_the_scalar_bits(self, default_profile):
+        # a column of reflectivities against weights over offsets, as the
+        # feasible-set scan evaluates it
+        rs = np.linspace(0.0, 1.0, 11)
+        y0s = np.linspace(0.0, default_profile.core_half_width, 21)
+        wx, wy = mode_weights(default_profile, y0s)
+        got = visibility_intensity_mixed(rs[:, None], (wx, wy))
+        assert got.shape == (11, 21)
+        assert got.tolist() == [
+            [visibility_intensity_mixed(r, w) for w in zip(wx.tolist(), wy.tolist())]
+            for r in rs.tolist()
+        ]
 
-    def test_rate_visibility_cancellation(self):
-        assert visibility_rate(0.8, 0.8, 1.3, 1.3, 0.7, AVG) == 0.0
-
-    def test_degenerate_rates(self):
-        with pytest.raises(DegenerateRates):
-            visibility_rate(0.5, 0.5, 0.0, 0.0, 0.5, AVG)
-
-    @given(
-        beta_x=st.floats(min_value=0.0, max_value=1.0),
-        beta_y=st.floats(min_value=0.0, max_value=1.0),
-        g_x=st.floats(min_value=1e-3, max_value=10.0),
-        g_y=st.floats(min_value=1e-3, max_value=10.0),
-        r=reflectivities,
-    )
-    def test_averaging_reduces_visibility(self, beta_x, beta_y, g_x, g_y, r):
-        # averaging two opposite-sign fringes cannot beat the weaker-
-        # coupled dipole's own fringe when beta_x <= beta_y
-        if beta_x > beta_y:
-            beta_x, beta_y = beta_y, beta_x
-        nu_avg = visibility_rate(beta_x, beta_y, g_x, g_y, r, AVG)
-        nu_y = visibility_rate(beta_x, beta_y, g_x, g_y, r, Y)
-        assert nu_avg <= nu_y + 1e-12
+    def test_array_with_one_reflectivity_outside_is_refused(self):
+        _check_reflectivity(np.linspace(0.0, 1.0, 5))
+        for bad in (1.0 + 1e-12, -0.1, math.nan):
+            rs = np.array([0.0, 0.5, bad, 1.0])
+            with pytest.raises(ReflectivityOutOfRange, match=f"got {bad}$"):
+                _check_reflectivity(rs)
+            with pytest.raises(ReflectivityOutOfRange):
+                visibility_intensity(rs[:, None])
 
 
 class TestScene:
@@ -340,23 +328,17 @@ class TestFigureCurves:
         # quotient would be 0/0; beta_y is gamma_y0 / (gamma_y0 + gamma_b)
         y0, _, nu_g = figure1d_curves(default_profile, make_scene(gamma_b=gamma_b), 0.5)
         mid = len(y0) // 2
-        want = visibility_rate(0.0, beta_y0, 1.0, 1.0, 0.5, AVG)
-        assert want == pytest.approx(visibility_rate_centered(beta_y0, 0.5))
-        assert nu_g[mid] == pytest.approx(want, abs=1e-12)
+        assert nu_g[mid] == pytest.approx(visibility_rate_centered(beta_y0, 0.5), abs=1e-12)
 
+    @pytest.mark.parametrize("gamma_b", [0.0, 0.2])
     @pytest.mark.parametrize("r", [0.0, 0.6, 1.0])
-    def test_offset_curves_equal_the_per_offset_loop(self, default_profile, r):
-        # figure1d_curves evaluates all offsets at once; the same scalar
-        # calls, one offset at a time, must give every float exactly
-        scene = make_scene(gamma_b=0.2)
+    def test_offset_curves_equal_the_per_offset_oracle(self, default_profile, r, gamma_b):
+        # figure1d_curves evaluates all offsets at once; the oracle, one
+        # offset at a time, must give every float exactly
+        scene = make_scene(gamma_b=gamma_b)
         half = default_profile.core_half_width
-        want = []
-        for y0 in np.linspace(-half, half, 201).tolist():
-            nu_i = visibility_intensity_mixed(r, mode_weights(default_profile, y0))
-            gx, gy = offset_scaled_rates(default_profile, scene, y0)
-            beta_x = gx / (gx + scene.gamma_b)
-            beta_y = gy / (gy + scene.gamma_b)
-            want.append((y0, nu_i, visibility_rate(beta_x, beta_y, 1.0, 1.0, r, AVG)))
+        y0s = np.linspace(-half, half, 201).tolist()
+        want = [(y0, *figure1d_row(default_profile, scene, r, y0)) for y0 in y0s]
         columns = figure1d_curves(default_profile, scene, r)
         assert [col.tolist() for col in columns] == [list(col) for col in zip(*want)]
 
@@ -384,18 +366,6 @@ class TestFigureCurves:
         crossing = int(np.argmin(values))
         diffs = np.diff(values[: crossing + 1])
         assert np.all(diffs <= 1e-12)
-
-    def test_offset_scaled_rates_anchor(self, default_profile):
-        scene = make_scene()
-        gx0, gy0 = offset_scaled_rates(default_profile, scene, 0.0)
-        assert gx0 == pytest.approx(0.0, abs=1e-18)
-        assert gy0 == pytest.approx(scene.gamma_y0)
-        gx, gy = offset_scaled_rates(default_profile, scene, 75.0)
-        wx, wy = (
-            np.interp(75.0, default_profile.grid, default_profile.e_x) ** 2,
-            np.interp(75.0, default_profile.grid, default_profile.e_y) ** 2,
-        )
-        assert gx / gy == pytest.approx(wx / wy, rel=1e-12)
 
     def test_csv_exports(self, default_cfg, default_profile, tmp_path):
         # `mode` exports both curve families, every float exactly

@@ -40,7 +40,7 @@ from phasemirror.inference import (
 from phasemirror import inference
 from phasemirror.config import RunConfig
 from phasemirror.modesolver import mode_weights, solve_te0
-from phasemirror.synthlab import generate_sweep
+from phasemirror.synthlab import generate_sweep, histogram_header
 
 EDGES = np.linspace(0.0, 25.0, 501)
 PLAIN = ExcitonModel(gamma_f=1.1, gamma_s=0.1, amp_ratio=0.05)
@@ -84,7 +84,10 @@ def qd1_sweep(qd1_cfg, qd1_profile):
 @pytest.fixture(scope="module")
 def qd1_analysis(qd1_cfg, qd1_profile, qd1_sweep):
     phis, counts, hists = qd1_sweep
-    return analyze_sweep(phis, counts, qd1_cfg.bin_edges(), hists, profile=qd1_profile)
+    names = histogram_header(len(hists))[1:]
+    return analyze_sweep(
+        phis, counts, qd1_cfg.bin_edges(), hists, profile=qd1_profile, histogram_names=names
+    )
 
 
 class TestPoissonGradient:
@@ -343,6 +346,7 @@ class TestFitParity:
             background=1.0,
             hist_counts=cfg.hist_counts,
             bin_edges=cfg.bin_edges(),
+            irf_sigma=None,
         )
         for i, n_iter in ((1, 9), (7, 8)):
             res = fit_biexponential(cfg.bin_edges(), histograms[i], fit_background=True)
@@ -834,7 +838,10 @@ class TestAnalyzeSweep:
                 irf_sigma=cfg.irf_sigma,
             )
             phis, counts, hists = recs
-            out = analyze_sweep(phis, counts, cfg.bin_edges(), hists, profile=qd1_profile)
+            out = analyze_sweep(
+                phis, counts, cfg.bin_edges(), hists, profile=qd1_profile,
+                histogram_names=histogram_header(len(hists))[1:],
+            )
             ests.append(out["nu_gamma"])
         ests = np.asarray(ests)
         sem = float(ests.std(ddof=1)) / math.sqrt(len(ests))

@@ -301,6 +301,7 @@ class TestSweep:
         return generate_sweep(
             SCENE, WEIGHTS, 0.6, QUAD, voltages, counts_scale, seed, DEFAULT_EDGES,
             amp_ratio=SWEEP["amp_ratio"], background=SWEEP["background"], hist_counts=20_000.0,
+            irf_sigma=None,
         )
 
     def test_structure(self):
@@ -341,6 +342,7 @@ class TestSweep:
         _, counts, _ = generate_sweep(
             SCENE, WEIGHTS, 0.0, QUAD, np.linspace(0, 8, 6), math.inf, 0, DEFAULT_EDGES,
             amp_ratio=SWEEP["amp_ratio"], background=SWEEP["background"], hist_counts=1000.0,
+            irf_sigma=None,
         )
         assert len(set(counts)) == 1
 
@@ -352,6 +354,7 @@ class TestSweep:
                 SCENE, WEIGHTS, 0.6, QUAD, voltages, 40_000.0, 3,
                 amp_ratio=SWEEP["amp_ratio"], background=SWEEP["background"],
                 hist_counts=1000.0, bin_edges=np.linspace(0.0, 25.0, n_bins + 1),
+                irf_sigma=None,
             )
             for n_bins in (20, 50)
         ]
@@ -411,10 +414,12 @@ class TestSweep:
         quad = generate_sweep(
             SCENE, WEIGHTS, 0.6, QUAD, voltages, 40_000.0, 11, DEFAULT_EDGES,
             amp_ratio=SWEEP["amp_ratio"], background=SWEEP["background"], hist_counts=1000.0,
+            irf_sigma=None,
         )
         tab = generate_sweep(
             SCENE, WEIGHTS, 0.6, table, voltages, 40_000.0, 11, DEFAULT_EDGES,
             amp_ratio=SWEEP["amp_ratio"], background=SWEEP["background"], hist_counts=1000.0,
+            irf_sigma=None,
         )
         assert np.array_equal(tab[0], quad[0])
         assert np.array_equal(tab[1], quad[1])
@@ -428,6 +433,7 @@ class TestSweep:
             generate_sweep(
                 SCENE, WEIGHTS, 0.6, cal, [0.0, 5.0], math.inf, 0, DEFAULT_EDGES,
                 amp_ratio=SWEEP["amp_ratio"], background=SWEEP["background"], hist_counts=1000.0,
+                irf_sigma=None,
             )
 
 
