@@ -14,6 +14,11 @@ collected intensity.  This package covers the full workflow:
 - ``inference``: Poisson lifetime fits, fringe fits and
   feasible-parameter estimation,
 - ``csvio``: the one CSV table format, written and read in one place,
+- ``config``: the run config's defaults, bounds and validation, and the
+  JSON and manifest writers,
+- ``svgplot``: dependency-free SVG line plots of the exported curves,
+- ``errors``: the two exception families, input (exit 2) and numerical
+  (exit 3),
 - ``cli``: config-driven command line tying it together.
 
 Units throughout: rates in 1/ns, lengths in nm, phases in rad.

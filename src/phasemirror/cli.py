@@ -27,7 +27,7 @@ import sys
 
 import numpy as np
 
-from . import emission, inference, modesolver, opticalstack, synthlab, svgplot
+from . import emission, modesolver, opticalstack, synthlab, svgplot
 from .config import (
     DEFAULT_CONFIG,
     QD1_PRESET,
@@ -265,6 +265,11 @@ def _verify_inputs(in_dir: str, manifest_path: str, manifest: dict, cfg: RunConf
 
 
 def _analyze_sweep_dir(args: argparse.Namespace, outs: _Outputs) -> None:
+    # Only analyze needs the inference layer, and a fresh process without a
+    # bytecode cache compiles every module it imports: the other commands
+    # leave it (and csv) unloaded.
+    from . import inference
+
     if args.seed is not None or args.config or args.preset:
         raise ConfigError("analyze --in takes its config from the manifest")
     manifest_path = os.path.join(args.in_dir, "manifest.json")
@@ -327,6 +332,8 @@ def _analyze_sweep_dir(args: argparse.Namespace, outs: _Outputs) -> None:
 
 
 def _analyze_table(args: argparse.Namespace, cfg: RunConfig, outs: _Outputs) -> None:
+    from . import inference  # see _analyze_sweep_dir
+
     rows = inference.read_table1_csv(args.table1)
     report = inference.table1_report(rows, profile=_solve(cfg))
     write_json(outs.path("report.json"), report)

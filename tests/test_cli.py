@@ -831,25 +831,58 @@ def test_main_calls_parse_independently(tmp_path, sim_dir):
             assert read_manifest(out)["seed"] == seed, args
 
 
-def test_cli_import_leaves_scipy_out():
+def test_cli_import_leaves_heavy_modules_out():
+    """`import phasemirror.cli` loads neither the heavy libraries nor the
+    inference layer, which only analyze imports."""
     src = os.path.dirname(os.path.dirname(phasemirror.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    code = "import sys, phasemirror.cli; print('scipy' in sys.modules)"
-    proc = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    assert proc.stdout.strip() == "False"
-
-
-def test_cli_import_leaves_jsonschema_and_xml_out():
-    src = os.path.dirname(os.path.dirname(phasemirror.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    heavy = ["jsonschema", "xml.sax", "urllib.request", "http.client", "email"]
-    code = f"import sys, phasemirror.cli; print([m for m in {heavy!r} if m in sys.modules])"
+    left_out = [
+        "scipy",
+        "jsonschema",
+        "xml.sax",
+        "urllib.request",
+        "http.client",
+        "email",
+        "phasemirror.inference",
+        "csv",
+    ]
+    code = f"import sys, phasemirror.cli; print([m for m in {left_out!r} if m in sys.modules])"
     proc = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert proc.stdout.strip() == "[]"
+
+
+def test_only_analyze_loads_inference(tmp_path):
+    """In a fresh interpreter, mode, mirror and simulate run without loading
+    the inference layer; analyze --in and analyze --table1 each load it."""
+    src = os.path.dirname(os.path.dirname(phasemirror.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    # each argv runs through cli.main in turn; prints [exit code, loaded] per run
+    code = (
+        "import json, sys\n"
+        "from phasemirror.cli import main\n"
+        "print(json.dumps([[main(argv), 'phasemirror.inference' in sys.modules]\n"
+        "                  for argv in json.loads(sys.argv[1])]))"
+    )
+
+    def fresh(*runs):
+        proc = subprocess.run(
+            [sys.executable, "-c", code, json.dumps(runs)],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        return json.loads(proc.stdout)
+
+    sim = str(tmp_path / "sim")
+    assert fresh(
+        ["mode", "--preset", "qd1", "--out", str(tmp_path / "mode")],
+        ["mirror", "--out", str(tmp_path / "mirror")],
+        ["simulate", "--preset", "qd1", "--seed", "7", "--out", sim],
+        ["analyze", "--in", sim, "--out", str(tmp_path / "fit")],
+    ) == [[0, False], [0, False], [0, False], [0, True]]
+    assert fresh(
+        ["analyze", "--table1", builtin_table1_path(), "--out", str(tmp_path / "table1")],
+    ) == [[0, True]]
 
 
 def test_commands_run_without_jsonschema(tmp_path, capsys):
