@@ -4,7 +4,7 @@
 Runs `phasemirror simulate --preset qd1` into <outdir>/sim (a 12-point
 voltage sweep with photon-counting noise), then `phasemirror analyze
 --in` on it into <outdir>/fit (fringe fit, per-point lifetime fits,
-rate fringe fit, feasible-parameter scan), and prints the recovered
+rate fringe fit, feasible-parameter set), and prints the recovered
 numbers from report.json next to the simulation truth.  Exits with the
 CLI's code if either command fails.
 
@@ -43,7 +43,7 @@ def main() -> int:
     if est is not None:
         lo, hi = est["r_T_range"]
         print(f"feasible |r_T|   : [{lo:.2f}, {hi:.2f}] "
-              f"({est['n_feasible']} grid points)")
+              f"({len(est['feasible_slices'])} feasible offsets)")
         lo, hi = est["y0_range"]
         print(f"feasible |y0|    : [{lo:.1f}, {hi:.1f}] nm")
         print(f"|r_T| lower bound: {est['r_T_lower_bound_point']:.4f} "

@@ -418,8 +418,10 @@ class VisibilityEstimate:
     r_T_lower_bound_point inverts the intensity visibility for a
     centered emitter; r_T_lower_bound applies the same inversion at
     nu_I minus N_SIGMA uncertainties so it lower-bounds every member
-    of the feasible set.  feasible_set holds sampled (r_T, beta_y0,
-    y0) triples consistent with both measured visibilities.
+    of the feasible set.  feasible_slices holds one row
+    (y0, r_lo, r_hi, beta_lo, beta_hi) per offset with a feasible
+    point: the |r_T| interval and beta_y0 range of the (r_T, beta_y0)
+    pairs there consistent with both measured visibilities.
     """
 
     nu_I: float
@@ -432,8 +434,7 @@ class VisibilityEstimate:
     r_T_range: tuple[float, float]
     beta_y0_range: tuple[float, float]
     y0_range: tuple[float, float]
-    feasible_set: tuple[tuple[float, float, float], ...]
-    n_feasible: int
+    feasible_slices: tuple[tuple[float, float, float, float, float], ...]
 
     def to_dict(self) -> dict:
         return {
@@ -447,9 +448,14 @@ class VisibilityEstimate:
             "r_T_range": list(self.r_T_range),
             "beta_y0_range": list(self.beta_y0_range),
             "y0_range": list(self.y0_range),
-            "n_feasible": self.n_feasible,
-            "feasible_set": [list(t) for t in self.feasible_set],
+            "feasible_slices": [list(s) for s in self.feasible_slices],
         }
+
+
+def _invert_intensity(u):
+    # the r in [0, 1] with 2r/(1 + r^2) = u, for a float or an array u in
+    # [0, 1], in the form that avoids cancellation at small u
+    return u / (1.0 + np.sqrt(np.maximum(1.0 - u * u, 0.0)))
 
 
 def r_lower_bound(nu_I: float) -> float:
@@ -463,7 +469,7 @@ def r_lower_bound(nu_I: float) -> float:
     """
     if not 0.0 <= nu_I <= 1.0:
         raise InputError(f"visibility must lie in [0, 1], got {nu_I}")
-    return nu_I / (1.0 + math.sqrt(max(1.0 - nu_I**2, 0.0)))
+    return float(_invert_intensity(nu_I))
 
 
 # a feasible point lies within N_SIGMA sigmas of both visibilities; the
@@ -474,9 +480,8 @@ SIGMA_FLOOR_GAMMA = 0.05
 # sigmas of a tabulated row without its nu_I_err or nu_gamma_err column
 TABLE1_SIGMA_I = 0.05
 TABLE1_SIGMA_GAMMA = 0.04
-# the (|r_T|, y0, beta_y0) grid, y0 up to the core edge; MAX_STORED triples kept
-R_POINTS, Y0_POINTS, BETA_POINTS = 101, 201, 101
-MAX_STORED = 2000
+# the offsets of the feasible slices, from the center to the core edge
+Y0_POINTS = 201
 
 
 def estimate_parameters(
@@ -487,21 +492,18 @@ def estimate_parameters(
     sigma_gamma: float = SIGMA_FLOOR_GAMMA,
     theta_offset: float = math.nan,
 ) -> VisibilityEstimate:
-    """Bound (r_T, beta_y0, y0) on a grid by a measured visibility pair.
+    """Bound (r_T, beta_y0, y0) by a measured visibility pair, offset by offset.
 
-    Keeps every grid point whose predicted intensity and rate
-    visibilities both fall within N_SIGMA sigmas of the measurement; the
-    intensity model is emission.visibility_intensity_mixed and
-    the rate model the rate-weighted two-dipole average with both
-    dipole rates scaled by the local mode weights (beta_y0 is the
-    center value).  The set is bounded on a grid rather than by a local
-    fit because the surface is multimodal near the weight-crossing
-    offset.  The intensity constraint does not involve beta_y0, so it
-    is checked on the (r_T, y0) plane first.  At a fixed (r_T, y0) the
-    predicted rate visibility never falls as beta_y0 rises, so the
-    betas that pass form one run per cell, and two bisections find its
-    ends; the grid points kept are those a scan of the full grid would
-    keep, in the same order.
+    A point is feasible when its predicted intensity and rate
+    visibilities both lie within N_SIGMA sigmas of the measurement.  The
+    intensity model (emission.visibility_intensity_mixed) rises along r_T
+    to f = |wy - wx| / (wy + wx), so it passes on one |r_T| interval per
+    offset.  The rate model, the rate-weighted two-dipole average with
+    both dipole rates scaled by the local mode weights (beta_y0 is the
+    center value), rises along beta_y0 from 0 to r_T f, so some beta_y0
+    passes where r_T f >= nu_gamma - tol; the smallest passing beta_y0
+    lies at the interval's top and the largest at its bottom.  Both
+    models invert in closed form, at each of Y0_POINTS offsets.
     """
     for name, val in (("nu_I", nu_I), ("nu_gamma", nu_gamma)):
         if not 0.0 <= val <= 1.0:
@@ -512,72 +514,48 @@ def estimate_parameters(
 
     y0s = np.linspace(0.0, profile.core_half_width, Y0_POINTS)
     wx, wy = mode_weights(profile, y0s)
-    wy0 = mode_weights(profile, 0.0)[1]
-    rs = np.linspace(0.0, 1.0, R_POINTS)
-    betas = np.linspace(0.0, 1.0, BETA_POINTS)
-    empty = EmptyFeasibleSet(
-        f"no (r_T, beta_y0, y0) reproduces nu_I={nu_I} and nu_gamma={nu_gamma} "
-        f"within {N_SIGMA} sigma"
-    )
+    d, s = np.abs(wy - wx), wy + wx
+    c = 2.0 * mode_weights(profile, 0.0)[1]
+    lo_i, hi_i = max(nu_I - N_SIGMA * sigma_I, 0.0), nu_I + N_SIGMA * sigma_I
+    lo_g, hi_g = nu_gamma - N_SIGMA * sigma_gamma, nu_gamma + N_SIGMA * sigma_gamma
 
-    # stage 1: the intensity constraint on the (r_T, y0) plane
-    nu_i_pred = visibility_intensity_mixed(rs[:, None], (wx, wy))
-    ri, yi = np.nonzero(np.abs(nu_i_pred - nu_I) <= N_SIGMA * sigma_I)
-    if len(ri) == 0:
-        raise empty
-    # stage 2: the rate constraint, one run of betas per passing cell.
-    # Along beta the numerator grows by a factor (b + 1)/b per step while
-    # rounding moves the denominator by ulps, so the deviation
-    # (num * r)/den - nu_gamma never falls, and |deviation| <= tol holds
-    # exactly on the betas [start, stop): the first start betas lie below
-    # -tol (at or below the float under it), the first stop at or below tol
-    num = (betas * np.abs(wy - wx)[:, None]).ravel()
-    den = (betas * (wy + wx)[:, None] + 2.0 * wy0 * (1.0 - betas)).ravel()
-    last, r_cell = yi * BETA_POINTS - 1, rs[ri]
-    tol = N_SIGMA * sigma_gamma
-    bound = np.array([[math.nextafter(-tol, -math.inf)], [tol]])
-    # binary lifting: both prefixes of every cell at once, each grown by
-    # the halving powers of two that keep its betas within the bound; a
-    # prefix grown past the last beta, which passes, stands for all betas
-    edge = np.zeros((2, len(ri)), dtype=np.intp)
-    step = (1 << BETA_POINTS.bit_length()) >> 1
-    while step:
-        grow = edge + step
-        at = last + np.minimum(grow, BETA_POINTS)
-        dev = np.take(num, at) * r_cell / np.take(den, at) - nu_gamma
-        edge = np.where(dev <= bound, grow, edge)
-        step >>= 1
-    start, stop = np.minimum(edge, BETA_POINTS)
-    length = stop - start
-    ends = np.cumsum(length)
-    n_feasible = int(ends[-1])
-    if n_feasible == 0:
-        raise empty
-    # the runs laid end to end, cell by cell, are the C order of the full
-    # (r_T, y0, beta_y0) grid, because the cells are
-    stride = max(1, math.ceil(n_feasible / MAX_STORED))
-    kept = np.arange(0, n_feasible, stride)
-    cell = np.searchsorted(ends, kept, side="right")
-    bi = start[cell] + kept - (ends[cell] - length[cell])
-    triples = tuple(
-        zip(rs[ri[cell]].tolist(), betas[bi].tolist(), y0s[yi[cell]].tolist())
-    )
-    cells = length > 0
-    r_vals, y_vals = rs[ri[cells]], y0s[yi[cells]]
-    b_lo, b_hi = start[cells].min(), stop[cells].max() - 1
+    # f is the intensity model at r_T = 1; where f = 0 both models give 0
+    # for every r_T and beta_y0, so all of them pass there or none does
+    f = visibility_intensity_mixed(1.0, (wx, wy))
+    fringe = f > 0.0
+    f_safe = np.where(fringe, f, 1.0)
+    r_lo = np.where(fringe, _invert_intensity(np.minimum(lo_i / f_safe, 1.0)), 0.0)
+    r_hi = np.where(fringe, _invert_intensity(np.minimum(hi_i / f_safe, 1.0)), 1.0)
+    r_lo = np.maximum(r_lo, lo_g / f_safe)
+    keep = (lo_i <= f) & (fringe | (lo_g <= 0.0)) & (r_lo <= r_hi)
+    if not keep.any():
+        raise EmptyFeasibleSet(
+            f"no (r_T, beta_y0, y0) reproduces nu_I={nu_I} and nu_gamma={nu_gamma} "
+            f"within {N_SIGMA} sigma"
+        )
+    y0s, d, s, r_lo, r_hi = y0s[keep], d[keep], s[keep], r_lo[keep], r_hi[keep]
+    # with c twice the center y weight, r b d / (b s + c (1 - b)) = t at
+    # b = t c / (r d - t (s - c)); beta_y0 reaches 1 below nu_gamma + tol
+    # where r d <= t s, as at r_T = 0 or f = 0
+    beta_lo = np.zeros_like(r_hi)
+    if lo_g > 0.0:
+        beta_lo = np.minimum(lo_g * c / (r_hi * d - lo_g * (s - c)), 1.0)
+    top = r_lo * d
+    beta_hi = np.ones_like(top)
+    np.divide(hi_g * c, top - hi_g * (s - c), out=beta_hi, where=top > hi_g * s)
+    slices = np.column_stack((y0s, r_lo, r_hi, beta_lo, beta_hi))
     return VisibilityEstimate(
         nu_I=nu_I,
         nu_I_sigma=sigma_I,
         nu_gamma=nu_gamma,
         nu_gamma_sigma=sigma_gamma,
         theta_offset=theta_offset,
-        r_T_lower_bound=r_lower_bound(max(nu_I - N_SIGMA * sigma_I, 0.0)),
+        r_T_lower_bound=r_lower_bound(lo_i),
         r_T_lower_bound_point=r_lower_bound(nu_I),
-        r_T_range=(float(r_vals.min()), float(r_vals.max())),
-        beta_y0_range=(float(betas[b_lo]), float(betas[b_hi])),
-        y0_range=(float(y_vals.min()), float(y_vals.max())),
-        feasible_set=triples,
-        n_feasible=n_feasible,
+        r_T_range=(float(r_lo.min()), float(r_hi.max())),
+        beta_y0_range=(float(beta_lo.min()), float(beta_hi.max())),
+        y0_range=(float(y0s[0]), float(y0s[-1])),
+        feasible_slices=tuple(map(tuple, slices.tolist())),
     )
 
 
@@ -599,7 +577,7 @@ def analyze_sweep(
     Fits the intensity fringe (Poisson sigmas, sqrt of the counts
     floored at 1), fits every histogram (a row of hist_counts on
     bin_edges) for its radiative rate, fits the rate fringe weighted by
-    the rate sigmas, and scans the
+    the rate sigmas, and bounds the
     profile's feasible parameter set using the fitted visibilities
     with the desk-scale floors SIGMA_FLOOR_I and SIGMA_FLOOR_GAMMA on
     the uncertainties; an empty feasible set leaves "estimate" None
@@ -799,7 +777,8 @@ def table1_report(rows: list[dict], profile: ModeProfile) -> dict:
         if row["qd"] == QD1_SWEEP_CROSSCHECK["qd"]:
             entry["notes"].append(
                 f"sweep-derived line at {QD1_SWEEP_CROSSCHECK['lambda_nm']} nm gives "
-                f"nu_I = {QD1_SWEEP_CROSSCHECK['nu_I']} while this row tabulates "
+                f"nu_I = {QD1_SWEEP_CROSSCHECK['nu_I']} +/- "
+                f"{QD1_SWEEP_CROSSCHECK['nu_I_sigma']} while this row tabulates "
                 f"{row['nu_I']} at {row['lambda_nm']} nm; treated as the same "
                 "emitter, discrepancy left unresolved"
             )

@@ -208,8 +208,10 @@ def test_07b_feasible_set_contains_offset_solution():
     cfg = RunConfig.from_dict(DEFAULT_CONFIG)
     profile = solve_te0(cfg.geometry(), n_points=cfg.grid_points)
     est = inference.estimate_parameters(0.48, 0.27, profile)
+    # a slice whose |r_T| interval meets [0.55, 0.65] at an offset in [40, 80] nm
     hit = any(
-        0.55 <= r <= 0.65 and 40.0 <= y <= 80.0 for r, _, y in est.feasible_set
+        40.0 <= y <= 80.0 and r_lo <= 0.65 and r_hi >= 0.55
+        for y, r_lo, r_hi, _, _ in est.feasible_slices
     )
     assert report("7b", "feasible set reaches r_T ~ 0.6 at y0 ~ 60 nm", hit), (
         est.r_T_range,

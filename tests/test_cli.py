@@ -122,6 +122,32 @@ class TestManifests:
         assert set(read_manifest(out)["files"]) == written
 
     @pytest.mark.parametrize(
+        "runs",
+        [
+            [["mode"]],
+            [["mirror"]],
+            [["simulate", "--preset", "qd1", "--seed", "7"], ["analyze", "--in", "<0>"]],
+            [["simulate", "--config", "<irf>", "--seed", "7"], ["analyze", "--in", "<0>"]],
+            [["analyze", "--table1", builtin_table1_path()]],
+        ],
+        ids=["mode", "mirror", "simulate-analyze-qd1", "simulate-analyze-qd1-irf", "analyze-table1"],
+    )
+    def test_every_json_written_reads_back(self, tmp_path, runs):
+        irf = copy.deepcopy(QD1_PRESET)
+        irf["sweep"]["irf_sigma_ns"] = 0.2
+        config.write_json(str(tmp_path / "irf.json"), irf)
+        outs = []
+        for args in runs:
+            outs.append(str(tmp_path / f"out{len(outs)}"))
+            args = [a.replace("<0>", outs[0]).replace("<irf>", str(tmp_path / "irf.json")) for a in args]
+            assert main(args + ["--out", outs[-1]]) == 0
+        names = [os.path.join(out, n) for out in outs for n in os.listdir(out) if n.endswith(".json")]
+        assert names
+        for path in names:
+            with open(path, encoding="utf-8") as fh:
+                assert config.read_json(path) == json.load(fh)
+
+    @pytest.mark.parametrize(
         "args", [["analyze", "--in", "<sim>"], ["mode"]], ids=["analyze-in", "mode"]
     )
     def test_out_that_holds_a_simulate_manifest_is_input_error(
@@ -263,7 +289,7 @@ class TestAnalyzeCommand:
         # default scene: centered pure-y emitter at |r_T| = 0.5
         assert rep["nu_I"] == pytest.approx(0.8, abs=0.05)
         assert rep["estimate"] is not None
-        assert rep["estimate"]["n_feasible"] > 0
+        assert rep["estimate"]["feasible_slices"]
         man = read_manifest(analysis_dir)
         assert man["command"] == "analyze"
         assert man["source"] == "sweep"

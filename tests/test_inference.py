@@ -1,7 +1,6 @@
 import copy
 import math
 import tracemalloc
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,7 +23,6 @@ from phasemirror.inference import (
     MalformedRow,
     NonIdentifiable,
     TooFewBins,
-    VisibilityEstimate,
     _initial_guess,
     _observed_information,
     analyze_sweep,
@@ -577,42 +575,81 @@ class TestRLowerBound:
         assert r_lower_bound(lo) < r_lower_bound(hi)
 
 
+def _forward(profile, y0, r, b):
+    """Intensity and rate visibilities at (|r_T|, beta_y0, y0), written
+    out; arrays broadcast."""
+    wx = np.interp(y0, profile.grid, profile.e_x) ** 2
+    wy = np.interp(y0, profile.grid, profile.e_y) ** 2
+    wy0 = float(np.interp(0.0, profile.grid, profile.e_y)) ** 2
+    nu_i = 2.0 * r / (1.0 + r**2) * (np.abs(wy - wx) / (wy + wx))
+    nu_g = r * (b * np.abs(wy - wx)) / (b * (wy + wx) + 2.0 * wy0 * (1.0 - b))
+    return nu_i, nu_g
+
+
+def _assert_corners_pass(est, profile, slack=1e-12):
+    # (r_lo, beta_hi) and (r_hi, beta_lo) are feasible points of each slice,
+    # the ones that set its beta_y0 range
+    y0, r_lo, r_hi, b_lo, b_hi = np.array(est.feasible_slices).T
+    tol_i, tol_g = 2.0 * est.nu_I_sigma, 2.0 * est.nu_gamma_sigma
+    for r, b in ((r_lo, b_hi), (r_hi, b_lo)):
+        nu_i, nu_g = _forward(profile, y0, r, b)
+        assert (np.abs(nu_i - est.nu_I) <= tol_i + slack).all()
+        assert (np.abs(nu_g - est.nu_gamma) <= tol_g + slack).all()
+
+
 class TestEstimateParameters:
     def test_frozen_feasible_summary(self, default_profile):
         est = estimate_parameters(0.48, 0.27, default_profile)
-        assert est.n_feasible == 43628
-        assert len(est.feasible_set) == 1984
-        assert est.r_T_range == pytest.approx((0.23, 1.0))
-        assert est.beta_y0_range == pytest.approx((0.59, 1.0))
+        assert len(est.feasible_slices) == 150
+        assert est.r_T_range == pytest.approx((0.22018070389744238, 1.0), rel=1e-12)
+        assert est.beta_y0_range == pytest.approx((0.5808137188207864, 1.0), rel=1e-12)
         assert est.y0_range == pytest.approx((0.0, 150.0))
         assert est.r_T_lower_bound == pytest.approx(0.22018070389744243, rel=1e-12)
         assert est.r_T_lower_bound_point == pytest.approx(0.25569065004489094, rel=1e-12)
 
-    def test_feasible_set_satisfies_both_visibilities(self, default_profile):
-        """Stored triples reproduce the measurements when pushed forward."""
-        est = estimate_parameters(0.48, 0.27, default_profile)
-        prof = default_profile
-        wy0 = float(np.interp(0.0, prof.grid, prof.e_y)) ** 2
-        for r, b, y in est.feasible_set[::97]:
-            wx = float(np.interp(y, prof.grid, prof.e_x)) ** 2
-            wy = float(np.interp(y, prof.grid, prof.e_y)) ** 2
-            nu_i = 2.0 * r / (1.0 + r**2) * abs(wy - wx) / (wy + wx)
-            nu_g = r * b * abs(wy - wx) / (b * (wy + wx) + 2.0 * wy0 * (1.0 - b))
-            assert abs(nu_i - 0.48) <= 2.0 * 0.03 + 1e-12
-            assert abs(nu_g - 0.27) <= 2.0 * 0.05 + 1e-12
+    @pytest.mark.parametrize("which", ["default", "qd1"])
+    def test_slice_corners_meet_both_visibilities(
+        self, default_profile, qd1_profile, which
+    ):
+        """The points that set each slice reproduce the measurements."""
+        profile = default_profile if which == "default" else qd1_profile
+        _assert_corners_pass(estimate_parameters(0.48, 0.27, profile), profile)
+
+    def test_slices_are_ordered_boxes(self, default_profile):
+        slices = np.array(estimate_parameters(0.48, 0.27, default_profile).feasible_slices)
+        y0, r_lo, r_hi, b_lo, b_hi = slices.T
+        assert (np.diff(y0) > 0).all()
+        assert ((0.0 <= r_lo) & (r_lo <= r_hi) & (r_hi <= 1.0)).all()
+        assert ((0.0 <= b_lo) & (b_lo <= b_hi) & (b_hi <= 1.0)).all()
 
     def test_bound_below_every_feasible_r(self, default_profile):
         est = estimate_parameters(0.48, 0.27, default_profile)
-        assert est.r_T_lower_bound <= min(t[0] for t in est.feasible_set)
+        assert est.r_T_lower_bound <= min(s[1] for s in est.feasible_slices)
+
+    def test_center_slice_starts_at_the_bound(self, default_profile):
+        # the center offset has no x weight, so its interval starts where
+        # the centered-emitter inversion at nu_I - 2 sigma does
+        est = estimate_parameters(0.48, 0.27, default_profile)
+        assert est.feasible_slices[0][:2] == (0.0, est.r_T_lower_bound)
 
     def test_moderate_reflectivity_offset_region_reachable(self, default_profile):
         est = estimate_parameters(0.48, 0.27, default_profile)
         box = [
-            t
-            for t in est.feasible_set
-            if 0.55 <= t[0] <= 0.65 and 40.0 <= t[2] <= 80.0
+            s
+            for s in est.feasible_slices
+            if 40.0 <= s[0] <= 80.0 and s[1] <= 0.65 and s[2] >= 0.55
         ]
-        assert len(box) == 155
+        assert [s[0] for s in box] == pytest.approx(np.arange(69.0, 79.6, 0.75))
+
+    def test_without_fringe_only_vanishing_visibilities_pass(self, default_profile):
+        # wx = wy at some offset: both models give 0 there for every r_T and beta_y0
+        prof = copy.copy(default_profile)
+        prof.e_x = prof.e_y.copy()
+        with pytest.raises(EmptyFeasibleSet):
+            estimate_parameters(0.1, 0.0, prof, sigma_I=0.01, sigma_gamma=0.01)
+        est = estimate_parameters(0.01, 0.01, prof, sigma_I=0.01, sigma_gamma=0.01)
+        assert len(est.feasible_slices) == inference.Y0_POINTS
+        assert {tuple(s[1:]) for s in est.feasible_slices} == {(0.0, 1.0, 0.0, 1.0)}
 
     def test_incompatible_pair_raises(self, default_profile):
         # high rate visibility cannot coexist with a tiny intensity one
@@ -629,19 +666,13 @@ class TestEstimateParameters:
         with pytest.raises(ValueError, match="sigma_I"):
             estimate_parameters(0.3, 0.3, default_profile, sigma_I=0.0)
 
-    def test_max_stored_subsamples_without_changing_count(self, default_profile):
-        with mock.patch.object(inference, "MAX_STORED", 100):
-            est = estimate_parameters(0.48, 0.27, default_profile)
-        assert est.n_feasible == 43628
-        assert len(est.feasible_set) <= 100
-
     @pytest.mark.parametrize("which", ["default", "qd1"])
     def test_rate_deviation_never_falls_along_beta(
         self, default_profile, qd1_profile, which
     ):
-        # the interval search rests on this: in every (r_T, y0) cell of the
-        # default grid the rate deviation, rounded as the estimator rounds
-        # it, is nondecreasing in beta_y0, so the passing betas form one run
+        # the closed-form beta_y0 range rests on this: in every (r_T, y0)
+        # cell of a dense grid the rate deviation, rounded as the model
+        # rounds it, is nondecreasing in beta_y0
         profile = default_profile if which == "default" else qd1_profile
         wx, wy = mode_weights(profile, np.linspace(0.0, profile.core_half_width, 201))
         wy0 = mode_weights(profile, 0.0)[1]
@@ -663,67 +694,39 @@ class TestEstimateParameters:
             "r_T_range",
             "beta_y0_range",
             "y0_range",
-            "n_feasible",
-            "feasible_set",
+            "feasible_slices",
         ):
             assert key in d
+        assert all(len(s) == 5 for s in d["feasible_slices"])
 
 
-def _oracle_estimate(nu_I, nu_gamma, profile, sigma_I, sigma_gamma, max_stored,
+def _oracle_estimate(nu_I, nu_gamma, profile, sigma_I, sigma_gamma,
                      n_sigma=2.0, r_points=101, y0_points=201, beta_points=101):
-    """Reference feasible-set scan over the dense (r_T, y0, beta_y0) grid."""
-    half = profile.core_half_width
-    y0s = np.linspace(0.0, half, y0_points)
-    wx = np.interp(y0s, profile.grid, profile.e_x) ** 2
-    wy = np.interp(y0s, profile.grid, profile.e_y) ** 2
-    wy0 = float(np.interp(0.0, profile.grid, profile.e_y)) ** 2
-
-    rr = np.linspace(0.0, 1.0, r_points)[:, None, None]
-    bb = np.linspace(0.0, 1.0, beta_points)[None, None, :]
-    f_mode = (np.abs(wy - wx) / (wy + wx))[None, :, None]
-    nu_i_pred = 2.0 * rr / (1.0 + rr**2) * f_mode
-    num = bb * np.abs(wy - wx)[None, :, None]
-    den = bb * (wy + wx)[None, :, None] + 2.0 * wy0 * (1.0 - bb)
-    nu_g_pred = rr * num / den
-
-    mask = (np.abs(nu_i_pred - nu_I) <= n_sigma * sigma_I) & (
-        np.abs(nu_g_pred - nu_gamma) <= n_sigma * sigma_gamma
+    """Reference scan of the dense (r_T, y0, beta_y0) grid: the (r_T,
+    beta_y0, y0) triples that reproduce both visibilities, one per row."""
+    y0s = np.linspace(0.0, profile.core_half_width, y0_points)
+    rs = np.linspace(0.0, 1.0, r_points)
+    bs = np.linspace(0.0, 1.0, beta_points)
+    nu_i, nu_g = _forward(profile, y0s[:, None], rs[:, None, None], bs)
+    mask = (np.abs(nu_i - nu_I) <= n_sigma * sigma_I) & (
+        np.abs(nu_g - nu_gamma) <= n_sigma * sigma_gamma
     )
-    idx = np.argwhere(mask)
-    if len(idx) == 0:
-        raise EmptyFeasibleSet(
-            f"no (r_T, beta_y0, y0) reproduces nu_I={nu_I} and nu_gamma={nu_gamma} "
-            f"within {n_sigma} sigma"
-        )
-    r_vals = np.linspace(0.0, 1.0, r_points)[idx[:, 0]]
-    y_vals = y0s[idx[:, 1]]
-    b_vals = np.linspace(0.0, 1.0, beta_points)[idx[:, 2]]
-    stride = max(1, math.ceil(len(idx) / max_stored))
-    triples = tuple(
-        (float(r), float(b), float(y))
-        for r, b, y in zip(r_vals[::stride], b_vals[::stride], y_vals[::stride])
-    )
-    return VisibilityEstimate(
-        nu_I=nu_I,
-        nu_I_sigma=sigma_I,
-        nu_gamma=nu_gamma,
-        nu_gamma_sigma=sigma_gamma,
-        theta_offset=math.nan,
-        r_T_lower_bound=r_lower_bound(max(nu_I - n_sigma * sigma_I, 0.0)),
-        r_T_lower_bound_point=r_lower_bound(nu_I),
-        r_T_range=(float(r_vals.min()), float(r_vals.max())),
-        beta_y0_range=(float(b_vals.min()), float(b_vals.max())),
-        y0_range=(float(y_vals.min()), float(y_vals.max())),
-        feasible_set=triples,
-        n_feasible=int(len(idx)),
-    )
+    ri, yi, bi = np.nonzero(mask)
+    return np.column_stack((rs[ri], bs[bi], y0s[yi]))
 
 
-def _outcome(fn, *args, **kwargs):
-    try:
-        return fn(*args, **kwargs).to_dict()
-    except EmptyFeasibleSet as exc:
-        return ("empty", str(exc))
+def _assert_contains(est, triples):
+    """Every scanned triple lies in the slice of its offset, and each of
+    the three ranges holds the scan's."""
+    slices = np.array(est.feasible_slices)
+    r, b, y0 = triples.T
+    row = np.searchsorted(slices[:, 0], y0)
+    assert (row < len(slices)).all()
+    y_s, r_lo, r_hi, b_lo, b_hi = slices[row].T
+    assert (y_s == y0).all()
+    assert ((r_lo <= r) & (r <= r_hi) & (b_lo <= b) & (b <= b_hi)).all()
+    for (lo, hi), col in zip((est.r_T_range, est.beta_y0_range, est.y0_range), (r, b, y0)):
+        assert lo <= col.min() and col.max() <= hi
 
 
 def _traced_peak(fn, *args, **kwargs):
@@ -736,7 +739,7 @@ def _traced_peak(fn, *args, **kwargs):
 
 
 class TestEstimateParametersOracle:
-    """The two-stage scan reproduces the dense 3-D grid scan exactly."""
+    """The closed-form slices contain every point of the dense 3-D grid scan."""
 
     @settings(max_examples=40)
     @given(
@@ -745,43 +748,45 @@ class TestEstimateParametersOracle:
         sigma_I=st.floats(1e-3, 0.3),
         sigma_gamma=st.floats(1e-3, 0.3),
         which=st.sampled_from(["default", "qd1"]),
-        max_stored=st.sampled_from([2000, 100, 7]),
     )
-    @example(0.48, 0.27, 0.03, 0.05, "default", 2000)
-    @example(0.05, 0.9, 0.01, 0.01, "default", 2000)  # empty after the rate stage
-    @example(0.5, 0.5, 0.3, 0.3, "qd1", 7)
+    @example(0.48, 0.27, 0.03, 0.05, "default")
+    @example(0.05, 0.9, 0.01, 0.01, "default")  # empty after the rate constraint
+    @example(0.5, 0.5, 0.3, 0.3, "qd1")
     # one grid point lies exactly tol above nu_gamma, one exactly tol below:
     # both bounds are inclusive
-    @example(0.48, 0.07896226415094343, 0.03, 0.0625, "default", 2000)
-    @example(0.48, 0.32896226415094343, 0.03, 0.0625, "default", 2000)
-    @example(0.01, 0.05, 0.03, 0.05, "default", 2000)  # r_T = 0 cells pass
-    @example(0.5, 0.5, 0.5, 0.5, "default", 2000)  # every cell passes
-    def test_matches_dense_scan(
+    @example(0.48, 0.07896226415094343, 0.03, 0.0625, "default")
+    @example(0.48, 0.32896226415094343, 0.03, 0.0625, "default")
+    @example(0.01, 0.05, 0.03, 0.05, "default")  # r_T = 0 cells pass
+    @example(0.5, 0.5, 0.5, 0.5, "default")  # every cell passes
+    def test_contains_dense_scan(
         self, default_profile, qd1_profile,
-        nu_I, nu_gamma, sigma_I, sigma_gamma, which, max_stored,
+        nu_I, nu_gamma, sigma_I, sigma_gamma, which,
     ):
         profile = default_profile if which == "default" else qd1_profile
         args = (nu_I, nu_gamma, profile, sigma_I, sigma_gamma)
-        with mock.patch.object(inference, "MAX_STORED", max_stored):
-            got = _outcome(estimate_parameters, *args)
-        want = _outcome(_oracle_estimate, *args, max_stored=max_stored)
-        assert got == want
+        triples = _oracle_estimate(*args)
+        try:
+            est = estimate_parameters(*args)
+        except EmptyFeasibleSet:
+            assert len(triples) == 0
+            return
+        _assert_corners_pass(est, profile)
+        if len(triples):
+            _assert_contains(est, triples)
 
     @pytest.mark.parametrize("nu_I", [0.3, 0.8, 1.0])
-    def test_matches_dense_scan_on_coarse_grids(self, default_profile, nu_I):
-        # coarse grids leave gaps in nu_I, so the intensity stage alone can
-        # empty the set; odd sizes check the index bookkeeping, and one to
-        # three betas the shortest searches
+    def test_contains_coarse_and_odd_grids(self, default_profile, nu_I):
+        # grids whose |r_T| and beta_y0 values are not those of the dense
+        # scan, down to one to three betas, on the estimator's offsets
         args = (nu_I, 0.2, default_profile, 1e-3, 0.3)
-        for beta_points in (1, 2, 3, 5):
-            grid = dict(R_POINTS=3, Y0_POINTS=4, BETA_POINTS=beta_points, MAX_STORED=2000)
-            with mock.patch.multiple(inference, **grid):
-                got = _outcome(estimate_parameters, *args)
-            oracle_grid = {key.lower(): value for key, value in grid.items()}
-            assert got == _outcome(_oracle_estimate, *args, **oracle_grid)
+        est = estimate_parameters(*args)
+        for r_points, beta_points in ((3, 1), (3, 2), (3, 3), (5, 5), (37, 53)):
+            triples = _oracle_estimate(*args, r_points=r_points, beta_points=beta_points)
+            if len(triples):
+                _assert_contains(est, triples)
 
     def test_peak_memory_stays_small(self, default_profile):
-        # the search holds O(cells) arrays, never cells x betas
+        # the estimate holds O(offsets) arrays
         peak = _traced_peak(estimate_parameters, 0.48, 0.27, default_profile)
         assert peak < 4e6
         everything = _traced_peak(
@@ -799,7 +804,7 @@ class TestAnalyzeSweep:
         assert out["gamma_max"] == pytest.approx(1.05, abs=0.03)
         assert out["gamma_min"] == pytest.approx(0.63, abs=0.03)
         assert out["estimate"] is not None
-        assert out["estimate"]["n_feasible"] > 0
+        assert out["estimate"]["feasible_slices"]
 
     def test_fits_every_row_of_the_counts_matrix(self, qd1_cfg, qd1_analysis, qd1_sweep):
         # the sweep's rate fits are fit_biexponential's, row by row
