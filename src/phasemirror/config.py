@@ -14,18 +14,23 @@ dataclass the config builds has a field default, so `_TABLE` is the one
 home of a default value; `WaveguideGeometry` and `PhotonicCrystalSpec`
 are built from the keys of their sections named like their fields.
 
-`SCHEMA` is a JSON Schema (draft 2020-12) checked by a small interpreter
-of exactly the keywords it uses: `type` (a name or a list of names, with
-JSON's `number` and `integer`, so booleans are neither and 2.0 is an
-integer), `enum`, `required`, `properties`, `additionalProperties: false`,
-`minimum`, `maximum`, `exclusiveMinimum`, `items`, `minItems` and
-`maxItems`.  It reports the error, with the text, that
-`jsonschema.validate` would raise.  A document the schema accepts must
-hold only finite numbers, but for the noiseless `sweep.counts_scale` =
-inf (JSON's 1e999 loads as inf; an in-process dict can hold nan), and
-must describe a buildable device: `RunConfig.from_dict` builds its
-geometry, crystal, mirror chain and calibration, and a contradiction
-among the values is a ConfigError too.
+`SCHEMA` is the published JSON Schema (draft 2020-12) of a config.
+`RunConfig.from_dict` checks a document in one depth-first walk over
+`_TABLE`, in its order, and reports the first error it meets.  An
+object is checked for its type, its extra keys and its missing keys;
+a value for its `type` (`number`, `integer`, `null` or `array`, as JSON
+has them, so booleans are neither number nor integer and 2.0 is an
+integer), `enum`, finiteness, `minimum`, `maximum`, `exclusiveMinimum`,
+and for an array `minItems`, `maxItems` and its `items`.  A schema error
+reads `<dotted path>: <jsonschema's message for it>`, the path being the
+object's for an extra or a missing key, and none at the root
+(`mirror.t_phi_sq: 1.5 is greater than the maximum of 1`).  A number
+must be finite, but for the noiseless `sweep.counts_scale` = inf
+(JSON's 1e999 loads as inf; an in-process dict can hold nan), and a
+non-finite one reads `<dotted path> is <value>` (`sweep.v_stop is
+nan`).  The document must also describe a buildable device:
+`RunConfig.from_dict` builds its geometry, crystal, mirror chain and
+calibration, and a contradiction among the values is a ConfigError too.
 
 The package's JSON goes through `read_json` and `write_json` (sorted
 keys, two-space indent, final LF): configs, manifests and reports.
@@ -116,6 +121,7 @@ _TABLE = {
     # and r_M_mag
     "r_T_mag": ({"type": ["number", "null"], "minimum": 0, "maximum": 1}, 0.5),
 }
+_OPTIONAL = "r_T_mag"
 
 
 def _schema(node) -> dict:
@@ -124,7 +130,7 @@ def _schema(node) -> dict:
     return {
         "type": "object",
         "additionalProperties": False,
-        "required": [key for key in node if key != "r_T_mag"],
+        "required": [key for key in node if key != _OPTIONAL],
         "properties": {key: _schema(sub) for key, sub in node.items()},
     }
 
@@ -158,131 +164,82 @@ def _is_number(v) -> bool:
 
 
 _TYPES = {
-    "object": lambda v: isinstance(v, dict),
     "array": lambda v: isinstance(v, list),
-    "string": lambda v: isinstance(v, str),
-    "boolean": lambda v: isinstance(v, bool),
     "null": lambda v: v is None,
     "number": _is_number,
     "integer": lambda v: _is_number(v)
     and (isinstance(v, int) or isinstance(v, float) and v.is_integer()),
 }
 
-
-# Each keyword takes (its value, the instance, the enclosing schema) and
-# yields an error message, or a (key, subschema, item) to descend into.
-def _type(types, v, schema):
-    types = [types] if isinstance(types, str) else types
-    if not any(_TYPES[t](v) for t in types):
-        yield f"{v!r} is not of type {', '.join(map(repr, types))}"
-
-
-def _enum(values, v, schema):
-    if not any(e == v and isinstance(e, bool) == isinstance(v, bool) for e in values):
-        yield f"{v!r} is not one of {values!r}"
-
-
-def _required(names, v, schema):
-    if isinstance(v, dict):
-        yield from (f"{name!r} is a required property" for name in names if name not in v)
-
-
-def _properties(props, v, schema):
-    if isinstance(v, dict):
-        yield from ((name, sub, v[name]) for name, sub in props.items() if name in v)
-
-
-def _no_additional_properties(allowed, v, schema):
-    if isinstance(v, dict) and not allowed:
-        extras = sorted((k for k in v if k not in schema.get("properties", {})), key=str)
-        if extras:
-            verb = "was" if len(extras) == 1 else "were"
-            names = ", ".join(map(repr, extras))
-            yield f"Additional properties are not allowed ({names} {verb} unexpected)"
-
-
-def _bound(fails, text):
-    def keyword(bound, v, schema):
-        if _is_number(v) and fails(v, bound):
-            yield f"{v!r} is {text} {bound!r}"
-
-    return keyword
-
-
-def _items(sub, v, schema):
-    if isinstance(v, list):
-        yield from ((i, sub, item) for i, item in enumerate(v))
-
-
-def _min_items(n, v, schema):
-    if isinstance(v, list) and len(v) < n:
-        yield f"{v!r} {'should be non-empty' if n == 1 else 'is too short'}"
-
-
-def _max_items(n, v, schema):
-    if isinstance(v, list) and len(v) > n:
-        yield f"{v!r} {'is expected to be empty' if n == 0 else 'is too long'}"
-
-
-_KEYWORDS = {
-    "type": _type,
-    "enum": _enum,
-    "required": _required,
-    "properties": _properties,
-    "additionalProperties": _no_additional_properties,
-    "minimum": _bound(operator.lt, "less than the minimum of"),
-    "maximum": _bound(operator.gt, "greater than the maximum of"),
-    "exclusiveMinimum": _bound(operator.le, "less than or equal to the minimum of"),
-    "items": _items,
-    "minItems": _min_items,
-    "maxItems": _max_items,
+# a bound keyword: the comparison that fails and jsonschema's wording
+_BOUNDS = {
+    "minimum": (operator.lt, "less than the minimum of"),
+    "maximum": (operator.gt, "greater than the maximum of"),
+    "exclusiveMinimum": (operator.le, "less than or equal to the minimum of"),
 }
 
 
-def _errors(schema: dict, instance, path: tuple = ()):
-    """Yield (path, message) of every violation, in jsonschema's order."""
-    for keyword, value in schema.items():
-        for found in _KEYWORDS[keyword](value, instance, schema):
-            if isinstance(found, str):
-                yield path, found
-            else:
-                key, sub, item = found
-                yield from _errors(sub, item, path + (key,))
+def _at(path: tuple, message: str) -> str:
+    return f"{'.'.join(map(str, path))}: {message}" if path else message
 
 
-def _best_error(data, schema: dict = SCHEMA) -> str | None:
-    """The message `jsonschema.exceptions.best_match` picks, or None if valid.
-
-    best_match takes the first error of greatest relevance: the shortest
-    path, then the greatest path.  Its other terms (weak keywords, type
-    match) never decide here, since every error at one path comes from
-    one subschema.
-    """
-    best = max(_errors(schema, data), key=lambda e: (-len(e[0]), e[0]), default=None)
-    return None if best is None else best[1]
-
-
-def _non_finite_error(node, path: tuple = ()) -> str | None:
-    """'<dotted path> is <value>' for the first non-finite number in
-    document order, or None.
-
-    Every bound comparison with nan is false, so a nan passes the schema,
-    and inf passes every lower bound: JSON's 1e999 loads as inf, and an
-    in-process dict can hold either.  An integer beyond the float range
-    is refused too.  sweep.counts_scale may be inf, the noiseless mode.
-    """
-    if isinstance(node, (dict, list)):
-        for key, sub in node.items() if isinstance(node, dict) else enumerate(node):
-            found = _non_finite_error(sub, path + (key,))
+def _value_error(schema: dict, v, path: tuple) -> str | None:
+    """The first error of the value v at path against its leaf schema."""
+    types = schema.get("type", [])
+    types = [types] if isinstance(types, str) else types
+    if types and not any(_TYPES[t](v) for t in types):
+        return _at(path, f"{v!r} is not of type {', '.join(map(repr, types))}")
+    if "enum" in schema and v not in schema["enum"]:
+        return _at(path, f"{v!r} is not one of {schema['enum']!r}")
+    if _is_number(v):
+        # a nan passes every bound and an inf every lower bound, so
+        # finiteness comes first; JSON's 1e999 loads as inf
+        if not abs(v) <= sys.float_info.max and (
+            path != ("sweep", "counts_scale") or v != math.inf
+        ):
+            value = v if isinstance(v, float) else "beyond the float range"
+            return f"{'.'.join(map(str, path))} is {value}"
+        for keyword, (fails, text) in _BOUNDS.items():
+            if keyword in schema and fails(v, schema[keyword]):
+                return _at(path, f"{v!r} is {text} {schema[keyword]!r}")
+    if isinstance(v, list):
+        if len(v) < schema.get("minItems", 0):
+            return _at(path, f"{v!r} is too short")
+        if len(v) > schema.get("maxItems", math.inf):
+            return _at(path, f"{v!r} is too long")
+        for i, item in enumerate(v):
+            found = _value_error(schema.get("items", {}), item, path + (i,))
             if found:
                 return found
-    elif (
-        _is_number(node)
-        and not abs(node) <= sys.float_info.max
-        and (path, node) != (("sweep", "counts_scale"), math.inf)
-    ):
-        value = node if isinstance(node, float) else "beyond the float range"
-        return f"{'.'.join(map(str, path))} is {value}"
+    return None
+
+
+def _first_error(data, node: dict = _TABLE, path: tuple = ()) -> str | None:
+    """The first error of data in a depth-first walk over _TABLE, or None.
+
+    An object is checked for its type, then its extra keys, then its
+    missing keys, before its values in _TABLE's order.
+    """
+    if not isinstance(data, dict):
+        return _at(path, f"{data!r} is not of type 'object'")
+    extras = sorted((k for k in data if k not in node), key=str)
+    if extras:
+        verb = "was" if len(extras) == 1 else "were"
+        names = ", ".join(map(repr, extras))
+        return _at(path, f"Additional properties are not allowed ({names} {verb} unexpected)")
+    for key in node:
+        if key not in data and key != _OPTIONAL:
+            return _at(path, f"{key!r} is a required property")
+    for key, sub in node.items():
+        if key in data:
+            where = path + (key,)
+            found = (
+                _first_error(data[key], sub, where)
+                if isinstance(sub, dict)
+                else _value_error(sub[0], data[key], where)
+            )
+            if found:
+                return found
     return None
 
 
@@ -303,7 +260,7 @@ class RunConfig:
     once; a nan or inf anywhere, or values that contradict each other (a
     cladding index above the core index, holes wider than the pitch, an
     emitter outside the solved window, a background that fills the whole
-    histogram budget) fail there as a ConfigError.
+    histogram budget, a reversed v_range) fail there as a ConfigError.
     """
 
     raw: dict
@@ -314,7 +271,7 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
-        message = _best_error(data) or _non_finite_error(data)
+        message = _first_error(data)
         if message is not None:
             raise ConfigError(f"invalid config: {message}")
         raw = copy.deepcopy(data)
@@ -429,17 +386,9 @@ def file_sha256(path: str) -> str:
     return h.hexdigest()
 
 
-def _json_default(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj).__name__}")
-
-
 def write_json(path: str, doc) -> None:
     """Write doc as sorted, 2-space-indented JSON ending in LF."""
-    tokens = json.JSONEncoder(sort_keys=True, indent=2, default=_json_default).iterencode(doc)
+    tokens = json.JSONEncoder(sort_keys=True, indent=2).iterencode(doc)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         # a thousand tokens per write: json.dump writes each token alone, and
         # json.dumps holds every token at once, which for a 192-point sweep

@@ -54,6 +54,8 @@ class PhaseCalibration:
     v_range: tuple[float, float] | None
 
     def __post_init__(self) -> None:
+        if self.v_range is not None and self.v_range[0] > self.v_range[1]:
+            raise InputError(f"v_range {list(self.v_range)} is reversed")
         if self.model is CalibrationModel.TABLE:
             if not self.table or len(self.table) < 2:
                 raise InputError("table calibration needs at least two knots")

@@ -784,6 +784,7 @@ class TestConfigErrors:
             ("mirror", "hole_radius_nm", 140.0),
             ("emitter", "y0_nm", 500.0),
             ("sweep", "background", 200.0),
+            ("calibration", "v_range", [8.0, 0.0]),
         ],
     )
     def test_inconsistent_config_is_input_error(
@@ -793,7 +794,8 @@ class TestConfigErrors:
         # describe no device or no run (cladding above the core index,
         # holes wider than the 265 nm pitch, an emitter beyond the
         # +-450 nm solved window, a floor of 200 counts in each of 500
-        # bins that leaves none of the 1e5 histogram counts for the decay)
+        # bins that leaves none of the 1e5 histogram counts for the decay,
+        # a calibrated voltage range that runs backwards)
         data = copy.deepcopy(DEFAULT_CONFIG)
         data[section][key] = value
         cfg_path = tmp_path / "c.json"
@@ -807,13 +809,13 @@ class TestConfigErrors:
         self, tmp_path, sim_dir, monkeypatch
     ):
         calls = []
-        validate = config._best_error
+        walk = config._first_error
 
-        def counted(data):
-            calls.append(1)
-            return validate(data)
+        def counted(data, *within):
+            calls.append(within)  # () for a whole document, else a section
+            return walk(data, *within)
 
-        monkeypatch.setattr(config, "_best_error", counted)
+        monkeypatch.setattr(config, "_first_error", counted)
         cfg_path = tmp_path / "c.json"
         cfg_path.write_text(json.dumps(DEFAULT_CONFIG))
         runs = [
@@ -824,7 +826,7 @@ class TestConfigErrors:
         for i, args in enumerate(runs):
             calls.clear()
             assert main([*args, "--out", str(tmp_path / str(i))]) == 0
-            assert len(calls) == 1, args
+            assert calls.count(()) == 1, args
 
     @pytest.mark.parametrize("flag", ["--out", "--config", "--table1"])
     def test_unusable_path_is_input_error(self, tmp_path, capsys, flag):
