@@ -24,16 +24,19 @@ integer), `enum`, finiteness, `minimum`, `maximum`, `exclusiveMinimum`,
 and for an array `minItems`, `maxItems` and its `items`.  A schema error
 reads `<dotted path>: <jsonschema's message for it>`, the path being the
 object's for an extra or a missing key, and none at the root
-(`mirror.t_phi_sq: 1.5 is greater than the maximum of 1`).  A number
-must be finite, but for the noiseless `sweep.counts_scale` = inf
-(JSON's 1e999 loads as inf; an in-process dict can hold nan), and a
-non-finite one reads `<dotted path> is <value>` (`sweep.v_stop is
-nan`).  The document must also describe a buildable device:
-`RunConfig.from_dict` builds its geometry, crystal, mirror chain and
-calibration, and a contradiction among the values is a ConfigError too.
+(`mirror.t_phi_sq: 1.5 is greater than the maximum of 1`).  Every
+number must be finite (JSON's 1e999 loads as inf; an in-process dict can
+hold nan), and a non-finite one reads `<dotted path> is <value>`
+(`sweep.v_stop is nan`); a noiseless sweep is `sweep.counts_scale` null.
+The document must also describe a buildable device: `RunConfig.from_dict`
+builds its geometry, crystal, mirror chain and calibration, and a
+contradiction among the values is a ConfigError too, named by its key
+or by the section whose object refuses it.
 
 The package's JSON goes through `read_json` and `write_json` (sorted
-keys, two-space indent, final LF): configs, manifests and reports.
+keys, two-space indent, final LF): configs, manifests and reports.  Both
+speak RFC 8259 JSON, which has no NaN or Infinity, so every file the
+package writes is one it reads.
 """
 
 from __future__ import annotations
@@ -107,7 +110,8 @@ _TABLE = {
         "v_start": (_NUM, 0.0),
         "v_stop": (_NUM, 8.0),
         "n_points": ({"type": "integer", "minimum": 1}, 12),
-        "counts_scale": (_POS, 40000.0),
+        # null: noiseless expectation values instead of Poisson counts
+        "counts_scale": ({"type": ["number", "null"], "exclusiveMinimum": 0}, 40000.0),
         "hist_counts": (_POS, 100000.0),
         "t_max_ns": (_POS, 25.0),
         "n_bins": ({"type": "integer", "minimum": 8}, 500),
@@ -194,9 +198,7 @@ def _value_error(schema: dict, v, path: tuple) -> str | None:
     if _is_number(v):
         # a nan passes every bound and an inf every lower bound, so
         # finiteness comes first; JSON's 1e999 loads as inf
-        if not abs(v) <= sys.float_info.max and (
-            path != ("sweep", "counts_scale") or v != math.inf
-        ):
+        if not abs(v) <= sys.float_info.max:
             value = v if isinstance(v, float) else "beyond the float range"
             return f"{'.'.join(map(str, path))} is {value}"
         for keyword, (fails, text) in _BOUNDS.items():
@@ -275,43 +277,50 @@ class RunConfig:
         if message is not None:
             raise ConfigError(f"invalid config: {message}")
         raw = copy.deepcopy(data)
-        g, m, c = raw["geometry"], raw["mirror"], raw["calibration"]
+        g, m, c, s = (raw[key] for key in ("geometry", "mirror", "calibration", "sweep"))
         table = None
         if c["table"] is not None:
             table = tuple((float(v), float(p)) for v, p in c["table"])
         v_range = tuple(c["v_range"]) if c["v_range"] is not None else None
+        # a contradiction is named by its key, or by the section whose
+        # object refuses it
+        where = "emitter.y0_nm"
         try:
             window = g["width_nm"] / 2.0 + WINDOW_MARGIN_NM
             if abs(raw["emitter"]["y0_nm"]) > window:
                 raise InputError(
-                    f"y0 = {raw['emitter']['y0_nm']} nm lies outside the solved "
+                    f"{raw['emitter']['y0_nm']} nm lies outside the solved "
                     f"window (+-{window:.1f} nm)"
                 )
-            s = raw["sweep"]
+            where = "sweep.background"
             if s["hist_counts"] - s["background"] * s["n_bins"] <= 0:
                 raise InputError(
                     "hist_counts must exceed the background budget background * n_bins"
                 )
+            where = "geometry"
+            geometry = _build(WaveguideGeometry, g)
+            where = "mirror"
+            crystal = _build(PhotonicCrystalSpec, m)
             one_way = waveguide_transmission(
                 m["loss_db_per_mm"], m["qd_mirror_distance_um"] * 1000.0
             )
-            return cls(
-                raw,
-                _build(WaveguideGeometry, g),
-                _build(PhotonicCrystalSpec, m),
-                MirrorChain(
-                    t_phi_sq=m["t_phi_sq"], t_wg_sq=one_way**2, r_M_mag=m["r_M_mag"]
-                ),
-                PhaseCalibration(
-                    model=CalibrationModel(c["model"]),
-                    table=table,
-                    quad_coeff=c["quad_coeff"],
-                    quad_offset=c["quad_offset"],
-                    v_range=v_range,
-                ),
+            chain = MirrorChain(
+                t_phi_sq=m["t_phi_sq"], t_wg_sq=one_way**2, r_M_mag=m["r_M_mag"]
+            )
+            where = "calibration.v_range"
+            if v_range is not None and v_range[0] > v_range[1]:
+                raise InputError(f"{list(v_range)} is reversed")
+            where = "calibration"
+            calibration = PhaseCalibration(
+                model=CalibrationModel(c["model"]),
+                table=table,
+                quad_coeff=c["quad_coeff"],
+                quad_offset=c["quad_offset"],
+                v_range=v_range,
             )
         except InputError as exc:
-            raise ConfigError(f"inconsistent config: {exc}") from None
+            raise ConfigError(f"inconsistent config: {where}: {exc}") from None
+        return cls(raw, geometry, crystal, chain, calibration)
 
     @property
     def hash(self) -> str:
@@ -364,8 +373,8 @@ class RunConfig:
         return self.raw["sweep"]["irf_sigma_ns"]
 
     @property
-    def counts_scale(self) -> float:
-        return float(self.raw["sweep"]["counts_scale"])
+    def counts_scale(self) -> float | None:
+        return self.raw["sweep"]["counts_scale"]
 
     @property
     def hist_counts(self) -> float:
@@ -387,8 +396,11 @@ def file_sha256(path: str) -> str:
 
 
 def write_json(path: str, doc) -> None:
-    """Write doc as sorted, 2-space-indented JSON ending in LF."""
-    tokens = json.JSONEncoder(sort_keys=True, indent=2).iterencode(doc)
+    """Write doc as sorted, 2-space-indented JSON ending in LF.
+
+    A nan or an infinity, which JSON does not have, is a ValueError.
+    """
+    tokens = json.JSONEncoder(sort_keys=True, indent=2, allow_nan=False).iterencode(doc)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         # a thousand tokens per write: json.dump writes each token alone, and
         # json.dumps holds every token at once, which for a 192-point sweep

@@ -33,8 +33,8 @@ class NotConverged(NumericalError):
 
 
 class InsufficientPhaseSpan(NumericalError):
-    """Too few points, too narrow a 2*phi range, or phases that leave the
-    fringe undetermined."""
+    """Too few points, too narrow a 2*phi range, phases that leave the
+    fringe undetermined, or a fringe whose mean is 0."""
 
 
 class EmptyFeasibleSet(NumericalError):
@@ -55,10 +55,14 @@ class MalformedRow(InputError):
 
 @dataclass
 class FitResult:
-    """Fitted parameters with 1-sigma uncertainties and diagnostics."""
+    """Fitted parameters with 1-sigma uncertainties and diagnostics.
+
+    The uncertainty of a parameter along a flat (unconstrained) direction
+    is None.
+    """
 
     params: dict[str, float]
-    uncertainties: dict[str, float]
+    uncertainties: dict[str, float | None]
     goodness: float
     converged: bool
     n_iter: int
@@ -297,13 +301,11 @@ def fit_biexponential(
         ["background"] if fit_background else []
     )
     values = np.exp(x)
-    diag = np.diag(cov)
-    # a non-positive variance marks a flat (unconstrained) direction
-    sig_log = np.where(diag > 0, np.sqrt(np.abs(diag)), np.inf)
     params = {n: float(v) for n, v in zip(names, values)}
+    # a variance that is not positive marks a flat (unconstrained) direction
     uncertainties = {
-        n: float(v * s) if math.isfinite(s) else math.inf
-        for n, v, s in zip(names, values, sig_log)
+        n: float(v) * math.sqrt(var) if var > 0 else None
+        for n, v, var in zip(names, values, np.diag(cov).tolist())
     }
     var_rad = (
         values[1] ** 2 * cov[1, 1]
@@ -376,21 +378,24 @@ def fit_sinusoid(phases: np.ndarray, values: np.ndarray, sigmas: np.ndarray) -> 
         flags.append("theta_undefined")
     else:
         theta = math.atan2(-cb, ca) % (2.0 * math.pi)
-    nu = amp / m if m != 0 else math.inf
-    # delta method for nu and theta from the linear-parameter covariance
-    if amp > 0 and m != 0:
+    if m == 0.0:  # every value 0, as in a fringe of no counts
+        raise InsufficientPhaseSpan("the fringe's mean is 0: its visibility is undefined")
+    nu = amp / m
+    # delta method for nu and theta from the linear-parameter covariance;
+    # with no amplitude theta is unconstrained, and its sigma None
+    sigma_theta = None
+    if amp > 0:
         j_nu = np.array([-amp / m**2, ca / (amp * m), cb / (amp * m)])
         var_nu = float(j_nu @ cov @ j_nu)
         j_th = np.array([0.0, cb / amp**2, -ca / amp**2])
-        var_th = float(j_th @ cov @ j_th)
+        sigma_theta = math.sqrt(max(float(j_th @ cov @ j_th), 0.0))
     else:
-        var_nu = float(cov[1, 1] + cov[2, 2]) / max(m**2, 1e-300)
-        var_th = math.inf
+        var_nu = float(cov[1, 1] + cov[2, 2]) / m**2
     params = {"mean": m, "amplitude": amp, "theta": theta}
     uncertainties = {
         "mean": float(math.sqrt(max(cov[0, 0], 0.0))),
         "amplitude": float(math.sqrt(max(var_nu, 0.0))) * abs(m),
-        "theta": float(math.sqrt(max(var_th, 0.0))) if math.isfinite(var_th) else math.inf,
+        "theta": sigma_theta,
     }
     derived = {
         "visibility": nu,

@@ -54,8 +54,6 @@ class PhaseCalibration:
     v_range: tuple[float, float] | None
 
     def __post_init__(self) -> None:
-        if self.v_range is not None and self.v_range[0] > self.v_range[1]:
-            raise InputError(f"v_range {list(self.v_range)} is reversed")
         if self.model is CalibrationModel.TABLE:
             if not self.table or len(self.table) < 2:
                 raise InputError("table calibration needs at least two knots")
@@ -247,7 +245,7 @@ def generate_sweep(
     r_T_mag: float,
     cal: PhaseCalibration,
     voltages: list[float],
-    counts_scale: float,
+    counts_scale: float | None,
     seed: int,
     bin_edges: np.ndarray,
     amp_ratio: float,
@@ -263,7 +261,7 @@ def generate_sweep(
     the slow rate gamma_s = scene.gamma_nrad (so the bright-line
     radiative rate is recoverable as gamma_f - gamma_s); amp_ratio is
     A_s/A_f and background a flat counts-per-bin floor.
-    counts_scale=inf switches to noiseless expectation values for both
+    counts_scale None switches to noiseless expectation values for both
     intensity and histograms.  Point i draws from its own
     counter-based streams, SeedSequence([seed, i]).spawn(2) for the
     intensity and the histogram, so a point does not depend on which
@@ -278,7 +276,7 @@ def generate_sweep(
     What every point shares (hist_counts, irf_sigma, the background
     budget) is checked before the first point.
     """
-    noiseless = math.isinf(counts_scale)
+    noiseless = counts_scale is None
     if not noiseless and hist_counts <= 0:
         raise InputError("total_counts must be positive")
     expected_counts = _expectation(

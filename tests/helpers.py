@@ -3,14 +3,14 @@
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from importlib import resources
 
-from phasemirror.config import DEFAULT_CONFIG
+from phasemirror.config import DEFAULT_CONFIG, RunConfig
 from phasemirror.emission import EmitterScene
 from phasemirror.modesolver import WaveguideGeometry, solve_te0
-from phasemirror.opticalstack import MirrorChain, PhotonicCrystalSpec, waveguide_transmission
-from phasemirror.synthlab import CalibrationModel, PhaseCalibration
+from phasemirror.opticalstack import MirrorChain, PhotonicCrystalSpec
+from phasemirror.synthlab import PhaseCalibration
 
 
 def builtin_table1_path() -> str:
@@ -29,40 +29,12 @@ class Device:
 
 @functools.cache
 def default_device() -> Device:
-    """The objects DEFAULT_CONFIG describes, built from its sections.
+    """The objects DEFAULT_CONFIG describes, as RunConfig.from_dict builds them.
 
     The package's dataclasses have no field defaults; a test that needs
     another device varies these with dataclasses.replace.  The scene's k
     is that of the solved default mode.
     """
-    g, m, e, c = (
-        DEFAULT_CONFIG[key] for key in ("geometry", "mirror", "emitter", "calibration")
-    )
-    geometry = WaveguideGeometry(**{f.name: g[f.name] for f in fields(WaveguideGeometry)})
-    L = m["qd_mirror_distance_um"] * 1000.0
-    one_way = waveguide_transmission(m["loss_db_per_mm"], L)
-    return Device(
-        geometry=geometry,
-        crystal=PhotonicCrystalSpec(
-            **{f.name: m[f.name] for f in fields(PhotonicCrystalSpec)}
-        ),
-        chain=MirrorChain(
-            t_phi_sq=m["t_phi_sq"], t_wg_sq=one_way**2, r_M_mag=m["r_M_mag"]
-        ),
-        calibration=PhaseCalibration(
-            model=CalibrationModel(c["model"]),
-            table=c["table"],
-            quad_coeff=c["quad_coeff"],
-            quad_offset=c["quad_offset"],
-            v_range=c["v_range"],
-        ),
-        scene=EmitterScene(
-            y0=e["y0_nm"],
-            L=L,
-            k=solve_te0(geometry, n_points=g["grid_points"]).k,
-            gamma_x0=e["gamma_x0"],
-            gamma_y0=e["gamma_y0"],
-            gamma_b=e["gamma_b"],
-            gamma_nrad=e["gamma_nrad"],
-        ),
-    )
+    cfg = RunConfig.from_dict(DEFAULT_CONFIG)
+    k = solve_te0(cfg.geometry(), n_points=cfg.grid_points).k
+    return Device(cfg.geometry(), cfg.crystal(), cfg.chain, cfg.calibration, cfg.scene(k))

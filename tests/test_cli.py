@@ -17,6 +17,8 @@ from phasemirror import config, inference
 from phasemirror.cli import build_parser, main
 from phasemirror.config import DEFAULT_CONFIG, QD1_PRESET
 from phasemirror.csvio import read_csv, write_csv
+from phasemirror.emission import visibility_intensity_mixed
+from phasemirror.modesolver import mode_weights, solve_te0
 from phasemirror.synthlab import histogram_header
 
 
@@ -128,19 +130,37 @@ class TestManifests:
             [["mirror"]],
             [["simulate", "--preset", "qd1", "--seed", "7"], ["analyze", "--in", "<0>"]],
             [["simulate", "--config", "<irf>", "--seed", "7"], ["analyze", "--in", "<0>"]],
+            [["simulate", "--config", "<noiseless>"], ["analyze", "--in", "<0>"]],
+            [["simulate", "--config", "<floor>", "--seed", "0"], ["analyze", "--in", "<0>"]],
             [["analyze", "--table1", builtin_table1_path()]],
         ],
-        ids=["mode", "mirror", "simulate-analyze-qd1", "simulate-analyze-qd1-irf", "analyze-table1"],
+        ids=[
+            "mode",
+            "mirror",
+            "simulate-analyze-qd1",
+            "simulate-analyze-qd1-irf",
+            "simulate-analyze-qd1-noiseless",
+            "simulate-analyze-qd1-floor",
+            "analyze-table1",
+        ],
     )
     def test_every_json_written_reads_back(self, tmp_path, runs):
-        irf = copy.deepcopy(QD1_PRESET)
-        irf["sweep"]["irf_sigma_ns"] = 0.2
-        config.write_json(str(tmp_path / "irf.json"), irf)
+        # the floor run's reports hold the sigma of a floor fitted at 0,
+        # a flat direction, which is null
+        variants = {
+            "irf": {"irf_sigma_ns": 0.2},
+            "noiseless": {"counts_scale": None},
+            "floor": {"n_points": 48, "background": 1.0},
+        }
+        for name, sweep in variants.items():
+            doc = copy.deepcopy(QD1_PRESET)
+            doc["sweep"].update(sweep)
+            config.write_json(str(tmp_path / f"{name}.json"), doc)
         outs = []
         for args in runs:
             outs.append(str(tmp_path / f"out{len(outs)}"))
-            args = [a.replace("<0>", outs[0]).replace("<irf>", str(tmp_path / "irf.json")) for a in args]
-            assert main(args + ["--out", outs[-1]]) == 0
+            paths = {"<0>": outs[0], **{f"<{n}>": str(tmp_path / f"{n}.json") for n in variants}}
+            assert main([paths.get(a, a) for a in args] + ["--out", outs[-1]]) == 0
         names = [os.path.join(out, n) for out in outs for n in os.listdir(out) if n.endswith(".json")]
         assert names
         for path in names:
@@ -282,6 +302,43 @@ class TestSimulateCommand:
 
 
 class TestAnalyzeCommand:
+    def test_noiseless_sweep_gives_the_forward_visibilities(self, tmp_path):
+        # expectation values in, the forward model's visibilities out: the
+        # intensity model at the preset's mode weights, and the rate-weighted
+        # two-dipole contrast r |gx0 - gy0| / (gx0 + gy0 + 2 gb) of the
+        # local rates
+        data = copy.deepcopy(QD1_PRESET)
+        data["sweep"]["counts_scale"] = None
+        cfg_path = str(tmp_path / "noiseless.json")
+        config.write_json(cfg_path, data)
+        sim, fit = str(tmp_path / "sim"), str(tmp_path / "fit")
+        assert main(["simulate", "--config", cfg_path, "--out", sim]) == 0
+        assert main(["analyze", "--in", sim, "--out", fit]) == 0
+        rep = config.read_json(os.path.join(fit, "report.json"))
+        cfg = config.RunConfig.from_dict(data)
+        profile = solve_te0(cfg.geometry(), n_points=cfg.grid_points)
+        r, e = cfg.r_T_magnitude(), data["emitter"]
+        nu_i = visibility_intensity_mixed(r, mode_weights(profile, e["y0_nm"]))
+        nu_g = r * abs(e["gamma_x0"] - e["gamma_y0"]) / (
+            e["gamma_x0"] + e["gamma_y0"] + 2.0 * e["gamma_b"]
+        )
+        assert rep["nu_I"] == pytest.approx(nu_i, rel=0.0, abs=1e-9)
+        assert rep["nu_gamma"] == pytest.approx(nu_g, rel=0.0, abs=1e-9)
+
+    def test_fringe_of_no_counts_is_numerical_failure(self, tmp_path, capsys):
+        # a count scale so small that every intensity count is 0 leaves the
+        # fringe's mean 0 and its visibility undefined
+        data = copy.deepcopy(QD1_PRESET)
+        data["sweep"]["counts_scale"] = 1e-300
+        cfg_path = str(tmp_path / "dark.json")
+        config.write_json(cfg_path, data)
+        sim, fit = str(tmp_path / "sim"), str(tmp_path / "fit")
+        assert main(["simulate", "--config", cfg_path, "--out", sim]) == 0
+        assert not sweep_counts(sim).any()
+        assert main(["analyze", "--in", sim, "--out", fit]) == 3
+        assert "the fringe's mean is 0" in capsys.readouterr().err
+        assert not os.path.exists(os.path.join(fit, "report.json"))
+
     def test_round_trip_report(self, analysis_dir):
         with open(os.path.join(analysis_dir, "report.json"), encoding="utf-8") as fh:
             rep = json.load(fh)
@@ -778,17 +835,33 @@ class TestConfigErrors:
 
     @pytest.mark.parametrize("command", ["mode", "mirror", "simulate"])
     @pytest.mark.parametrize(
-        "section, key, value",
+        "section, key, value, message",
         [
-            ("geometry", "clad_index", 3.6),
-            ("mirror", "hole_radius_nm", 140.0),
-            ("emitter", "y0_nm", 500.0),
-            ("sweep", "background", 200.0),
-            ("calibration", "v_range", [8.0, 0.0]),
+            ("geometry", "clad_index", 3.6, "geometry: core_index must exceed clad_index"),
+            (
+                "mirror",
+                "hole_radius_nm",
+                140.0,
+                "mirror: hole diameter must be smaller than the pitch",
+            ),
+            (
+                "emitter",
+                "y0_nm",
+                500.0,
+                "emitter.y0_nm: 500.0 nm lies outside the solved window (+-450.0 nm)",
+            ),
+            (
+                "sweep",
+                "background",
+                200.0,
+                "sweep.background: hist_counts must exceed the background budget"
+                " background * n_bins",
+            ),
+            ("calibration", "v_range", [8.0, 0.0], "calibration.v_range: [8.0, 0.0] is reversed"),
         ],
     )
     def test_inconsistent_config_is_input_error(
-        self, tmp_path, capsys, command, section, key, value
+        self, tmp_path, capsys, command, section, key, value, message
     ):
         # the schema accepts each value; together with the rest they
         # describe no device or no run (cladding above the core index,
@@ -802,7 +875,8 @@ class TestConfigErrors:
         cfg_path.write_text(json.dumps(data))
         out = tmp_path / "x"
         assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 2
-        assert "inconsistent config" in capsys.readouterr().err
+        # named by its key, or by the section whose object refuses it
+        assert capsys.readouterr().err == f"error: inconsistent config: {message}\n"
         assert not out.exists()
 
     def test_each_command_validates_its_config_once(

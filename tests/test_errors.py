@@ -4,7 +4,7 @@ Every exception class of the package derives from exactly one of
 `errors.InputError` (exit 2) and `errors.NumericalError` (exit 3); any
 other exception out of `cli.main` is a fault.  Schema-valid configs
 from `configspace` run through every command end in 0, 2 or 3, with
-pytest's warnings as errors.
+pytest's warnings as errors, and every JSON file they write reads back.
 """
 
 import copy
@@ -22,7 +22,7 @@ import phasemirror
 from configspace import schema_valid_configs
 from phasemirror import inference
 from phasemirror.cli import main
-from phasemirror.config import QD1_PRESET
+from phasemirror.config import QD1_PRESET, read_json
 from phasemirror.errors import InputError, NumericalError
 
 
@@ -51,7 +51,8 @@ def _write_config(path, doc) -> str:
 
 def _run_all(tmp_path, doc) -> dict:
     """Exit code of mode, mirror, simulate and, after a simulate that
-    succeeds, analyze --in, on one config."""
+    succeeds, analyze --in, on one config; every JSON file the commands
+    wrote must read back."""
     cfg = _write_config(tmp_path / "c.json", doc)
     codes = {
         command: main([command, "--config", cfg, "--out", str(tmp_path / command)])
@@ -60,6 +61,8 @@ def _run_all(tmp_path, doc) -> dict:
     if codes["simulate"] == 0:
         sim, fit = str(tmp_path / "simulate"), str(tmp_path / "fit")
         codes["analyze"] = main(["analyze", "--in", sim, "--out", fit])
+    for path in tmp_path.glob("*/*.json"):
+        read_json(str(path))
     return codes
 
 
@@ -163,6 +166,8 @@ def test_blurred_density_that_is_not_finite_is_numerical_error(tmp_path, capsys,
         ({"emitter__gamma_y0": math.inf, "sweep__counts_scale": math.inf}, "emitter.gamma_y0"),
         ({"emitter__gamma_y0": math.inf}, "emitter.gamma_y0"),
         ({"sweep__t_max_ns": math.inf}, "sweep.t_max_ns"),
+        # a noiseless sweep is counts_scale null, not inf
+        ({"sweep__counts_scale": math.inf}, "sweep.counts_scale"),
     ],
 )
 def test_infinite_config_value_is_input_error(tmp_path, capsys, command, changes, named):
