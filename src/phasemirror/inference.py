@@ -669,9 +669,9 @@ def read_table1_csv(path: str) -> list[dict]:
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        text = data.decode("utf-8")
+        text = data.decode("utf-8-sig")  # a spreadsheet's "CSV UTF-8" starts with a BOM
     except UnicodeDecodeError as exc:
-        lineno = data.count(b"\n", 0, exc.start) + 1
+        lineno = exc.object.count(b"\n", 0, exc.start) + 1  # exc.object has no BOM
         raise MalformedRow(f"{path} line {lineno}: {exc}") from None
     with io.StringIO(text, newline="") as fh:
         reader = csv.reader(fh)

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import functools
+import importlib.util
+import pathlib
 from dataclasses import dataclass
 from importlib import resources
 
@@ -16,6 +18,15 @@ from phasemirror.synthlab import PhaseCalibration
 def builtin_table1_path() -> str:
     """Path to the shipped per-emitter results table."""
     return str(resources.files("phasemirror.data") / "table1.csv")
+
+
+def load_script(name: str):
+    """The module of scripts/<name>.py, which is not part of the package."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @dataclass(frozen=True)

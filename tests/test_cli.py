@@ -1,3 +1,4 @@
+import codecs
 import copy
 import csv
 import hashlib
@@ -52,6 +53,11 @@ def replace_histogram(out_dir, j, counts):
     columns[j + 1] = counts
     write_csv(path, header, *columns)
     rehash(out_dir, "histograms.csv")
+
+
+def fresh_env():
+    """The environment of a fresh interpreter that imports this package."""
+    return dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(phasemirror.__file__)))
 
 
 def sweep_counts(out_dir):
@@ -210,10 +216,24 @@ class TestModeCommand:
         assert float(center[0][1]) == pytest.approx(0.8, abs=1e-9)
         assert float(center[0][2]) == pytest.approx(0.25 / 1.1, abs=1e-9)
 
-    def test_preset_switches_parameters(self, tmp_path):
-        out = str(tmp_path / "qd1")
-        assert main(["mode", "--preset", "qd1", "--out", out]) == 0
-        assert read_manifest(out)["r_T_mag"] == pytest.approx(0.6)
+    @pytest.mark.parametrize(
+        "source, r_T_mag",
+        [
+            (["--preset", "qd1"], 0.6),
+            # the one optional key left out: |r_T| of the default mirror
+            # chain, about 0.4959
+            (["--config", "<no_r_T_mag>"], None),
+        ],
+        ids=["qd1-preset", "config-without-r_T_mag"],
+    )
+    def test_manifest_records_the_r_T_mag_in_use(self, tmp_path, default_cfg, source, r_T_mag):
+        cfg_path = str(tmp_path / "no_r_T_mag.json")
+        config.write_json(cfg_path, {k: v for k, v in DEFAULT_CONFIG.items() if k != "r_T_mag"})
+        out = str(tmp_path / "out")
+        args = [a.replace("<no_r_T_mag>", cfg_path) for a in source]
+        assert main(["mode", *args, "--out", out]) == 0
+        expected = default_cfg.chain.magnitude if r_T_mag is None else r_T_mag
+        assert read_manifest(out)["r_T_mag"] == expected
 
     def test_zero_background_rate_gives_finite_curves(self, tmp_path):
         # with gamma_b = 0, beta_x = gamma_x / (gamma_x + gamma_b) is 0/0
@@ -541,10 +561,11 @@ class TestAnalyzeCommand:
         assert rc == 2
         assert named in capsys.readouterr().err
 
-    def test_non_utf8_table_is_input_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("bom", [b"", codecs.BOM_UTF8], ids=["plain", "bom"])
+    def test_non_utf8_table_is_input_error(self, tmp_path, capsys, bom):
         table = tmp_path / "table1.csv"
         with open(builtin_table1_path(), "rb") as fh:
-            table.write_bytes(fh.read().replace(b"\n", b"\n\xff", 1))
+            table.write_bytes(bom + fh.read().replace(b"\n", b"\n\xff", 1))
         rc = main(["analyze", "--table1", str(table), "--out", str(tmp_path / "x")])
         assert rc == 2
         err = capsys.readouterr().err
@@ -615,7 +636,7 @@ class TestAnalyzeCommand:
 
     @pytest.mark.parametrize(
         "damage",
-        ["missing", "unlisted", "nul", "config_hash", "config", "outside", "link"],
+        ["missing", "unlisted", "nul", "config_hash", "config", "outside", "link", "device"],
     )
     def test_manifest_that_does_not_vouch_for_inputs_is_input_error(
         self, tmp_path, sim_dir, capsys, damage
@@ -646,13 +667,26 @@ class TestAnalyzeCommand:
             os.symlink(sweep, os.path.join(broken, "link.csv"))
             named = "link.csv"
             man["files"][named] = sha256(sweep)
+        elif damage == "device":
+            named = "/dev/zero"
+            man["files"][named] = "0" * 64
         else:
             man["config"]["sweep"]["background"] = 1.0
             named = "config_hash"
         write_manifest_json(broken, man)
-        rc = main(["analyze", "--in", broken, "--out", str(tmp_path / "x")])
+        args = ["analyze", "--in", broken, "--out", str(tmp_path / "x")]
+        if damage == "device":
+            # through python -m phasemirror, so a read that never ends
+            # fails the test instead of hanging it
+            proc = subprocess.run(
+                [sys.executable, "-m", "phasemirror", *args],
+                env=fresh_env(), capture_output=True, text=True, timeout=60,
+            )
+            rc, err = proc.returncode, proc.stderr
+        else:
+            rc, err = main(args), capsys.readouterr().err
         assert rc == 2
-        assert named in capsys.readouterr().err
+        assert named in err
 
     @pytest.mark.parametrize("raw", [b"{not json", b"\xff\xfe{}", b"[1, 2]"])
     def test_manifest_that_is_not_json_is_input_error(
@@ -780,6 +814,18 @@ class TestAnalyzeCommand:
         assert len(rep["rows"]) == 6
         assert all(r["feasible"] for r in rep["rows"])
         assert read_manifest(out)["source"] == "table1"
+
+    def test_table_that_starts_with_a_bom_gives_the_same_report(self, tmp_path):
+        # a spreadsheet's "CSV UTF-8" export starts with a byte order mark
+        table = tmp_path / "table1.csv"
+        with open(builtin_table1_path(), "rb") as fh:
+            table.write_bytes(codecs.BOM_UTF8 + fh.read())
+        reports = []
+        for name, path in [("plain", builtin_table1_path()), ("bom", str(table))]:
+            out = tmp_path / name
+            assert main(["analyze", "--table1", path, "--out", str(out)]) == 0
+            reports.append((out / "report.json").read_bytes())
+        assert reports[0] == reports[1]
 
 
 class TestConfigErrors:
@@ -936,8 +982,6 @@ def test_main_calls_parse_independently(tmp_path, sim_dir):
 def test_cli_import_leaves_heavy_modules_out():
     """`import phasemirror.cli` loads neither the heavy libraries nor the
     inference layer, which only analyze imports."""
-    src = os.path.dirname(os.path.dirname(phasemirror.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
     left_out = [
         "scipy",
         "jsonschema",
@@ -950,7 +994,7 @@ def test_cli_import_leaves_heavy_modules_out():
     ]
     code = f"import sys, phasemirror.cli; print([m for m in {left_out!r} if m in sys.modules])"
     proc = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", code], env=fresh_env(), capture_output=True, text=True, check=True
     )
     assert proc.stdout.strip() == "[]"
 
@@ -958,8 +1002,6 @@ def test_cli_import_leaves_heavy_modules_out():
 def test_only_analyze_loads_inference(tmp_path):
     """In a fresh interpreter, mode, mirror and simulate run without loading
     the inference layer; analyze --in and analyze --table1 each load it."""
-    src = os.path.dirname(os.path.dirname(phasemirror.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
     # each argv runs through cli.main in turn; prints [exit code, loaded] per run
     code = (
         "import json, sys\n"
@@ -971,7 +1013,7 @@ def test_only_analyze_loads_inference(tmp_path):
     def fresh(*runs):
         proc = subprocess.run(
             [sys.executable, "-c", code, json.dumps(runs)],
-            env=env, capture_output=True, text=True, check=True,
+            env=fresh_env(), capture_output=True, text=True, check=True,
         )
         return json.loads(proc.stdout)
 
@@ -988,9 +1030,10 @@ def test_only_analyze_loads_inference(tmp_path):
 
 
 def test_commands_run_without_jsonschema(tmp_path, capsys):
-    """Outputs and error text do not depend on jsonschema being importable."""
-    src = os.path.dirname(os.path.dirname(phasemirror.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
+    """Each README command, run in a fresh process that cannot import
+    jsonschema, writes the manifest an in-process run writes, and so the
+    same bytes, as the manifest holds the SHA-256 of every file; a config
+    error has the same text, naming its dotted key."""
     code = (
         "import sys; sys.modules['jsonschema'] = None\n"
         "from phasemirror.cli import main; sys.exit(main(sys.argv[1:]))"
@@ -1000,8 +1043,10 @@ def test_commands_run_without_jsonschema(tmp_path, capsys):
     (tmp_path / "bad.json").write_text(json.dumps(bad))
     runs = [
         (["mode", "--preset", "qd1"], "mode", 0),
+        (["mirror"], "mirror", 0),
         (["simulate", "--preset", "qd1", "--seed", "7"], "sim", 0),
         (["analyze", "--in", "<out>/sim"], "fit", 0),
+        (["analyze", "--table1", builtin_table1_path()], "table1", 0),
         (["mode", "--config", str(tmp_path / "bad.json")], "bad", 2),
     ]
     for args, name, rc in runs:
@@ -1009,13 +1054,14 @@ def test_commands_run_without_jsonschema(tmp_path, capsys):
         proc = subprocess.run(
             [sys.executable, "-c", code, *[a.replace("<out>", sub) for a in args],
              "--out", os.path.join(sub, name)],
-            env=env, capture_output=True, text=True,
+            env=fresh_env(), capture_output=True, text=True,
         )
         capsys.readouterr()
         assert main([*[a.replace("<out>", ref) for a in args], "--out", os.path.join(ref, name)]) == rc
         assert proc.returncode == rc, proc.stderr
         if rc:
             assert proc.stderr == capsys.readouterr().err
+            assert proc.stderr.startswith("error: invalid config: mirror.t_phi_sq: 1.5 ")
             continue
         with open(os.path.join(sub, name, "manifest.json"), "rb") as fh:
             got = fh.read()

@@ -1,19 +1,15 @@
 """scripts/compare_outputs.py: two output trees compared file by file."""
 
-import importlib.util
 import json
-import pathlib
 import shutil
 
 import pytest
 
+from helpers import load_script
 from phasemirror.cli import main
 from phasemirror.csvio import read_csv, read_header, write_csv
 
-_SCRIPT = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "compare_outputs.py"
-_spec = importlib.util.spec_from_file_location("compare_outputs", _SCRIPT)
-compare_outputs = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(compare_outputs)
+compare_outputs = load_script("compare_outputs")
 
 
 @pytest.fixture(scope="module")
