@@ -205,24 +205,13 @@ def cmd_simulate(args: argparse.Namespace, cfg: RunConfig, outs: _Outputs) -> No
     profile = _solve(cfg)
     scene = cfg.scene(profile.k)
     weights = modesolver.mode_weights(profile, scene.y0)
-    voltages = cfg.voltages()
-    edges = cfg.bin_edges()
+    sweep = cfg.sweep
     phis, counts, histograms = synthlab.generate_sweep(
-        scene,
-        weights,
-        cfg.r_T_magnitude(),
-        cfg.calibration,
-        voltages,
-        cfg.counts_scale,
-        cfg.seed,
-        amp_ratio=cfg.raw["sweep"]["amp_ratio"],
-        background=cfg.raw["sweep"]["background"],
-        hist_counts=cfg.hist_counts,
-        bin_edges=edges,
-        irf_sigma=cfg.irf_sigma,
+        scene, weights, cfg.r_T_magnitude(), cfg.calibration, sweep, cfg.seed
     )
+    voltages = sweep.voltages()
     synthlab.write_sweep_csv((voltages, phis, counts), outs.path("sweep.csv"))
-    synthlab.write_histogram_csv((edges, histograms), outs.path("histograms.csv"))
+    synthlab.write_histogram_csv((sweep.bin_edges(), histograms), outs.path("histograms.csv"))
     svgplot.write_line_plot(
         outs.path("sweep.svg"),
         [("intensity (counts)", voltages, counts)],
@@ -285,7 +274,7 @@ def _analyze_sweep_dir(args: argparse.Namespace, outs: _Outputs) -> None:
 
     voltages, phases, counts = synthlab.read_sweep_csv(os.path.join(args.in_dir, "sweep.csv"))
     hist_path = os.path.join(args.in_dir, "histograms.csv")
-    edges = cfg.bin_edges()
+    edges = cfg.sweep.bin_edges()
     histograms = synthlab.read_histogram_csv(hist_path, edges)
     if len(histograms) != len(voltages):
         raise MalformedCSV(
@@ -299,7 +288,7 @@ def _analyze_sweep_dir(args: argparse.Namespace, outs: _Outputs) -> None:
         edges,
         histograms,
         profile=profile,
-        fit_background=cfg.raw["sweep"]["background"] > 0,
+        fit_background=cfg.sweep.background > 0,
         histogram_names=[f"{hist_path} {name}" for name in names],
     )
     write_json(outs.path("report.json"), result)

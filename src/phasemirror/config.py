@@ -11,8 +11,9 @@ keys to (schema, default) pairs, as the top level does `seed` and
 document and each section are objects with no additional properties
 that require every key but `r_T_mag`, the one optional key.  No
 dataclass the config builds has a field default, so `_TABLE` is the one
-home of a default value; `WaveguideGeometry` and `PhotonicCrystalSpec`
-are built from the keys of their sections named like their fields.
+home of a default value; `WaveguideGeometry`, `PhotonicCrystalSpec` and
+`SweepSpec` are built from the keys of their sections named like their
+fields.
 
 `SCHEMA` is the published JSON Schema (draft 2020-12) of a config.
 `RunConfig.from_dict` checks a document in one depth-first walk over
@@ -51,13 +52,11 @@ import operator
 import sys
 from dataclasses import dataclass, fields
 
-import numpy as np
-
 from .emission import EmitterScene
 from .errors import InputError
 from .modesolver import DEFAULT_GRID_POINTS, WINDOW_MARGIN_NM, WaveguideGeometry
 from .opticalstack import MirrorChain, PhotonicCrystalSpec, waveguide_transmission
-from .synthlab import CalibrationModel, PhaseCalibration, default_bin_edges
+from .synthlab import CalibrationModel, PhaseCalibration, SweepSpec
 
 _NUM = {"type": "number"}
 _POS = {"type": "number", "exclusiveMinimum": 0}
@@ -258,11 +257,12 @@ class ConfigError(InputError):
 class RunConfig:
     """Validated configuration document plus the typed objects it describes.
 
-    from_dict builds the geometry, crystal, mirror chain and calibration
-    once; a nan or inf anywhere, or values that contradict each other (a
-    cladding index above the core index, holes wider than the pitch, an
-    emitter outside the solved window, a background that fills the whole
-    histogram budget, a reversed v_range) fail there as a ConfigError.
+    from_dict builds the geometry, crystal, mirror chain, calibration and
+    sweep once; a nan or inf anywhere, or values that contradict each
+    other (a cladding index above the core index, holes wider than the
+    pitch, an emitter outside the solved window, a background that fills
+    the whole histogram budget, a reversed v_range) fail there as a
+    ConfigError.
     """
 
     raw: dict
@@ -270,6 +270,7 @@ class RunConfig:
     _crystal: PhotonicCrystalSpec
     chain: MirrorChain
     calibration: PhaseCalibration
+    sweep: SweepSpec
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
@@ -293,10 +294,7 @@ class RunConfig:
                     f"window (+-{window:.1f} nm)"
                 )
             where = "sweep.background"
-            if s["hist_counts"] - s["background"] * s["n_bins"] <= 0:
-                raise InputError(
-                    "hist_counts must exceed the background budget background * n_bins"
-                )
+            sweep = _build(SweepSpec, s)
             where = "geometry"
             geometry = _build(WaveguideGeometry, g)
             where = "mirror"
@@ -320,7 +318,7 @@ class RunConfig:
             )
         except InputError as exc:
             raise ConfigError(f"inconsistent config: {where}: {exc}") from None
-        return cls(raw, geometry, crystal, chain, calibration)
+        return cls(raw, geometry, crystal, chain, calibration, sweep)
 
     @property
     def hash(self) -> str:
@@ -359,26 +357,6 @@ class RunConfig:
             gamma_b=e["gamma_b"],
             gamma_nrad=e["gamma_nrad"],
         )
-
-    def voltages(self) -> np.ndarray:
-        s = self.raw["sweep"]
-        return np.linspace(s["v_start"], s["v_stop"], s["n_points"])
-
-    def bin_edges(self) -> np.ndarray:
-        s = self.raw["sweep"]
-        return default_bin_edges(s["t_max_ns"], s["n_bins"])
-
-    @property
-    def irf_sigma(self) -> float | None:
-        return self.raw["sweep"]["irf_sigma_ns"]
-
-    @property
-    def counts_scale(self) -> float | None:
-        return self.raw["sweep"]["counts_scale"]
-
-    @property
-    def hist_counts(self) -> float:
-        return float(self.raw["sweep"]["hist_counts"])
 
 
 def config_hash(data: dict) -> str:

@@ -669,10 +669,11 @@ def read_table1_csv(path: str) -> list[dict]:
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        text = data.decode("utf-8-sig")  # a spreadsheet's "CSV UTF-8" starts with a BOM
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        lineno = exc.object.count(b"\n", 0, exc.start) + 1  # exc.object has no BOM
+        lineno = data.count(b"\n", 0, exc.start) + 1
         raise MalformedRow(f"{path} line {lineno}: {exc}") from None
+    text = text.removeprefix("\ufeff")  # a spreadsheet's "CSV UTF-8" starts with a BOM
     with io.StringIO(text, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])

@@ -4,7 +4,7 @@ Reproduces the lab pipeline: a voltage-to-phase calibration, per-point
 collected-intensity samples with shot noise, and time-resolved decay
 histograms drawn from a bright/dark bi-exponential model whose fast
 rate follows the phase-dependent radiative rate.  Every histogram of a
-sweep shares the caller's bin edges, so a sweep's histograms are one
+sweep shares the sweep's bin edges, so a sweep's histograms are one
 float64 counts matrix, a row per point and a column per bin, and
 histograms.csv is that matrix transposed under a t_ns column of bin
 midpoints.
@@ -98,6 +98,49 @@ def default_bin_edges(t_max_ns: float, n_bins: int) -> np.ndarray:
     if t_max_ns <= 0 or n_bins < 1:
         raise InputError("need positive window and at least one bin")
     return np.linspace(0.0, t_max_ns, n_bins + 1)
+
+
+@dataclass(frozen=True)
+class SweepSpec:
+    """The acquisition of a voltage sweep: the config's sweep keys.
+
+    It refuses, when built, what no point could use: a hist_counts that
+    is not positive, an IRF width irf_sigma_ns (None: no IRF) that is
+    not positive, and a floor of background counts per bin that leaves
+    no signal, hist_counts <= background * n_bins.
+    """
+
+    v_start: float
+    v_stop: float
+    n_points: int
+    counts_scale: float | None
+    hist_counts: float
+    t_max_ns: float
+    n_bins: int
+    irf_sigma_ns: float | None
+    amp_ratio: float
+    background: float
+
+    def __post_init__(self) -> None:
+        if self.hist_counts <= 0:
+            raise InputError("hist_counts must be positive")
+        if self.irf_sigma_ns is not None and self.irf_sigma_ns <= 0:
+            raise InputError("irf_sigma_ns must be positive when given")
+        if self.signal_counts <= 0:
+            raise InputError(
+                "hist_counts must exceed the background budget background * n_bins"
+            )
+
+    @property
+    def signal_counts(self) -> float:
+        """Counts of a histogram above its floor."""
+        return float(self.hist_counts) - self.background * self.n_bins
+
+    def voltages(self) -> np.ndarray:
+        return np.linspace(self.v_start, self.v_stop, self.n_points)
+
+    def bin_edges(self) -> np.ndarray:
+        return default_bin_edges(self.t_max_ns, self.n_bins)
 
 
 def _rng(seed: int | np.random.SeedSequence) -> np.random.Generator:
@@ -197,34 +240,26 @@ def _exgauss_density(t: np.ndarray, gammas: Sequence[float], sigma: float) -> np
 
 
 def _expectation(
-    gamma_s: float,
-    amp_ratio: float,
-    background: float,
-    total_counts: float,
-    bin_edges: np.ndarray,
-    irf_sigma: float | None,
+    gamma_s: float, sweep: SweepSpec
 ) -> Callable[[Sequence[float]], np.ndarray]:
     """expected(gammas_f): expected counts of decays that differ only in gamma_f.
 
     The slow component is computed here, once; expected(gammas_f) gives
-    one row of bin counts per fast rate, each scaled so the expectation
-    sums to total_counts.  Without an IRF (irf_sigma None) the
-    exponentials are integrated exactly over each bin; with an IRF the
-    blurred density is sampled at bin midpoints (adequate for sigma well
-    below the window length).
+    one row of bin counts per fast rate on the sweep's bins, each scaled
+    so the expectation sums to sweep.hist_counts.  Without an IRF
+    (irf_sigma_ns None) the exponentials are integrated exactly over
+    each bin; with an IRF the blurred density is sampled at bin
+    midpoints (adequate for sigma well below the window length).
     """
-    edges = np.asarray(bin_edges, dtype=float)
+    edges = sweep.bin_edges()
     widths = np.diff(edges)
+    irf_sigma, background = sweep.irf_sigma_ns, sweep.background
     if irf_sigma is None:
-        slow = amp_ratio * exp_bin_integrals([gamma_s], edges)
+        slow = sweep.amp_ratio * exp_bin_integrals([gamma_s], edges)
     else:
-        if irf_sigma <= 0:
-            raise InputError("irf_sigma must be positive when given")
         mids = bin_midpoints(edges)
-        slow = amp_ratio * _exgauss_density(mids, [gamma_s], irf_sigma)
-    signal_total = total_counts - background * len(widths)
-    if signal_total <= 0:
-        raise InputError("total_counts must exceed the background budget")
+        slow = sweep.amp_ratio * _exgauss_density(mids, [gamma_s], irf_sigma)
+    signal_total = sweep.signal_counts
 
     def expected(gammas_f: Sequence[float]) -> np.ndarray:
         if irf_sigma is None:
@@ -244,23 +279,17 @@ def generate_sweep(
     weights: tuple[float, float],
     r_T_mag: float,
     cal: PhaseCalibration,
-    voltages: list[float],
-    counts_scale: float | None,
+    sweep: SweepSpec,
     seed: int,
-    bin_edges: np.ndarray,
-    amp_ratio: float,
-    background: float,
-    hist_counts: float,
-    irf_sigma: float | None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Simulate a voltage sweep as (phis, intensity counts, histogram counts).
+    """Simulate the voltage sweep as (phis, intensity counts, histogram counts).
 
-    Per point: the calibration gives phi, the collected intensity is
-    Poisson-sampled at counts_scale times the relative intensity, and
-    the histogram's fast rate is the total decay rate, radiative plus
-    the slow rate gamma_s = scene.gamma_nrad (so the bright-line
-    radiative rate is recoverable as gamma_f - gamma_s); amp_ratio is
-    A_s/A_f and background a flat counts-per-bin floor.
+    Per point of sweep.voltages(): the calibration gives phi, the
+    collected intensity is Poisson-sampled at counts_scale times the
+    relative intensity, and the histogram's fast rate is the total decay
+    rate, radiative plus the slow rate gamma_s = scene.gamma_nrad (so
+    the bright-line radiative rate is recoverable as gamma_f - gamma_s);
+    amp_ratio is A_s/A_f and background a flat counts-per-bin floor.
     counts_scale None switches to noiseless expectation values for both
     intensity and histograms.  Point i draws from its own
     counter-based streams, SeedSequence([seed, i]).spawn(2) for the
@@ -270,19 +299,16 @@ def generate_sweep(
     array call each, with the bits of a call per point.
 
     The histograms are one float64 matrix, a row of counts per point on
-    bin_edges.  Every row is bit for bit the histogram of its point's
-    rates alone: the slow component is computed once per sweep and the
-    expected counts of up to _SWEEP_BLOCK points at a time as one array.
-    What every point shares (hist_counts, irf_sigma, the background
-    budget) is checked before the first point.
+    sweep.bin_edges().  Every row is bit for bit the histogram of its
+    point's rates alone: the slow component is computed once per sweep
+    and the expected counts of up to _SWEEP_BLOCK points at a time as
+    one array.  What every point shares (hist_counts, irf_sigma_ns, the
+    background budget) is checked when the spec is built.
     """
+    counts_scale = sweep.counts_scale
     noiseless = counts_scale is None
-    if not noiseless and hist_counts <= 0:
-        raise InputError("total_counts must be positive")
-    expected_counts = _expectation(
-        scene.gamma_nrad, amp_ratio, background, hist_counts, bin_edges, irf_sigma
-    )
-    phis = np.array([phase_of_voltage(cal, float(v)) for v in voltages])
+    expected_counts = _expectation(scene.gamma_nrad, sweep)
+    phis = np.array([phase_of_voltage(cal, float(v)) for v in sweep.voltages()])
     dip = DipoleOrientation.AVERAGED_BOTH
     counts = emission.intensity(scene, weights, r_T_mag, phis, dip)
     gammas_f = emission.decay_rate(scene, r_T_mag, phis, dip, include_nonradiative=True)
@@ -294,13 +320,13 @@ def generate_sweep(
                 ss_intensity, counts_scale * expected, "counts_scale", counts_scale
             )
         hist_streams.append(ss_hist)
-    histograms = np.empty((len(gammas_f), len(bin_edges) - 1))
+    histograms = np.empty((len(gammas_f), sweep.n_bins))
     for start in range(0, len(gammas_f), _SWEEP_BLOCK):
         block = slice(start, start + _SWEEP_BLOCK)
         histograms[block] = expected_counts(gammas_f[block])
         if not noiseless:
             for row, ss_hist in zip(histograms[block], hist_streams[block]):
-                row[:] = _poisson(ss_hist, row, "hist_counts", hist_counts)
+                row[:] = _poisson(ss_hist, row, "hist_counts", sweep.hist_counts)
     return phis, counts, histograms
 
 

@@ -35,22 +35,21 @@ uses it:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from phasemirror.config import DEFAULT_CONFIG
+from phasemirror.config import DEFAULT_CONFIG, RunConfig
 from phasemirror.emission import DipoleOrientation
 from phasemirror.inference import biexp_model
 from phasemirror.modesolver import ModeProfile, WaveguideGeometry, _solve_width, mode_weights
 from phasemirror.opticalstack import MirrorChain, PhotonicCrystalSpec
-from phasemirror.synthlab import _expectation, _rng, default_bin_edges
+from phasemirror.synthlab import _expectation, _rng
 
-# the default config's acquisition window, the bins of a histogram built
-# without its own
-DEFAULT_EDGES = default_bin_edges(
-    DEFAULT_CONFIG["sweep"]["t_max_ns"], DEFAULT_CONFIG["sweep"]["n_bins"]
-)
+# the default config's sweep; its acquisition window gives the bins of a
+# histogram built without its own
+DEFAULT_SWEEP = RunConfig.from_dict(DEFAULT_CONFIG).sweep
+DEFAULT_EDGES = DEFAULT_SWEEP.bin_edges()
 
 # ---------------------------------------------------------------------------
 # transfer matrices
@@ -297,11 +296,23 @@ def expected_histogram(
     bin_edges: np.ndarray | None = None,
     irf_sigma: float | None = None,
 ) -> DecayHistogram:
-    """One point's noiseless expectation curve (float counts), DEFAULT_EDGES if no bins."""
+    """One point's noiseless expectation curve (float counts), DEFAULT_EDGES if no bins.
+
+    The bins must be a sweep's, n_bins uniform bins from 0 to t_max_ns.
+    """
     edges = np.asarray(DEFAULT_EDGES if bin_edges is None else bin_edges, dtype=float)
-    expected = _expectation(
-        model.gamma_s, model.amp_ratio, model.background, total_counts, edges, irf_sigma
+    sweep = replace(
+        DEFAULT_SWEEP,
+        hist_counts=total_counts,
+        t_max_ns=float(edges[-1]),
+        n_bins=len(edges) - 1,
+        irf_sigma_ns=irf_sigma,
+        amp_ratio=model.amp_ratio,
+        background=model.background,
     )
+    if sweep.bin_edges().tobytes() != edges.tobytes():
+        raise ValueError("a sweep's bins are uniform from 0")
+    expected = _expectation(model.gamma_s, sweep)
     return DecayHistogram(edges, expected([model.gamma_f])[0])
 
 

@@ -148,21 +148,10 @@ def test_06_qd1_round_trip():
     scene = cfg.scene(profile.k)
     weights = mode_weights(profile, scene.y0)
     phis, counts, histograms = synthlab.generate_sweep(
-        scene,
-        weights,
-        cfg.r_T_magnitude(),
-        cfg.calibration,
-        list(cfg.voltages()),
-        cfg.counts_scale,
-        seed=cfg.seed,
-        amp_ratio=cfg.raw["sweep"]["amp_ratio"],
-        background=cfg.raw["sweep"]["background"],
-        hist_counts=cfg.hist_counts,
-        bin_edges=cfg.bin_edges(),
-        irf_sigma=cfg.irf_sigma,
+        scene, weights, cfg.r_T_magnitude(), cfg.calibration, cfg.sweep, seed=cfg.seed
     )
     result = inference.analyze_sweep(
-        phis, counts, cfg.bin_edges(), histograms, profile=profile,
+        phis, counts, cfg.sweep.bin_edges(), histograms, profile=profile,
         histogram_names=synthlab.histogram_header(len(histograms))[1:],
     )
     elapsed = time.perf_counter() - t0

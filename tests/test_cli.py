@@ -523,7 +523,7 @@ class TestAnalyzeCommand:
 
         monkeypatch.setattr(inference, "fit_biexponential", fit_biexponential)
         assert main(["analyze", "--in", sim_dir, "--out", str(tmp_path / "x")]) == 0
-        edges = config.RunConfig.from_dict(read_manifest(sim_dir)["config"]).bin_edges()
+        edges = config.RunConfig.from_dict(read_manifest(sim_dir)["config"]).sweep.bin_edges()
         assert len(fitted) == DEFAULT_CONFIG["sweep"]["n_points"]
         assert all(e.tobytes() == edges.tobytes() for e in fitted)
 
@@ -565,11 +565,15 @@ class TestAnalyzeCommand:
     def test_non_utf8_table_is_input_error(self, tmp_path, capsys, bom):
         table = tmp_path / "table1.csv"
         with open(builtin_table1_path(), "rb") as fh:
-            table.write_bytes(bom + fh.read().replace(b"\n", b"\n\xff", 1))
+            data = bom + fh.read().replace(b"\n", b"\n\xff", 1)
+        table.write_bytes(data)
         rc = main(["analyze", "--table1", str(table), "--out", str(tmp_path / "x")])
         assert rc == 2
         err = capsys.readouterr().err
         assert f"{table} line 2" in err and "can't decode byte 0xff" in err
+        # the position is the byte's offset in the file, BOM included
+        offset = data.index(b"\xff")
+        assert f"in position {offset}:" in err
 
     @pytest.mark.parametrize(
         "damage, why",

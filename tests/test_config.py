@@ -3,7 +3,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import MISSING, fields
+from dataclasses import MISSING, asdict, fields
 
 import jsonschema
 import pytest
@@ -25,7 +25,7 @@ from phasemirror.config import (
 from phasemirror.emission import EmitterScene
 from phasemirror.modesolver import WINDOW_MARGIN_NM, WaveguideGeometry
 from phasemirror.opticalstack import MirrorChain, PhotonicCrystalSpec, waveguide_transmission
-from phasemirror.synthlab import CalibrationModel, PhaseCalibration
+from phasemirror.synthlab import CalibrationModel, PhaseCalibration, SweepSpec
 
 
 def test_schema_passes_its_metaschema():
@@ -411,12 +411,19 @@ def test_non_finite_value_is_rejected_by_its_dotted_path(path, value, text):
 def test_null_counts_scale_is_the_noiseless_mode():
     doc = copy.deepcopy(DEFAULT_CONFIG)
     doc["sweep"]["counts_scale"] = None
-    assert RunConfig.from_dict(doc).counts_scale is None
+    assert RunConfig.from_dict(doc).sweep.counts_scale is None
 
 
 @pytest.mark.parametrize(
     "cls",
-    [WaveguideGeometry, PhotonicCrystalSpec, MirrorChain, PhaseCalibration, EmitterScene],
+    [
+        WaveguideGeometry,
+        PhotonicCrystalSpec,
+        MirrorChain,
+        PhaseCalibration,
+        EmitterScene,
+        SweepSpec,
+    ],
 )
 def test_config_dataclasses_have_no_field_defaults(cls):
     # a default device value is written once, in config._TABLE
@@ -425,6 +432,10 @@ def test_config_dataclasses_have_no_field_defaults(cls):
         if f.default is not MISSING or f.default_factory is not MISSING
     ]
     assert defaulted == []
+
+
+def test_sweep_spec_is_the_sweep_section(default_cfg):
+    assert asdict(default_cfg.sweep) == DEFAULT_CONFIG["sweep"]
 
 
 def test_default_device_is_what_the_config_builds(default_cfg, default_profile):

@@ -213,7 +213,7 @@ def test_simulated_histograms_match_the_reference_format(tmp_path, irf_sigma_ns)
     want = reference_bytes(tmp_path / "want.csv", header, zip(*columns))
     assert path.read_bytes() == want
     assert_same_arrays(read_csv(str(path), header), columns)
-    histograms = read_histogram_csv(str(path), RunConfig.from_dict(cfg).bin_edges())
+    histograms = read_histogram_csv(str(path), RunConfig.from_dict(cfg).sweep.bin_edges())
     assert [row.tobytes() for row in histograms] == [c.tobytes() for c in columns[1:]]
 
 

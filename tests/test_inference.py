@@ -64,18 +64,7 @@ def qd1_sweep(qd1_cfg, qd1_profile):
     scene = cfg.scene(qd1_profile.k)
     weights = mode_weights(qd1_profile, scene.y0)
     return generate_sweep(
-        scene,
-        weights,
-        cfg.r_T_magnitude(),
-        cfg.calibration,
-        list(cfg.voltages()),
-        cfg.counts_scale,
-        seed=cfg.seed,
-        amp_ratio=cfg.raw["sweep"]["amp_ratio"],
-        background=cfg.raw["sweep"]["background"],
-        hist_counts=cfg.hist_counts,
-        bin_edges=cfg.bin_edges(),
-        irf_sigma=cfg.irf_sigma,
+        scene, weights, cfg.r_T_magnitude(), cfg.calibration, cfg.sweep, seed=cfg.seed
     )
 
 
@@ -84,7 +73,8 @@ def qd1_analysis(qd1_cfg, qd1_profile, qd1_sweep):
     phis, counts, hists = qd1_sweep
     names = histogram_header(len(hists))[1:]
     return analyze_sweep(
-        phis, counts, qd1_cfg.bin_edges(), hists, profile=qd1_profile, histogram_names=names
+        phis, counts, qd1_cfg.sweep.bin_edges(), hists, profile=qd1_profile,
+        histogram_names=names,
     )
 
 
@@ -337,17 +327,11 @@ class TestFitParity:
             mode_weights(profile, scene.y0),
             cfg.r_T_magnitude(),
             cfg.calibration,
-            cfg.voltages(),
-            cfg.counts_scale,
+            cfg.sweep,
             cfg.seed,
-            amp_ratio=cfg.raw["sweep"]["amp_ratio"],
-            background=1.0,
-            hist_counts=cfg.hist_counts,
-            bin_edges=cfg.bin_edges(),
-            irf_sigma=None,
         )
         for i, n_iter in ((1, 9), (7, 8)):
-            res = fit_biexponential(cfg.bin_edges(), histograms[i], fit_background=True)
+            res = fit_biexponential(cfg.sweep.bin_edges(), histograms[i], fit_background=True)
             assert res.n_iter == n_iter
             assert res.params["background"] == 0.0
             assert res.uncertainties["background"] is None
@@ -808,7 +792,7 @@ class TestAnalyzeSweep:
 
     def test_fits_every_row_of_the_counts_matrix(self, qd1_cfg, qd1_analysis, qd1_sweep):
         # the sweep's rate fits are fit_biexponential's, row by row
-        edges, hists = qd1_cfg.bin_edges(), qd1_sweep[2]
+        edges, hists = qd1_cfg.sweep.bin_edges(), qd1_sweep[2]
         assert hists.shape == (len(qd1_sweep[0]), len(edges) - 1)
         fits = [fit_biexponential(edges, row).to_dict() for row in hists]
         assert qd1_analysis["rate_fits"] == fits
@@ -825,26 +809,14 @@ class TestAnalyzeSweep:
         cfg = qd1_cfg
         scene = cfg.scene(qd1_profile.k)
         weights = mode_weights(qd1_profile, scene.y0)
-        volts = list(cfg.voltages())
         ests = []
         for seed in range(100):
             recs = generate_sweep(
-                scene,
-                weights,
-                cfg.r_T_magnitude(),
-                cfg.calibration,
-                volts,
-                cfg.counts_scale,
-                seed=seed,
-                amp_ratio=cfg.raw["sweep"]["amp_ratio"],
-                background=cfg.raw["sweep"]["background"],
-                hist_counts=cfg.hist_counts,
-                bin_edges=cfg.bin_edges(),
-                irf_sigma=cfg.irf_sigma,
+                scene, weights, cfg.r_T_magnitude(), cfg.calibration, cfg.sweep, seed=seed
             )
             phis, counts, hists = recs
             out = analyze_sweep(
-                phis, counts, cfg.bin_edges(), hists, profile=qd1_profile,
+                phis, counts, cfg.sweep.bin_edges(), hists, profile=qd1_profile,
                 histogram_names=histogram_header(len(hists))[1:],
             )
             ests.append(out["nu_gamma"])

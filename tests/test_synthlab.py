@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from helpers import default_device
 from oracles import (
     DEFAULT_EDGES,
+    DEFAULT_SWEEP,
     DecayHistogram,
     ExcitonModel,
     bin_integrals_longdouble,
@@ -19,8 +20,8 @@ from oracles import (
 )
 from oracles import expected_bin_counts as one_rate_expected_counts
 from phasemirror import emission
-from phasemirror.config import DEFAULT_CONFIG
 from phasemirror.emission import DipoleOrientation, decay_rate, intensity
+from phasemirror.errors import InputError
 from phasemirror.synthlab import (
     _SWEEP_BLOCK,
     CalibrationModel,
@@ -38,7 +39,7 @@ from phasemirror.synthlab import (
 )
 
 SCENE = replace(default_device().scene, gamma_x0=0.3)
-SWEEP = DEFAULT_CONFIG["sweep"]
+SWEEP = replace(DEFAULT_SWEEP, hist_counts=20_000.0)
 WEIGHTS = (0.2, 0.7)
 CAL = default_device().calibration
 QUAD = replace(CAL, model=CalibrationModel.QUADRATIC, quad_coeff=0.05)
@@ -295,14 +296,9 @@ class TestExpBinIntegrals:
 
 
 class TestSweep:
-    def run(self, counts_scale=40_000.0, seed=11, voltages=None):
-        if voltages is None:
-            voltages = np.linspace(0.0, 8.0, 12)
-        return generate_sweep(
-            SCENE, WEIGHTS, 0.6, QUAD, voltages, counts_scale, seed, DEFAULT_EDGES,
-            amp_ratio=SWEEP["amp_ratio"], background=SWEEP["background"], hist_counts=20_000.0,
-            irf_sigma=None,
-        )
+    def run(self, counts_scale=40_000.0, seed=11, **changes):
+        sweep = replace(SWEEP, counts_scale=counts_scale, **changes)
+        return generate_sweep(SCENE, WEIGHTS, 0.6, QUAD, sweep, seed)
 
     def test_structure(self):
         voltages = np.linspace(0.0, 8.0, 12)
@@ -339,23 +335,16 @@ class TestSweep:
         assert np.any(a_counts != c_counts)
 
     def test_zero_reflectivity_flat_sweep(self):
-        _, counts, _ = generate_sweep(
-            SCENE, WEIGHTS, 0.0, QUAD, np.linspace(0, 8, 6), None, 0, DEFAULT_EDGES,
-            amp_ratio=SWEEP["amp_ratio"], background=SWEEP["background"], hist_counts=1000.0,
-            irf_sigma=None,
-        )
+        sweep = replace(SWEEP, n_points=6, counts_scale=None, hist_counts=1000.0)
+        _, counts, _ = generate_sweep(SCENE, WEIGHTS, 0.0, QUAD, sweep, 0)
         assert len(set(counts)) == 1
 
     @pytest.mark.parametrize("n_points", [12, 48, 192])
     def test_intensity_stream_ignores_histogram_binning(self, n_points):
-        voltages = np.linspace(0.0, 8.0, n_points)
+        sweep = replace(SWEEP, n_points=n_points, hist_counts=1000.0)
+        voltages = sweep.voltages()
         runs = [
-            generate_sweep(
-                SCENE, WEIGHTS, 0.6, QUAD, voltages, 40_000.0, 3,
-                amp_ratio=SWEEP["amp_ratio"], background=SWEEP["background"],
-                hist_counts=1000.0, bin_edges=np.linspace(0.0, 25.0, n_bins + 1),
-                irf_sigma=None,
-            )
+            generate_sweep(SCENE, WEIGHTS, 0.6, QUAD, replace(sweep, n_bins=n_bins), 3)
             for n_bins in (20, 50)
         ]
         (phi_a, counts_a, _), (phi_b, counts_b, _) = runs
@@ -365,9 +354,12 @@ class TestSweep:
 
     def test_prefix_of_a_sweep_keeps_its_points(self):
         # point i draws from its own streams, so later points change nothing
-        voltages = np.linspace(0.0, 8.0, 12)
-        _, counts, hists = self.run(voltages=voltages)
-        _, head_counts, head_hists = self.run(voltages=voltages[:5])
+        voltages = SWEEP.voltages()
+        _, counts, hists = self.run()
+        # the first five voltages, bit for bit, as a sweep of their own
+        head = dict(n_points=5, v_stop=voltages[4])
+        assert replace(SWEEP, **head).voltages().tobytes() == voltages[:5].tobytes()
+        _, head_counts, head_hists = self.run(**head)
         assert np.array_equal(head_counts, counts[:5])
         assert head_hists.tobytes() == hists[:5].tobytes()
 
@@ -378,12 +370,10 @@ class TestSweep:
     @pytest.mark.parametrize("background", [0.0, 1.0])
     def test_histograms_equal_the_per_point_functions(self, n_points, irf_sigma, background):
         # blocks of points give each point's own histogram, bit for bit
-        voltages = np.linspace(0.0, 8.0, n_points)
+        sweep = replace(SWEEP, n_points=n_points, irf_sigma_ns=irf_sigma, background=background)
         for counts_scale in (40_000.0, None):
             phis, _, hists = generate_sweep(
-                SCENE, WEIGHTS, 0.6, QUAD, voltages, counts_scale, 11, DEFAULT_EDGES,
-                amp_ratio=SWEEP["amp_ratio"], background=background,
-                hist_counts=20_000.0, irf_sigma=irf_sigma,
+                SCENE, WEIGHTS, 0.6, QUAD, replace(sweep, counts_scale=counts_scale), 11
             )
             assert hists.shape == (n_points, len(DEFAULT_EDGES) - 1)
             for i, (phi, hist) in enumerate(zip(phis, hists)):
@@ -405,36 +395,42 @@ class TestSweep:
                 assert hist.tobytes() == want.counts.astype(float).tobytes()
 
     def test_table_knots_at_the_voltages_match_quadratic(self):
-        voltages = np.linspace(0.0, 8.0, 12)
+        sweep = replace(SWEEP, hist_counts=1000.0)
         table = replace(
             CAL,
             model=CalibrationModel.TABLE,
-            table=tuple((float(v), phase_of_voltage(QUAD, v)) for v in voltages),
+            table=tuple((float(v), phase_of_voltage(QUAD, v)) for v in sweep.voltages()),
         )
-        quad = generate_sweep(
-            SCENE, WEIGHTS, 0.6, QUAD, voltages, 40_000.0, 11, DEFAULT_EDGES,
-            amp_ratio=SWEEP["amp_ratio"], background=SWEEP["background"], hist_counts=1000.0,
-            irf_sigma=None,
-        )
-        tab = generate_sweep(
-            SCENE, WEIGHTS, 0.6, table, voltages, 40_000.0, 11, DEFAULT_EDGES,
-            amp_ratio=SWEEP["amp_ratio"], background=SWEEP["background"], hist_counts=1000.0,
-            irf_sigma=None,
-        )
+        quad = generate_sweep(SCENE, WEIGHTS, 0.6, QUAD, sweep, 11)
+        tab = generate_sweep(SCENE, WEIGHTS, 0.6, table, sweep, 11)
         assert np.array_equal(tab[0], quad[0])
         assert np.array_equal(tab[1], quad[1])
         assert tab[2].tobytes() == quad[2].tobytes()
+
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            (dict(hist_counts=0.0), "hist_counts must be positive"),
+            (dict(irf_sigma_ns=0.0), "irf_sigma_ns must be positive when given"),
+            (dict(irf_sigma_ns=-0.2), "irf_sigma_ns must be positive when given"),
+            # a floor of 40 counts in each of 500 bins is all 20,000 counts
+            (
+                dict(background=40.0),
+                "hist_counts must exceed the background budget background * n_bins",
+            ),
+        ],
+    )
+    def test_spec_refuses_what_no_point_can_use(self, changes, message):
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            replace(SWEEP, **changes)
 
     def test_out_of_calibration_propagates(self):
         cal = replace(
             CAL, model=CalibrationModel.QUADRATIC, quad_coeff=0.05, v_range=(0.0, 4.0)
         )
+        sweep = replace(SWEEP, v_stop=5.0, n_points=2, counts_scale=None, hist_counts=1000.0)
         with pytest.raises(OutOfCalibration):
-            generate_sweep(
-                SCENE, WEIGHTS, 0.6, cal, [0.0, 5.0], None, 0, DEFAULT_EDGES,
-                amp_ratio=SWEEP["amp_ratio"], background=SWEEP["background"], hist_counts=1000.0,
-                irf_sigma=None,
-            )
+            generate_sweep(SCENE, WEIGHTS, 0.6, cal, sweep, 0)
 
 
 # three 1 ns bins, whose midpoints are 0.5, 1.5 and 2.5
@@ -443,8 +439,8 @@ EDGES_3 = np.array([0.0, 1.0, 2.0, 3.0])
 
 class TestCsv:
     def test_sweep_round_trip(self, tmp_path):
-        voltages = np.linspace(0.0, 8.0, 12)
-        phis, counts, _ = TestSweep().run(voltages=voltages)
+        voltages = SWEEP.voltages()
+        phis, counts, _ = TestSweep().run()
         path = tmp_path / "sweep.csv"
         write_sweep_csv((voltages, phis, counts), str(path))
         volts, phis_back, counts_back = read_sweep_csv(str(path))
@@ -588,13 +584,12 @@ def test_simulated_histograms_read_back_bit_for_bit(
 ):
     # the matrix generate_sweep gives is the matrix read_histogram_csv gives
     # back, on the same edges
-    edges = default_bin_edges(t_max, n_bins)
-    _, _, hists = generate_sweep(
-        SCENE, WEIGHTS, 0.6, QUAD, np.linspace(0.0, 8.0, n_points),
-        None if noiseless else 40_000.0, seed,
-        amp_ratio=SWEEP["amp_ratio"], background=SWEEP["background"],
-        hist_counts=20_000.0, bin_edges=edges, irf_sigma=irf_sigma,
+    sweep = replace(
+        SWEEP, n_points=n_points, counts_scale=None if noiseless else 40_000.0,
+        t_max_ns=t_max, n_bins=n_bins, irf_sigma_ns=irf_sigma,
     )
+    edges = sweep.bin_edges()
+    _, _, hists = generate_sweep(SCENE, WEIGHTS, 0.6, QUAD, sweep, seed)
     path = str(tmp_path_factory.mktemp("sweep") / "histograms.csv")
     write_histogram_csv((edges, hists), path)
     back = read_histogram_csv(path, edges)
