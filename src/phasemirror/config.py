@@ -29,6 +29,8 @@ object's for an extra or a missing key, and none at the root
 number must be finite (JSON's 1e999 loads as inf; an in-process dict can
 hold nan), and a non-finite one reads `<dotted path> is <value>`
 (`sweep.v_stop is nan`); a noiseless sweep is `sweep.counts_scale` null.
+A checked document's integer keys become ints, so 12.0 runs and hashes
+as 12; a number key keeps the type it was written in.
 The document must also describe a buildable device: `RunConfig.from_dict`
 builds its geometry, crystal, mirror chain and calibration, and a
 contradiction among the values is a ConfigError too, named by its key
@@ -219,7 +221,8 @@ def _first_error(data, node: dict = _TABLE, path: tuple = ()) -> str | None:
     """The first error of data in a depth-first walk over _TABLE, or None.
 
     An object is checked for its type, then its extra keys, then its
-    missing keys, before its values in _TABLE's order.
+    missing keys, before its values in _TABLE's order.  Each integer key
+    that passes becomes an int in place, so 12.0 runs as 12.
     """
     if not isinstance(data, dict):
         return _at(path, f"{data!r} is not of type 'object'")
@@ -234,11 +237,12 @@ def _first_error(data, node: dict = _TABLE, path: tuple = ()) -> str | None:
     for key, sub in node.items():
         if key in data:
             where = path + (key,)
-            found = (
-                _first_error(data[key], sub, where)
-                if isinstance(sub, dict)
-                else _value_error(sub[0], data[key], where)
-            )
+            if isinstance(sub, dict):
+                found = _first_error(data[key], sub, where)
+            else:
+                found = _value_error(sub[0], data[key], where)
+                if found is None and sub[0].get("type") == "integer":
+                    data[key] = int(data[key])
             if found:
                 return found
     return None
@@ -274,10 +278,10 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
-        message = _first_error(data)
+        raw = copy.deepcopy(data)
+        message = _first_error(raw)
         if message is not None:
             raise ConfigError(f"invalid config: {message}")
-        raw = copy.deepcopy(data)
         g, m, c, s = (raw[key] for key in ("geometry", "mirror", "calibration", "sweep"))
         table = None
         if c["table"] is not None:
@@ -326,7 +330,7 @@ class RunConfig:
 
     @property
     def seed(self) -> int:
-        return int(self.raw["seed"])
+        return self.raw["seed"]
 
     # geometry() and crystal() are methods, unlike chain and calibration,
     # because perfbench calls them
@@ -335,7 +339,7 @@ class RunConfig:
 
     @property
     def grid_points(self) -> int:
-        return int(self.raw["geometry"]["grid_points"])
+        return self.raw["geometry"]["grid_points"]
 
     def crystal(self) -> PhotonicCrystalSpec:
         return self._crystal

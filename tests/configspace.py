@@ -7,8 +7,10 @@ value times 10**u for u uniform in [-1, 1], a zero or null value
 counting as 1.  A value is kept within its key's maximum, an integer
 is rounded up to its minimum, and the sizes are capped (`n_points`
 <= 48, `n_bins` <= 2000, `grid_points` <= 2049) so that one command
-takes tens of milliseconds.  Every config passes the schema; some
-contradict themselves and are config errors.
+takes tens of milliseconds.  An integer key's value is written as an
+integer-valued float (12.0), which the schema accepts as an integer,
+one time in four.  Every config passes the schema; some contradict
+themselves and are config errors.
 """
 
 from __future__ import annotations
@@ -43,16 +45,20 @@ KEYS = [
 ]
 
 
-def _changed(value, schema: dict, rng: random.Random):
+def _changed(value, schema: dict, rng: random.Random, cap: float = math.inf):
     types = _types(schema)
     edges = [schema[bound] for bound in ("minimum", "maximum") if bound in schema]
     if "null" in types:
         edges.append(None)
     if edges and rng.random() < 0.25:
-        return rng.choice(edges)
-    new = min((value or 1.0) * 10.0 ** rng.uniform(-1.0, 1.0), schema.get("maximum", math.inf))
-    if "integer" in types:
-        new = max(round(new), schema.get("minimum", 0))
+        new = rng.choice(edges)
+    else:
+        new = (value or 1.0) * 10.0 ** rng.uniform(-1.0, 1.0)
+        new = min(new, schema.get("maximum", math.inf), cap)
+        if "integer" in types:
+            new = max(round(new), schema.get("minimum", 0))
+    if "integer" in types and rng.random() < 0.25:
+        new = float(new)
     return new
 
 
@@ -66,8 +72,6 @@ def schema_valid_configs(seed: int, n: int):
             parent = doc
             for key in path[:-1]:
                 parent = parent[key]
-            new = _changed(parent[path[-1]], schema, rng)
-            if path[-1] in _CAPS and new is not None:
-                new = min(new, _CAPS[path[-1]])
+            new = _changed(parent[path[-1]], schema, rng, _CAPS.get(path[-1], math.inf))
             parent[path[-1]] = changes[".".join(path)] = new
         yield changes, doc

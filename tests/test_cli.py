@@ -190,15 +190,40 @@ class TestManifests:
         assert main(["analyze", "--in", d, "--out", str(tmp_path / "e")]) == 0
         assert main(["simulate", "--out", d]) == 0
 
-    @pytest.mark.parametrize("command", ["mode", "mirror"])
-    def test_rerun_writes_an_identical_manifest(self, tmp_path, command):
-        # the manifest holds the SHA-256 of every file the command wrote
-        manifests = []
+    @pytest.mark.parametrize(
+        "commands, as_float",
+        [
+            (["mode"], []),
+            (["mirror"], []),
+            # the schema's integer takes N.0, which runs as N
+            (
+                ["mode", "mirror", "simulate", "analyze"],
+                ["sweep.n_points", "sweep.n_bins", "mirror.sweep_points", "mirror.n_holes"],
+            ),
+        ],
+        ids=["mode", "mirror", "integer-valued-floats"],
+    )
+    def test_rerun_writes_an_identical_manifest(self, tmp_path, commands, as_float):
+        # the manifest holds the SHA-256 of every file the command wrote;
+        # the second run's config writes the integer keys as_float as N.0
+        doc = copy.deepcopy(DEFAULT_CONFIG)
+        outputs = []
         for name in ("a", "b"):
-            out = tmp_path / name
-            assert main([command, "--out", str(out)]) == 0
-            manifests.append((out / "manifest.json").read_bytes())
-        assert manifests[0] == manifests[1]
+            cfg = tmp_path / f"{name}.json"
+            cfg.write_text(json.dumps(doc))
+            for command in commands:
+                out = tmp_path / name / command
+                source = ["--in", str(tmp_path / name / "simulate")]
+                args = source if command == "analyze" else ["--config", str(cfg)]
+                assert main([command, *args, "--out", str(out)]) == 0
+            outputs.append({
+                path.relative_to(tmp_path / name): path.read_bytes()
+                for path in (tmp_path / name).rglob("*") if path.is_file()
+            })
+            for dotted in as_float:
+                section, key = dotted.split(".")
+                doc[section][key] = float(doc[section][key])
+        assert outputs[0] == outputs[1]
 
 
 class TestModeCommand:

@@ -58,6 +58,9 @@ def columns_of(n_cols, rows):
 @example((1, []))
 @example((3, [(0.0, -0.0, np.nan)]))
 @example((2, [(np.inf, -np.inf), (5e-324, 1e308)]))
+# values repeated in one block, each written once per cell: -0.0 apart
+# from 0.0, and every nan as "nan"
+@example((1, [(v,) for v in (0.0, -0.0, 2.5, 0.0, np.nan, -np.nan, 2.5, -0.0, -np.nan)]))
 def test_bytes_match_the_reference_writer(tmp_path_factory, table):
     n_cols, rows = table
     tmp = tmp_path_factory.mktemp("csv")
@@ -220,7 +223,8 @@ def test_simulated_histograms_match_the_reference_format(tmp_path, irf_sigma_ns)
 def test_a_sweep_table_is_written_and_read_a_row_at_a_time(tmp_path):
     # a 192-point sweep's histogram table, 500 rows by 193 columns: its
     # float64 values take 0.77 MB, its text 0.52 MB, and its cells held
-    # as strings all at once well over 4 MB
+    # as strings all at once well over 4 MB; its rows span several blocks
+    # of the writer, and its counts repeat within and across them
     rng = np.random.default_rng(0)
     edges = np.linspace(0.0, 25.0, 501)
     t_ns = 0.5 * (edges[:-1] + edges[1:])
@@ -237,5 +241,8 @@ def test_a_sweep_table_is_written_and_read_a_row_at_a_time(tmp_path):
     finally:
         tracemalloc.stop()
     assert_same_arrays(back, [np.asarray(c, dtype=float) for c in columns])
+    want = reference_bytes(tmp_path / "want.csv", header, zip(*columns))
+    with open(path, "rb") as fh:
+        assert fh.read() == want
     assert wrote < 2e6
     assert read < 4e6
