@@ -274,8 +274,7 @@ def _analyze_sweep_dir(args: argparse.Namespace, outs: _Outputs) -> None:
 
     voltages, phases, counts = synthlab.read_sweep_csv(os.path.join(args.in_dir, "sweep.csv"))
     hist_path = os.path.join(args.in_dir, "histograms.csv")
-    edges = cfg.sweep.bin_edges()
-    histograms = synthlab.read_histogram_csv(hist_path, edges)
+    histograms = synthlab.read_histogram_csv(hist_path, cfg.sweep.bin_edges())
     if len(histograms) != len(voltages):
         raise MalformedCSV(
             f"{hist_path}: {len(histograms)} histograms for {len(voltages)} sweep rows"
@@ -285,10 +284,9 @@ def _analyze_sweep_dir(args: argparse.Namespace, outs: _Outputs) -> None:
     result = inference.analyze_sweep(
         phases,
         counts,
-        edges,
         histograms,
+        cfg.sweep,
         profile=profile,
-        fit_background=cfg.sweep.background > 0,
         histogram_names=[f"{hist_path} {name}" for name in names],
     )
     write_json(outs.path("report.json"), result)

@@ -3,8 +3,9 @@
 Three stages mirror the measurement chain in reverse: Poisson-MLE
 bi-exponential lifetime fits (damped Gauss-Newton on the analytic
 gradient, uncertainties from the exact observed information), one per
-row of a sweep's (points x bins) counts matrix on its shared bin edges,
-weighted sinusoid fits for fringe visibilities, and joint estimation of
+row of a sweep's (points x bins) counts matrix in one fit_decays call
+that reads the bin edges and the floor from the SweepSpec, weighted
+sinusoid fits for fringe visibilities, and joint estimation of
 (|r_T|, beta_y0, y0) from the visibility pair, including the
 centered-emitter lower bound on |r_T|.
 """
@@ -21,7 +22,7 @@ import numpy as np
 from .emission import visibility_intensity_mixed
 from .errors import InputError, NumericalError
 from .modesolver import ModeProfile, mode_weights
-from .synthlab import bin_midpoints, exp_bin_integrals
+from .synthlab import SweepSpec, bin_midpoints, exp_bin_integrals
 
 
 class NonIdentifiable(NumericalError):
@@ -85,7 +86,7 @@ class FitResult:
 # bi-exponential Poisson MLE
 
 
-def biexp_model(x: np.ndarray, edges: np.ndarray, fit_background: bool) -> tuple[np.ndarray, np.ndarray]:
+def biexp_model(x: np.ndarray, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Expected bin counts and Jacobian for log-parameters.
 
     x holds (ln A_f, ln gamma_f, ln A_s, ln gamma_s[, ln bg]); the
@@ -102,7 +103,7 @@ def biexp_model(x: np.ndarray, edges: np.ndarray, fit_background: bool) -> tuple
     np.multiply(amps, E, out=J[:, 0:4:2].T)
     np.multiply(amps * gammas[:, None], dE, out=J[:, 1:4:2].T)
     mu = J[:, 0] + J[:, 2]
-    if fit_background:
+    if len(x) == 5:
         try:
             bg = math.exp(x[4])
         except OverflowError:  # a trial step's floor: an infinite model, rejected
@@ -154,7 +155,7 @@ def _initial_guess(
 
 
 def _minimize_poisson(
-    x0: np.ndarray, edges: np.ndarray, counts: np.ndarray, fit_background: bool
+    x0: np.ndarray, edges: np.ndarray, counts: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, bool]:
     """Levenberg-damped Gauss-Newton on the Poisson deviance surface.
 
@@ -165,7 +166,7 @@ def _minimize_poisson(
     floating-point warnings such trials raise.
     """
     x = x0.copy()
-    mu, J = biexp_model(x, edges, fit_background)
+    mu, J = biexp_model(x, edges)
     nll = poisson_nll(mu, counts)
     lam = 1e-3
     converged = False
@@ -190,7 +191,7 @@ def _minimize_poisson(
                 lam *= 10.0
                 continue
             x_try = x + delta
-            mu_try, J_try = biexp_model(x_try, edges, fit_background)
+            mu_try, J_try = biexp_model(x_try, edges)
             nll_try = poisson_nll(mu_try, counts)
             delta_max = float(np.abs(delta).max())
             # tiny steps are trusted outright: so close to the optimum
@@ -266,7 +267,7 @@ def fit_biexponential(
     overflow, and a parameter at an end of the float range (a rate that
     underflowed to 0 along a flat direction, a gamma_f whose square
     overflows, an A_f at 0) makes a derived value inf or nan, which the
-    caller checks; analyze_sweep reports a non-finite rate or rate sigma
+    caller checks; fit_decays reports a non-finite rate or rate sigma
     as NonFiniteRate.
     """
     edges = np.asarray(bin_edges, dtype=float)
@@ -276,7 +277,7 @@ def fit_biexponential(
     if len(counts_w) < 8:
         raise TooFewBins("too few bins after the peak to fit")
     x0 = _initial_guess(edges_w, counts_w, fit_background)
-    x, mu, J, n_iter, converged = _minimize_poisson(x0, edges_w, counts_w, fit_background)
+    x, mu, J, n_iter, converged = _minimize_poisson(x0, edges_w, counts_w)
     gf, gs = float(np.exp(x[1])), float(np.exp(x[3]))
     # identifiability outranks convergence: a degenerate rate pair is
     # the usual reason the damped iteration stalls
@@ -331,6 +332,29 @@ def fit_biexponential(
         derived=derived,
         flags=flags,
     )
+
+
+def fit_decays(counts: np.ndarray, sweep: SweepSpec, names: list[str]) -> list[FitResult]:
+    """Lifetime fits of a sweep's (points x bins) counts matrix, one per row.
+
+    Each row is a histogram on sweep.bin_edges(), fitted with a flat floor
+    exactly when the sweep records one (sweep.background > 0).  A failing
+    fit, or one whose rate or rate sigma is not finite (NonFiniteRate),
+    raises an error prefixed with the row's name from names.
+    """
+    edges, floor = sweep.bin_edges(), sweep.background > 0
+    fits = []
+    for name, row in zip(names, counts, strict=True):
+        try:
+            fit = fit_biexponential(edges, row, floor)
+        except NumericalError as exc:
+            raise type(exc)(f"{name}: {exc}") from exc
+        rate, sigma = fit.derived["gamma_rad"], fit.derived["gamma_rad_sigma"]
+        if not (math.isfinite(rate) and math.isfinite(sigma)):
+            # a nan rate or sigma would make the rate fringe, and nu_gamma, nan
+            raise NonFiniteRate(f"{name}: gamma_rad = {rate} +/- {sigma}")
+        fits.append(fit)
+    return fits
 
 
 # ---------------------------------------------------------------------------
@@ -571,43 +595,26 @@ def estimate_parameters(
 def analyze_sweep(
     phases: np.ndarray,
     intensity_counts: np.ndarray,
-    bin_edges: np.ndarray,
     hist_counts: np.ndarray,
+    sweep: SweepSpec,
     profile: ModeProfile,
     histogram_names: list[str],
-    fit_background: bool = False,
 ) -> dict:
     """Full inverse chain on one sweep: fits, visibilities, estimate.
 
     Fits the intensity fringe (Poisson sigmas, sqrt of the counts
-    floored at 1), fits every histogram (a row of hist_counts on
-    bin_edges) for its radiative rate, fits the rate fringe weighted by
-    the rate sigmas, and bounds the
-    profile's feasible parameter set using the fitted visibilities
-    with the desk-scale floors SIGMA_FLOOR_I and SIGMA_FLOOR_GAMMA on
-    the uncertainties; an empty feasible set leaves "estimate" None
-    and says why in "notes".  fit_background adds a flat floor to every
-    lifetime fit, for histograms recorded with one.
-    A failing lifetime fit, or one whose rate or rate sigma is not finite
-    (NonFiniteRate), raises an error prefixed with the histogram's name
-    from histogram_names.
+    floored at 1), fits every histogram of hist_counts for its radiative
+    rate (fit_decays on sweep, naming a failed row from
+    histogram_names), fits the rate fringe weighted by the rate sigmas,
+    and bounds the profile's feasible parameter set using the fitted
+    visibilities with the desk-scale floors SIGMA_FLOOR_I and
+    SIGMA_FLOOR_GAMMA on the uncertainties; an empty feasible set leaves
+    "estimate" None and says why in "notes".
     """
     phases = np.asarray(phases, dtype=float)
     counts = np.asarray(intensity_counts, dtype=float)
     intensity_fit = fit_sinusoid(phases, counts, np.sqrt(np.maximum(counts, 1.0)))
-
-    rate_fits = []
-    for name, row in zip(histogram_names, hist_counts, strict=True):
-        try:
-            fit = fit_biexponential(bin_edges, row, fit_background)
-        except NumericalError as exc:
-            raise type(exc)(f"{name}: {exc}") from exc
-        rate, sigma = fit.derived["gamma_rad"], fit.derived["gamma_rad_sigma"]
-        if not (math.isfinite(rate) and math.isfinite(sigma)):
-            # max(nan, 1e-9) below is nan, and so would be nu_gamma
-            raise NonFiniteRate(f"{name}: gamma_rad = {rate} +/- {sigma}")
-        rate_fits.append(fit)
-
+    rate_fits = fit_decays(hist_counts, sweep, histogram_names)
     gamma_rad = np.array([f.derived["gamma_rad"] for f in rate_fits])
     gamma_sig = np.array([max(f.derived["gamma_rad_sigma"], 1e-9) for f in rate_fits])
     rate_fit = fit_sinusoid(phases, gamma_rad, gamma_sig)

@@ -105,11 +105,9 @@ def stack_coefficients(
 # lifetime fits
 
 
-def poisson_nll_gradient(
-    x: np.ndarray, edges: np.ndarray, counts: np.ndarray, fit_background: bool
-) -> np.ndarray:
+def poisson_nll_gradient(x: np.ndarray, edges: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Analytic gradient of the negative log-likelihood in log-params."""
-    mu, J = biexp_model(x, edges, fit_background)
+    mu, J = biexp_model(x, edges)
     return J.T @ (1.0 - counts / mu)
 
 

@@ -151,7 +151,7 @@ def test_06_qd1_round_trip():
         scene, weights, cfg.r_T_magnitude(), cfg.calibration, cfg.sweep, seed=cfg.seed
     )
     result = inference.analyze_sweep(
-        phis, counts, cfg.sweep.bin_edges(), histograms, profile=profile,
+        phis, counts, histograms, cfg.sweep, profile=profile,
         histogram_names=synthlab.histogram_header(len(histograms))[1:],
     )
     elapsed = time.perf_counter() - t0
@@ -243,13 +243,13 @@ def test_09_gradient_check():
                 rng.uniform(-3.0, -1.0),
             ]
         )
-        ga = oracles.poisson_nll_gradient(x, edges, counts, False)
+        ga = oracles.poisson_nll_gradient(x, edges, counts)
         for j in range(4):
             xp, xm = x.copy(), x.copy()
             xp[j] += h
             xm[j] -= h
-            mup, _ = inference.biexp_model(xp, edges, False)
-            mum, _ = inference.biexp_model(xm, edges, False)
+            mup, _ = inference.biexp_model(xp, edges)
+            mum, _ = inference.biexp_model(xm, edges)
             gn = (inference.poisson_nll(mup, counts) - inference.poisson_nll(mum, counts)) / (2 * h)
             worst = max(worst, abs(gn - ga[j]) / max(abs(ga[j]), 1.0))
     ok = worst < 1e-6

@@ -20,7 +20,7 @@ from phasemirror.config import DEFAULT_CONFIG, QD1_PRESET
 from phasemirror.csvio import read_csv, write_csv
 from phasemirror.emission import visibility_intensity_mixed
 from phasemirror.modesolver import mode_weights, solve_te0
-from phasemirror.synthlab import histogram_header
+from phasemirror.synthlab import histogram_header, read_histogram_csv
 
 
 def sha256(path):
@@ -537,20 +537,15 @@ class TestAnalyzeCommand:
         # the byte decodes as U+FFFD, which the ASCII check refuses on its line
         assert "histograms.csv line 3: not a row as written" in err and "outside ASCII" in err
 
-    def test_histograms_are_fitted_on_the_config_bin_edges(
-        self, tmp_path, sim_dir, monkeypatch
-    ):
-        fitted, fit = [], inference.fit_biexponential
-
-        def fit_biexponential(bin_edges, counts, *args, **kwargs):
-            fitted.append(np.asarray(bin_edges))
-            return fit(bin_edges, counts, *args, **kwargs)
-
-        monkeypatch.setattr(inference, "fit_biexponential", fit_biexponential)
-        assert main(["analyze", "--in", sim_dir, "--out", str(tmp_path / "x")]) == 0
-        edges = config.RunConfig.from_dict(read_manifest(sim_dir)["config"]).sweep.bin_edges()
-        assert len(fitted) == DEFAULT_CONFIG["sweep"]["n_points"]
-        assert all(e.tobytes() == edges.tobytes() for e in fitted)
+    def test_histograms_are_fitted_on_the_config_bin_edges(self, tmp_path, sim_dir):
+        out = tmp_path / "x"
+        assert main(["analyze", "--in", sim_dir, "--out", str(out)]) == 0
+        sweep = config.RunConfig.from_dict(read_manifest(sim_dir)["config"]).sweep
+        hists = read_histogram_csv(os.path.join(sim_dir, "histograms.csv"), sweep.bin_edges())
+        fits = inference.fit_decays(hists, sweep, histogram_header(len(hists))[1:])
+        rate_fits = config.read_json(str(out / "report.json"))["rate_fits"]
+        assert len(rate_fits) == DEFAULT_CONFIG["sweep"]["n_points"]
+        assert rate_fits == [f.to_dict() for f in fits]
 
     @pytest.mark.parametrize(
         "edit, named",

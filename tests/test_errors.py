@@ -20,10 +20,12 @@ import pytest
 
 import phasemirror
 from configspace import schema_valid_configs
+from oracles import ExcitonModel, expected_histogram
 from phasemirror import inference
 from phasemirror.cli import main
 from phasemirror.config import QD1_PRESET, read_json
 from phasemirror.errors import InputError, NumericalError
+from phasemirror.inference import TooFewBins
 
 
 def _package_exceptions():
@@ -179,19 +181,20 @@ def test_infinite_config_value_is_input_error(tmp_path, capsys, command, changes
     assert not out.exists()
 
 
-def test_every_numerical_error_of_a_fit_names_its_histogram(monkeypatch, default_profile):
-    def fails(*args):
-        raise NumericalError("no fit")
-
-    monkeypatch.setattr(inference, "fit_biexponential", fails)
-    phases = np.linspace(0.0, math.pi, 8)
-    with pytest.raises(NumericalError, match="^h0: no fit$"):
+def test_every_numerical_error_of_a_fit_names_its_histogram(default_cfg, default_profile):
+    # row 0 is a fittable decay; row 1 holds the decay's first 7 bins as
+    # its last, so it peaks 7 bins from its end, one too few to fit
+    sweep = default_cfg.sweep
+    decay = expected_histogram(ExcitonModel(1.1, 0.1, 0.05), 1e5, sweep.bin_edges()).counts
+    hists = np.tile(decay, (8, 1))
+    hists[1] = 0.0
+    hists[1, -7:] = decay[:7]
+    names = [f"h{i}" for i in range(8)]
+    named = "^h1: too few bins after the peak to fit$"
+    with pytest.raises(TooFewBins, match=named):
+        inference.fit_decays(hists, sweep, names)
+    with pytest.raises(TooFewBins, match=named):
         inference.analyze_sweep(
-            phases,
-            np.full(8, 100.0),
-            np.linspace(0.0, 1.0, 11),
-            np.ones((8, 10)),
-            default_profile,
-            histogram_names=[f"h{i}" for i in range(8)],
+            np.linspace(0.0, math.pi, 8), np.full(8, 100.0), hists, sweep, default_profile, names
         )
 

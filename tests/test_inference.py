@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import math
 import tracemalloc
 
@@ -29,6 +30,7 @@ from phasemirror.inference import (
     biexp_model,
     estimate_parameters,
     fit_biexponential,
+    fit_decays,
     fit_sinusoid,
     poisson_nll,
     r_lower_bound,
@@ -73,8 +75,7 @@ def qd1_analysis(qd1_cfg, qd1_profile, qd1_sweep):
     phis, counts, hists = qd1_sweep
     names = histogram_header(len(hists))[1:]
     return analyze_sweep(
-        phis, counts, qd1_cfg.sweep.bin_edges(), hists, profile=qd1_profile,
-        histogram_names=names,
+        phis, counts, hists, qd1_cfg.sweep, profile=qd1_profile, histogram_names=names
     )
 
 
@@ -94,14 +95,14 @@ class TestPoissonGradient:
                     rng.uniform(-3.0, -1.0),
                 ]
             )
-            ga = poisson_nll_gradient(x, edges, counts, False)
+            ga = poisson_nll_gradient(x, edges, counts)
             gn = np.zeros(4)
             for j in range(4):
                 xp, xm = x.copy(), x.copy()
                 xp[j] += h
                 xm[j] -= h
-                mup, _ = biexp_model(xp, edges, False)
-                mum, _ = biexp_model(xm, edges, False)
+                mup, _ = biexp_model(xp, edges)
+                mum, _ = biexp_model(xm, edges)
                 gn[j] = (poisson_nll(mup, counts) - poisson_nll(mum, counts)) / (2 * h)
             rel = np.abs(gn - ga) / np.maximum(np.abs(ga), 1.0)
             assert float(rel.max()) < 1e-6
@@ -138,7 +139,7 @@ class TestBiexpModelOracle:
     def test_bit_identical_to_reference_formula(self, x, start, fit_background):
         x = np.array(x if fit_background else x[:4])
         edges = EDGES[start:]
-        mu, J = biexp_model(x, edges, fit_background)
+        mu, J = biexp_model(x, edges)
         mu_ref, J_ref = _oracle_biexp_model(x, edges, fit_background)
         assert mu.tobytes() == mu_ref.tobytes()
         assert J.tobytes() == J_ref.tobytes()
@@ -170,12 +171,12 @@ class TestForwardEqualsInverse:
         a_f = float((total - background * (len(EDGES) - 1)) / shape.sum())
         params = (a_f, model.gamma_f, model.amp_ratio * a_f, model.gamma_s, background)
         x = np.array([math.log(v) if v > 0 else -math.inf for v in params])
-        mu_fit, J = biexp_model(x, EDGES, True)
+        mu_fit, J = biexp_model(x, EDGES)
         assert np.all(np.isfinite(J))
         assert np.all(np.abs(mu_fit - mu) <= 1e-12 * mu)
 
 
-def _oracle_observed_information(x, edges, counts, fit_background):
+def _oracle_observed_information(x, edges, counts):
     """Reference Hessian of the NLL: central differences of the analytic gradient."""
     p = len(x)
     H = np.zeros((p, p))
@@ -184,8 +185,8 @@ def _oracle_observed_information(x, edges, counts, fit_background):
         xp, xm = x.copy(), x.copy()
         xp[j] += h
         xm[j] -= h
-        gp = poisson_nll_gradient(xp, edges, counts, fit_background)
-        gm = poisson_nll_gradient(xm, edges, counts, fit_background)
+        gp = poisson_nll_gradient(xp, edges, counts)
+        gm = poisson_nll_gradient(xm, edges, counts)
         H[:, j] = (gp - gm) / (2.0 * h)
     return 0.5 * (H + H.T)
 
@@ -208,11 +209,11 @@ class TestObservedInformationOracle:
         edges = EDGES[start:]
         # counts drawn away from x, so the curvature of mu itself counts
         rng = np.random.default_rng(seed)
-        mu_data, _ = biexp_model(x + rng.uniform(-0.3, 0.3, len(x)), edges, fit_background)
+        mu_data, _ = biexp_model(x + rng.uniform(-0.3, 0.3, len(x)), edges)
         counts = rng.poisson(mu_data).astype(float)
-        mu, J = biexp_model(x, edges, fit_background)
+        mu, J = biexp_model(x, edges)
         H = _observed_information(x, mu, J, edges, counts)
-        H_ref = _oracle_observed_information(x, edges, counts, fit_background)
+        H_ref = _oracle_observed_information(x, edges, counts)
         assert np.max(np.abs(H - H_ref)) <= 1e-6 * np.max(np.abs(H_ref))
 
 
@@ -790,12 +791,26 @@ class TestAnalyzeSweep:
         assert out["estimate"] is not None
         assert out["estimate"]["feasible_slices"]
 
-    def test_fits_every_row_of_the_counts_matrix(self, qd1_cfg, qd1_analysis, qd1_sweep):
-        # the sweep's rate fits are fit_biexponential's, row by row
-        edges, hists = qd1_cfg.sweep.bin_edges(), qd1_sweep[2]
-        assert hists.shape == (len(qd1_sweep[0]), len(edges) - 1)
-        fits = [fit_biexponential(edges, row).to_dict() for row in hists]
-        assert qd1_analysis["rate_fits"] == fits
+    @pytest.mark.parametrize(
+        "changes",
+        [{}, {"n_points": 48, "background": 1.0}, {"n_points": 48, "irf_sigma_ns": 0.2}],
+        ids=["plain", "floor", "irf"],
+    )
+    def test_fits_every_row_of_the_counts_matrix(self, qd1_cfg, qd1_profile, changes):
+        # the sweep's rate fits are fit_biexponential's, row by row, on its
+        # bin edges and with a floor exactly when the sweep records one
+        cfg, sweep = qd1_cfg, dataclasses.replace(qd1_cfg.sweep, **changes)
+        scene = cfg.scene(qd1_profile.k)
+        weights = mode_weights(qd1_profile, scene.y0)
+        phis, counts, hists = generate_sweep(
+            scene, weights, cfg.r_T_magnitude(), cfg.calibration, sweep, seed=cfg.seed
+        )
+        edges, names = sweep.bin_edges(), histogram_header(len(hists))[1:]
+        assert hists.shape == (sweep.n_points, len(edges) - 1)
+        fits = [fit_biexponential(edges, row, sweep.background > 0).to_dict() for row in hists]
+        assert [f.to_dict() for f in fit_decays(hists, sweep, names)] == fits
+        out = analyze_sweep(phis, counts, hists, sweep, qd1_profile, names)
+        assert out["rate_fits"] == fits
 
     def test_result_structure(self, qd1_analysis, qd1_sweep):
         out = qd1_analysis
@@ -816,7 +831,7 @@ class TestAnalyzeSweep:
             )
             phis, counts, hists = recs
             out = analyze_sweep(
-                phis, counts, cfg.sweep.bin_edges(), hists, profile=qd1_profile,
+                phis, counts, hists, cfg.sweep, profile=qd1_profile,
                 histogram_names=histogram_header(len(hists))[1:],
             )
             ests.append(out["nu_gamma"])
