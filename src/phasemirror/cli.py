@@ -19,7 +19,6 @@ codes: 0 success, 2 an `errors.InputError` or a path error, 3 an
 from __future__ import annotations
 
 import argparse
-import copy
 import functools
 import os
 import stat
@@ -83,13 +82,13 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
     if args.config and args.preset:
         raise ConfigError("--config and --preset are mutually exclusive")
     if args.preset:
-        data = copy.deepcopy(QD1_PRESET)
+        data = QD1_PRESET
     elif args.config:
         data = read_json(args.config)
     else:
-        data = copy.deepcopy(DEFAULT_CONFIG)
+        data = DEFAULT_CONFIG
     if args.seed is not None:
-        data["seed"] = args.seed
+        data = {**data, "seed": args.seed}
     return RunConfig.from_dict(data)
 
 
@@ -128,7 +127,7 @@ class _Outputs:
 def cmd_mode(args: argparse.Namespace, cfg: RunConfig, outs: _Outputs) -> None:
     profile = _solve(cfg)
     scene = cfg.scene(profile.k)
-    r = cfg.r_T_magnitude()
+    r = cfg.r_T_mag
     weights = modesolver.mode_weights(profile, scene.y0)
 
     y = profile.grid
@@ -180,9 +179,7 @@ def cmd_mode(args: argparse.Namespace, cfg: RunConfig, outs: _Outputs) -> None:
 
 def cmd_mirror(args: argparse.Namespace, cfg: RunConfig, outs: _Outputs) -> None:
     spec = cfg.crystal()
-    m = cfg.raw["mirror"]
-    lambdas = np.linspace(m["lambda_min_nm"], m["lambda_max_nm"], m["sweep_points"])
-    lams, r, power = opticalstack.reflectivity_sweep(spec, lambdas)
+    lams, r, power = opticalstack.reflectivity_sweep(spec, np.linspace(*cfg.mirror_sweep))
     write_csv(
         outs.path("mirror_sweep.csv"),
         ("lambda_nm", "r_re", "r_im", "R_power"),
@@ -207,7 +204,7 @@ def cmd_simulate(args: argparse.Namespace, cfg: RunConfig, outs: _Outputs) -> No
     weights = modesolver.mode_weights(profile, scene.y0)
     sweep = cfg.sweep
     phis, counts, histograms = synthlab.generate_sweep(
-        scene, weights, cfg.r_T_magnitude(), cfg.calibration, sweep, cfg.seed
+        scene, weights, cfg.r_T_mag, cfg.calibration, sweep, cfg.seed
     )
     voltages = sweep.voltages()
     synthlab.write_sweep_csv((voltages, phis, counts), outs.path("sweep.csv"))
@@ -215,7 +212,7 @@ def cmd_simulate(args: argparse.Namespace, cfg: RunConfig, outs: _Outputs) -> No
     svgplot.write_line_plot(
         outs.path("sweep.svg"),
         [("intensity (counts)", voltages, counts)],
-        f"simulated sweep, |r_T| = {cfg.r_T_magnitude():g}",
+        f"simulated sweep, |r_T| = {cfg.r_T_mag:g}",
         "voltage (V)",
         "collected intensity",
     )

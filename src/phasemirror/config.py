@@ -31,10 +31,11 @@ hold nan), and a non-finite one reads `<dotted path> is <value>`
 (`sweep.v_stop is nan`); a noiseless sweep is `sweep.counts_scale` null.
 A checked document's integer keys become ints, so 12.0 runs and hashes
 as 12; a number key keeps the type it was written in.
-The document must also describe a buildable device: `RunConfig.from_dict`
-builds its geometry, crystal, mirror chain and calibration, and a
-contradiction among the values is a ConfigError too, named by its key
-or by the section whose object refuses it.
+`RunConfig.from_dict` is the one reader of a checked document: it makes
+every value a command uses a typed field, so the document must also
+describe a buildable device, and a contradiction among the values is a
+ConfigError too, named by its key or by the section whose object refuses
+it.
 
 The package's JSON goes through `read_json` and `write_json` (sorted
 keys, two-space indent, final LF): configs, manifests and reports.  Both
@@ -259,22 +260,30 @@ class ConfigError(InputError):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated configuration document plus the typed objects it describes.
+    """A checked configuration document as the typed values the commands read.
 
-    from_dict builds the geometry, crystal, mirror chain, calibration and
-    sweep once; a nan or inf anywhere, or values that contradict each
-    other (a cladding index above the core index, holes wider than the
-    pitch, an emitter outside the solved window, a background that fills
-    the whole histogram budget, a reversed v_range) fail there as a
-    ConfigError.
+    from_dict, the one reader of the document, makes every field once; a
+    nan or inf anywhere, or values that contradict each other (a cladding
+    index above the core index, holes wider than the pitch, an emitter
+    outside the solved window, a background that fills the whole histogram
+    budget, a reversed v_range) fail there as a ConfigError.  `raw`, the
+    checked document, serves only the hash and the `simulate` manifest.
     """
 
     raw: dict
+    seed: int
     _geometry: WaveguideGeometry
+    grid_points: int
     _crystal: PhotonicCrystalSpec
+    # np.linspace's (start, stop, num) of the `mirror` command's wavelengths
+    mirror_sweep: tuple[float, float, int]
     chain: MirrorChain
+    # the r_T_mag key, or the chain's |r_T| where it is null or absent
+    r_T_mag: float
     calibration: PhaseCalibration
     sweep: SweepSpec
+    # the EmitterScene arguments but k, which comes from the solved mode
+    _emitter: dict
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
@@ -282,7 +291,8 @@ class RunConfig:
         message = _first_error(raw)
         if message is not None:
             raise ConfigError(f"invalid config: {message}")
-        g, m, c, s = (raw[key] for key in ("geometry", "mirror", "calibration", "sweep"))
+        g, m, e, c, s = (raw[k] for k in ("geometry", "mirror", "emitter", "calibration", "sweep"))
+        distance_nm = m["qd_mirror_distance_um"] * 1000.0
         table = None
         if c["table"] is not None:
             table = tuple((float(v), float(p)) for v, p in c["table"])
@@ -292,10 +302,9 @@ class RunConfig:
         where = "emitter.y0_nm"
         try:
             window = g["width_nm"] / 2.0 + WINDOW_MARGIN_NM
-            if abs(raw["emitter"]["y0_nm"]) > window:
+            if abs(e["y0_nm"]) > window:
                 raise InputError(
-                    f"{raw['emitter']['y0_nm']} nm lies outside the solved "
-                    f"window (+-{window:.1f} nm)"
+                    f"{e['y0_nm']} nm lies outside the solved window (+-{window:.1f} nm)"
                 )
             where = "sweep.background"
             sweep = _build(SweepSpec, s)
@@ -303,9 +312,7 @@ class RunConfig:
             geometry = _build(WaveguideGeometry, g)
             where = "mirror"
             crystal = _build(PhotonicCrystalSpec, m)
-            one_way = waveguide_transmission(
-                m["loss_db_per_mm"], m["qd_mirror_distance_um"] * 1000.0
-            )
+            one_way = waveguide_transmission(m["loss_db_per_mm"], distance_nm)
             chain = MirrorChain(
                 t_phi_sq=m["t_phi_sq"], t_wg_sq=one_way**2, r_M_mag=m["r_M_mag"]
             )
@@ -322,45 +329,36 @@ class RunConfig:
             )
         except InputError as exc:
             raise ConfigError(f"inconsistent config: {where}: {exc}") from None
-        return cls(raw, geometry, crystal, chain, calibration, sweep)
+        emitter = dict(e, L=distance_nm)
+        emitter["y0"] = emitter.pop("y0_nm")
+        return cls(
+            raw=raw,
+            seed=raw["seed"],
+            _geometry=geometry,
+            grid_points=g["grid_points"],
+            _crystal=crystal,
+            mirror_sweep=(m["lambda_min_nm"], m["lambda_max_nm"], m["sweep_points"]),
+            chain=chain,
+            r_T_mag=chain.magnitude if raw.get("r_T_mag") is None else float(raw["r_T_mag"]),
+            calibration=calibration,
+            sweep=sweep,
+            _emitter=emitter,
+        )
 
     @property
     def hash(self) -> str:
         return config_hash(self.raw)
-
-    @property
-    def seed(self) -> int:
-        return self.raw["seed"]
 
     # geometry() and crystal() are methods, unlike chain and calibration,
     # because perfbench calls them
     def geometry(self) -> WaveguideGeometry:
         return self._geometry
 
-    @property
-    def grid_points(self) -> int:
-        return self.raw["geometry"]["grid_points"]
-
     def crystal(self) -> PhotonicCrystalSpec:
         return self._crystal
 
-    def r_T_magnitude(self) -> float:
-        override = self.raw.get("r_T_mag")
-        if override is not None:
-            return float(override)
-        return self.chain.magnitude
-
     def scene(self, k: float) -> EmitterScene:
-        e = self.raw["emitter"]
-        return EmitterScene(
-            y0=e["y0_nm"],
-            L=self.raw["mirror"]["qd_mirror_distance_um"] * 1000.0,
-            k=k,
-            gamma_x0=e["gamma_x0"],
-            gamma_y0=e["gamma_y0"],
-            gamma_b=e["gamma_b"],
-            gamma_nrad=e["gamma_nrad"],
-        )
+        return EmitterScene(k=k, **self._emitter)
 
 
 def config_hash(data: dict) -> str:

@@ -15,6 +15,14 @@ from phasemirror.opticalstack import MirrorChain, PhotonicCrystalSpec
 from phasemirror.synthlab import PhaseCalibration
 
 
+# the config_hash of DEFAULT_CONFIG and of QD1_PRESET, which every shipped
+# manifest records
+SHIPPED_CONFIG_HASHES = {
+    "default": "9c209c8c8643b90c47f9bdef6238fda6e66f03d713be7fef2d6253bb04c75ae3",
+    "qd1": "b671b66a18fa99d29c68f3f480353b3022c3cbf32d07c0ec58fe8ed773490c51",
+}
+
+
 def builtin_table1_path() -> str:
     """Path to the shipped per-emitter results table."""
     return str(resources.files("phasemirror.data") / "table1.csv")

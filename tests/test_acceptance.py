@@ -148,7 +148,7 @@ def test_06_qd1_round_trip():
     scene = cfg.scene(profile.k)
     weights = mode_weights(profile, scene.y0)
     phis, counts, histograms = synthlab.generate_sweep(
-        scene, weights, cfg.r_T_magnitude(), cfg.calibration, cfg.sweep, seed=cfg.seed
+        scene, weights, cfg.r_T_mag, cfg.calibration, cfg.sweep, seed=cfg.seed
     )
     result = inference.analyze_sweep(
         phis, counts, histograms, cfg.sweep, profile=profile,

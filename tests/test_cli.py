@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import phasemirror
-from helpers import builtin_table1_path
+from helpers import SHIPPED_CONFIG_HASHES, builtin_table1_path
 from oracles import ExcitonModel, generate_decay_histogram
 from phasemirror import config, inference
 from phasemirror.cli import build_parser, main
@@ -245,20 +245,26 @@ class TestModeCommand:
         "source, r_T_mag",
         [
             (["--preset", "qd1"], 0.6),
-            # the one optional key left out: |r_T| of the default mirror
-            # chain, about 0.4959
-            (["--config", "<no_r_T_mag>"], None),
+            # the one optional key left out, or null: |r_T| of the default
+            # mirror chain, about 0.4959
+            ({k: v for k, v in DEFAULT_CONFIG.items() if k != "r_T_mag"}, None),
+            (dict(DEFAULT_CONFIG, r_T_mag=None), None),
+            # an integer |r_T| is in use as the float
+            (dict(DEFAULT_CONFIG, r_T_mag=1), 1.0),
         ],
-        ids=["qd1-preset", "config-without-r_T_mag"],
+        ids=["qd1-preset", "config-without-r_T_mag", "r_T_mag-null", "r_T_mag-integer"],
     )
     def test_manifest_records_the_r_T_mag_in_use(self, tmp_path, default_cfg, source, r_T_mag):
-        cfg_path = str(tmp_path / "no_r_T_mag.json")
-        config.write_json(cfg_path, {k: v for k, v in DEFAULT_CONFIG.items() if k != "r_T_mag"})
+        if isinstance(source, dict):
+            cfg_path = str(tmp_path / "config.json")
+            config.write_json(cfg_path, source)
+            source = ["--config", cfg_path]
         out = str(tmp_path / "out")
-        args = [a.replace("<no_r_T_mag>", cfg_path) for a in source]
-        assert main(["mode", *args, "--out", out]) == 0
+        assert main(["mode", *source, "--out", out]) == 0
         expected = default_cfg.chain.magnitude if r_T_mag is None else r_T_mag
-        assert read_manifest(out)["r_T_mag"] == expected
+        recorded = read_manifest(out)["r_T_mag"]
+        # 1 == 1.0, so the type is asserted apart
+        assert recorded == expected and type(recorded) is float
 
     def test_zero_background_rate_gives_finite_curves(self, tmp_path):
         # with gamma_b = 0, beta_x = gamma_x / (gamma_x + gamma_b) is 0/0
@@ -310,6 +316,12 @@ class TestSimulateCommand:
         out = str(tmp_path / "seeded")
         assert main(["simulate", "--seed", "1", "--out", out]) == 0
         assert not np.array_equal(sweep_counts(out), sweep_counts(sim_dir))
+        qd1 = str(tmp_path / "qd1-seeded")
+        assert main(["simulate", "--preset", "qd1", "--seed", "1", "--out", qd1]) == 0
+        assert read_manifest(qd1)["seed"] == 1
+        # --seed overrides a copy: the shipped documents keep their hashes
+        assert config.config_hash(DEFAULT_CONFIG) == SHIPPED_CONFIG_HASHES["default"]
+        assert config.config_hash(QD1_PRESET) == SHIPPED_CONFIG_HASHES["qd1"]
 
     def test_zero_reflectivity_gives_flat_sweep(self, tmp_path, sim_dir):
         data = copy.deepcopy(DEFAULT_CONFIG)
@@ -362,7 +374,7 @@ class TestAnalyzeCommand:
         rep = config.read_json(os.path.join(fit, "report.json"))
         cfg = config.RunConfig.from_dict(data)
         profile = solve_te0(cfg.geometry(), n_points=cfg.grid_points)
-        r, e = cfg.r_T_magnitude(), data["emitter"]
+        r, e = cfg.r_T_mag, data["emitter"]
         nu_i = visibility_intensity_mixed(r, mode_weights(profile, e["y0_nm"]))
         nu_g = r * abs(e["gamma_x0"] - e["gamma_y0"]) / (
             e["gamma_x0"] + e["gamma_y0"] + 2.0 * e["gamma_b"]

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import default_device
+from helpers import SHIPPED_CONFIG_HASHES, default_device
 from phasemirror import config
 from phasemirror.config import (
     _TABLE,
@@ -453,12 +453,8 @@ def test_default_device_is_what_the_config_builds(default_cfg, default_profile):
 
 def test_shipped_config_hashes_are_pinned():
     # every shipped manifest's config_hash comes from these two documents
-    assert config_hash(DEFAULT_CONFIG) == (
-        "9c209c8c8643b90c47f9bdef6238fda6e66f03d713be7fef2d6253bb04c75ae3"
-    )
-    assert config_hash(QD1_PRESET) == (
-        "b671b66a18fa99d29c68f3f480353b3022c3cbf32d07c0ec58fe8ed773490c51"
-    )
+    assert config_hash(DEFAULT_CONFIG) == SHIPPED_CONFIG_HASHES["default"]
+    assert config_hash(QD1_PRESET) == SHIPPED_CONFIG_HASHES["qd1"]
 
 
 def test_write_json_writes_what_json_dump_writes(tmp_path):

@@ -370,7 +370,7 @@ class TestFigureCurves:
     def test_csv_exports(self, default_cfg, default_profile, tmp_path):
         # `mode` exports both curve families, every float exactly
         scene = default_cfg.scene(default_profile.k)
-        r = default_cfg.r_T_magnitude()
+        r = default_cfg.r_T_mag
         weights = mode_weights(default_profile, scene.y0)
         want = {
             "fig1c.csv": (

@@ -66,7 +66,7 @@ def qd1_sweep(qd1_cfg, qd1_profile):
     scene = cfg.scene(qd1_profile.k)
     weights = mode_weights(qd1_profile, scene.y0)
     return generate_sweep(
-        scene, weights, cfg.r_T_magnitude(), cfg.calibration, cfg.sweep, seed=cfg.seed
+        scene, weights, cfg.r_T_mag, cfg.calibration, cfg.sweep, seed=cfg.seed
     )
 
 
@@ -326,7 +326,7 @@ class TestFitParity:
         _, _, histograms = generate_sweep(
             scene,
             mode_weights(profile, scene.y0),
-            cfg.r_T_magnitude(),
+            cfg.r_T_mag,
             cfg.calibration,
             cfg.sweep,
             cfg.seed,
@@ -803,7 +803,7 @@ class TestAnalyzeSweep:
         scene = cfg.scene(qd1_profile.k)
         weights = mode_weights(qd1_profile, scene.y0)
         phis, counts, hists = generate_sweep(
-            scene, weights, cfg.r_T_magnitude(), cfg.calibration, sweep, seed=cfg.seed
+            scene, weights, cfg.r_T_mag, cfg.calibration, sweep, seed=cfg.seed
         )
         edges, names = sweep.bin_edges(), histogram_header(len(hists))[1:]
         assert hists.shape == (sweep.n_points, len(edges) - 1)
@@ -827,7 +827,7 @@ class TestAnalyzeSweep:
         ests = []
         for seed in range(100):
             recs = generate_sweep(
-                scene, weights, cfg.r_T_magnitude(), cfg.calibration, cfg.sweep, seed=seed
+                scene, weights, cfg.r_T_mag, cfg.calibration, cfg.sweep, seed=seed
             )
             phis, counts, hists = recs
             out = analyze_sweep(

@@ -167,8 +167,7 @@ class TestWaveguideTransmission:
 
 def test_sweep_csv(default_cfg, tmp_path):
     # `mirror` exports the sweep it computes, every float exactly
-    m = default_cfg.raw["mirror"]
-    lams = np.linspace(m["lambda_min_nm"], m["lambda_max_nm"], m["sweep_points"])
+    lams = np.linspace(*default_cfg.mirror_sweep)
     lam_col, r_col, rp_col = reflectivity_sweep(default_cfg.crystal(), lams)
     assert main(["mirror", "--out", str(tmp_path)]) == 0
     with open(tmp_path / "mirror_sweep.csv", newline="") as fh:
